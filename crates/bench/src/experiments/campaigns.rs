@@ -281,16 +281,14 @@ pub fn fig7(opts: &Options) -> Report {
 }
 
 /// `repro read-vs-write` — the read-site characterization extension:
-/// for each paper workload, one seeded [`MixedCampaign`] hosts the
-/// write-site models (BF/SW/DW, replay-backed) and their read-site
-/// mirrors (BF/SR/DR, analyze-only — every target fires during
-/// analyze on these apps) over the *same* golden run, and the table
-/// pairs each model's two sites. Read-site rows carry `analyze-only`
-/// in the exec column; the device state stays pristine on every
-/// read-site run, so all damage there is transfer-level.
+/// for each paper workload, one seeded six-signature [`Campaign`]
+/// hosts the write-site models (BF/SW/DW, replay-backed) and their
+/// read-site mirrors (BF/SR/DR, analyze-only — every target fires
+/// during analyze on these apps) over the *same* golden run, and the
+/// table pairs each model's two sites. Read-site rows carry
+/// `analyze-only` in the exec column; the device state stays pristine
+/// on every read-site run, so all damage there is transfer-level.
 pub fn read_vs_write(opts: &Options) -> Report {
-    use ffis_core::{MixedCampaign, MixedCampaignConfig};
-
     let mut report = Report::new("read_vs_write");
     report.line("Read-site vs write-site characterization — Nyx, QMCPACK, Montage");
     report.line(format!(
@@ -304,7 +302,7 @@ pub fn read_vs_write(opts: &Options) -> Report {
     let mut csv = String::from(ffis_core::CampaignResult::csv_header());
     csv.push('\n');
 
-    let mut run_app = |name: &str, result: Result<ffis_core::MixedCampaignResult, _>| {
+    let mut run_app = |name: &str, result: Result<ffis_core::CampaignResult, _>| {
         let result = match result {
             Ok(r) => r,
             Err(e) => {
@@ -351,17 +349,17 @@ pub fn read_vs_write(opts: &Options) -> Report {
         .chain(read_models().into_iter().map(|(_, m)| FaultSignature::on_read(m)))
         .collect();
     let mk_cfg = |salt: u64| {
-        MixedCampaignConfig::new(sigs.clone())
+        CampaignConfig::mixed(sigs.clone())
             .with_runs(opts.runs)
             .with_seed(opts.seed.wrapping_add(salt))
     };
 
     let nyx = nyx_app(opts);
-    run_app("NYX", MixedCampaign::new(&nyx, mk_cfg(700)).run());
+    run_app("NYX", Campaign::new(&nyx, mk_cfg(700)).run());
     let qmc = QmcApp::paper_default();
-    run_app("QMC", MixedCampaign::new(&qmc, mk_cfg(710)).run());
+    run_app("QMC", Campaign::new(&qmc, mk_cfg(710)).run());
     let montage = MontageApp::paper_default();
-    run_app("MT", MixedCampaign::new(&montage, mk_cfg(720)).run());
+    run_app("MT", Campaign::new(&montage, mk_cfg(720)).run());
 
     report.line(table.render());
     crate::report::save_bytes(&opts.out, "read_vs_write.csv", csv.as_bytes()).ok();

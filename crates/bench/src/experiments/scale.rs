@@ -13,9 +13,9 @@
 //! [`SCALE_KEEP_RUNS`] reservoir bound while the tallies still cover
 //! every run, the three write campaigns reuse checkpoint-cache
 //! builds through the [`CheckpointStore`] (one demand-placed set per
-//! campaign under `FFIS_REPLAY_OPT`, one shared log-spaced build with
-//! it off), and (when the fast paths are enabled) every read campaign
-//! engages `analyze-only` rather than silently rerunning. Write-site
+//! campaign — the store key carries each campaign's demand), and
+//! (when the fast paths are enabled) every read campaign engages
+//! `analyze-only` rather than silently rerunning. Write-site
 //! rows additionally report the plan-aware replay accounting: total
 //! replayed suffix ops and checkpoint overshoot per cell, in the
 //! table and in `BENCH_scale.json`.
@@ -339,21 +339,17 @@ pub fn scale(opts: &Options) -> Report {
     }
 
     // Checkpoint sharing across the three write campaigns. Under
-    // demand-driven placement (FFIS_REPLAY_OPT, default on) the store
-    // key carries each campaign's demand fingerprint, and the three
-    // campaigns draw distinct target sets — so each builds its own
-    // demand-placed set: at most one build per write campaign. With
-    // the optimization off all three share a single log-spaced build
-    // (identical deterministic golden traces). Read campaigns never
-    // touch the store — the golden snapshot is their checkpoint. (In
+    // demand-driven placement the store key carries each campaign's
+    // demand fingerprint, and the three campaigns draw distinct
+    // target sets — so each builds its own demand-placed set: at most
+    // one build per write campaign. Read campaigns never touch the
+    // store — the golden snapshot is their checkpoint. (In
     // distributed mode the in-process store sits idle; the workers'
     // shared disk store carries the same contract as content dedup,
     // asserted below.)
-    let max_builds = if ffis_core::replay_opt_default() { 3 } else { 1 };
     assert!(
-        store.builds() <= max_builds,
-        "write-model campaigns must reuse checkpoint builds (at most {} under this regime), got {}",
-        max_builds,
+        store.builds() <= 3,
+        "write-model campaigns must build at most one checkpoint set each, got {}",
         store.builds()
     );
 
@@ -386,9 +382,8 @@ pub fn scale(opts: &Options) -> Report {
         ));
     } else {
         report.line(format!(
-            "(checkpoint store: {} builds, {} hits across 3 write campaigns — demand-keyed sets \
-             under FFIS_REPLAY_OPT, one shared log-spaced build with it off; {} total runs; \
-             record memory bounded at keep_runs={} per campaign — dropped records freed in the \
+            "(checkpoint store: {} builds, {} hits across 3 write campaigns — one demand-keyed \
+             set each; {} total runs; record memory bounded at keep_runs={} per campaign — dropped records freed in the \
              worker)",
             store.builds(),
             store.hits(),

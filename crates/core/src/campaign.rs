@@ -18,9 +18,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ffis_vfs::{
-    BatchForks, CheckpointStore, CounterSnapshot, FfisFs, Interceptor, MemFs, MemoStats, MemoStore,
-    Placement, Primitive, ReadLedger, ReadRecord, TraceCheckpoints, TraceOp, TraceRecorder,
-    PRIMITIVES,
+    BatchFork, BatchForks, CheckpointStore, CounterSnapshot, FfisFs, Fnv, Interceptor, MemFs,
+    MemoStats, MemoStore, Placement, Primitive, ReadLedger, ReadRecord, ReplayCursor,
+    TraceCheckpoint, TraceCheckpoints, TraceOp, TraceRecorder, PRIMITIVES,
 };
 
 use crate::engine::journal::{wire, JournalEntry};
@@ -38,11 +38,24 @@ use crate::rng::Rng;
 /// execution knobs).
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Fault signature to inject.
-    pub signature: FaultSignature,
-    /// Number of injection runs (paper: 1,000 per cell).
+    /// The fault signatures to inject, one shard each — usually one
+    /// ([`CampaignConfig::new`]); several ([`CampaignConfig::mixed`],
+    /// typically read-site and write-site variants of the same
+    /// models) share one golden run and one interleaved schedule.
+    /// Global run `i` belongs to shard `i % signatures.len()`
+    /// (round-robin), so replay-backed write-site runs and read-site
+    /// runs interleave deterministically in run order.
+    pub signatures: Vec<FaultSignature>,
+    /// Number of injection runs across all shards (paper: 1,000 per
+    /// cell).
     pub runs: usize,
-    /// Root seed; run `i` derives child stream `i`.
+    /// Root seed. With one signature run `i` derives child stream
+    /// `i`; with several, shard `s` owns the independent stream
+    /// `root.child(s)` and its `j`-th run draws from
+    /// `root.child(s).child(j)` — so a shard's instance choices depend
+    /// only on the root seed and its own run schedule, never on
+    /// sibling shards, scheduling order, or
+    /// [`CampaignConfig::parallel`].
     pub seed: u64,
     /// Fan runs out across the rayon thread pool.
     pub parallel: bool,
@@ -56,14 +69,16 @@ pub struct CampaignConfig {
     /// to full reruns; [`CampaignResult::mode`] records which strategy
     /// executed and — when the campaign fell back — why.
     pub replay: bool,
-    /// Plan-aware replay optimizations (default **on** — see
-    /// [`replay_opt_default`]): because every run's injection target
+    /// Plan-aware replay optimizations (default **on**; the `false`
+    /// regime is the reference side of engine law 9 and a measurement
+    /// control): because every run's injection target
     /// is drawn at plan time (engine law 2), the campaign knows its
     /// full fork-offset demand before any checkpoint is built. With
     /// this knob on it (a) places the trace checkpoints against that
-    /// demand instead of log-spaced (zero pre-target replay when the
-    /// distinct targets fit the snapshot budget), (b) groups pending
-    /// replay runs sharing a checkpoint into fork-once-replay-many
+    /// demand — the union of all write shards' fork offsets — instead
+    /// of log-spaced (zero pre-target replay when the distinct targets
+    /// fit the snapshot budget), (b) groups pending replay runs
+    /// sharing a `(shard, checkpoint)` into fork-once-replay-many
     /// batches (engine law 9), and (c) applies each batched run's
     /// post-target suffix to the mount's inner filesystem with
     /// adjacent sequential writes coalesced. All three are pure
@@ -129,8 +144,9 @@ pub struct CampaignConfig {
     /// and completion accounting restrict to the range. `None` (the
     /// default) runs the whole plan.
     pub index_range: Option<(usize, usize)>,
-    /// Analyze memoization (default **on** — see [`memo_default`]):
-    /// when the workload declares analyze sub-steps
+    /// Analyze memoization (default **on**; the `false` regime is the
+    /// reference side of engine law 8): when the workload declares
+    /// analyze sub-steps
     /// ([`FaultApp::analyze_substeps`]) and the campaign runs on a
     /// fast path, each injection run re-computes only the sub-steps
     /// whose read fingerprints its fault can actually change (the
@@ -188,32 +204,24 @@ pub fn replay_default() -> bool {
     std::env::var("FFIS_REPLAY").map(|v| v != "0").unwrap_or(true)
 }
 
-/// Default value of [`CampaignConfig::memo`]: `true`, unless the
-/// environment sets `FFIS_MEMO=0` — the escape hatch CI uses to run
-/// multi-file campaigns over the whole-analyze reference path.
-pub fn memo_default() -> bool {
-    std::env::var("FFIS_MEMO").map(|v| v != "0").unwrap_or(true)
-}
-
-/// Default value of [`CampaignConfig::replay_opt`]: `true`, unless
-/// the environment sets `FFIS_REPLAY_OPT=0` — the escape hatch CI
-/// (and the `replay-opt` differential experiment's control arm) uses
-/// to run campaigns over log-spaced placement with per-run mounts.
-pub fn replay_opt_default() -> bool {
-    std::env::var("FFIS_REPLAY_OPT").map(|v| v != "0").unwrap_or(true)
-}
-
 impl CampaignConfig {
-    /// Config with paper defaults (1,000 runs, parallel, replay on —
-    /// see [`replay_default`]).
+    /// Single-signature config with paper defaults (1,000 runs,
+    /// parallel, replay on — see [`replay_default`]).
     pub fn new(signature: FaultSignature) -> Self {
+        Self::mixed(vec![signature])
+    }
+
+    /// Config with the same defaults over several signatures sharing
+    /// one golden run (see [`CampaignConfig::signatures`]); `runs` is
+    /// the total across all shards.
+    pub fn mixed(signatures: Vec<FaultSignature>) -> Self {
         CampaignConfig {
-            signature,
+            signatures,
             runs: 1000,
             seed: 0xFF15_0001,
             parallel: true,
             replay: replay_default(),
-            replay_opt: replay_opt_default(),
+            replay_opt: true,
             keep_runs: None,
             checkpoints: None,
             journal: None,
@@ -223,7 +231,7 @@ impl CampaignConfig {
             wall_limit: None,
             observer: None,
             index_range: None,
-            memo: memo_default(),
+            memo: true,
             memo_store: None,
         }
     }
@@ -622,8 +630,9 @@ pub struct RunResult {
     pub crash_message: Option<String>,
     /// The execution strategy that produced *this* run. Equal to the
     /// campaign-level [`CampaignResult::mode`] for single-signature
-    /// campaigns; in a [`MixedCampaign`] it varies per run (write-site
-    /// shards replay, read-site shards rerun).
+    /// campaigns (unless that is [`ExecutionMode::PhaseSplit`]); with
+    /// several signatures it varies per run by shard
+    /// ([`ShardReport::mode`]).
     pub mode: ExecutionMode,
     /// Set when a liveness watchdog aborted this run (always paired
     /// with [`Outcome::Crash`] and a synthesized crash message).
@@ -656,6 +665,52 @@ fn fallback_from_code(c: u8) -> Option<ReplayFallback> {
     })
 }
 
+/// Append an optional [`InjectionRecord`] — the one wire encoding the
+/// journal payload and the run-level memo entries share.
+fn put_injection(buf: &mut Vec<u8>, injection: Option<&InjectionRecord>) {
+    let Some(i) = injection else {
+        buf.push(0);
+        return;
+    };
+    buf.push(1);
+    buf.push(i.primitive.index() as u8);
+    wire::put_u64(buf, i.instance);
+    wire::put_u64(buf, i.prim_seq);
+    wire::put_opt_str(buf, i.path.as_deref());
+    match i.offset {
+        None => buf.push(0),
+        Some(o) => {
+            buf.push(1);
+            wire::put_u64(buf, o);
+        }
+    }
+    wire::put_u64(buf, i.len as u64);
+    wire::put_str(buf, &i.detail);
+}
+
+/// Decode what [`put_injection`] wrote; the outer `None` means the
+/// bytes are corrupt.
+fn read_injection(r: &mut wire::Reader<'_>) -> Option<Option<InjectionRecord>> {
+    match r.u8()? {
+        0 => Some(None),
+        1 => {
+            let primitive = *PRIMITIVES.get(r.u8()? as usize)?;
+            let instance = r.u64()?;
+            let prim_seq = r.u64()?;
+            let path = r.opt_str()?;
+            let offset = match r.u8()? {
+                0 => None,
+                1 => Some(r.u64()?),
+                _ => return None,
+            };
+            let len = r.u64()? as usize;
+            let detail = r.str()?;
+            Some(Some(InjectionRecord { primitive, instance, prim_seq, path, offset, len, detail }))
+        }
+        _ => None,
+    }
+}
+
 impl RunResult {
     /// Serialize the journal payload: everything the engine frame
     /// (`index`, `outcome`, `fired`) does not already carry. The
@@ -664,25 +719,7 @@ impl RunResult {
     fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
         wire::put_u64(&mut buf, self.target_instance);
-        match &self.injection {
-            None => buf.push(0),
-            Some(i) => {
-                buf.push(1);
-                buf.push(i.primitive.index() as u8);
-                wire::put_u64(&mut buf, i.instance);
-                wire::put_u64(&mut buf, i.prim_seq);
-                wire::put_opt_str(&mut buf, i.path.as_deref());
-                match i.offset {
-                    None => buf.push(0),
-                    Some(o) => {
-                        buf.push(1);
-                        wire::put_u64(&mut buf, o);
-                    }
-                }
-                wire::put_u64(&mut buf, i.len as u64);
-                wire::put_str(&mut buf, &i.detail);
-            }
-        }
+        put_injection(&mut buf, self.injection.as_ref());
         wire::put_opt_str(&mut buf, self.crash_message.as_deref());
         match self.mode {
             ExecutionMode::Replay => buf.push(0),
@@ -714,24 +751,7 @@ impl RunResult {
     fn decode(entry: &JournalEntry) -> Option<RunResult> {
         let mut r = wire::Reader::new(&entry.payload);
         let target_instance = r.u64()?;
-        let injection = match r.u8()? {
-            0 => None,
-            1 => {
-                let primitive = *PRIMITIVES.get(r.u8()? as usize)?;
-                let instance = r.u64()?;
-                let prim_seq = r.u64()?;
-                let path = r.opt_str()?;
-                let offset = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u64()?),
-                    _ => return None,
-                };
-                let len = r.u64()? as usize;
-                let detail = r.str()?;
-                Some(InjectionRecord { primitive, instance, prim_seq, path, offset, len, detail })
-            }
-            _ => return None,
-        };
+        let injection = read_injection(&mut r)?;
         if injection.is_some() != entry.fired {
             return None;
         }
@@ -765,23 +785,6 @@ impl RunResult {
     }
 }
 
-/// FNV-1a, the workspace's standing digest primitive (the same
-/// parameters the differential test suites pin campaign behavior
-/// with).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xCBF2_9CE4_8422_2325)
-    }
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01B3);
-        }
-    }
-}
-
 /// FNV-1a digest over retained run records: run index, outcome,
 /// target instance, the full injection record (or the `no-fire`
 /// marker), and the crash message. Byte-compatible with the digest the
@@ -791,17 +794,17 @@ impl Fnv {
 fn digest_runs(runs: &[RunResult]) -> u64 {
     let mut h = Fnv::new();
     for r in runs {
-        h.eat(&(r.run as u64).to_le_bytes());
+        h.eat_u64(r.run as u64);
         h.eat(r.outcome.name().as_bytes());
-        h.eat(&r.target_instance.to_le_bytes());
+        h.eat_u64(r.target_instance);
         match &r.injection {
             Some(i) => {
                 h.eat(i.primitive.ffis_name().as_bytes());
-                h.eat(&i.instance.to_le_bytes());
-                h.eat(&i.prim_seq.to_le_bytes());
+                h.eat_u64(i.instance);
+                h.eat_u64(i.prim_seq);
                 h.eat(i.path.as_deref().unwrap_or("-").as_bytes());
-                h.eat(&i.offset.unwrap_or(u64::MAX).to_le_bytes());
-                h.eat(&(i.len as u64).to_le_bytes());
+                h.eat_u64(i.offset.unwrap_or(u64::MAX));
+                h.eat_u64(i.len as u64);
                 h.eat(i.detail.as_bytes());
             }
             None => h.eat(b"no-fire"),
@@ -811,20 +814,41 @@ fn digest_runs(runs: &[RunResult]) -> u64 {
     h.0
 }
 
+/// Per-signature summary of a [`CampaignResult`].
+#[derive(Debug, Clone)]
+pub struct ShardReport {
+    /// The shard's fault signature.
+    pub signature: FaultSignature,
+    /// Eligible-instance count for the shard's `(primitive, target)`
+    /// scope, measured on the shared golden run.
+    pub eligible: u64,
+    /// The execution strategy the shard's runs took.
+    pub mode: ExecutionMode,
+    /// Outcome tally over the shard's runs only.
+    pub tally: OutcomeTally,
+}
+
 /// Full campaign result.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
-    /// Outcome tally with CI accessors. Always covers every executed
-    /// run, even those whose full records were not retained.
+    /// Outcome tally with CI accessors (the shard tallies merged).
+    /// Always covers every executed run, even those whose full
+    /// records were not retained.
     pub tally: OutcomeTally,
     /// Retained per-run results (in run order). All runs unless
     /// [`CampaignConfig::keep_runs`] bounded the reservoir.
     pub runs: Vec<RunResult>,
-    /// The fault-free profile that sized the injection space.
+    /// The fault-free profile that sized the injection space; its
+    /// `eligible` count is scoped to the first signature (the trace
+    /// and counters cover every primitive).
     pub profile: ProfileReport,
-    /// The execution strategy that ran the injection runs, including
-    /// the reason when a replay-configured campaign fell back.
+    /// The execution strategy that ran the first signature's
+    /// injection runs (`shards[0].mode`), including the reason when a
+    /// replay-configured campaign fell back.
     pub mode: ExecutionMode,
+    /// Per-signature eligible counts, modes, and tallies, in
+    /// [`CampaignConfig::signatures`] order.
+    pub shards: Vec<ShardReport>,
     /// FNV-1a fingerprint of the execution plan (every run's index,
     /// shard, target instance, injector seed, and strategy). Bound
     /// into the journal header: resume refuses a journal whose
@@ -843,7 +867,7 @@ pub struct CampaignResult {
     /// fallback reason, plus this campaign's memo-store traffic.
     pub memo: MemoReport,
     /// What the plan-aware replay optimizations did: demand placement,
-    /// suffix/overshoot accounting, and batched-arm counters. Purely
+    /// suffix/overshoot accounting, and batched-run counters. Purely
     /// observational — never part of [`CampaignResult::run_digest`].
     pub replay_opt: ReplayOptReport,
 }
@@ -860,6 +884,13 @@ impl CampaignResult {
     pub fn run_digest(&self) -> u64 {
         digest_runs(&self.runs)
     }
+
+    /// Retained runs belonging to shard `s` (in run order).
+    pub fn shard_runs(&self, s: usize) -> impl Iterator<Item = &RunResult> {
+        let k = self.shards.len();
+        self.runs.iter().filter(move |r| r.run % k == s)
+    }
+
     /// Runs with a given outcome.
     pub fn runs_with(&self, o: Outcome) -> impl Iterator<Item = &RunResult> {
         self.runs.iter().filter(move |r| r.outcome == o)
@@ -945,7 +976,16 @@ impl std::fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-/// The campaign driver.
+/// The campaign driver: one golden run, then `runs` injection runs
+/// spread round-robin over the configured signatures.
+///
+/// Write-site shards ride the checkpointed golden-trace replay;
+/// read-site shards take the analyze-only fast path for analyze-phase
+/// targets and the full-rerun path (recording
+/// [`ReplayFallback::ProduceReadFault`]) for produce-phase ones. The
+/// round-robin schedule interleaves the strategies deterministically:
+/// rerunning the same config — serial or parallel — reproduces every
+/// outcome, per-run [`ExecutionMode`], and instance choice.
 pub struct Campaign<'a, A: FaultApp> {
     app: &'a A,
     config: CampaignConfig,
@@ -959,34 +999,45 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
 
     /// Execute the whole workflow.
     pub fn run(&self) -> Result<CampaignResult, CampaignError> {
-        self.config.signature.validate().map_err(CampaignError::BadSignature)?;
+        let cfg = &self.config;
+        let sigs = &cfg.signatures;
+        let k = sigs.len();
+        if k == 0 {
+            return Err(CampaignError::BadSignature(
+                "campaign needs at least one signature".into(),
+            ));
+        }
+        for sig in sigs {
+            sig.validate().map_err(CampaignError::BadSignature)?;
+        }
 
-        // Phase 1+2: golden run doubles as the profiling run — the
+        // Phase 1+2: one golden run doubles as the profiling run — the
         // paper executes the application fault-free once to both count
         // primitives and capture the reference output. When a fast
         // path is configured (the default), the same run also records
         // the golden trace (with a watermark between the two phases so
-        // the read-only-analyze law can be checked) and — for
-        // read-site signatures — the read ledger plus the
-        // phase-boundary counter snapshot the analyze-only strategy
-        // pre-seeds its mounts with.
-        let site_write = self.config.signature.primitive == Primitive::Write;
-        let site_read = self.config.signature.primitive == Primitive::Read;
-        let record = self.config.replay && (site_write || site_read);
-        let profiler =
-            IoProfiler::new(self.config.signature.primitive, self.config.signature.target.clone());
+        // the read-only-analyze law can be checked: write shards
+        // replay it, read shards need it for that law) and the read
+        // ledger plus the phase-boundary counter snapshot the
+        // analyze-only strategy pre-seeds its mounts with. The memo
+        // gate (engine law 8) needs the golden analyze read stream
+        // even for write-site shards, so the ledger rides along
+        // whenever the workload declares sub-steps. Attaching either
+        // only records — it never perturbs counters or the trace.
+        let any_site = |p: Primitive| sigs.iter().any(|s| s.primitive == p);
+        let write_fast = cfg.replay && any_site(Primitive::Write);
+        let read_fast = cfg.replay && any_site(Primitive::Read);
+        let substeps = if cfg.memo { self.app.analyze_substeps() } else { None };
+        let profiler = IoProfiler::new(sigs[0].primitive, sigs[0].target.clone());
         let recorder = Arc::new(TraceRecorder::new());
         let ledger = Arc::new(ReadLedger::new());
-        // The memo gate (engine law 8) needs the golden analyze read
-        // stream even for write-site signatures, so the ledger rides
-        // along whenever the workload declares sub-steps. Attaching it
-        // only records — it never perturbs counters or the trace.
-        let substeps = if self.config.memo { self.app.analyze_substeps() } else { None };
-        let extras: Vec<Arc<dyn Interceptor>> = match (record, site_read || substeps.is_some()) {
-            (false, _) => Vec::new(),
-            (true, false) => vec![recorder.clone()],
-            (true, true) => vec![recorder.clone(), ledger.clone()],
-        };
+        let mut extras: Vec<Arc<dyn Interceptor>> = Vec::new();
+        if write_fast || read_fast {
+            extras.push(recorder.clone());
+            if read_fast || substeps.is_some() {
+                extras.push(ledger.clone());
+            }
+        }
         let produced_ops = std::cell::Cell::new(0usize);
         let boundary = std::cell::Cell::new(CounterSnapshot::default());
         let (profile, golden, base) = profiler
@@ -998,199 +1049,189 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
                 self.app.analyze(ffs, None)
             })
             .map_err(CampaignError::GoldenRunFailed)?;
-        if profile.eligible == 0 {
+
+        // The trace interceptor records every primitive crossing, so
+        // each shard's eligible population comes from the same
+        // execution (for the first signature it equals
+        // `profile.eligible`, the profiler's own count).
+        let eligible: Vec<u64> = sigs
+            .iter()
+            .map(|sig| {
+                profile
+                    .trace
+                    .iter()
+                    .filter(|r| r.in_scope(sig.primitive, |p| sig.target.matches(p)))
+                    .count() as u64
+            })
+            .collect();
+        if eligible.contains(&0) {
             return Err(CampaignError::NoEligibleInstances);
         }
 
         // Every per-run random draw happens *now*, before any plan is
-        // built, from the same per-run child streams as always: run
-        // `i` draws from `root.child(i)` (engine law 2). Drawing
-        // up front is what makes the fork-offset demand available to
-        // checkpoint placement — the specs depend only on the seed and
-        // the eligible count, never on the plan.
-        let root = Rng::seed_from(self.config.seed);
-        let specs: Vec<InjectionSpec> = (0..self.config.runs)
-            .map(|i| {
-                let mut rng = root.child(i as u64);
-                // "generates a random number from 0 to count-1" →
-                // 1-based instance index in [1, count].
-                let target_instance = rng.gen_range(profile.eligible) + 1;
-                let seed = rng.next_u64();
-                InjectionSpec { target_instance, seed }
-            })
-            .collect();
+        // built (engine law 2) — which is what makes the fork-offset
+        // demand available to checkpoint placement.
+        let specs = draw_specs(cfg.seed, cfg.runs, &eligible);
         // The plan-aware replay optimizations disengage while a
         // liveness watchdog is armed: fuel counts per-op mount
         // crossings, so placement- or batching-induced suffix changes
-        // would alter exhaustion points (mirrors the memo gate below).
-        let replay_opt = self.config.replay_opt
-            && self.config.fuel.is_none()
-            && self.config.wall_limit.is_none();
+        // would alter exhaustion points (the memo gate below refuses
+        // for the same reason).
+        let watchdog = cfg.fuel.is_some() || cfg.wall_limit.is_some();
+        let replay_opt = cfg.replay_opt && !watchdog;
 
-        let (mode, plan) = if !self.config.replay {
-            (ExecutionMode::FullRerun { reason: ReplayFallback::Disabled }, None)
-        } else if site_write {
-            let attempted_writes = profile.counters.get(Primitive::Write);
-            match self.replay_plan(
-                recorder.take_ops(),
-                produced_ops.get(),
-                profile.eligible,
-                attempted_writes,
-                &golden,
-                &base,
-                replay_opt.then_some(specs.as_slice()),
-            ) {
-                Ok(plan) => (ExecutionMode::Replay, Some(CampaignPlan::Replay(plan))),
-                Err(reason) => (ExecutionMode::FullRerun { reason }, None),
-            }
-        } else if site_read {
-            let basis = analyze_only_basis(
+        // The golden trace is taken once and serves both fast paths:
+        // the analyze-only basis borrows it (read-only-analyze law),
+        // the write-site checkpoint cache consumes it. Each write
+        // shard first resolves its eligible trace ops (instance `n` is
+        // element `n-1`); a shard whose trace disagrees with the
+        // profiler's count cannot replay (`TraceMismatch`) and
+        // contributes nothing to the demand.
+        let ops = recorder.take_ops();
+        let write_ops: Vec<Option<Vec<usize>>> = sigs
+            .iter()
+            .zip(&eligible)
+            .map(|(sig, &n)| {
+                (write_fast && sig.primitive == Primitive::Write)
+                    .then(|| eligible_write_ops(&ops, &sig.target))
+                    .filter(|found| found.len() as u64 == n)
+            })
+            .collect();
+        // With plan-aware placement enabled, the pre-drawn specs of
+        // every write shard resolve to trace op indices — the exact
+        // fork offsets the checkpoint builder should place snapshots
+        // at.
+        let demand: Option<Vec<usize>> = replay_opt.then(|| {
+            specs
+                .iter()
+                .enumerate()
+                .filter_map(|(i, spec)| {
+                    write_ops[i % k]
+                        .as_ref()
+                        .map(|found| found[(spec.target_instance - 1) as usize])
+                })
+                .collect()
+        });
+        let basis = if read_fast {
+            analyze_only_basis(
                 self.app,
-                &recorder.take_ops(),
+                &ops,
                 produced_ops.get(),
                 &ledger,
                 boundary.get(),
                 &profile,
                 &golden,
                 &base,
-            );
-            match basis.and_then(|basis| {
-                analyze_only_plan(basis, &ledger, &self.config.signature.target, profile.eligible)
-            }) {
-                Ok(plan) => (plan.campaign_mode(), Some(CampaignPlan::AnalyzeOnly(plan))),
-                Err(reason) => (ExecutionMode::FullRerun { reason }, None),
-            }
+            )
         } else {
-            (ExecutionMode::FullRerun { reason: ReplayFallback::NonWritePrimitive }, None)
+            Err(ReplayFallback::Disabled)
         };
+        let cache = if write_ops.iter().any(Option::is_some) {
+            shared_replay_cache(
+                self.app,
+                ops,
+                produced_ops.get(),
+                profile.counters.get(Primitive::Write),
+                &golden,
+                &base,
+                cfg.checkpoints.as_deref(),
+                demand.as_deref(),
+            )
+        } else {
+            Err(ReplayFallback::Disabled)
+        };
+        let mut shards: Vec<Shard> = sigs
+            .iter()
+            .zip(&eligible)
+            .zip(write_ops)
+            .map(|((sig, &n), found)| self.plan_shard(sig, n, found, &cache, &basis, &ledger))
+            .collect();
 
         // The analyze memoization gate (engine law 8) — never silent:
         // either the sub-step laws validate against the golden run and
-        // the basis attaches to the fast-path plan, or the fallback
-        // reason lands in [`CampaignResult::memo`].
-        let mut plan = plan;
-        let mut mode = mode;
-        let memo_store = match (&substeps, self.config.memo) {
-            (Some(_), true) => Some(
-                self.config.memo_store.clone().unwrap_or_else(|| Arc::new(MemoStore::in_memory())),
-            ),
-            _ => None,
-        };
+        // the one basis attaches to every fast-path shard, or the
+        // fallback reason lands in [`CampaignResult::memo`].
+        let memo_store = substeps
+            .as_ref()
+            .map(|_| cfg.memo_store.clone().unwrap_or_else(|| Arc::new(MemoStore::in_memory())));
         let stats_before = memo_store.as_ref().map(|s| s.stats()).unwrap_or_default();
         let mut memo_report = MemoReport {
             engaged: false,
-            substeps: substeps.as_ref().map(Vec::len).unwrap_or(0),
+            substeps: substeps.as_ref().map_or(0, Vec::len),
             fallback: None,
             stats: MemoStats::default(),
         };
-        if !self.config.memo {
-            memo_report.fallback = Some(MemoFallback::Disabled);
-        } else if substeps.is_none() {
-            memo_report.fallback = Some(MemoFallback::NoSubsteps);
-        } else if self.config.fuel.is_some() || self.config.wall_limit.is_some() {
-            memo_report.fallback = Some(MemoFallback::Liveness);
-        } else if plan.is_none() {
-            memo_report.fallback = Some(MemoFallback::NotFastPath);
-        } else if ledger.len() as u64 != profile.counters.get(Primitive::Read) {
+        memo_report.fallback = match (substeps, &memo_store) {
+            (Some(_), Some(_)) if watchdog => Some(MemoFallback::Liveness),
+            (Some(_), Some(_)) if shards.iter().all(|s| s.plan.is_err()) => {
+                Some(MemoFallback::NotFastPath)
+            }
             // The stream-identity law compares against the ledger; a
             // ledger that missed counted reads cannot anchor it.
-            memo_report.fallback = Some(MemoFallback::SubstepStream);
-        } else {
-            let specs = substeps.clone().expect("checked above");
-            let store = memo_store.clone().expect("created when sub-steps are declared");
-            let golden_records = ledger.records();
-            let golden_analyze = &golden_records[ledger.produce_reads()..];
-            match &mut plan {
-                None => unreachable!("gated on plan.is_none() above"),
-                Some(CampaignPlan::Replay(rp)) => match substep_memo(
-                    self.app,
-                    specs,
-                    golden_analyze,
-                    boundary.get(),
-                    &golden,
-                    &base,
-                    &store,
-                ) {
-                    Ok(m) => {
-                        rp.memo = Some(Arc::new(m));
-                        memo_report.engaged = true;
-                    }
-                    Err(f) => memo_report.fallback = Some(f),
-                },
-                Some(CampaignPlan::AnalyzeOnly(ap)) => match substep_memo(
-                    self.app,
-                    specs,
-                    golden_analyze,
-                    boundary.get(),
-                    &golden,
-                    &base,
-                    &store,
-                ) {
-                    Ok(m) => {
-                        let target = &self.config.signature.target;
-                        let eligible_ranges = m
-                            .read_ranges
-                            .iter()
-                            .map(|&(start, end)| {
-                                let before = golden_analyze[..start]
-                                    .iter()
-                                    .filter(|r| target.matches(r.path.as_deref()))
-                                    .count() as u64;
-                                let within = golden_analyze[start..end]
-                                    .iter()
-                                    .filter(|r| target.matches(r.path.as_deref()))
-                                    .count() as u64;
-                                (before, within)
-                            })
-                            .collect();
-                        ap.memo =
-                            Some(Arc::new(IncrementalMemo { memo: Arc::new(m), eligible_ranges }));
-                        memo_report.engaged = true;
-                        mode = ap.campaign_mode();
-                    }
-                    Err(f) => memo_report.fallback = Some(f),
-                },
+            (Some(_), Some(_)) if ledger.len() as u64 != profile.counters.get(Primitive::Read) => {
+                Some(MemoFallback::SubstepStream)
             }
-        }
-        let plan = plan.map(Arc::new);
-
-        // Phase 3: N injection runs through the shared engine,
-        // resolving each pre-drawn spec to its planned strategy.
-        let golden = Arc::new(golden);
-        let fallback = match mode {
-            ExecutionMode::FullRerun { reason } => Some(reason),
-            _ => None,
+            (Some(specs), Some(store)) => {
+                let golden_reads = ledger.records();
+                let golden_analyze = &golden_reads[ledger.produce_reads()..];
+                match substep_memo(
+                    self.app,
+                    specs,
+                    golden_analyze,
+                    boundary.get(),
+                    &golden,
+                    &base,
+                    store,
+                ) {
+                    Ok(memo) => {
+                        let memo = Arc::new(memo);
+                        for shard in &mut shards {
+                            shard.engage_memo(&memo, golden_analyze);
+                        }
+                        memo_report.engaged = true;
+                        None
+                    }
+                    Err(fallback) => Some(fallback),
+                }
+            }
+            _ if cfg.memo => Some(MemoFallback::NoSubsteps),
+            _ => Some(MemoFallback::Disabled),
         };
+
+        // Phase 3: N injection runs through the shared engine. Global
+        // run `i` belongs to shard `i % k`, so replay-backed and
+        // rerun-backed runs interleave deterministically in run order;
+        // each pre-drawn spec resolves to its shard's planned strategy.
         let planned: Vec<PlannedRun<InjectionSpec>> = specs
             .iter()
             .enumerate()
             .map(|(i, &spec)| {
-                let strategy = match (&plan, fallback) {
-                    (Some(p), _) => p.strategy_for(spec.target_instance),
-                    (None, Some(reason)) => RunStrategy::Rerun { reason },
-                    (None, None) => unreachable!("fast-path modes always carry a plan"),
+                let strategy = match &shards[i % k].plan {
+                    Ok(plan) => plan.strategy_for(spec.target_instance),
+                    Err(reason) => RunStrategy::Rerun { reason: *reason },
                 };
-                PlannedRun { index: i, shard: 0, strategy, spec }
+                PlannedRun { index: i, shard: i % k, strategy, spec }
             })
             .collect();
-        let replay_report = replay_opt_report(&planned, plan.as_deref(), replay_opt);
-        let fingerprint = plan_fingerprint(&planned, 1);
+        let replay_report = replay_opt_report(&planned, &shards, replay_opt);
+        let fingerprint = plan_fingerprint(&planned, k);
         let meta = JournalMeta {
             fingerprint,
-            seed: self.config.seed,
-            runs: self.config.runs as u64,
-            shards: 1,
-            context: format!("app={} mode={} eligible={}", self.app.name(), mode, profile.eligible),
+            seed: cfg.seed,
+            runs: cfg.runs as u64,
+            shards: k as u32,
+            context: match shards.as_slice() {
+                [one] => {
+                    format!("app={} mode={} eligible={}", self.app.name(), one.mode(), one.eligible)
+                }
+                _ => format!("app={} shards={}", self.app.name(), k),
+            },
         };
-        let (journal, resumed) =
-            open_journal(self.config.journal.as_deref(), self.config.resume, meta)?;
-        let eplan = ExecutionPlan::new(planned, 1);
-        let engine_cfg = EngineConfig {
-            parallel: self.config.parallel,
-            keep_runs: self.config.keep_runs,
-            keep_seed: self.config.seed,
-        };
-        let liveness = Liveness { fuel: self.config.fuel, wall: self.config.wall_limit };
+        let (journal, resumed) = open_journal(cfg.journal.as_deref(), cfg.resume, meta)?;
+        let eplan = ExecutionPlan::new(planned, k);
+        let engine_cfg =
+            EngineConfig { parallel: cfg.parallel, keep_runs: cfg.keep_runs, keep_seed: cfg.seed };
+        let liveness = Liveness { fuel: cfg.fuel, wall: cfg.wall_limit };
         let persist_fn = journal.as_ref().map(|j| {
             move |index: usize, outcome: Outcome, fired: bool, r: &RunResult| {
                 j.lock().unwrap_or_else(|e| e.into_inner()).append(
@@ -1201,90 +1242,59 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
                 );
             }
         });
-        let observe_fn = self
-            .config
+        let observe_fn = cfg
             .observer
             .as_ref()
             .map(|obs| move |ev: RunEvent<'_, RunResult>| obs.call(ev.payload, ev.resumed));
         let durability = Durability {
             resumed,
-            cancel: self.config.cancel.as_deref(),
+            cancel: cfg.cancel.as_deref(),
             persist: persist_fn
                 .as_ref()
                 .map(|f| f as &(dyn Fn(usize, Outcome, bool, &RunResult) + Sync)),
             observe: observe_fn.as_ref().map(|f| f as &(dyn Fn(RunEvent<'_, RunResult>) + Sync)),
-            index_range: self.config.index_range,
+            index_range: cfg.index_range,
         };
         // Checkpoint-grouped batch execution (engine law 9): pending
-        // replay runs sharing a checkpoint get a lazily built batch of
-        // per-target mini-forks; memoized replay runs batch through
-        // the same reconstruction with the dirty-cascade analyze. A
-        // batch that fails to build (or lacks a run's target) degrades
-        // to the classic per-run arm — byte-identical either way.
+        // replay runs sharing a `(shard, checkpoint)` — so a batch
+        // never mixes signatures — get a lazily built batch of
+        // per-target mini-forks. A batch that fails to build (or lacks
+        // a run's target) leaves the run on the per-run checkpoint
+        // fork — byte-identical either way.
         let opt_counters = ReplayOptCounters::default();
-        let batching = replay_opt && matches!(plan.as_deref(), Some(CampaignPlan::Replay(_)));
+        let batching =
+            replay_opt && shards.iter().any(|s| matches!(s.plan, Ok(CampaignPlan::Replay(_))));
         let out = engine::execute_durable_batched(
             &eplan,
             &engine_cfg,
             durability,
-            |pr| if batching { pr.strategy.batch_key() } else { None },
+            |pr| if batching { pr.strategy.batch_key().map(|ck| (pr.shard, ck)) } else { None },
             |members| {
-                let Some(CampaignPlan::Replay(rp)) = plan.as_deref() else { return None };
+                let first = *members.first()?;
+                let Ok(CampaignPlan::Replay(rp)) = &shards[first % k].plan else { return None };
+                let RunStrategy::Replay { checkpoint, .. } =
+                    rp.strategy_for(specs[first].target_instance)
+                else {
+                    return None;
+                };
                 let targets: Vec<usize> = members
                     .iter()
                     .map(|&i| rp.eligible_ops[(specs[i].target_instance - 1) as usize])
                     .collect();
-                let RunStrategy::Replay { checkpoint, .. } =
-                    rp.strategy_for(specs[members[0]].target_instance)
-                else {
-                    return None;
-                };
                 let batch = rp.cache.fork_at_targets(checkpoint, &targets).ok()?;
                 opt_counters.batches.fetch_add(1, Ordering::Relaxed);
                 Some(batch)
             },
             |pr, batch| {
-                let result = match (batch, plan.as_deref()) {
-                    (Some(batch), Some(CampaignPlan::Replay(rp))) => match &rp.memo {
-                        Some(memo) => execute_memoized_batched(
-                            self.app,
-                            &self.config.signature,
-                            rp,
-                            memo,
-                            batch,
-                            &golden,
-                            pr.index,
-                            pr.spec.target_instance,
-                            pr.spec.seed,
-                            &opt_counters,
-                        ),
-                        None => execute_run_batched(
-                            self.app,
-                            &self.config.signature,
-                            rp,
-                            batch,
-                            &golden,
-                            pr.index,
-                            pr.spec.target_instance,
-                            pr.spec.seed,
-                            &opt_counters,
-                        ),
-                    },
-                    _ => None,
-                }
-                .unwrap_or_else(|| {
-                    execute_run(
-                        self.app,
-                        &self.config.signature,
-                        plan.as_deref(),
-                        pr.strategy,
-                        &golden,
-                        pr.index,
-                        pr.spec.target_instance,
-                        pr.spec.seed,
-                        liveness,
-                    )
-                });
+                let result = execute_run(
+                    self.app,
+                    &shards[pr.shard],
+                    &golden,
+                    pr,
+                    batch,
+                    liveness,
+                    &opt_counters,
+                );
                 RunRecord {
                     outcome: result.outcome,
                     fired: result.injection.is_some(),
@@ -1292,7 +1302,6 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
                 }
             },
         );
-        let replay_report = replay_report.with_counters(&opt_counters);
 
         if let Some(store) = &memo_store {
             let after = store.stats();
@@ -1307,62 +1316,70 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
             tally: out.tally,
             runs: out.kept,
             profile,
-            mode,
+            mode: shards[0].mode(),
+            shards: shards
+                .into_iter()
+                .zip(out.shard_tallies)
+                .map(|(shard, tally)| ShardReport {
+                    mode: shard.mode(),
+                    signature: shard.signature,
+                    eligible: shard.eligible,
+                    tally,
+                })
+                .collect(),
             plan_fingerprint: fingerprint,
             status: out.status,
             executed: out.executed,
             resumed: out.resumed,
             memo: memo_report,
-            replay_opt: replay_report,
+            replay_opt: replay_report.with_counters(&opt_counters),
         })
     }
 
-    /// Gate and validate the replay fast path, building the mid-trace
-    /// checkpoint cache. The campaign-wide replay laws (read-only
-    /// analyze, attempted-vs-recorded write counts, golden identity,
-    /// uninjected-replay fidelity) live in [`shared_replay_cache`] —
-    /// one implementation, shared with [`MixedCampaign`]'s write-site
-    /// shards so the engagement rules cannot drift apart. This adds
-    /// the per-signature check: the trace must contain exactly as many
-    /// eligible writes as the profiler counted, or replay instance
-    /// numbering would diverge from the injector's.
+    /// Gate one signature's fast path: checkpointed replay for a
+    /// write-site shard, analyze-only re-execution for a read-site
+    /// one, full reruns — with the reason recorded — otherwise. The
+    /// campaign-wide laws were validated once per golden run
+    /// ([`shared_replay_cache`], [`analyze_only_basis`]) and arrive as
+    /// `cache`/`basis`; this adds the per-signature checks. For a
+    /// write shard `write_ops` is `None` when the trace does not
+    /// contain exactly as many eligible writes as the profiler counted
+    /// — replay instance numbering would diverge from the injector's.
     ///
-    /// (The `Write`-primitive gate is applied by the caller before any
-    /// trace is recorded: buffer-level faults — `Replace` keeps the
-    /// length, `Drop` skips the device write — can never make a
-    /// replayed op fail, so the straight-line trace stays faithful.)
-    #[allow(clippy::too_many_arguments)]
-    fn replay_plan(
+    /// (Only `Write` and `Read` have a fast path: buffer-level write
+    /// faults — `Replace` keeps the length, `Drop` skips the device
+    /// write — can never make a replayed op fail, so the straight-line
+    /// trace stays faithful; parameter faults could.)
+    fn plan_shard(
         &self,
-        ops: Vec<TraceOp>,
-        produced_ops: usize,
+        sig: &FaultSignature,
         eligible: u64,
-        attempted_writes: u64,
-        golden: &A::Output,
-        golden_fs: &MemFs,
-        demand_specs: Option<&[InjectionSpec]>,
-    ) -> Result<ReplayPlan, ReplayFallback> {
-        let eligible_ops = eligible_write_ops(&ops, &self.config.signature.target);
-        if eligible_ops.len() as u64 != eligible {
-            return Err(ReplayFallback::TraceMismatch);
-        }
-        // With plan-aware placement enabled, the pre-drawn injection
-        // specs resolve to trace op indices — the exact fork offsets
-        // the checkpoint builder should place snapshots at.
-        let demand: Option<Vec<usize>> = demand_specs.map(|specs| {
-            specs.iter().map(|s| eligible_ops[(s.target_instance - 1) as usize]).collect()
-        });
-        let cache = shared_replay_cache(
-            self.app,
-            ops,
-            produced_ops,
-            attempted_writes,
-            golden,
-            golden_fs,
-            self.config.checkpoints.as_deref(),
-            demand.as_deref(),
-        )?;
-        Ok(ReplayPlan { cache, eligible_ops, memo: None })
+        write_ops: Option<Vec<usize>>,
+        cache: &Result<Arc<TraceCheckpoints>, ReplayFallback>,
+        basis: &Result<AnalyzeOnlyBasis, ReplayFallback>,
+        ledger: &ReadLedger,
+    ) -> Shard {
+        let plan = if !self.config.replay {
+            Err(ReplayFallback::Disabled)
+        } else {
+            match sig.primitive {
+                Primitive::Write => match (write_ops, cache) {
+                    (None, _) => Err(ReplayFallback::TraceMismatch),
+                    (Some(_), Err(reason)) => Err(*reason),
+                    (Some(eligible_ops), Ok(cache)) => Ok(CampaignPlan::Replay(ReplayPlan {
+                        cache: cache.clone(),
+                        eligible_ops,
+                        memo: None,
+                    })),
+                },
+                Primitive::Read => basis
+                    .clone()
+                    .and_then(|basis| analyze_only_plan(basis, ledger, &sig.target, eligible))
+                    .map(CampaignPlan::AnalyzeOnly),
+                _ => Err(ReplayFallback::NonWritePrimitive),
+            }
+        };
+        Shard { signature: sig.clone(), eligible, plan }
     }
 }
 
@@ -1375,6 +1392,33 @@ struct InjectionSpec {
     seed: u64,
 }
 
+/// Draw every run's [`InjectionSpec`] from its per-run child stream.
+/// Global run `i` belongs to shard `i % k`. With one signature run
+/// `i` draws from `root.child(i)`; with several, shard `s` owns the
+/// independent stream `root.child(s)` and its `j`-th run draws from
+/// `root.child(s).child(j)`, so a shard's instance choices never
+/// depend on sibling shards or scheduling order. Both streams are
+/// pinned by seeded digests; the specs depend only on the seed and the
+/// eligible counts, never on the plan.
+fn draw_specs(seed: u64, runs: usize, eligible: &[u64]) -> Vec<InjectionSpec> {
+    let root = Rng::seed_from(seed);
+    let k = eligible.len();
+    (0..runs)
+        .map(|i| {
+            let mut rng = if k == 1 {
+                root.child(i as u64)
+            } else {
+                root.child((i % k) as u64).child((i / k) as u64)
+            };
+            // "generates a random number from 0 to count-1" →
+            // 1-based instance index in [1, count].
+            let target_instance = rng.gen_range(eligible[i % k]) + 1;
+            let seed = rng.next_u64();
+            InjectionSpec { target_instance, seed }
+        })
+        .collect()
+}
+
 /// FNV-1a fingerprint of an execution plan: shard count, run count,
 /// and every run's `(index, shard, target instance, injector seed,
 /// strategy)`. Because all random draws happen at plan time (engine
@@ -1384,24 +1428,24 @@ struct InjectionSpec {
 /// set of things a journal resume must refuse to splice across.
 fn plan_fingerprint(planned: &[PlannedRun<InjectionSpec>], shards: usize) -> u64 {
     let mut h = Fnv::new();
-    h.eat(&(shards as u64).to_le_bytes());
-    h.eat(&(planned.len() as u64).to_le_bytes());
+    h.eat_u64(shards as u64);
+    h.eat_u64(planned.len() as u64);
     for pr in planned {
-        h.eat(&(pr.index as u64).to_le_bytes());
-        h.eat(&(pr.shard as u64).to_le_bytes());
-        h.eat(&pr.spec.target_instance.to_le_bytes());
-        h.eat(&pr.spec.seed.to_le_bytes());
+        h.eat_u64(pr.index as u64);
+        h.eat_u64(pr.shard as u64);
+        h.eat_u64(pr.spec.target_instance);
+        h.eat_u64(pr.spec.seed);
         match pr.strategy {
             RunStrategy::Replay { checkpoint, suffix_len } => {
                 h.eat(&[0]);
-                h.eat(&(checkpoint as u64).to_le_bytes());
-                h.eat(&(suffix_len as u64).to_le_bytes());
+                h.eat_u64(checkpoint as u64);
+                h.eat_u64(suffix_len as u64);
             }
             RunStrategy::AnalyzeOnly => h.eat(&[1]),
             RunStrategy::Rerun { reason } => h.eat(&[2, fallback_code(reason)]),
             RunStrategy::IncrementalAnalyze { cost } => {
                 h.eat(&[3]);
-                h.eat(&(cost as u64).to_le_bytes());
+                h.eat_u64(cost as u64);
             }
         }
     }
@@ -1430,7 +1474,7 @@ impl Liveness {
 
 /// What the plan-aware replay optimizations
 /// ([`CampaignConfig::replay_opt`]) did for one campaign: plan-level
-/// suffix/overshoot accounting plus the batched arm's run-time
+/// suffix/overshoot accounting plus the batched runs' run-time
 /// counters. Purely observational — none of this feeds run digests or
 /// journal payloads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1458,7 +1502,7 @@ pub struct ReplayOptReport {
     pub coalesced_calls: u64,
     /// Trace ops folded into those vectored applications.
     pub coalesced_ops: u64,
-    /// Tail ops the memoized batched arm dropped because no dirty
+    /// Tail ops memoized batched runs dropped because no dirty
     /// analyze sub-step declares their path as input — suffix bytes
     /// never copied at all.
     pub skipped_tail_ops: u64,
@@ -1476,7 +1520,7 @@ impl ReplayOptReport {
     }
 }
 
-/// Shared run-time counters of the batched replay arm (referenced by
+/// Shared run-time counters of batched replay runs (referenced by
 /// the engine's worker closures; relaxed ordering — they are pure
 /// telemetry).
 #[derive(Debug, Default)]
@@ -1490,190 +1534,34 @@ struct ReplayOptCounters {
 
 /// Plan-level half of [`ReplayOptReport`]: suffix and overshoot
 /// accounting over the planned replay runs, against the write-site
-/// plan's placement.
+/// shards' (shared) checkpoint placement.
 fn replay_opt_report(
     planned: &[PlannedRun<InjectionSpec>],
-    plan: Option<&CampaignPlan>,
+    shards: &[Shard],
     engaged: bool,
 ) -> ReplayOptReport {
     let mut report = ReplayOptReport { engaged, ..ReplayOptReport::default() };
-    let Some(CampaignPlan::Replay(rp)) = plan else {
-        return report;
-    };
-    let n = rp.cache.ops().len() as u64;
     for pr in planned {
-        if let RunStrategy::Replay { suffix_len, .. } = pr.strategy {
+        if let (RunStrategy::Replay { suffix_len, .. }, Ok(CampaignPlan::Replay(rp))) =
+            (pr.strategy, &shards[pr.shard].plan)
+        {
             report.replayed_suffix_ops += suffix_len as u64;
-            let target_op = rp.eligible_ops[(pr.spec.target_instance - 1) as usize] as u64;
-            report.minimal_suffix_ops += n - target_op;
+            let target_op = rp.eligible_ops[(pr.spec.target_instance - 1) as usize];
+            report.minimal_suffix_ops += (rp.cache.ops().len() - target_op) as u64;
         }
     }
     report.overshoot = report.replayed_suffix_ops.saturating_sub(report.minimal_suffix_ops);
-    report.demand_placed = matches!(rp.cache.placement(), Placement::Demand(_));
+    report.demand_placed = shards.iter().any(|s| {
+        matches!(&s.plan, Ok(CampaignPlan::Replay(rp))
+            if matches!(rp.cache.placement(), Placement::Demand(_)))
+    });
     report
 }
 
-/// Execute one batched replay run (engine law 9): fork the batch's
-/// pre-target mini-checkpoint, step only the target op through the
-/// mount (the armed crossing, observing full-replay numbering from
-/// the mini-point's pre-seeded prefix counters), apply the remaining
-/// suffix to the mount's inner filesystem with sequential writes
-/// coalesced, restore analyze-time counter numbering from the
-/// recorded tail delta, then analyze. Returns `None` when the batch
-/// carries no fork for this run's target — the caller falls back to
-/// the classic arm, which is byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn execute_run_batched<A: FaultApp>(
-    app: &A,
-    signature: &FaultSignature,
-    plan: &ReplayPlan,
-    batch: &BatchForks,
-    golden: &A::Output,
-    run: usize,
-    target_instance: u64,
-    seed: u64,
-    counters: &ReplayOptCounters,
-) -> Option<RunResult> {
-    let target_op = plan.eligible_ops[(target_instance - 1) as usize];
-    let fork = batch.for_target(target_op)?;
-    counters.batched_runs.fetch_add(1, Ordering::Relaxed);
-    // The mini-point sits exactly at the target op, so the eligible
-    // writes already "seen" are precisely the earlier instances.
-    let injector = Arc::new(ArmedInjector::resuming(
-        signature.clone(),
-        target_instance,
-        seed,
-        target_instance - 1,
-    ));
-    let (ffs, mut cursor) = fork.point().mount_fork();
-    ffs.attach(injector.clone());
-    let ops = plan.cache.ops();
-    let app_result = catch_unwind(AssertUnwindSafe(|| -> Result<A::Output, String> {
-        cursor.step(&*ffs, &ops[target_op]).map_err(|e| e.to_string())?;
-        // The fault has fired (or deliberately dropped its write);
-        // nothing needs per-op visibility any more, so the tail
-        // applies straight to the inner filesystem, coalesced.
-        let stats = cursor
-            .replay_coalesced(&**ffs.inner(), &ops[target_op + 1..])
-            .map_err(|e| e.to_string())?;
-        counters.coalesced_calls.fetch_add(stats.coalesced_calls as u64, Ordering::Relaxed);
-        counters.coalesced_ops.fetch_add(stats.coalesced_ops as u64, Ordering::Relaxed);
-        ffs.preseed_counters(&fork.tail_counters());
-        app.analyze(&*ffs, Some(golden))
-    }));
-    ffs.unmount();
-    Some(finish_run(
-        app,
-        golden,
-        run,
-        target_instance,
-        injector.record(),
-        ExecutionMode::Replay,
-        app_result,
-    ))
-}
-
-/// The memoized sibling of [`execute_run_batched`]: the same
-/// mini-fork / armed-target-step / coalesced-tail state
-/// reconstruction, followed by the dirty-cascade analyze of
-/// [`execute_replay_memoized`] instead of a whole analyze (the dirty
-/// set and run-key memoization are plan-derived, so they are
-/// identical to the unbatched arm's). Returns `None` when the batch
-/// carries no fork for this run's target — the caller falls back to
-/// the classic memoized arm, which is byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn execute_memoized_batched<A: FaultApp>(
-    app: &A,
-    signature: &FaultSignature,
-    plan: &ReplayPlan,
-    memo: &SubstepMemo,
-    batch: &BatchForks,
-    golden: &A::Output,
-    run: usize,
-    target_instance: u64,
-    seed: u64,
-    counters: &ReplayOptCounters,
-) -> Option<RunResult> {
-    let mode = ExecutionMode::Replay;
-    let target_op = plan.eligible_ops[(target_instance - 1) as usize];
-    let fork = batch.for_target(target_op)?;
-    let dirty: Vec<usize> = match plan.cache.ops()[target_op].write_path() {
-        Some(p) => {
-            memo.specs.iter().enumerate().filter(|(_, s)| s.reads(p)).map(|(i, _)| i).collect()
-        }
-        // A write op without a path cannot be attributed; treat every
-        // sub-step as dirty (conservative, still exact).
-        None => (0..memo.specs.len()).collect(),
-    };
-    memo.store.note_hits((memo.specs.len() - dirty.len()) as u64);
-    memo.store.note_invalidations(dirty.len() as u64);
-    let run_key = memo_run_key(memo.golden_key, signature, target_instance, seed);
-    if let Some(bytes) = memo.store.get(&run_key) {
-        if let Some(entry) = decode_memo_run(&bytes) {
-            return Some(finish_memo_run(app, memo, golden, run, target_instance, mode, entry));
-        }
-    }
-    counters.batched_runs.fetch_add(1, Ordering::Relaxed);
-    let injector = Arc::new(ArmedInjector::resuming(
-        signature.clone(),
-        target_instance,
-        seed,
-        target_instance - 1,
-    ));
-    let (ffs, mut cursor) = fork.point().mount_fork();
-    ffs.attach(injector.clone());
-    let ops = plan.cache.ops();
-    let result = catch_unwind(AssertUnwindSafe(|| -> MemoRunOutput<A> {
-        cursor.step(&*ffs, &ops[target_op]).map_err(|e| e.to_string())?;
-        // Only the dirty sub-steps re-read reconstructed state (the
-        // clean ones assemble from memo artifacts, and analyze-time
-        // counters preseed from the recorded tail delta either way),
-        // so the tail filters down to the paths the dirty set
-        // declares — the same read-set contract the dirty cascade
-        // itself rests on. For a multi-file app this drops almost the
-        // whole tail: only the injected file's ops replay.
-        let keep = |p: &str| dirty.iter().any(|&i| memo.specs[i].reads(p));
-        let stats = cursor
-            .replay_coalesced_filtered(&**ffs.inner(), &ops[target_op + 1..], &keep)
-            .map_err(|e| e.to_string())?;
-        counters.coalesced_calls.fetch_add(stats.coalesced_calls as u64, Ordering::Relaxed);
-        counters.coalesced_ops.fetch_add(stats.coalesced_ops as u64, Ordering::Relaxed);
-        counters.skipped_tail_ops.fetch_add(stats.skipped_ops as u64, Ordering::Relaxed);
-        ffs.preseed_counters(&fork.tail_counters());
-        let mut assembled: Vec<Vec<u8>> = Vec::with_capacity(memo.specs.len());
-        let mut dirty_artifacts: Vec<(usize, Vec<u8>)> = Vec::with_capacity(dirty.len());
-        for i in 0..memo.specs.len() {
-            if dirty.contains(&i) {
-                let art = app.analyze_substep(&*ffs, i, Some(golden))?;
-                dirty_artifacts.push((i, art.clone()));
-                assembled.push(art);
-            } else {
-                assembled.push(memo.artifacts[i].as_ref().clone());
-            }
-        }
-        let out = app.assemble(&assembled, Some(golden))?;
-        Ok((out, dirty_artifacts))
-    }));
-    ffs.unmount();
-    let injection = injector.record();
-    match &result {
-        Ok(Ok((_, arts))) => memo.store.put(&run_key, &encode_memo_run(&injection, Ok(arts))),
-        Ok(Err(msg)) => memo.store.put(&run_key, &encode_memo_run(&injection, Err(msg))),
-        Err(_) => {} // Panicked runs are never memoized.
-    }
-    let app_result = match result {
-        Ok(Ok((out, _))) => Ok(Ok(out)),
-        Ok(Err(e)) => Ok(Err(e)),
-        Err(p) => Err(p),
-    };
-    Some(finish_run(app, golden, run, target_instance, injection, mode, app_result))
-}
-
 /// Open (create or resume) the configured journal and decode any
-/// journaled runs — the one implementation both campaign drivers use,
-/// so resume validation cannot drift between them. Resume with no
-/// journal file on disk starts fresh; entries whose payload fails to
-/// decode are dropped (the run re-executes) rather than trusted.
+/// journaled runs. Resume with no journal file on disk starts fresh;
+/// entries whose payload fails to decode are dropped (the run
+/// re-executes) rather than trusted.
 #[allow(clippy::type_complexity)]
 fn open_journal(
     path: Option<&std::path::Path>,
@@ -1699,9 +1587,9 @@ fn open_journal(
 
 /// Op indices of the trace's eligible writes under `target` (instance
 /// `k` is element `k-1`) — the one definition of write-site
-/// eligibility both campaign drivers index injections with. Takes the
-/// raw op stream (not a built [`TraceCheckpoints`]) so the planner
-/// can derive its fork-offset demand *before* checkpoint placement.
+/// eligibility injections are indexed with. Takes the raw op stream
+/// (not a built [`TraceCheckpoints`]) so the planner can derive its
+/// fork-offset demand *before* checkpoint placement.
 fn eligible_write_ops(ops: &[TraceOp], target: &TargetFilter) -> Vec<usize> {
     ops.iter()
         .enumerate()
@@ -1713,17 +1601,14 @@ fn eligible_write_ops(ops: &[TraceOp], target: &TargetFilter) -> Vec<usize> {
 /// The campaign's prepared replay fast path: the checkpointed golden
 /// trace plus the op index of every eligible write (instance `k` is
 /// `eligible_ops[k-1]`). The checkpoint cache sits behind an `Arc` so
-/// a [`MixedCampaign`] can share one cache across all its write-site
-/// shards.
+/// all write-site shards of a campaign share one.
 struct ReplayPlan {
     cache: Arc<TraceCheckpoints>,
     eligible_ops: Vec<usize>,
     /// Engaged analyze memoization basis (engine law 8). When present,
-    /// the replay arm re-computes only the sub-steps that declare the
+    /// a replay run re-computes only the sub-steps that declare the
     /// injected op's path as an input and assembles the rest from the
-    /// memo store. The per-run strategy, mode, and plan fingerprint
-    /// stay `Replay` — memoization is a pure analyze-side substitution
-    /// on the write-site path.
+    /// memo store (see [`Shard::engage_memo`]).
     memo: Option<Arc<SubstepMemo>>,
 }
 
@@ -1745,8 +1630,8 @@ impl ReplayPlan {
 /// path: the golden post-produce filesystem (read-only analyze means
 /// the golden run's *final* state is byte-identical to its
 /// post-produce state) and the phase-boundary counter snapshot every
-/// analyze-only mount pre-seeds. Shards of a [`MixedCampaign`] share
-/// one basis behind `Arc`s; the per-signature phase split lives in
+/// analyze-only mount pre-seeds. Read-site shards share one basis
+/// behind `Arc`s; the per-signature phase split lives in
 /// [`AnalyzeOnlyPlan`].
 #[derive(Clone)]
 struct AnalyzeOnlyBasis {
@@ -1769,7 +1654,7 @@ struct AnalyzeOnlyPlan {
     /// only the sub-step whose eligible-read range contains the target
     /// re-executes live; every other artifact assembles from the memo
     /// store.
-    memo: Option<Arc<IncrementalMemo>>,
+    memo: Option<IncrementalMemo>,
 }
 
 impl AnalyzeOnlyPlan {
@@ -1985,25 +1870,7 @@ fn encode_memo_run(
 ) -> Vec<u8> {
     let mut buf = Vec::with_capacity(128);
     buf.push(1); // entry version
-    match injection {
-        None => buf.push(0),
-        Some(i) => {
-            buf.push(1);
-            buf.push(i.primitive.index() as u8);
-            wire::put_u64(&mut buf, i.instance);
-            wire::put_u64(&mut buf, i.prim_seq);
-            wire::put_opt_str(&mut buf, i.path.as_deref());
-            match i.offset {
-                None => buf.push(0),
-                Some(o) => {
-                    buf.push(1);
-                    wire::put_u64(&mut buf, o);
-                }
-            }
-            wire::put_u64(&mut buf, i.len as u64);
-            wire::put_str(&mut buf, &i.detail);
-        }
-    }
+    put_injection(&mut buf, injection.as_ref());
     match body {
         Err(msg) => {
             buf.push(0);
@@ -2027,24 +1894,7 @@ fn decode_memo_run(bytes: &[u8]) -> Option<MemoRunEntry> {
     if r.u8()? != 1 {
         return None;
     }
-    let injection = match r.u8()? {
-        0 => None,
-        1 => {
-            let primitive = *PRIMITIVES.get(r.u8()? as usize)?;
-            let instance = r.u64()?;
-            let prim_seq = r.u64()?;
-            let path = r.opt_str()?;
-            let offset = match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                _ => return None,
-            };
-            let len = r.u64()? as usize;
-            let detail = r.str()?;
-            Some(InjectionRecord { primitive, instance, prim_seq, path, offset, len, detail })
-        }
-        _ => return None,
-    };
+    let injection = read_injection(&mut r)?;
     let body = match r.u8()? {
         0 => Err(r.str()?),
         1 => {
@@ -2065,9 +1915,9 @@ fn decode_memo_run(bytes: &[u8]) -> Option<MemoRunEntry> {
     Some(MemoRunEntry { injection, body })
 }
 
-/// A campaign's prepared fast path — checkpointed trace replay for
-/// write-site signatures, analyze-only re-execution for read-site
-/// ones. [`execute_run`] dispatches on the planned [`RunStrategy`]
+/// A shard's prepared fast path — checkpointed trace replay for a
+/// write-site signature, analyze-only re-execution for a read-site
+/// one. [`execute_run`] dispatches on the planned [`RunStrategy`]
 /// and reaches back into the matching plan variant.
 enum CampaignPlan {
     Replay(ReplayPlan),
@@ -2081,13 +1931,65 @@ impl CampaignPlan {
             CampaignPlan::AnalyzeOnly(p) => p.strategy_for(target_instance),
         }
     }
+
+    /// The shard-level [`ExecutionMode`] this plan implies.
+    fn campaign_mode(&self) -> ExecutionMode {
+        match self {
+            CampaignPlan::Replay(_) => ExecutionMode::Replay,
+            CampaignPlan::AnalyzeOnly(p) => p.campaign_mode(),
+        }
+    }
 }
 
-/// The one implementation of the campaign-wide **analyze-only laws** —
-/// validated once per golden run and shared by [`Campaign`] and
-/// [`MixedCampaign`] so the engagement rules cannot drift apart.
-/// Returns the [`ReplayFallback`] reason — never silently — when any
-/// law fails:
+/// One signature's prepared share of a campaign (see
+/// [`Campaign::plan_shard`]): its fast path, or why its runs take
+/// full reruns instead.
+struct Shard {
+    signature: FaultSignature,
+    eligible: u64,
+    plan: Result<CampaignPlan, ReplayFallback>,
+}
+
+impl Shard {
+    /// The execution strategy this shard's runs take.
+    fn mode(&self) -> ExecutionMode {
+        match &self.plan {
+            Ok(plan) => plan.campaign_mode(),
+            Err(reason) => ExecutionMode::FullRerun { reason: *reason },
+        }
+    }
+
+    /// Attach the validated memo basis to this shard's fast path. A
+    /// write-site shard keeps its per-run strategy, mode, and plan
+    /// fingerprint — memoization is a pure analyze-side substitution
+    /// there. A read-site shard additionally maps its signature's
+    /// eligible reads onto the sub-steps' read ranges and re-plans
+    /// analyze-phase targets as [`RunStrategy::IncrementalAnalyze`].
+    fn engage_memo(&mut self, memo: &Arc<SubstepMemo>, golden_analyze: &[ReadRecord]) {
+        match &mut self.plan {
+            Err(_) => {}
+            Ok(CampaignPlan::Replay(rp)) => rp.memo = Some(memo.clone()),
+            Ok(CampaignPlan::AnalyzeOnly(ap)) => {
+                let target = &self.signature.target;
+                let matching = |records: &[ReadRecord]| {
+                    records.iter().filter(|r| target.matches(r.path.as_deref())).count() as u64
+                };
+                let eligible_ranges = memo
+                    .read_ranges
+                    .iter()
+                    .map(|&(start, end)| {
+                        (matching(&golden_analyze[..start]), matching(&golden_analyze[start..end]))
+                    })
+                    .collect();
+                ap.memo = Some(IncrementalMemo { memo: memo.clone(), eligible_ranges });
+            }
+        }
+    }
+}
+
+/// The campaign-wide **analyze-only laws**, validated once per golden
+/// run and shared by every read-site shard. Returns the
+/// [`ReplayFallback`] reason — never silently — when any law fails:
 ///
 /// * the analyze phase must not have mutated the filesystem during
 ///   the golden run (same predicate as the replay gate: recorded ops
@@ -2175,8 +2077,7 @@ fn analyze_only_plan(
 }
 
 /// Classify one finished application result into a [`RunResult`] —
-/// shared by the single-signature and mixed campaign drivers so crash
-/// capture (messages, panic downcasts) cannot drift between them.
+/// the one place crash capture (messages, panic downcasts) happens.
 fn finish_run<A: FaultApp>(
     app: &A,
     golden: &A::Output,
@@ -2236,547 +2137,9 @@ fn finish_run<A: FaultApp>(
     }
 }
 
-/// Execute one injection run — checkpointed suffix replay when the
-/// planned strategy is `Replay`, analyze-only re-execution when it is
-/// `AnalyzeOnly`, full produce+analyze re-execution otherwise — and
-/// classify it. The single-signature [`Campaign`] and the sharded
-/// [`MixedCampaign`] both funnel through here (via the engine
-/// executor), so every strategy behaves identically across the
-/// drivers.
-#[allow(clippy::too_many_arguments)]
-fn execute_run<A: FaultApp>(
-    app: &A,
-    signature: &FaultSignature,
-    plan: Option<&CampaignPlan>,
-    strategy: RunStrategy,
-    golden: &A::Output,
-    run: usize,
-    target_instance: u64,
-    seed: u64,
-    liveness: Liveness,
-) -> RunResult {
-    let mode = strategy.mode();
-    match (strategy, plan) {
-        // Write-site fast path: fork the planner-chosen checkpoint
-        // (the nearest one preceding the target instance), replay only
-        // the trace suffix through the armed injector (the fault lands
-        // in the same instance, with the same record numbering, it
-        // would during a real execution), then analyze.
-        (RunStrategy::Replay { checkpoint, .. }, Some(CampaignPlan::Replay(plan))) => {
-            if let Some(memo) = &plan.memo {
-                // The memo gate refuses to engage while a liveness
-                // watchdog is armed, so the memoized arm never arms
-                // one.
-                return execute_replay_memoized(
-                    app,
-                    signature,
-                    plan,
-                    memo,
-                    checkpoint,
-                    golden,
-                    run,
-                    target_instance,
-                    seed,
-                );
-            }
-            let point = &plan.cache.points()[checkpoint];
-            let already_seen = plan.eligible_ops.partition_point(|&op| op < point.index()) as u64;
-            let injector = Arc::new(ArmedInjector::resuming(
-                signature.clone(),
-                target_instance,
-                seed,
-                already_seen,
-            ));
-            let (ffs, mut cursor) = point.mount_fork();
-            liveness.arm(&ffs);
-            ffs.attach(injector.clone());
-            let app_result = catch_unwind(AssertUnwindSafe(|| -> Result<A::Output, String> {
-                cursor.replay(&*ffs, plan.cache.suffix(point)).map_err(|e| e.to_string())?;
-                app.analyze(&*ffs, Some(golden))
-            }));
-            ffs.unmount();
-            finish_run(app, golden, run, target_instance, injector.record(), mode, app_result)
-        }
-        // Read-site fast path: the golden post-produce state *is* the
-        // checkpoint. Fork it, pre-seed the phase-boundary counters
-        // (so the armed crossing observes full-execution
-        // `prim_seq`/`seq` numbering), arm the injector with the
-        // produce-phase eligible reads already "seen", and run only
-        // analyze — live, so the transfer the fault corrupts actually
-        // exists.
-        (RunStrategy::AnalyzeOnly, Some(CampaignPlan::AnalyzeOnly(plan))) => {
-            let injector = Arc::new(ArmedInjector::resuming(
-                signature.clone(),
-                target_instance,
-                seed,
-                plan.produce_eligible,
-            ));
-            let ffs = FfisFs::mount(Arc::new(plan.basis.base.fork()));
-            liveness.arm(&ffs);
-            ffs.preseed_counters(&plan.basis.boundary);
-            ffs.attach(injector.clone());
-            let app_result = catch_unwind(AssertUnwindSafe(|| app.analyze(&*ffs, Some(golden))));
-            ffs.unmount();
-            finish_run(app, golden, run, target_instance, injector.record(), mode, app_result)
-        }
-        // Incremental-analyze fast path (engine law 8): the fault can
-        // only perturb reads inside one sub-step's declared input set,
-        // so re-execute exactly that sub-step live — pre-seeded with
-        // its start-of-sub-step counters so the armed crossing
-        // observes full-execution numbering — and assemble every clean
-        // artifact from the memo store.
-        (RunStrategy::IncrementalAnalyze { .. }, Some(CampaignPlan::AnalyzeOnly(plan)))
-            if plan.memo.is_some() =>
-        {
-            let ia = plan.memo.as_ref().expect("guarded by match arm");
-            execute_incremental_analyze(
-                app,
-                signature,
-                plan,
-                ia,
-                golden,
-                run,
-                target_instance,
-                seed,
-            )
-        }
-        // Reference path: full application re-execution. (A fast
-        // strategy without its matching plan cannot be planned — the
-        // strategies are derived from the plan itself.)
-        (
-            RunStrategy::Replay { .. }
-            | RunStrategy::AnalyzeOnly
-            | RunStrategy::IncrementalAnalyze { .. },
-            _,
-        )
-        | (RunStrategy::Rerun { .. }, _) => {
-            let injector = Arc::new(ArmedInjector::new(signature.clone(), target_instance, seed));
-            let ffs = FfisFs::mount(Arc::new(MemFs::new()));
-            liveness.arm(&ffs);
-            ffs.attach(injector.clone());
-            let app_result = catch_unwind(AssertUnwindSafe(|| {
-                app.produce(&*ffs)?;
-                app.analyze(&*ffs, Some(golden))
-            }));
-            ffs.unmount();
-            finish_run(app, golden, run, target_instance, injector.record(), mode, app_result)
-        }
-    }
-}
-
-/// A memoized run's live half: the assembled output plus the dirty
-/// `(sub-step index, artifact)` pairs worth caching.
-type MemoRunOutput<A> = Result<(<A as FaultApp>::Output, Vec<(usize, Vec<u8>)>), String>;
-
-/// Write-site memoized analyze: checkpointed suffix replay as usual,
-/// then re-compute only the sub-steps that declare the injected op's
-/// path as an input (the dirty cascade — a write fault perturbs
-/// exactly the file the op targets), assembling the rest from the
-/// memo store. Non-panicked results are memoized at run granularity,
-/// so a warm store replays the whole run without mounting anything.
-#[allow(clippy::too_many_arguments)]
-fn execute_replay_memoized<A: FaultApp>(
-    app: &A,
-    signature: &FaultSignature,
-    plan: &ReplayPlan,
-    memo: &SubstepMemo,
-    checkpoint: usize,
-    golden: &A::Output,
-    run: usize,
-    target_instance: u64,
-    seed: u64,
-) -> RunResult {
-    let mode = ExecutionMode::Replay;
-    let target_op = plan.eligible_ops[(target_instance - 1) as usize];
-    let dirty: Vec<usize> = match plan.cache.ops()[target_op].write_path() {
-        Some(p) => {
-            memo.specs.iter().enumerate().filter(|(_, s)| s.reads(p)).map(|(i, _)| i).collect()
-        }
-        // A write op without a path cannot be attributed; treat every
-        // sub-step as dirty (conservative, still exact).
-        None => (0..memo.specs.len()).collect(),
-    };
-    memo.store.note_hits((memo.specs.len() - dirty.len()) as u64);
-    memo.store.note_invalidations(dirty.len() as u64);
-    let run_key = memo_run_key(memo.golden_key, signature, target_instance, seed);
-    if let Some(bytes) = memo.store.get(&run_key) {
-        if let Some(entry) = decode_memo_run(&bytes) {
-            return finish_memo_run(app, memo, golden, run, target_instance, mode, entry);
-        }
-    }
-    let point = &plan.cache.points()[checkpoint];
-    let already_seen = plan.eligible_ops.partition_point(|&op| op < point.index()) as u64;
-    let injector =
-        Arc::new(ArmedInjector::resuming(signature.clone(), target_instance, seed, already_seen));
-    let (ffs, mut cursor) = point.mount_fork();
-    ffs.attach(injector.clone());
-    let result = catch_unwind(AssertUnwindSafe(|| -> MemoRunOutput<A> {
-        cursor.replay(&*ffs, plan.cache.suffix(point)).map_err(|e| e.to_string())?;
-        let mut assembled: Vec<Vec<u8>> = Vec::with_capacity(memo.specs.len());
-        let mut dirty_artifacts: Vec<(usize, Vec<u8>)> = Vec::with_capacity(dirty.len());
-        for i in 0..memo.specs.len() {
-            if dirty.contains(&i) {
-                let art = app.analyze_substep(&*ffs, i, Some(golden))?;
-                dirty_artifacts.push((i, art.clone()));
-                assembled.push(art);
-            } else {
-                assembled.push(memo.artifacts[i].as_ref().clone());
-            }
-        }
-        let out = app.assemble(&assembled, Some(golden))?;
-        Ok((out, dirty_artifacts))
-    }));
-    ffs.unmount();
-    let injection = injector.record();
-    match &result {
-        Ok(Ok((_, arts))) => memo.store.put(&run_key, &encode_memo_run(&injection, Ok(arts))),
-        Ok(Err(msg)) => memo.store.put(&run_key, &encode_memo_run(&injection, Err(msg))),
-        Err(_) => {} // Panicked runs are never memoized.
-    }
-    let app_result = match result {
-        Ok(Ok((out, _))) => Ok(Ok(out)),
-        Ok(Err(e)) => Ok(Err(e)),
-        Err(p) => Err(p),
-    };
-    finish_run(app, golden, run, target_instance, injection, mode, app_result)
-}
-
-/// Read-site memoized analyze ([`RunStrategy::IncrementalAnalyze`]):
-/// fork the golden post-produce state, pre-seed the dirty sub-step's
-/// start-of-sub-step counters, arm the injector with every earlier
-/// eligible read already "seen", run exactly that sub-step live, and
-/// assemble with the clean golden artifacts. Read faults never touch
-/// device state, so downstream sub-steps are provably clean.
-#[allow(clippy::too_many_arguments)]
-fn execute_incremental_analyze<A: FaultApp>(
-    app: &A,
-    signature: &FaultSignature,
-    plan: &AnalyzeOnlyPlan,
-    ia: &IncrementalMemo,
-    golden: &A::Output,
-    run: usize,
-    target_instance: u64,
-    seed: u64,
-) -> RunResult {
-    let mode = ExecutionMode::IncrementalAnalyze;
-    let memo = &ia.memo;
-    let analyze_instance = target_instance - plan.produce_eligible;
-    let d = ia
-        .substep_for(analyze_instance)
-        .expect("IncrementalAnalyze is only planned for in-range instances");
-    memo.store.note_hits((memo.specs.len() - 1) as u64);
-    memo.store.note_invalidations(1);
-    let run_key = memo_run_key(memo.golden_key, signature, target_instance, seed);
-    if let Some(bytes) = memo.store.get(&run_key) {
-        if let Some(entry) = decode_memo_run(&bytes) {
-            return finish_memo_run(app, memo, golden, run, target_instance, mode, entry);
-        }
-    }
-    let (before, _) = ia.eligible_ranges[d];
-    let injector = Arc::new(ArmedInjector::resuming(
-        signature.clone(),
-        target_instance,
-        seed,
-        plan.produce_eligible + before,
-    ));
-    let ffs = FfisFs::mount(Arc::new(plan.basis.base.fork()));
-    ffs.preseed_counters(&memo.counters[d]);
-    ffs.attach(injector.clone());
-    let result = catch_unwind(AssertUnwindSafe(|| -> MemoRunOutput<A> {
-        let art = app.analyze_substep(&*ffs, d, Some(golden))?;
-        let mut assembled: Vec<Vec<u8>> =
-            memo.artifacts.iter().map(|a| a.as_ref().clone()).collect();
-        assembled[d] = art.clone();
-        let out = app.assemble(&assembled, Some(golden))?;
-        Ok((out, vec![(d, art)]))
-    }));
-    ffs.unmount();
-    let injection = injector.record();
-    match &result {
-        Ok(Ok((_, arts))) => memo.store.put(&run_key, &encode_memo_run(&injection, Ok(arts))),
-        Ok(Err(msg)) => memo.store.put(&run_key, &encode_memo_run(&injection, Err(msg))),
-        Err(_) => {} // Panicked runs are never memoized.
-    }
-    let app_result = match result {
-        Ok(Ok((out, _))) => Ok(Ok(out)),
-        Ok(Err(e)) => Ok(Err(e)),
-        Err(p) => Err(p),
-    };
-    finish_run(app, golden, run, target_instance, injection, mode, app_result)
-}
-
-/// Classify a run served whole from the run-level memo store: rebuild
-/// the artifact vector (clean golden artifacts with the cached dirty
-/// ones swapped in), assemble, and classify — no filesystem is ever
-/// mounted. Cached error messages reproduce the crash classification
-/// the live run recorded.
-fn finish_memo_run<A: FaultApp>(
-    app: &A,
-    memo: &SubstepMemo,
-    golden: &A::Output,
-    run: usize,
-    target_instance: u64,
-    mode: ExecutionMode,
-    entry: MemoRunEntry,
-) -> RunResult {
-    let MemoRunEntry { injection, body } = entry;
-    let app_result: Result<A::Output, String> = match body {
-        Err(msg) => Err(msg),
-        Ok(dirty_artifacts) => {
-            let mut assembled: Vec<Vec<u8>> =
-                memo.artifacts.iter().map(|a| a.as_ref().clone()).collect();
-            let mut in_range = true;
-            for (i, a) in dirty_artifacts {
-                if i < assembled.len() {
-                    assembled[i] = a;
-                } else {
-                    in_range = false;
-                }
-            }
-            if in_range {
-                app.assemble(&assembled, Some(golden))
-            } else {
-                Err("memoized run entry indexes out of range".to_string())
-            }
-        }
-    };
-    finish_run(app, golden, run, target_instance, injection, mode, Ok(app_result))
-}
-
-/// Configuration for a [`MixedCampaign`]: several fault signatures —
-/// typically read-site and write-site variants of the same models —
-/// sharing one golden run and one interleaved, seed-deterministic run
-/// schedule.
-#[derive(Debug, Clone)]
-pub struct MixedCampaignConfig {
-    /// The shard signatures. Global run `i` belongs to shard
-    /// `i % signatures.len()` (round-robin), so replay-backed
-    /// write-site runs and rerun-backed read-site runs interleave
-    /// deterministically in run order.
-    pub signatures: Vec<FaultSignature>,
-    /// Total runs across all shards.
-    pub runs: usize,
-    /// Root seed. Shard `s` owns the independent stream
-    /// `root.child(s)`, and its `j`-th run draws from
-    /// `root.child(s).child(j)` — per-shard RNG streams, so a shard's
-    /// instance choices depend only on the root seed and its own run
-    /// schedule, never on sibling shards, scheduling order, or
-    /// [`MixedCampaignConfig::parallel`].
-    pub seed: u64,
-    /// Fan runs out across the rayon thread pool.
-    pub parallel: bool,
-    /// Fast paths for the shards: golden-trace replay for write-site
-    /// shards, analyze-only re-execution for read-site shards whose
-    /// targets fire during analyze. Produce-phase read targets always
-    /// take the full-rerun path with
-    /// [`ReplayFallback::ProduceReadFault`] recorded.
-    pub replay: bool,
-    /// Plan-aware replay optimizations for the write-site shards (see
-    /// [`CampaignConfig::replay_opt`]): demand-driven checkpoint
-    /// placement over the union of all write shards' fork offsets,
-    /// checkpoint-grouped batch execution keyed per `(shard,
-    /// checkpoint)`, and coalesced off-mount suffix application.
-    /// Disengages while a liveness watchdog is armed.
-    pub replay_opt: bool,
-    /// Retain at most this many full [`RunResult`]s (see
-    /// [`CampaignConfig::keep_runs`]); shard tallies always cover
-    /// every run.
-    pub keep_runs: Option<usize>,
-    /// Shared [`CheckpointStore`] (see
-    /// [`CampaignConfig::checkpoints`]).
-    pub checkpoints: Option<Arc<CheckpointStore>>,
-    /// Journal completed runs to this path (see
-    /// [`CampaignConfig::journal`]).
-    pub journal: Option<PathBuf>,
-    /// Resume from an existing journal (see
-    /// [`CampaignConfig::resume`]).
-    pub resume: bool,
-    /// Cooperative cancellation token (see [`CampaignConfig::cancel`]).
-    pub cancel: Option<Arc<CancelToken>>,
-    /// Per-run I/O-op fuel budget (see [`CampaignConfig::fuel`]).
-    pub fuel: Option<u64>,
-    /// Per-run wall-clock backstop (see
-    /// [`CampaignConfig::wall_limit`]).
-    pub wall_limit: Option<Duration>,
-    /// Live run-event observer (see [`CampaignConfig::observer`]).
-    pub observer: Option<RunObserver>,
-    /// Execute only a plan-index range (see
-    /// [`CampaignConfig::index_range`]): this process's shard of a
-    /// distributed fan-out.
-    pub index_range: Option<(usize, usize)>,
-}
-
-impl MixedCampaignConfig {
-    /// Config with paper defaults (1,000 total runs, parallel, replay
-    /// on for write-site shards).
-    pub fn new(signatures: Vec<FaultSignature>) -> Self {
-        MixedCampaignConfig {
-            signatures,
-            runs: 1000,
-            seed: 0xFF15_0002,
-            parallel: true,
-            replay: replay_default(),
-            replay_opt: replay_opt_default(),
-            keep_runs: None,
-            checkpoints: None,
-            journal: None,
-            resume: false,
-            cancel: None,
-            fuel: None,
-            wall_limit: None,
-            observer: None,
-            index_range: None,
-        }
-    }
-
-    /// Override the total run count.
-    pub fn with_runs(mut self, runs: usize) -> Self {
-        self.runs = runs;
-        self
-    }
-
-    /// Override the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Execute only a plan-index range (see
-    /// [`CampaignConfig::index_range`]).
-    pub fn with_index_range(mut self, range: Option<(usize, usize)>) -> Self {
-        self.index_range = range;
-        self
-    }
-
-    /// Enable or disable the write-site replay fast path.
-    pub fn with_replay(mut self, replay: bool) -> Self {
-        self.replay = replay;
-        self
-    }
-
-    /// Enable or disable the plan-aware replay optimizations (see
-    /// [`MixedCampaignConfig::replay_opt`]).
-    pub fn with_replay_opt(mut self, replay_opt: bool) -> Self {
-        self.replay_opt = replay_opt;
-        self
-    }
-
-    /// Bound the retained per-run records (see
-    /// [`CampaignConfig::keep_runs`]).
-    pub fn with_keep_runs(mut self, keep_runs: Option<usize>) -> Self {
-        self.keep_runs = keep_runs;
-        self
-    }
-
-    /// Share a [`CheckpointStore`] across campaigns (see
-    /// [`CampaignConfig::checkpoints`]).
-    pub fn with_checkpoints(mut self, store: Arc<CheckpointStore>) -> Self {
-        self.checkpoints = Some(store);
-        self
-    }
-
-    /// Journal completed runs to `path` (see
-    /// [`CampaignConfig::journal`]).
-    pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.journal = Some(path.into());
-        self
-    }
-
-    /// Resume from an existing journal (see
-    /// [`CampaignConfig::resume`]).
-    pub fn with_resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
-    /// Attach a cooperative cancellation token (see
-    /// [`CampaignConfig::cancel`]).
-    pub fn with_cancel(mut self, cancel: Arc<CancelToken>) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Arm the per-run I/O-op fuel watchdog (see
-    /// [`CampaignConfig::fuel`]).
-    pub fn with_fuel(mut self, budget: u64) -> Self {
-        self.fuel = Some(budget);
-        self
-    }
-
-    /// Arm the per-run wall-clock backstop (see
-    /// [`CampaignConfig::wall_limit`]).
-    pub fn with_wall_limit(mut self, limit: Duration) -> Self {
-        self.wall_limit = Some(limit);
-        self
-    }
-
-    /// Attach a live run-event observer (see
-    /// [`CampaignConfig::observer`]).
-    pub fn with_observer(mut self, observer: RunObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-}
-
-/// Per-shard summary of a [`MixedCampaignResult`].
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// The shard's fault signature.
-    pub signature: FaultSignature,
-    /// Eligible-instance count for the shard's `(primitive, target)`
-    /// scope, measured on the shared golden run.
-    pub eligible: u64,
-    /// The execution strategy the shard's runs took.
-    pub mode: ExecutionMode,
-    /// Outcome tally over the shard's runs only.
-    pub tally: OutcomeTally,
-}
-
-/// Result of a mixed campaign.
-#[derive(Debug, Clone)]
-pub struct MixedCampaignResult {
-    /// Outcome tally across all shards (the shard tallies merged);
-    /// always covers every executed run.
-    pub tally: OutcomeTally,
-    /// Retained per-run results in global run order (all runs unless
-    /// [`MixedCampaignConfig::keep_runs`] bounded the reservoir);
-    /// [`RunResult::mode`] tells which strategy produced each run.
-    pub runs: Vec<RunResult>,
-    /// The shared fault-free profile.
-    pub profile: ProfileReport,
-    /// Per-shard signatures, eligible counts, modes, and tallies.
-    pub shards: Vec<ShardReport>,
-    /// FNV-1a fingerprint of the execution plan (see
-    /// [`CampaignResult::plan_fingerprint`]).
-    pub plan_fingerprint: u64,
-    /// Did the plan drain fully, or did cancellation stop it early?
-    pub status: CompletionStatus,
-    /// Runs this invocation actually executed (excludes journaled
-    /// ones).
-    pub executed: usize,
-    /// Runs replayed from the journal at cost 0.
-    pub resumed: usize,
-}
-
-impl MixedCampaignResult {
-    /// Runs belonging to shard `s` (in run order).
-    pub fn shard_runs(&self, s: usize) -> impl Iterator<Item = &RunResult> {
-        let k = self.shards.len();
-        self.runs.iter().filter(move |r| r.run % k == s)
-    }
-
-    /// FNV-1a digest over the retained run records (see
-    /// [`CampaignResult::run_digest`]).
-    pub fn run_digest(&self) -> u64 {
-        digest_runs(&self.runs)
-    }
-}
-
-/// The one implementation of the campaign-wide replay laws — called
-/// by [`Campaign::run`]'s `replay_plan` and checked once per
-/// [`MixedCampaign`] golden trace, so the engagement rules cannot
-/// drift between the drivers. Returns the [`ReplayFallback`] reason —
-/// never silently — when any law fails:
+/// The campaign-wide **replay laws**, validated once per golden trace
+/// and shared by every write-site shard. Returns the
+/// [`ReplayFallback`] reason — never silently — when any law fails:
 ///
 /// * the analyze phase must not have written during the golden run
 ///   (the recorded op stream would double-apply those writes);
@@ -2789,8 +2152,8 @@ impl MixedCampaignResult {
 /// * an uninjected full replay must rebuild state that analyzes
 ///   benign (the fidelity self-check).
 ///
-/// Per-signature eligible-write numbering is validated separately by
-/// each caller against its target filter ([`eligible_write_ops`]).
+/// Per-signature eligible-write numbering is validated separately,
+/// per shard, against its target filter ([`eligible_write_ops`]).
 #[allow(clippy::too_many_arguments)]
 fn shared_replay_cache<A: FaultApp>(
     app: &A,
@@ -2847,382 +2210,265 @@ fn shared_replay_cache<A: FaultApp>(
     Ok(cache)
 }
 
-/// One prepared shard of a mixed campaign.
-struct Shard {
-    signature: FaultSignature,
-    eligible: u64,
-    mode: ExecutionMode,
-    plan: Option<CampaignPlan>,
+/// Where one run's filesystem state comes from, resolved from its
+/// planned [`RunStrategy`] and its shard's plan. The variant also
+/// fixes how the run advances to its pre-analyze state.
+enum Start<'p> {
+    /// Fresh `MemFs`; the application's `produce` runs live — the
+    /// full-rerun reference path.
+    Fresh,
+    /// Fork of the trace checkpoint preceding the target; the whole
+    /// suffix replays through the mount. The only replay stage that
+    /// runs under a liveness watchdog, and the refuge when a batch
+    /// declines or lacks the run's target.
+    Checkpoint { plan: &'p ReplayPlan, point: &'p TraceCheckpoint },
+    /// Batch mini-fork sitting exactly at the target op (engine law
+    /// 9): only that op steps through the mount, the tail applies to
+    /// the inner filesystem coalesced.
+    Batch { plan: &'p ReplayPlan, fork: &'p BatchFork },
+    /// Fork of the golden post-produce filesystem with `counters`
+    /// pre-seeded; nothing to advance — the golden state *is* the
+    /// checkpoint.
+    Golden { base: &'p MemFs, counters: CounterSnapshot },
 }
 
-/// Campaign driver interleaving several fault signatures over one
-/// golden run — the engine behind mixed read+write characterization.
+/// A run's live half: the classified output plus the dirty
+/// `(sub-step index, artifact)` pairs worth caching (empty for a
+/// whole analyze).
+type RunOutput<A> = Result<(<A as FaultApp>::Output, Vec<(usize, Vec<u8>)>), String>;
+
+/// The sub-steps a write fault on `path` can perturb: exactly those
+/// declaring the path as an input (the dirty cascade). A write op
+/// without a path cannot be attributed; every sub-step is then dirty
+/// (conservative, still exact).
+fn dirty_substeps(specs: &[SubstepSpec], path: Option<&str>) -> Vec<usize> {
+    match path {
+        Some(p) => specs.iter().enumerate().filter(|(_, s)| s.reads(p)).map(|(i, _)| i).collect(),
+        None => (0..specs.len()).collect(),
+    }
+}
+
+/// Execute one injection run and classify it — the one run pipeline
+/// every strategy of every shard funnels through, in three stages:
 ///
-/// Write-site shards ride the checkpointed golden-trace replay exactly
-/// like a single-signature [`Campaign`]; read-site shards take the
-/// analyze-only fast path for analyze-phase targets and the full-rerun
-/// path (recording [`ReplayFallback::ProduceReadFault`]) for
-/// produce-phase ones, and the round-robin schedule interleaves the
-/// strategies deterministically: rerunning the same config — serial or
-/// parallel — reproduces every outcome, per-run [`ExecutionMode`], and
-/// instance choice.
-pub struct MixedCampaign<'a, A: FaultApp> {
-    app: &'a A,
-    config: MixedCampaignConfig,
+/// * **start** — fresh `MemFs` | checkpoint fork | batch mini-fork |
+///   golden post-produce fork with pre-seeded counters ([`Start`]);
+/// * **advance** — live `produce` | suffix replay through the mount |
+///   armed target step + coalesced (memoized: path-filtered) tail |
+///   nothing;
+/// * **analyze** — whole [`FaultApp::analyze`], or (memo engaged,
+///   engine law 8) only the dirty sub-steps live, assembled with the
+///   golden artifacts of the clean ones.
+///
+/// One injector / liveness / `catch_unwind` / unmount frame surrounds
+/// the stages, and one memo prologue/epilogue surrounds the frame: a
+/// run whose key is already in the store is classified without
+/// mounting anything, and every non-panicked memoized run is stored.
+/// The injector always counts from the eligible instances that precede
+/// the start state and the mount's counters are pre-seeded to match,
+/// so the armed crossing observes full-execution `prim_seq`/`seq`
+/// numbering whichever start was taken.
+fn execute_run<A: FaultApp>(
+    app: &A,
+    shard: &Shard,
+    golden: &A::Output,
+    pr: &PlannedRun<InjectionSpec>,
+    batch: Option<&BatchForks>,
+    liveness: Liveness,
+    telemetry: &ReplayOptCounters,
+) -> RunResult {
+    let InjectionSpec { target_instance, seed } = pr.spec;
+    let mode = pr.strategy.mode();
+    // Start: where the state comes from, how many eligible instances
+    // precede it, and — memo engaged — which sub-steps go dirty.
+    let (start, already_seen, dirty) = match (pr.strategy, &shard.plan) {
+        (RunStrategy::Replay { checkpoint, .. }, Ok(CampaignPlan::Replay(plan))) => {
+            let target_op = plan.eligible_ops[(target_instance - 1) as usize];
+            let dirty = plan
+                .memo
+                .as_deref()
+                .map(|m| (m, dirty_substeps(&m.specs, plan.cache.ops()[target_op].write_path())));
+            match batch.and_then(|b| b.for_target(target_op)) {
+                // The mini-point sits exactly at the target op, so the
+                // eligible writes already "seen" are precisely the
+                // earlier instances.
+                Some(fork) => (Start::Batch { plan, fork }, target_instance - 1, dirty),
+                None => {
+                    let point = &plan.cache.points()[checkpoint];
+                    let seen = plan.eligible_ops.partition_point(|&op| op < point.index());
+                    (Start::Checkpoint { plan, point }, seen as u64, dirty)
+                }
+            }
+        }
+        (RunStrategy::AnalyzeOnly, Ok(CampaignPlan::AnalyzeOnly(plan))) => (
+            Start::Golden { base: &plan.basis.base, counters: plan.basis.boundary },
+            plan.produce_eligible,
+            None,
+        ),
+        // A read fault never touches device state, so only the
+        // sub-step whose eligible-read range holds the target is
+        // dirty; it starts from its own start-of-sub-step counters.
+        (
+            RunStrategy::IncrementalAnalyze { .. },
+            Ok(CampaignPlan::AnalyzeOnly(plan @ AnalyzeOnlyPlan { memo: Some(ia), .. })),
+        ) => {
+            let d = ia
+                .substep_for(target_instance - plan.produce_eligible)
+                .expect("IncrementalAnalyze is only planned for in-range instances");
+            (
+                Start::Golden { base: &plan.basis.base, counters: ia.memo.counters[d] },
+                plan.produce_eligible + ia.eligible_ranges[d].0,
+                Some((&*ia.memo, vec![d])),
+            )
+        }
+        // Reference path. (A fast strategy without its matching plan
+        // cannot be planned — strategies derive from the plan.)
+        _ => (Start::Fresh, 0, None),
+    };
+
+    // Memo prologue: account the dirty cascade, then serve the whole
+    // run from the store when an identical one already ran.
+    let memo = match dirty {
+        Some((m, dirty)) => {
+            m.store.note_hits((m.specs.len() - dirty.len()) as u64);
+            m.store.note_invalidations(dirty.len() as u64);
+            let key = memo_run_key(m.golden_key, &shard.signature, target_instance, seed);
+            if let Some(entry) = m.store.get(&key).and_then(|bytes| decode_memo_run(&bytes)) {
+                return finish_memo_run(app, m, golden, pr.index, target_instance, mode, entry);
+            }
+            Some((m, dirty, key))
+        }
+        None => None,
+    };
+
+    let injector = Arc::new(ArmedInjector::resuming(
+        shard.signature.clone(),
+        target_instance,
+        seed,
+        already_seen,
+    ));
+    let (ffs, mut cursor) = match &start {
+        Start::Fresh => (FfisFs::mount(Arc::new(MemFs::new())), ReplayCursor::new()),
+        Start::Checkpoint { point, .. } => point.mount_fork(),
+        Start::Batch { fork, .. } => {
+            telemetry.batched_runs.fetch_add(1, Ordering::Relaxed);
+            fork.point().mount_fork()
+        }
+        Start::Golden { base, counters } => {
+            let ffs = FfisFs::mount(Arc::new(base.fork()));
+            ffs.preseed_counters(counters);
+            (ffs, ReplayCursor::new())
+        }
+    };
+    liveness.arm(&ffs);
+    ffs.attach(injector.clone());
+    let result = catch_unwind(AssertUnwindSafe(|| -> RunOutput<A> {
+        match &start {
+            Start::Fresh => app.produce(&*ffs)?,
+            Start::Golden { .. } => {}
+            // The fault lands in the same instance, with the same
+            // record numbering, it would during a real execution.
+            Start::Checkpoint { plan, point } => {
+                cursor.replay(&*ffs, plan.cache.suffix(point)).map_err(|e| e.to_string())?
+            }
+            Start::Batch { plan, fork } => {
+                let (ops, target_op) = (plan.cache.ops(), fork.point().index());
+                cursor.step(&*ffs, &ops[target_op]).map_err(|e| e.to_string())?;
+                // The fault has fired (or deliberately dropped its
+                // write); nothing needs per-op visibility any more, so
+                // the tail applies straight to the inner filesystem.
+                // When only dirty sub-steps re-read the reconstructed
+                // state, the tail filters down to the paths they
+                // declare — the read-set contract the dirty cascade
+                // itself rests on; for a multi-file app only the
+                // injected file's ops replay.
+                let tail = &ops[target_op + 1..];
+                let stats = match &memo {
+                    Some((m, dirty, _)) => {
+                        cursor.replay_coalesced_filtered(&**ffs.inner(), tail, &|p| {
+                            dirty.iter().any(|&i| m.specs[i].reads(p))
+                        })
+                    }
+                    None => cursor.replay_coalesced(&**ffs.inner(), tail),
+                }
+                .map_err(|e| e.to_string())?;
+                telemetry
+                    .coalesced_calls
+                    .fetch_add(stats.coalesced_calls as u64, Ordering::Relaxed);
+                telemetry.coalesced_ops.fetch_add(stats.coalesced_ops as u64, Ordering::Relaxed);
+                telemetry.skipped_tail_ops.fetch_add(stats.skipped_ops as u64, Ordering::Relaxed);
+                // Restore analyze-time counter numbering from the
+                // recorded tail delta.
+                ffs.preseed_counters(&fork.tail_counters());
+            }
+        }
+        let Some((m, dirty, _)) = &memo else {
+            return Ok((app.analyze(&*ffs, Some(golden))?, Vec::new()));
+        };
+        let mut assembled: Vec<Vec<u8>> = Vec::with_capacity(m.specs.len());
+        let mut dirty_artifacts: Vec<(usize, Vec<u8>)> = Vec::with_capacity(dirty.len());
+        for i in 0..m.specs.len() {
+            if dirty.contains(&i) {
+                let art = app.analyze_substep(&*ffs, i, Some(golden))?;
+                dirty_artifacts.push((i, art.clone()));
+                assembled.push(art);
+            } else {
+                assembled.push(m.artifacts[i].as_ref().clone());
+            }
+        }
+        Ok((app.assemble(&assembled, Some(golden))?, dirty_artifacts))
+    }));
+    ffs.unmount();
+    let injection = injector.record();
+    // Memo epilogue. Panicked runs are never memoized — a warm store
+    // re-executes them live.
+    if let Some((m, _, key)) = &memo {
+        match &result {
+            Ok(Ok((_, arts))) => m.store.put(key, &encode_memo_run(&injection, Ok(arts))),
+            Ok(Err(msg)) => m.store.put(key, &encode_memo_run(&injection, Err(msg))),
+            Err(_) => {}
+        }
+    }
+    let app_result = result.map(|live| live.map(|(out, _)| out));
+    finish_run(app, golden, pr.index, target_instance, injection, mode, app_result)
 }
 
-impl<'a, A: FaultApp> MixedCampaign<'a, A> {
-    /// New mixed campaign over `app`.
-    pub fn new(app: &'a A, config: MixedCampaignConfig) -> Self {
-        MixedCampaign { app, config }
-    }
-
-    /// Execute the whole workflow.
-    pub fn run(&self) -> Result<MixedCampaignResult, CampaignError> {
-        let k = self.config.signatures.len();
-        if k == 0 {
-            return Err(CampaignError::BadSignature(
-                "mixed campaign needs at least one signature".into(),
-            ));
-        }
-        for sig in &self.config.signatures {
-            sig.validate().map_err(CampaignError::BadSignature)?;
-        }
-
-        // One shared golden/profiling run. The trace interceptor
-        // records every primitive crossing, so each shard's eligible
-        // population is derived from the same execution; the op
-        // recorder is attached when any shard can use a fast path
-        // (write shards need the trace to replay, read shards need it
-        // for the read-only-analyze law), and the read ledger when
-        // some read-site shard may qualify for analyze-only
-        // re-execution.
-        let wants_write_fast = self.config.replay
-            && self.config.signatures.iter().any(|s| s.primitive == Primitive::Write);
-        let wants_read_fast = self.config.replay
-            && self.config.signatures.iter().any(|s| s.primitive == Primitive::Read);
-        let record = wants_write_fast || wants_read_fast;
-        let profiler = IoProfiler::new(Primitive::Write, TargetFilter::Any);
-        let recorder = Arc::new(TraceRecorder::new());
-        let ledger = Arc::new(ReadLedger::new());
-        let mut extras: Vec<Arc<dyn Interceptor>> = Vec::new();
-        if record {
-            extras.push(recorder.clone());
-        }
-        if wants_read_fast {
-            extras.push(ledger.clone());
-        }
-        let produced_ops = std::cell::Cell::new(0usize);
-        let boundary = std::cell::Cell::new(CounterSnapshot::default());
-        let (profile, golden, base) = profiler
-            .profile_with_mount(&extras, |ffs| {
-                self.app.produce(ffs)?;
-                produced_ops.set(recorder.len());
-                ledger.mark_produce_end();
-                boundary.set(ffs.counters());
-                self.app.analyze(ffs, None)
-            })
-            .map_err(CampaignError::GoldenRunFailed)?;
-
-        let eligible: Vec<u64> = self
-            .config
-            .signatures
-            .iter()
-            .map(|sig| {
-                profile
-                    .trace
-                    .iter()
-                    .filter(|r| r.in_scope(sig.primitive, |p| sig.target.matches(p)))
-                    .count() as u64
-            })
-            .collect();
-        if eligible.contains(&0) {
-            return Err(CampaignError::NoEligibleInstances);
-        }
-
-        // Every per-run draw happens now, before any plan is built
-        // (engine law 2): global run `i` belongs to shard `i % k` and
-        // draws from `root.child(shard).child(i / k)`, exactly as
-        // before the engine refactor. Drawing up front exposes the
-        // write shards' fork-offset demand to checkpoint placement.
-        let root = Rng::seed_from(self.config.seed);
-        let shard_roots: Vec<Rng> = (0..k).map(|s| root.child(s as u64)).collect();
-        let specs: Vec<InjectionSpec> = (0..self.config.runs)
-            .map(|i| {
-                let s = i % k;
-                let mut rng = shard_roots[s].child((i / k) as u64);
-                let target_instance = rng.gen_range(eligible[s]) + 1;
-                let seed = rng.next_u64();
-                InjectionSpec { target_instance, seed }
-            })
-            .collect();
-        // Liveness watchdogs gate the replay optimizations off, as in
-        // the single-signature driver.
-        let replay_opt = self.config.replay_opt
-            && self.config.fuel.is_none()
-            && self.config.wall_limit.is_none();
-
-        // The golden trace is taken once and serves both fast paths:
-        // the analyze-only basis borrows it (read-only-analyze law),
-        // the write-site checkpoint cache consumes it.
-        let ops = recorder.take_ops();
-        // The union of all write shards' fork offsets — the demand
-        // checkpoint placement serves when the optimizations are on.
-        // A count mismatch surfaces later as that shard's
-        // TraceMismatch fallback; stray demand entries are harmless
-        // placement advice.
-        let demand: Option<Vec<usize>> = (replay_opt && wants_write_fast).then(|| {
-            let mut d = Vec::new();
-            for (s, sig) in self.config.signatures.iter().enumerate() {
-                if sig.primitive != Primitive::Write {
-                    continue;
-                }
-                let elig_ops = eligible_write_ops(&ops, &sig.target);
-                for (i, spec) in specs.iter().enumerate() {
-                    if i % k == s {
-                        if let Some(&op) = elig_ops.get((spec.target_instance - 1) as usize) {
-                            d.push(op);
-                        }
-                    }
+/// Classify a run served whole from the run-level memo store: rebuild
+/// the artifact vector (clean golden artifacts with the cached dirty
+/// ones swapped in), assemble, and classify — no filesystem is ever
+/// mounted. Cached error messages reproduce the crash classification
+/// the live run recorded.
+fn finish_memo_run<A: FaultApp>(
+    app: &A,
+    memo: &SubstepMemo,
+    golden: &A::Output,
+    run: usize,
+    target_instance: u64,
+    mode: ExecutionMode,
+    entry: MemoRunEntry,
+) -> RunResult {
+    let MemoRunEntry { injection, body } = entry;
+    let app_result: Result<A::Output, String> = match body {
+        Err(msg) => Err(msg),
+        Ok(dirty_artifacts) => {
+            let mut assembled: Vec<Vec<u8>> =
+                memo.artifacts.iter().map(|a| a.as_ref().clone()).collect();
+            let mut in_range = true;
+            for (i, a) in dirty_artifacts {
+                if i < assembled.len() {
+                    assembled[i] = a;
+                } else {
+                    in_range = false;
                 }
             }
-            d
-        });
-        let basis: Result<AnalyzeOnlyBasis, ReplayFallback> = if !wants_read_fast {
-            Err(ReplayFallback::Disabled)
-        } else {
-            analyze_only_basis(
-                self.app,
-                &ops,
-                produced_ops.get(),
-                &ledger,
-                boundary.get(),
-                &profile,
-                &golden,
-                &base,
-            )
-        };
-        let cache: Result<Arc<TraceCheckpoints>, ReplayFallback> = if !wants_write_fast {
-            Err(ReplayFallback::Disabled)
-        } else {
-            shared_replay_cache(
-                self.app,
-                ops,
-                produced_ops.get(),
-                profile.counters.get(Primitive::Write),
-                &golden,
-                &base,
-                self.config.checkpoints.as_deref(),
-                demand.as_deref(),
-            )
-        };
-
-        let shards: Vec<Shard> = self
-            .config
-            .signatures
-            .iter()
-            .zip(&eligible)
-            .map(|(sig, &elig)| {
-                let (mode, plan) = if !self.config.replay {
-                    (ExecutionMode::FullRerun { reason: ReplayFallback::Disabled }, None)
-                } else {
-                    match sig.primitive {
-                        Primitive::Read => match basis
-                            .clone()
-                            .and_then(|b| analyze_only_plan(b, &ledger, &sig.target, elig))
-                        {
-                            Ok(plan) => {
-                                (plan.campaign_mode(), Some(CampaignPlan::AnalyzeOnly(plan)))
-                            }
-                            Err(reason) => (ExecutionMode::FullRerun { reason }, None),
-                        },
-                        Primitive::Write => match &cache {
-                            Ok(cache) => {
-                                let eligible_ops = eligible_write_ops(cache.ops(), &sig.target);
-                                if eligible_ops.len() as u64 != elig {
-                                    (
-                                        ExecutionMode::FullRerun {
-                                            reason: ReplayFallback::TraceMismatch,
-                                        },
-                                        None,
-                                    )
-                                } else {
-                                    (
-                                        ExecutionMode::Replay,
-                                        Some(CampaignPlan::Replay(ReplayPlan {
-                                            cache: cache.clone(),
-                                            eligible_ops,
-                                            // Mixed campaigns stay
-                                            // memo-free: the layer is a
-                                            // single-signature fast
-                                            // path today.
-                                            memo: None,
-                                        })),
-                                    )
-                                }
-                            }
-                            Err(reason) => (ExecutionMode::FullRerun { reason: *reason }, None),
-                        },
-                        _ => (
-                            ExecutionMode::FullRerun { reason: ReplayFallback::NonWritePrimitive },
-                            None,
-                        ),
-                    }
-                };
-                Shard { signature: sig.clone(), eligible: elig, mode, plan }
-            })
-            .collect();
-
-        // Resolve each pre-drawn spec to its shard's planned strategy.
-        let golden = Arc::new(golden);
-        let planned: Vec<PlannedRun<InjectionSpec>> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, &spec)| {
-                let s = i % k;
-                let shard = &shards[s];
-                let strategy = match (&shard.plan, shard.mode) {
-                    (Some(p), _) => p.strategy_for(spec.target_instance),
-                    (None, ExecutionMode::FullRerun { reason }) => RunStrategy::Rerun { reason },
-                    (None, _) => unreachable!("fast-path shards always carry a plan"),
-                };
-                PlannedRun { index: i, shard: s, strategy, spec }
-            })
-            .collect();
-        let fingerprint = plan_fingerprint(&planned, k);
-        let meta = JournalMeta {
-            fingerprint,
-            seed: self.config.seed,
-            runs: self.config.runs as u64,
-            shards: k as u32,
-            context: format!("app={} shards={}", self.app.name(), k),
-        };
-        let (journal, resumed) =
-            open_journal(self.config.journal.as_deref(), self.config.resume, meta)?;
-        let eplan = ExecutionPlan::new(planned, k);
-        let engine_cfg = EngineConfig {
-            parallel: self.config.parallel,
-            keep_runs: self.config.keep_runs,
-            keep_seed: self.config.seed,
-        };
-        let liveness = Liveness { fuel: self.config.fuel, wall: self.config.wall_limit };
-        let persist_fn = journal.as_ref().map(|j| {
-            move |index: usize, outcome: Outcome, fired: bool, r: &RunResult| {
-                j.lock().unwrap_or_else(|e| e.into_inner()).append(
-                    index,
-                    outcome,
-                    fired,
-                    &r.encode(),
-                );
+            if in_range {
+                app.assemble(&assembled, Some(golden))
+            } else {
+                Err("memoized run entry indexes out of range".to_string())
             }
-        });
-        let observe_fn = self
-            .config
-            .observer
-            .as_ref()
-            .map(|obs| move |ev: RunEvent<'_, RunResult>| obs.call(ev.payload, ev.resumed));
-        let durability = Durability {
-            resumed,
-            cancel: self.config.cancel.as_deref(),
-            persist: persist_fn
-                .as_ref()
-                .map(|f| f as &(dyn Fn(usize, Outcome, bool, &RunResult) + Sync)),
-            observe: observe_fn.as_ref().map(|f| f as &(dyn Fn(RunEvent<'_, RunResult>) + Sync)),
-            index_range: self.config.index_range,
-        };
-        // Checkpoint-grouped batch execution (engine law 9), keyed per
-        // `(shard, checkpoint)` so a batch never mixes signatures.
-        let opt_counters = ReplayOptCounters::default();
-        let batching = replay_opt
-            && shards
-                .iter()
-                .any(|sh| matches!(&sh.plan, Some(CampaignPlan::Replay(rp)) if rp.memo.is_none()));
-        let out = engine::execute_durable_batched(
-            &eplan,
-            &engine_cfg,
-            durability,
-            |pr| {
-                if batching {
-                    pr.strategy.batch_key().map(|ck| (pr.shard, ck))
-                } else {
-                    None
-                }
-            },
-            |members| {
-                let s = members.first().map(|&i| i % k)?;
-                let Some(CampaignPlan::Replay(rp)) = &shards[s].plan else { return None };
-                let targets: Vec<usize> = members
-                    .iter()
-                    .map(|&i| rp.eligible_ops[(specs[i].target_instance - 1) as usize])
-                    .collect();
-                let RunStrategy::Replay { checkpoint, .. } =
-                    rp.strategy_for(specs[members[0]].target_instance)
-                else {
-                    return None;
-                };
-                let batch = rp.cache.fork_at_targets(checkpoint, &targets).ok()?;
-                opt_counters.batches.fetch_add(1, Ordering::Relaxed);
-                Some(batch)
-            },
-            |pr, batch| {
-                let shard = &shards[pr.shard];
-                let result = match (batch, &shard.plan) {
-                    (Some(batch), Some(CampaignPlan::Replay(rp))) => execute_run_batched(
-                        self.app,
-                        &shard.signature,
-                        rp,
-                        batch,
-                        &golden,
-                        pr.index,
-                        pr.spec.target_instance,
-                        pr.spec.seed,
-                        &opt_counters,
-                    ),
-                    _ => None,
-                }
-                .unwrap_or_else(|| {
-                    execute_run(
-                        self.app,
-                        &shard.signature,
-                        shard.plan.as_ref(),
-                        pr.strategy,
-                        &golden,
-                        pr.index,
-                        pr.spec.target_instance,
-                        pr.spec.seed,
-                        liveness,
-                    )
-                });
-                RunRecord {
-                    outcome: result.outcome,
-                    fired: result.injection.is_some(),
-                    payload: result,
-                }
-            },
-        );
-
-        let shards = shards
-            .into_iter()
-            .zip(&out.shard_tallies)
-            .map(|(shard, tally)| ShardReport {
-                signature: shard.signature,
-                eligible: shard.eligible,
-                mode: shard.mode,
-                tally: *tally,
-            })
-            .collect();
-
-        Ok(MixedCampaignResult {
-            tally: out.tally,
-            runs: out.kept,
-            profile,
-            shards,
-            plan_fingerprint: fingerprint,
-            status: out.status,
-            executed: out.executed,
-            resumed: out.resumed,
-        })
-    }
+        }
+    };
+    finish_run(app, golden, run, target_instance, injection, mode, Ok(app_result))
 }
 
 #[cfg(test)]
@@ -3842,8 +3088,8 @@ mod tests {
         assert!(result.runs.iter().all(|r| r.mode == ExecutionMode::Replay));
     }
 
-    fn mixed_cfg(parallel: bool) -> MixedCampaignConfig {
-        let mut cfg = MixedCampaignConfig::new(vec![
+    fn mixed_cfg(parallel: bool) -> CampaignConfig {
+        let mut cfg = CampaignConfig::mixed(vec![
             FaultSignature::on_write(FaultModel::bit_flip()),
             FaultSignature::on_read(FaultModel::bit_flip()),
             FaultSignature::on_read(FaultModel::dropped_write()),
@@ -3855,9 +3101,31 @@ mod tests {
         cfg
     }
 
+    /// The one-element list constructor *is* the single-signature
+    /// campaign: same draws, same plan, same records.
+    #[test]
+    fn one_element_list_equals_single_signature_config() {
+        for sig in [
+            FaultSignature::on_write(FaultModel::bit_flip()),
+            FaultSignature::on_read(FaultModel::bit_flip()),
+        ] {
+            let single = CampaignConfig::new(sig.clone()).with_runs(12).with_seed(36);
+            let listed = CampaignConfig::mixed(vec![sig]).with_runs(12).with_seed(36);
+            let a = Campaign::new(&ToyApp, single).run().unwrap();
+            let b = Campaign::new(&ToyApp, listed).run().unwrap();
+            assert_eq!(a.plan_fingerprint, b.plan_fingerprint);
+            assert_eq!(a.run_digest(), b.run_digest());
+            assert_eq!(a.profile.eligible, b.profile.eligible);
+            assert_eq!(a.shards.len(), 1);
+            assert_eq!(a.shards[0].mode, a.mode);
+            assert_eq!(a.shards[0].eligible, a.profile.eligible);
+            assert_eq!(a.shards[0].tally, a.tally);
+        }
+    }
+
     #[test]
     fn mixed_campaign_interleaves_replay_and_rerun() {
-        let result = MixedCampaign::new(&ToyApp, mixed_cfg(true)).run().unwrap();
+        let result = Campaign::new(&ToyApp, mixed_cfg(true)).run().unwrap();
         assert_eq!(result.runs.len(), 24);
         assert_eq!(result.shards.len(), 3);
         assert_eq!(result.shards[0].mode, ExecutionMode::Replay);
@@ -3884,9 +3152,9 @@ mod tests {
 
     #[test]
     fn mixed_campaign_is_deterministic_across_parallelism_and_reruns() {
-        let a = MixedCampaign::new(&ToyApp, mixed_cfg(false)).run().unwrap();
-        let b = MixedCampaign::new(&ToyApp, mixed_cfg(true)).run().unwrap();
-        let c = MixedCampaign::new(&ToyApp, mixed_cfg(true)).run().unwrap();
+        let a = Campaign::new(&ToyApp, mixed_cfg(false)).run().unwrap();
+        let b = Campaign::new(&ToyApp, mixed_cfg(true)).run().unwrap();
+        let c = Campaign::new(&ToyApp, mixed_cfg(true)).run().unwrap();
         for other in [&b, &c] {
             assert_eq!(a.tally, other.tally);
             for (x, y) in a.runs.iter().zip(&other.runs) {
@@ -3902,7 +3170,7 @@ mod tests {
 
     #[test]
     fn mixed_campaign_with_replay_off_reruns_everything() {
-        let result = MixedCampaign::new(&ToyApp, mixed_cfg(true).with_replay(false)).run().unwrap();
+        let result = Campaign::new(&ToyApp, mixed_cfg(true).with_replay(false)).run().unwrap();
         for s in &result.shards {
             assert_eq!(s.mode, ExecutionMode::FullRerun { reason: ReplayFallback::Disabled });
         }
@@ -3910,18 +3178,13 @@ mod tests {
 
     #[test]
     fn mixed_campaign_rejects_empty_and_invalid_signatures() {
-        let empty = MixedCampaignConfig::new(Vec::new()).with_runs(1);
-        assert!(matches!(
-            MixedCampaign::new(&ToyApp, empty).run(),
-            Err(CampaignError::BadSignature(_))
-        ));
+        let empty = CampaignConfig::mixed(Vec::new()).with_runs(1);
+        assert!(matches!(Campaign::new(&ToyApp, empty).run(), Err(CampaignError::BadSignature(_))));
         let invalid =
-            MixedCampaignConfig::new(vec![FaultSignature::on_write(FaultModel::BitFlip {
-                bits: 0,
-            })])
-            .with_runs(1);
+            CampaignConfig::mixed(vec![FaultSignature::on_write(FaultModel::BitFlip { bits: 0 })])
+                .with_runs(1);
         assert!(matches!(
-            MixedCampaign::new(&ToyApp, invalid).run(),
+            Campaign::new(&ToyApp, invalid).run(),
             Err(CampaignError::BadSignature(_))
         ));
     }
@@ -4191,17 +3454,17 @@ mod tests {
     fn mixed_campaign_resumes_byte_identically() {
         let path = tmp_journal("mixed-resume");
         let base = || mixed_cfg(false).with_seed(18);
-        let control = MixedCampaign::new(&ToyApp, base()).run().unwrap();
+        let control = Campaign::new(&ToyApp, base()).run().unwrap();
         assert_eq!(control.status, CompletionStatus::Complete);
 
         let cancel = CancelToken::after_runs(7);
         let cfg = base().with_journal(&path).with_resume(true).with_cancel(cancel);
-        let interrupted = MixedCampaign::new(&ToyApp, cfg).run().unwrap();
+        let interrupted = Campaign::new(&ToyApp, cfg).run().unwrap();
         assert_eq!(interrupted.status, CompletionStatus::Interrupted);
         assert_eq!(interrupted.executed, 7);
 
         let cfg = base().with_journal(&path).with_resume(true);
-        let resumed = MixedCampaign::new(&ToyApp, cfg).run().unwrap();
+        let resumed = Campaign::new(&ToyApp, cfg).run().unwrap();
         assert_eq!(resumed.status, CompletionStatus::Complete);
         assert_eq!(resumed.resumed, 7);
         assert_eq!(resumed.executed, 17);

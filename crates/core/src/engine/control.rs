@@ -1,7 +1,7 @@
 //! Cooperative cancellation for campaign execution.
 //!
 //! A [`CancelToken`] is the engine's graceful-shutdown surface: the
-//! executor checks it before starting each run (never mid-run), so a
+//! executor asks it before starting each run (never mid-run), so a
 //! cancelled campaign finishes the runs already in flight, flushes
 //! every completed record to the journal, and reports the partial
 //! tallies it has with an explicit [`CompletionStatus::Interrupted`].
@@ -28,19 +28,22 @@ impl CompletionStatus {
     }
 }
 
-/// Cooperative cancellation flag, checked by the executor between
-/// runs.
+/// Cooperative cancellation flag, consulted by the executor before
+/// each run starts.
 ///
 /// Two trip mechanisms:
 /// * [`CancelToken::cancel`] — external request (signal handler, test).
-/// * [`CancelToken::after_runs`] — self-trip after N completed runs,
-///   the deterministic stand-in for "killed mid-campaign" that the
+/// * [`CancelToken::after_runs`] — a budget of run *starts*, the
+///   deterministic stand-in for "killed mid-campaign" that the
 ///   resume-law tests and proptests use (no processes, no signals).
-#[derive(Debug, Default)]
+///   Gating starts, not completions, is what makes the count exact
+///   under parallelism: a worker cannot begin run `n + 1` while run
+///   `n` is still in flight.
+#[derive(Debug)]
 pub struct CancelToken {
     cancelled: AtomicBool,
-    /// Remaining completions before self-trip; `u64::MAX` = disabled.
-    countdown: AtomicU64,
+    /// Run-start tickets left; `u64::MAX` = unlimited.
+    tickets: AtomicU64,
 }
 
 impl CancelToken {
@@ -48,16 +51,16 @@ impl CancelToken {
     pub fn new() -> Arc<Self> {
         Arc::new(CancelToken {
             cancelled: AtomicBool::new(false),
-            countdown: AtomicU64::new(u64::MAX),
+            tickets: AtomicU64::new(u64::MAX),
         })
     }
 
-    /// A token that trips itself once `runs` runs have completed —
-    /// deterministic mid-campaign interruption for tests.
+    /// A token that lets exactly `runs` runs start and then trips
+    /// itself — deterministic mid-campaign interruption for tests.
     pub fn after_runs(runs: u64) -> Arc<Self> {
         Arc::new(CancelToken {
             cancelled: AtomicBool::new(runs == 0),
-            countdown: AtomicU64::new(runs),
+            tickets: AtomicU64::new(runs),
         })
     }
 
@@ -72,18 +75,25 @@ impl CancelToken {
         self.cancelled.load(Ordering::SeqCst)
     }
 
-    /// Executor notification: one run finished. Drives the
-    /// [`CancelToken::after_runs`] countdown; a plain token ignores it.
-    pub fn note_run_complete(&self) {
-        if self.countdown.load(Ordering::SeqCst) == u64::MAX {
-            return;
+    /// Executor gate: may one more run start? `false` once the token
+    /// is cancelled. An [`CancelToken::after_runs`] token hands out
+    /// its tickets atomically — each start takes one, and taking the
+    /// last one trips the token — so exactly that many runs execute
+    /// however many workers race here.
+    pub fn try_start_run(&self) -> bool {
+        if self.is_cancelled() {
+            return false;
         }
-        let prev = self
-            .countdown
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-            .unwrap_or(0);
-        if prev <= 1 {
-            self.cancel();
+        if self.tickets.load(Ordering::SeqCst) == u64::MAX {
+            return true;
+        }
+        match self.tickets.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |t| t.checked_sub(1)) {
+            Ok(1) => {
+                self.cancel();
+                true
+            }
+            Ok(_) => true,
+            Err(_) => false,
         }
     }
 }
@@ -97,26 +107,30 @@ mod tests {
         let t = CancelToken::new();
         assert!(!t.is_cancelled());
         for _ in 0..100 {
-            t.note_run_complete();
+            assert!(t.try_start_run());
         }
         assert!(!t.is_cancelled());
         t.cancel();
         assert!(t.is_cancelled());
+        assert!(!t.try_start_run());
     }
 
     #[test]
     fn countdown_token_trips_after_n_runs() {
         let t = CancelToken::after_runs(3);
-        t.note_run_complete();
-        t.note_run_complete();
+        assert!(t.try_start_run());
+        assert!(t.try_start_run());
         assert!(!t.is_cancelled());
-        t.note_run_complete();
+        assert!(t.try_start_run(), "the third ticket still starts its run");
         assert!(t.is_cancelled());
+        assert!(!t.try_start_run());
     }
 
     #[test]
     fn zero_countdown_starts_cancelled() {
-        assert!(CancelToken::after_runs(0).is_cancelled());
+        let t = CancelToken::after_runs(0);
+        assert!(t.is_cancelled());
+        assert!(!t.try_start_run());
     }
 
     #[test]

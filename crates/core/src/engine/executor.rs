@@ -295,7 +295,7 @@ where
     // `None` = skipped because cancellation tripped before the run
     // started; the run is simply absent from the sink.
     let exec_one = |pos: &usize| -> Option<(usize, usize, Outcome, bool, Option<R>)> {
-        if cancel.is_some_and(|c| c.is_cancelled()) {
+        if cancel.is_some_and(|c| !c.try_start_run()) {
             return None;
         }
         let pr = &plan.runs()[*pos];
@@ -329,9 +329,6 @@ where
                 resumed: false,
                 payload: &rec.payload,
             });
-        }
-        if let Some(cancel) = cancel {
-            cancel.note_run_complete();
         }
         // The keep decision happens here, in the worker: a dropped
         // record frees its buffers before the next run starts.
@@ -508,6 +505,27 @@ mod tests {
         assert_eq!(out.executed, 7);
         assert_eq!(out.tally.total(), 7, "tallies cover only completed runs");
         assert_eq!(out.scheduled, 20);
+    }
+
+    /// `after_runs(n)` gates run *starts* with atomic tickets, so a
+    /// parallel fan-out executes exactly `n` runs — never `n + 1`
+    /// because a worker slipped past the flag while run `n` was still
+    /// in flight.
+    #[test]
+    fn after_runs_executes_exactly_n_under_parallelism() {
+        let p = plan(64);
+        for round in 0..200 {
+            let cancel = super::super::control::CancelToken::after_runs(7);
+            let out = execute_durable(
+                &p,
+                &EngineConfig { parallel: true, keep_runs: None, keep_seed: 1 },
+                Durability { cancel: Some(&cancel), ..Durability::default() },
+                run_one,
+            );
+            assert_eq!(out.status, CompletionStatus::Interrupted, "round {round}");
+            assert_eq!(out.executed, 7, "round {round}");
+            assert_eq!(out.tally.total(), 7, "round {round}");
+        }
     }
 
     #[test]

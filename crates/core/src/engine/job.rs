@@ -19,7 +19,7 @@
 //! ([`JobFailure::PlanMismatch`] with both fingerprints, not a log
 //! line) that survives serialization across the service boundary.
 
-use crate::campaign::{memo_default, replay_opt_default, CampaignError};
+use crate::campaign::CampaignError;
 use crate::engine::journal::JournalError;
 use crate::fault::{FaultSignature, InjectionSite};
 use crate::generator::FaultConfig;
@@ -58,16 +58,16 @@ pub struct CampaignSpec {
     /// ignore it. At least 1.
     pub files: usize,
     /// Engage the analyze memoization layer (engine law 8) when the
-    /// resolved app declares analyze sub-steps. Defaults to the
-    /// `FFIS_MEMO` environment posture; harmless on single-file specs
-    /// (the campaign reports the `no-substeps` fallback).
+    /// resolved app declares analyze sub-steps. Default `true`;
+    /// harmless on single-file specs (the campaign reports the
+    /// `no-substeps` fallback). The `false` regime is the reference
+    /// side of law 8.
     pub memo: bool,
     /// Engage the plan-aware replay optimizations (demand-driven
     /// checkpoint placement, checkpoint-grouped batch execution,
     /// suffix op coalescing — [`crate::CampaignConfig::replay_opt`]).
-    /// Defaults to the `FFIS_REPLAY_OPT` environment posture. The
-    /// optimizations are digest-invisible either way; the `false`
-    /// regime exists as a measurement control.
+    /// Default `true`. The optimizations are digest-invisible either
+    /// way; the `false` regime exists as a measurement control.
     pub replay_opt: bool,
     /// Injection runs (paper: 1,000 per cell); at least 1.
     pub runs: usize,
@@ -100,8 +100,8 @@ impl CampaignSpec {
             site: InjectionSite::Write.token().to_string(),
             grid: 96,
             files: 1,
-            memo: memo_default(),
-            replay_opt: replay_opt_default(),
+            memo: true,
+            replay_opt: true,
             runs: 1000,
             seed: 0xFF15_2021,
             keep_runs: None,

@@ -41,6 +41,8 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use ffis_vfs::blobs::crc32;
+
 use crate::outcome::Outcome;
 
 /// Journal file magic: identifies format family and revision.
@@ -152,33 +154,6 @@ fn outcome_from_code(c: u8) -> Option<Outcome> {
         3 => Outcome::Crash,
         _ => return None,
     })
-}
-
-/// CRC-32 (IEEE 802.3, reflected), table-driven. Hand-rolled because
-/// the workspace is offline by policy (no external crates).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-                k += 1;
-            }
-            t[i] = c;
-            i += 1;
-        }
-        t
-    }
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(table);
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
 }
 
 /// Append `v` as little-endian bytes (encoding helpers shared with the
@@ -583,13 +558,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ffis-journal-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("run.journal")
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

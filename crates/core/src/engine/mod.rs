@@ -1,12 +1,11 @@
 //! The shared campaign execution engine: **planner → executor → sink**.
 //!
 //! The paper's methodology is one pipeline — profile → inject × N →
-//! classify → tally — but the repo grew three hand-rolled copies of
-//! its execution half ([`crate::Campaign`], [`crate::MixedCampaign`],
-//! [`crate::metadata_scan::scan_detailed`]), each with its own
-//! serial/parallel branches, replay/rerun dispatch, and a fully
-//! materialized result vector. This module is the one implementation
-//! all three frontends now ride:
+//! classify → tally. This module is the one implementation of its
+//! execution half that both frontends ([`crate::Campaign`], with one
+//! signature or several, and [`crate::metadata_scan::scan_detailed`])
+//! ride — one serial/parallel fan-out, one replay/rerun dispatch, one
+//! streaming sink:
 //!
 //! * **Planner** ([`ExecutionPlan`]) — maps every scheduled run
 //!   `(shard, index, spec)` to a [`RunStrategy`] — `Replay` with its
@@ -36,10 +35,10 @@
 //!    plan: every planned run executes exactly once.
 //! 2. **Plan-time randomness** — all per-run random draws (target
 //!    instance, injection seed, flip mask) happen while *building* the
-//!    plan, from per-run child streams (`root.child(shard).child(run)`
-//!    in the sharded drivers, `root.child(run)` in the
-//!    single-signature driver). Execution order can never affect a
-//!    draw.
+//!    plan, from per-run child streams (`root.child(run)` for a
+//!    single-signature campaign, `root.child(shard).child(run)` when
+//!    several signatures share it). Execution order can never affect
+//!    a draw.
 //! 3. **Order independence** — the schedule is a pure wall-clock
 //!    optimization. Serial and parallel execution of the same plan
 //!    produce byte-identical tallies, kept records, injection records,
@@ -140,8 +139,10 @@
 //!   deadline backstops the parallel path (non-deterministic, off by
 //!   default; a run that loops without ever touching the mount is
 //!   beyond both detectors).
-//! * **Cooperative cancellation** ([`CancelToken`]) — checked between
-//!   runs, never mid-run: an interrupted campaign flushes every
+//! * **Cooperative cancellation** ([`CancelToken`]) — consulted
+//!   before each run starts, never mid-run
+//!   ([`CancelToken::after_runs`] hands out exactly `n` start
+//!   tickets): an interrupted campaign flushes every
 //!   completed record to its journal and reports partial tallies with
 //!   [`CompletionStatus::Interrupted`].
 

@@ -18,10 +18,11 @@
 //! [`campaign`] orchestrates them into statistically significant
 //! campaigns (1,000 runs with ~1–2% error bars at 95% confidence), and
 //! [`metadata_scan`] implements the byte-by-byte scientific-file-format
-//! metadata study of §IV-D. All three campaign frontends —
-//! [`Campaign`], [`MixedCampaign`], and [`metadata_scan::scan_detailed`]
-//! — execute through the shared [`engine`] (planner → executor →
-//! sink): per-run strategies and random draws are resolved up front,
+//! metadata study of §IV-D. Both frontends — [`Campaign`] (one
+//! signature, or several sharing one golden run:
+//! [`CampaignConfig::mixed`]) and [`metadata_scan::scan_detailed`] —
+//! execute through the shared [`engine`] (planner → executor → sink):
+//! per-run strategies and random draws are resolved up front,
 //! one serial/parallel fan-out schedules replay runs
 //! shortest-suffix-first with reruns interleaved, and tallies stream
 //! through a sink whose full-record retention can be bounded
@@ -124,9 +125,8 @@ pub mod rng;
 pub mod stats;
 
 pub use campaign::{
-    memo_default, replay_default, replay_opt_default, Campaign, CampaignConfig, CampaignError,
-    CampaignResult, ExecutionMode, MemoFallback, MemoReport, MixedCampaign, MixedCampaignConfig,
-    MixedCampaignResult, ReplayFallback, ReplayOptReport, RunAborted, RunObserver, RunResult,
+    replay_default, Campaign, CampaignConfig, CampaignError, CampaignResult, ExecutionMode,
+    MemoFallback, MemoReport, ReplayFallback, ReplayOptReport, RunAborted, RunObserver, RunResult,
     ShardReport,
 };
 pub use engine::{
@@ -153,7 +153,7 @@ pub use stats::{blocking_error, mean_std, wilson, Accumulator, Histogram, Propor
 pub mod prelude {
     pub use crate::campaign::{
         Campaign, CampaignConfig, CampaignResult, ExecutionMode, MemoFallback, MemoReport,
-        MixedCampaign, MixedCampaignConfig, MixedCampaignResult, ReplayFallback, RunAborted,
+        ReplayFallback, RunAborted,
     };
     pub use crate::engine::{CancelToken, CompletionStatus};
     pub use crate::fault::{

@@ -34,9 +34,9 @@ const BLOB_MAGIC: &[u8; 8] = b"FFISBLB1";
 // Hashing
 // ---------------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven. Local to
-/// this crate — `ffis-core`'s run journal carries its own copy — so
-/// the VFS layer stays dependency-free.
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven and
+/// hand-rolled because the workspace is offline by policy. Frames the
+/// blob files here and `ffis-core`'s run journal records.
 pub fn crc32(bytes: &[u8]) -> u32 {
     static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
     let table = TABLE.get_or_init(|| {

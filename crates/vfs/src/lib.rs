@@ -103,6 +103,6 @@ pub use interceptor::{CallContext, Interceptor, Primitive, ReadAction, WriteActi
 pub use memfs::MemFs;
 pub use memo::{MemoStats, MemoStore};
 pub use trace::{
-    BatchFork, BatchForks, CheckpointStore, CoalesceStats, Placement, ReadLedger, ReadRecord,
+    BatchFork, BatchForks, CheckpointStore, CoalesceStats, Fnv, Placement, ReadLedger, ReadRecord,
     ReplayCursor, ReplayError, TraceCheckpoint, TraceCheckpoints, TraceOp, TraceRecorder,
 };

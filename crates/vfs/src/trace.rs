@@ -1337,23 +1337,31 @@ impl Interceptor for ReadLedger {
     }
 }
 
-/// FNV-1a accumulator for trace fingerprinting.
-struct Fnv(u64);
+/// FNV-1a accumulator — the workspace's one digest primitive: trace
+/// and demand fingerprints here, plan fingerprints, run digests and
+/// memo keys in `ffis-core`. The field is the running hash.
+#[derive(Debug)]
+pub struct Fnv(pub u64);
 
 impl Fnv {
-    fn new() -> Self {
+    /// The FNV-1a 64-bit offset basis.
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
         Fnv(0xCBF2_9CE4_8422_2325)
     }
-    fn eat(&mut self, bytes: &[u8]) {
+    /// Fold `bytes` into the hash.
+    pub fn eat(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
-    fn eat_u64(&mut self, v: u64) {
+    /// Fold a little-endian `u64`.
+    pub fn eat_u64(&mut self, v: u64) {
         self.eat(&v.to_le_bytes());
     }
-    fn eat_str(&mut self, s: &str) {
+    /// Fold a length-prefixed string.
+    pub fn eat_str(&mut self, s: &str) {
         self.eat_u64(s.len() as u64);
         self.eat(s.as_bytes());
     }

@@ -257,6 +257,50 @@ fn warm_memo_store_replays_runs_from_cache() {
     check(&montage, FaultSignature::on_write(FaultModel::bit_flip()), 6, "montage write warm");
 }
 
+/// Engine law 8 on the multi-signature path: a write+read campaign
+/// over multi-tile Montage agrees — per shard and in `run_digest` —
+/// with memo on vs off and with a cold vs warm store. Memo-on, the
+/// read shard plans `IncrementalAnalyze` where memo-off plans
+/// `AnalyzeOnly`; the write shard stays `Replay`.
+#[test]
+fn memoized_two_signature_campaign_equals_full_analyze() {
+    let app = MontageApp::multi_tile(3);
+    let mk = |memo: bool, store: Option<Arc<MemoStore>>| {
+        let mut cfg = CampaignConfig::mixed(vec![
+            FaultSignature::on_write(FaultModel::bit_flip()),
+            FaultSignature::on_read(FaultModel::bit_flip()),
+        ])
+        .with_runs(12)
+        .with_seed(4242)
+        .with_replay(true)
+        .with_memo(memo);
+        if let Some(store) = store {
+            cfg = cfg.with_memo_store(store);
+        }
+        Campaign::new(&app, cfg).run().unwrap()
+    };
+    let store = Arc::new(MemoStore::in_memory());
+    let full = mk(false, None);
+    let cold = mk(true, Some(Arc::clone(&store)));
+    let warm = mk(true, Some(store));
+    assert_eq!(full.memo.fallback, Some(MemoFallback::Disabled));
+    assert_eq!(full.shards[1].mode, ExecutionMode::AnalyzeOnly);
+    for (memo, what) in [(&cold, "montage write+read cold"), (&warm, "montage write+read warm")] {
+        assert!(memo.memo.engaged, "{}: {}", what, memo.memo.reason());
+        assert!(memo.memo.stats.hits > 0, "{}", what);
+        assert_eq!(memo.shards[0].mode, ExecutionMode::Replay, "{}", what);
+        assert_eq!(memo.shards[1].mode, ExecutionMode::IncrementalAnalyze, "{}", what);
+        assert_equivalent(memo, &full, what);
+        assert_eq!(memo.run_digest(), full.run_digest(), "{}", what);
+        for (a, b) in memo.shards.iter().zip(&full.shards) {
+            assert_eq!(a.eligible, b.eligible, "{}", what);
+            assert_eq!(a.tally, b.tally, "{}", what);
+        }
+    }
+    assert!(cold.memo.stats.misses > 0, "cold run must compute");
+    assert_eq!(warm.memo.stats.misses, 0, "warm run must not recompute");
+}
+
 /// The dirty cascade is visible in the counters: a write-site campaign
 /// on a multi-file app invalidates only the sub-steps whose declared
 /// inputs the injected op dirtied, and the remaining (clean) sub-steps

@@ -848,7 +848,7 @@ proptest! {
         seed in any::<u64>(),
         runs in 4usize..8,
     ) {
-        use ffis_core::{FaultSignature, MixedCampaign, MixedCampaignConfig};
+        use ffis_core::{Campaign, CampaignConfig, FaultSignature};
 
         // A macro (not a generic fn) so prop_assert's early return
         // lands in the enclosing property body for each app.
@@ -856,7 +856,7 @@ proptest! {
             ($app:expr) => {{
                 let app = $app;
                 let mk = |parallel: bool| {
-                    let mut cfg = MixedCampaignConfig::new(vec![
+                    let mut cfg = CampaignConfig::mixed(vec![
                         FaultSignature::on_write(FaultModel::bit_flip()),
                         FaultSignature::on_read(FaultModel::bit_flip()),
                     ])
@@ -864,7 +864,7 @@ proptest! {
                     .with_seed(seed)
                     .with_replay(true);
                     cfg.parallel = parallel;
-                    MixedCampaign::new(&app, cfg).run().unwrap()
+                    Campaign::new(&app, cfg).run().unwrap()
                 };
                 let serial = mk(false);
                 let parallel = mk(true);
@@ -906,7 +906,7 @@ proptest! {
         parallel in any::<bool>(),
     ) {
         use ffis_core::engine::journal;
-        use ffis_core::{CompletionStatus, FaultSignature, MixedCampaign, MixedCampaignConfig};
+        use ffis_core::{Campaign, CampaignConfig, CompletionStatus, FaultSignature};
 
         macro_rules! check {
             ($name:expr, $app:expr) => {{
@@ -918,7 +918,7 @@ proptest! {
                 std::fs::create_dir_all(&dir).unwrap();
                 let jpath = dir.join("mixed.journal");
                 let mk = |journaled: bool, resume: bool| {
-                    let mut cfg = MixedCampaignConfig::new(vec![
+                    let mut cfg = CampaignConfig::mixed(vec![
                         FaultSignature::on_write(FaultModel::bit_flip()),
                         FaultSignature::on_read(FaultModel::bit_flip()),
                     ])
@@ -929,7 +929,7 @@ proptest! {
                     if journaled {
                         cfg = cfg.with_journal(&jpath).with_resume(resume);
                     }
-                    MixedCampaign::new(&app, cfg).run().unwrap()
+                    Campaign::new(&app, cfg).run().unwrap()
                 };
                 let control = mk(false, false);
                 let full = mk(true, false);

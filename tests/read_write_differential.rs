@@ -234,11 +234,9 @@ fn analyze_only_equals_full_rerun_on_all_three_apps() {
 /// on/off.
 #[test]
 fn mixed_read_write_campaign_is_deterministic() {
-    use ffis_core::{MixedCampaign, MixedCampaignConfig};
-
     let app = nyx();
     let mk = |parallel: bool| {
-        let mut cfg = MixedCampaignConfig::new(vec![
+        let mut cfg = CampaignConfig::mixed(vec![
             FaultSignature::on_write(FaultModel::bit_flip()),
             FaultSignature::on_read(FaultModel::bit_flip()),
             FaultSignature::on_write(FaultModel::dropped_write()),
@@ -248,7 +246,7 @@ fn mixed_read_write_campaign_is_deterministic() {
         .with_seed(777)
         .with_replay(true);
         cfg.parallel = parallel;
-        MixedCampaign::new(&app, cfg).run().unwrap()
+        Campaign::new(&app, cfg).run().unwrap()
     };
 
     let a = mk(true);
@@ -284,8 +282,8 @@ fn mixed_read_write_campaign_is_deterministic() {
     }
 }
 
-/// The engine refactor routes [`MixedCampaign`] through the shared
-/// planner/executor/sink; this pins its seeded behavior — per-shard
+/// Multi-signature campaigns run through the same driver, planner,
+/// executor and sink; this pins their seeded behavior — per-shard
 /// tallies plus the strategy-independent FNV digest over every run —
 /// so the interleaved schedule can never silently reorder or reseed
 /// runs. The digest excludes [`ExecutionMode`], so the same constants
@@ -293,10 +291,8 @@ fn mixed_read_write_campaign_is_deterministic() {
 /// equivalence law.
 #[test]
 fn mixed_campaign_pinned_through_engine() {
-    use ffis_core::{MixedCampaign, MixedCampaignConfig};
-
     let app = nyx();
-    let cfg = MixedCampaignConfig::new(vec![
+    let cfg = CampaignConfig::mixed(vec![
         FaultSignature::on_write(FaultModel::bit_flip()),
         FaultSignature::on_read(FaultModel::bit_flip()),
         FaultSignature::on_write(FaultModel::dropped_write()),
@@ -304,26 +300,14 @@ fn mixed_campaign_pinned_through_engine() {
     ])
     .with_runs(16)
     .with_seed(4242);
-    let result = MixedCampaign::new(&app, cfg).run().unwrap();
+    let result = Campaign::new(&app, cfg).run().unwrap();
 
     let got_shards: Vec<(u64, u64, u64, u64)> = result
         .shards
         .iter()
         .map(|s| (s.tally.benign, s.tally.detected, s.tally.sdc, s.tally.crash))
         .collect();
-    let mixed = CampaignResult {
-        tally: result.tally,
-        runs: result.runs.clone(),
-        profile: result.profile.clone(),
-        mode: ExecutionMode::Replay,
-        plan_fingerprint: result.plan_fingerprint,
-        status: result.status,
-        executed: result.executed,
-        resumed: result.resumed,
-        memo: ffis_core::MemoReport::default(),
-        replay_opt: ffis_core::ReplayOptReport::default(),
-    };
-    let got_digest = digest(&mixed);
+    let got_digest = digest(&result);
     assert_eq!(
         (&got_shards[..], got_digest),
         (&MIXED_PIN_SHARDS[..], MIXED_PIN_DIGEST),
