@@ -24,6 +24,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ffis_bench::bench_json;
 use ffis_core::prelude::*;
+use ffis_daemon::json::{field, Json};
 use nyx_sim::{FieldConfig, NyxApp, NyxConfig};
 
 fn read_campaign(app: &NyxApp, replay: bool, runs: usize) -> CampaignResult {
@@ -128,17 +129,17 @@ fn bench_read_replay(c: &mut Criterion) {
 
     bench_json::save(
         "BENCH_read_replay.json",
-        &bench_json::object(&[
-            ("bench", bench_json::string("read_replay")),
-            ("runs", bench_json::number(runs as f64)),
-            ("legacy_wall_s", bench_json::number(legacy_t.as_secs_f64())),
-            ("analyze_only_wall_s", bench_json::number(fast_t.as_secs_f64())),
-            ("speedup", bench_json::number(speedup)),
-            ("read_runs_per_s", bench_json::number(read_runs_s)),
-            ("write_replay_runs_per_s", bench_json::number(write_runs_s)),
-            (
+        &Json::Obj(vec![
+            field("bench", Json::Str("read_replay".into())),
+            field("runs", Json::Num(runs as f64)),
+            field("legacy_wall_s", Json::Num(legacy_t.as_secs_f64())),
+            field("analyze_only_wall_s", Json::Num(fast_t.as_secs_f64())),
+            field("speedup", Json::Num(speedup)),
+            field("read_runs_per_s", Json::Num(read_runs_s)),
+            field("write_replay_runs_per_s", Json::Num(write_runs_s)),
+            field(
                 "read_vs_write_throughput_ratio",
-                bench_json::number(read_runs_s / write_runs_s.max(1e-12)),
+                Json::Num(read_runs_s / write_runs_s.max(1e-12)),
             ),
         ]),
     );

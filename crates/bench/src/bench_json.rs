@@ -2,60 +2,13 @@
 //!
 //! The report tables are for humans; CI archives the same numbers as
 //! JSON artifacts so the perf trajectory (runs/s, wall time,
-//! checkpoint hits, speedups) is queryable across commits. The
-//! environment is offline — no serde — so this is a deliberately tiny
-//! hand-rolled emitter covering exactly the value shapes the harness
-//! needs: numbers, strings, arrays, and flat objects.
+//! checkpoint hits, speedups) is queryable across commits. Documents
+//! are [`ffis_daemon::json::Json`] values — the workspace's one JSON
+//! emitter — and this module only decides where they land.
 
 use std::path::PathBuf;
 
-/// Render a JSON number (finite floats trimmed; non-finite values
-/// become `null`, which JSON has no number for).
-pub fn number(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{}", v)
-    }
-}
-
-/// Render a JSON boolean.
-pub fn bool(v: bool) -> String {
-    if v { "true" } else { "false" }.to_string()
-}
-
-/// Render a JSON string with the mandatory escapes.
-pub fn string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Render a JSON array from already-rendered values.
-pub fn array(values: &[String]) -> String {
-    format!("[{}]", values.join(","))
-}
-
-/// Render a JSON object from `(key, already-rendered value)` pairs.
-pub fn object(fields: &[(&str, String)]) -> String {
-    let body: Vec<String> = fields.iter().map(|(k, v)| format!("{}:{}", string(k), v)).collect();
-    format!("{{{}}}", body.join(","))
-}
+use ffis_daemon::json::Json;
 
 /// Where benchmark JSON lands: `$FFIS_BENCH_JSON_DIR` when set (the CI
 /// artifact staging directory), `target/bench-json` otherwise.
@@ -65,19 +18,19 @@ pub fn out_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("target/bench-json"))
 }
 
-/// Write one rendered JSON document under [`out_dir`], returning the
-/// path. Best-effort by design: a bench must never fail because an
-/// artifact directory is read-only — the numbers were already printed.
-pub fn save(name: &str, json: &str) -> Option<PathBuf> {
-    save_in(&out_dir(), name, json)
+/// Write one JSON document under [`out_dir`], returning the path.
+/// Best-effort by design: a bench must never fail because an artifact
+/// directory is read-only — the numbers were already printed.
+pub fn save(name: &str, doc: &Json) -> Option<PathBuf> {
+    save_in(&out_dir(), name, doc)
 }
 
 /// [`save`] into an explicit directory (the `repro` experiments write
 /// next to their reports in `--out`).
-pub fn save_in(dir: &std::path::Path, name: &str, json: &str) -> Option<PathBuf> {
+pub fn save_in(dir: &std::path::Path, name: &str, doc: &Json) -> Option<PathBuf> {
     std::fs::create_dir_all(dir).ok()?;
     let path = dir.join(name);
-    std::fs::write(&path, format!("{}\n", json)).ok()?;
+    std::fs::write(&path, format!("{}\n", doc.render())).ok()?;
     Some(path)
 }
 
@@ -86,21 +39,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn values_render_as_json() {
-        assert_eq!(number(5.0), "5");
-        assert_eq!(number(5.25), "5.25");
-        assert_eq!(number(f64::NAN), "null");
-        assert_eq!(bool(true), "true");
-        assert_eq!(bool(false), "false");
-        assert_eq!(string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(array(&[number(1.0), string("x")]), "[1,\"x\"]");
-        assert_eq!(object(&[("n", number(2.0)), ("s", string("v"))]), "{\"n\":2,\"s\":\"v\"}");
-    }
-
-    #[test]
     fn save_in_writes_the_document() {
         let dir = std::env::temp_dir().join(format!("ffis-bench-json-{}", std::process::id()));
-        let path = save_in(&dir, "BENCH_t.json", &object(&[("ok", number(1.0))])).unwrap();
+        let doc = Json::Obj(vec![ffis_daemon::json::field("ok", Json::Num(1.0))]);
+        let path = save_in(&dir, "BENCH_t.json", &doc).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"ok\":1}\n");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -29,6 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ffis_core::{CampaignResult, CampaignSpec, CompletionStatus, RunObserver};
+use ffis_daemon::json::{field, Json};
 use ffis_daemon::{execute_spec, ExecHooks};
 use ffis_vfs::MemoStore;
 
@@ -284,47 +285,44 @@ pub fn analyze_memo(opts: &Options) -> Report {
     }
 
     let memo_json = |s: &ffis_vfs::MemoStats| {
-        bench_json::object(&[
-            ("hits", bench_json::number(s.hits as f64)),
-            ("misses", bench_json::number(s.misses as f64)),
-            ("invalidations", bench_json::number(s.invalidations as f64)),
+        Json::Obj(vec![
+            field("hits", Json::Num(s.hits as f64)),
+            field("misses", Json::Num(s.misses as f64)),
+            field("invalidations", Json::Num(s.invalidations as f64)),
         ])
     };
-    let cells_json: Vec<String> = measured
+    let cells_json: Vec<Json> = measured
         .iter()
         .map(|c| {
-            bench_json::object(&[
-                ("app", bench_json::string(c.app)),
-                ("model", bench_json::string(&c.label)),
-                ("site", bench_json::string(c.site)),
-                ("files", bench_json::number(c.files as f64)),
-                ("substeps", bench_json::number(c.substeps as f64)),
-                ("runs", bench_json::number(c.runs as f64)),
-                ("wall_full_s", bench_json::number(c.full.wall_s)),
-                ("wall_cold_s", bench_json::number(c.cold.wall_s)),
-                ("wall_warm_s", bench_json::number(c.warm.wall_s)),
-                ("run_phase_full_s", bench_json::number(c.full.run_phase_s)),
-                ("run_phase_cold_s", bench_json::number(c.cold.run_phase_s)),
-                ("run_phase_warm_s", bench_json::number(c.warm.run_phase_s)),
-                ("cold_speedup", bench_json::number(c.cold_speedup())),
-                ("warm_speedup", bench_json::number(c.warm_speedup())),
-                ("memo_cold", memo_json(&c.cold.result.memo.stats)),
-                ("memo_warm", memo_json(&c.warm.result.memo.stats)),
-                (
-                    "run_digest",
-                    bench_json::string(&format!("{:#018x}", c.full.result.run_digest())),
-                ),
-                ("digest_match", bench_json::bool(true)),
+            Json::Obj(vec![
+                field("app", Json::Str(c.app.into())),
+                field("model", Json::Str(c.label.clone())),
+                field("site", Json::Str(c.site.into())),
+                field("files", Json::Num(c.files as f64)),
+                field("substeps", Json::Num(c.substeps as f64)),
+                field("runs", Json::Num(c.runs as f64)),
+                field("wall_full_s", Json::Num(c.full.wall_s)),
+                field("wall_cold_s", Json::Num(c.cold.wall_s)),
+                field("wall_warm_s", Json::Num(c.warm.wall_s)),
+                field("run_phase_full_s", Json::Num(c.full.run_phase_s)),
+                field("run_phase_cold_s", Json::Num(c.cold.run_phase_s)),
+                field("run_phase_warm_s", Json::Num(c.warm.run_phase_s)),
+                field("cold_speedup", Json::Num(c.cold_speedup())),
+                field("warm_speedup", Json::Num(c.warm_speedup())),
+                field("memo_cold", memo_json(&c.cold.result.memo.stats)),
+                field("memo_warm", memo_json(&c.warm.result.memo.stats)),
+                field("run_digest", Json::Str(format!("{:#018x}", c.full.result.run_digest()))),
+                field("digest_match", Json::Bool(true)),
             ])
         })
         .collect();
-    let json = bench_json::object(&[
-        ("bench", bench_json::string("analyze_memo")),
-        ("runs_per_pass", bench_json::number(opts.runs as f64)),
-        ("seed", bench_json::number(opts.seed as f64)),
-        ("cold_speedup_floor", bench_json::number(COLD_SPEEDUP_FLOOR)),
-        ("warm_speedup_floor", bench_json::number(WARM_SPEEDUP_FLOOR)),
-        ("cells", bench_json::array(&cells_json)),
+    let json = Json::Obj(vec![
+        field("bench", Json::Str("analyze_memo".into())),
+        field("runs_per_pass", Json::Num(opts.runs as f64)),
+        field("seed", Json::Num(opts.seed as f64)),
+        field("cold_speedup_floor", Json::Num(COLD_SPEEDUP_FLOOR)),
+        field("warm_speedup_floor", Json::Num(WARM_SPEEDUP_FLOOR)),
+        field("cells", Json::Arr(cells_json)),
     ]);
     if let Some(path) = bench_json::save_in(&opts.out, "BENCH_analyze_memo.json", &json) {
         report.line(format!("(machine-readable numbers: {})", path.display()));

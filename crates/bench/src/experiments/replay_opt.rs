@@ -38,6 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ffis_core::{CampaignResult, CampaignSpec, CompletionStatus, ExecutionMode, RunObserver};
+use ffis_daemon::json::{field, Json};
 use ffis_daemon::{execute_spec, ExecHooks};
 
 use crate::bench_json;
@@ -284,39 +285,39 @@ pub fn replay_opt(opts: &Options) -> Report {
     }
 
     let opt_json = |r: &ffis_core::ReplayOptReport| {
-        bench_json::object(&[
-            ("engaged", bench_json::bool(r.engaged)),
-            ("demand_placed", bench_json::bool(r.demand_placed)),
-            ("replayed_suffix_ops", bench_json::number(r.replayed_suffix_ops as f64)),
-            ("minimal_suffix_ops", bench_json::number(r.minimal_suffix_ops as f64)),
-            ("overshoot", bench_json::number(r.overshoot as f64)),
-            ("batches", bench_json::number(r.batches as f64)),
-            ("batched_runs", bench_json::number(r.batched_runs as f64)),
-            ("coalesced_calls", bench_json::number(r.coalesced_calls as f64)),
-            ("coalesced_ops", bench_json::number(r.coalesced_ops as f64)),
-            ("skipped_tail_ops", bench_json::number(r.skipped_tail_ops as f64)),
+        Json::Obj(vec![
+            field("engaged", Json::Bool(r.engaged)),
+            field("demand_placed", Json::Bool(r.demand_placed)),
+            field("replayed_suffix_ops", Json::Num(r.replayed_suffix_ops as f64)),
+            field("minimal_suffix_ops", Json::Num(r.minimal_suffix_ops as f64)),
+            field("overshoot", Json::Num(r.overshoot as f64)),
+            field("batches", Json::Num(r.batches as f64)),
+            field("batched_runs", Json::Num(r.batched_runs as f64)),
+            field("coalesced_calls", Json::Num(r.coalesced_calls as f64)),
+            field("coalesced_ops", Json::Num(r.coalesced_ops as f64)),
+            field("skipped_tail_ops", Json::Num(r.skipped_tail_ops as f64)),
         ])
     };
-    let cells_json: Vec<String> = measured
+    let cells_json: Vec<Json> = measured
         .iter()
         .map(|c| {
-            bench_json::object(&[
-                ("app", bench_json::string(c.app)),
-                ("model", bench_json::string(&c.label)),
-                ("site", bench_json::string("write")),
-                ("grid", bench_json::number(c.grid as f64)),
-                ("files", bench_json::number(c.files as f64)),
-                ("runs", bench_json::number(c.runs as f64)),
-                ("wall_control_s", bench_json::number(c.control.wall_s)),
-                ("wall_optimized_s", bench_json::number(c.optimized.wall_s)),
-                ("run_phase_control_s", bench_json::number(c.control.run_phase_s)),
-                ("run_phase_optimized_s", bench_json::number(c.optimized.run_phase_s)),
-                ("speedup", bench_json::number(c.speedup())),
-                ("control", opt_json(&c.control.result.replay_opt)),
-                ("optimized", opt_json(&c.optimized.result.replay_opt)),
-                (
+            Json::Obj(vec![
+                field("app", Json::Str(c.app.into())),
+                field("model", Json::Str(c.label.clone())),
+                field("site", Json::Str("write".into())),
+                field("grid", Json::Num(c.grid as f64)),
+                field("files", Json::Num(c.files as f64)),
+                field("runs", Json::Num(c.runs as f64)),
+                field("wall_control_s", Json::Num(c.control.wall_s)),
+                field("wall_optimized_s", Json::Num(c.optimized.wall_s)),
+                field("run_phase_control_s", Json::Num(c.control.run_phase_s)),
+                field("run_phase_optimized_s", Json::Num(c.optimized.run_phase_s)),
+                field("speedup", Json::Num(c.speedup())),
+                field("control", opt_json(&c.control.result.replay_opt)),
+                field("optimized", opt_json(&c.optimized.result.replay_opt)),
+                field(
                     "overshoot_reduction",
-                    bench_json::number(
+                    Json::Num(
                         c.control
                             .result
                             .replay_opt
@@ -325,21 +326,18 @@ pub fn replay_opt(opts: &Options) -> Report {
                             as f64,
                     ),
                 ),
-                (
-                    "run_digest",
-                    bench_json::string(&format!("{:#018x}", c.control.result.run_digest())),
-                ),
-                ("digest_match", bench_json::bool(true)),
+                field("run_digest", Json::Str(format!("{:#018x}", c.control.result.run_digest()))),
+                field("digest_match", Json::Bool(true)),
             ])
         })
         .collect();
-    let json = bench_json::object(&[
-        ("bench", bench_json::string("replay_opt")),
-        ("grid", bench_json::number(n as f64)),
-        ("runs_per_pass", bench_json::number(opts.runs as f64)),
-        ("seed", bench_json::number(opts.seed as f64)),
-        ("speedup_floor", bench_json::number(OPT_SPEEDUP_FLOOR)),
-        ("cells", bench_json::array(&cells_json)),
+    let json = Json::Obj(vec![
+        field("bench", Json::Str("replay_opt".into())),
+        field("grid", Json::Num(n as f64)),
+        field("runs_per_pass", Json::Num(opts.runs as f64)),
+        field("seed", Json::Num(opts.seed as f64)),
+        field("speedup_floor", Json::Num(OPT_SPEEDUP_FLOOR)),
+        field("cells", Json::Arr(cells_json)),
     ]);
     if let Some(path) = bench_json::save_in(&opts.out, "BENCH_replay_opt.json", &json) {
         report.line(format!("(machine-readable numbers: {})", path.display()));

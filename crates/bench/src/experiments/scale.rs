@@ -47,6 +47,7 @@ use std::time::Instant;
 
 use ffis_core::prelude::*;
 use ffis_core::{CampaignResult, CampaignSpec, CompletionStatus, RunResult};
+use ffis_daemon::json::{field, Json};
 use ffis_daemon::{execute_spec, run_distributed, self_worker_cmd, ExecHooks, StoreTotals};
 use ffis_vfs::{CheckpointStore, MemoStats, MemoStore};
 
@@ -432,49 +433,43 @@ pub fn scale(opts: &Options) -> Report {
     // the run/commit metadata that identifies each cell's plan: the
     // journal schema, the plan fingerprint a resume must match, and
     // the run digest the resume-law CI job diffs against its control.
-    let cells_json: Vec<String> = stats
+    let cells_json: Vec<Json> = stats
         .iter()
         .map(|s| {
-            bench_json::object(&[
-                ("model", bench_json::string(s.label)),
-                ("site", bench_json::string(s.site.token())),
-                ("exec", bench_json::string(&s.mode)),
-                ("runs", bench_json::number(s.total as f64)),
-                ("wall_s", bench_json::number(s.wall_s)),
-                ("runs_per_s", bench_json::number(s.runs_per_s)),
-                ("plan_fingerprint", bench_json::string(&format!("{:#018x}", s.plan_fingerprint))),
-                ("run_digest", bench_json::string(&format!("{:#018x}", s.run_digest))),
-                ("executed", bench_json::number(s.executed as f64)),
-                ("resumed", bench_json::number(s.resumed as f64)),
-                ("complete", bench_json::bool(s.complete)),
-                (
-                    "journal",
-                    s.journal.as_deref().map_or_else(|| "null".to_string(), bench_json::string),
-                ),
-                ("memo", bench_json::string(&s.memo_reason)),
-                ("replay_opt_engaged", bench_json::bool(s.replay_opt_engaged)),
-                ("replayed_suffix_ops", bench_json::number(s.replayed_suffix_ops as f64)),
-                ("checkpoint_overshoot", bench_json::number(s.overshoot as f64)),
+            Json::Obj(vec![
+                field("model", Json::Str(s.label.into())),
+                field("site", Json::Str(s.site.token().into())),
+                field("exec", Json::Str(s.mode.clone())),
+                field("runs", Json::Num(s.total as f64)),
+                field("wall_s", Json::Num(s.wall_s)),
+                field("runs_per_s", Json::Num(s.runs_per_s)),
+                field("plan_fingerprint", Json::Str(format!("{:#018x}", s.plan_fingerprint))),
+                field("run_digest", Json::Str(format!("{:#018x}", s.run_digest))),
+                field("executed", Json::Num(s.executed as f64)),
+                field("resumed", Json::Num(s.resumed as f64)),
+                field("complete", Json::Bool(s.complete)),
+                field("journal", s.journal.clone().map_or(Json::Null, Json::Str)),
+                field("memo", Json::Str(s.memo_reason.clone())),
+                field("replay_opt_engaged", Json::Bool(s.replay_opt_engaged)),
+                field("replayed_suffix_ops", Json::Num(s.replayed_suffix_ops as f64)),
+                field("checkpoint_overshoot", Json::Num(s.overshoot as f64)),
             ])
         })
         .collect();
-    let json = bench_json::object(&[
-        ("bench", bench_json::string("scale")),
-        (
-            "journal_schema",
-            bench_json::number(f64::from(ffis_core::engine::journal::JOURNAL_SCHEMA)),
-        ),
-        ("grid", bench_json::number(n as f64)),
-        ("seed", bench_json::number(opts.seed as f64)),
-        ("runs_per_cell", bench_json::number(opts.runs as f64)),
-        ("keep_runs", bench_json::number(SCALE_KEEP_RUNS as f64)),
-        ("checkpoint_builds", bench_json::number(store.builds() as f64)),
-        ("checkpoint_hits", bench_json::number(store.hits() as f64)),
-        ("memo_hits", bench_json::number(memo_totals.hits as f64)),
-        ("memo_misses", bench_json::number(memo_totals.misses as f64)),
-        ("memo_invalidations", bench_json::number(memo_totals.invalidations as f64)),
-        ("total_runs", bench_json::number(total_runs as f64)),
-        ("cells", bench_json::array(&cells_json)),
+    let json = Json::Obj(vec![
+        field("bench", Json::Str("scale".into())),
+        field("journal_schema", Json::Num(f64::from(ffis_core::engine::journal::JOURNAL_SCHEMA))),
+        field("grid", Json::Num(n as f64)),
+        field("seed", Json::Num(opts.seed as f64)),
+        field("runs_per_cell", Json::Num(opts.runs as f64)),
+        field("keep_runs", Json::Num(SCALE_KEEP_RUNS as f64)),
+        field("checkpoint_builds", Json::Num(store.builds() as f64)),
+        field("checkpoint_hits", Json::Num(store.hits() as f64)),
+        field("memo_hits", Json::Num(memo_totals.hits as f64)),
+        field("memo_misses", Json::Num(memo_totals.misses as f64)),
+        field("memo_invalidations", Json::Num(memo_totals.invalidations as f64)),
+        field("total_runs", Json::Num(total_runs as f64)),
+        field("cells", Json::Arr(cells_json)),
     ]);
     if let Some(path) = bench_json::save_in(&opts.out, "BENCH_scale.json", &json) {
         report.line(format!("(machine-readable numbers: {})", path.display()));
@@ -716,41 +711,41 @@ fn distributed_summary(
         cores
     ));
 
-    let cells_json: Vec<String> = speed
+    let cells_json: Vec<Json> = speed
         .iter()
         .map(|c| {
-            bench_json::object(&[
-                ("app", bench_json::string(c.app)),
-                ("model", bench_json::string(c.model)),
-                ("site", bench_json::string(c.site)),
-                ("runs", bench_json::number(c.runs as f64)),
-                ("wall_serial_s", bench_json::number(c.wall_serial_s)),
-                ("wall_distributed_s", bench_json::number(c.wall_distributed_s)),
-                ("speedup", bench_json::number(c.speedup())),
-                ("plan_fingerprint", bench_json::string(&format!("{:#018x}", c.plan_fingerprint))),
-                ("run_digest", bench_json::string(&format!("{:#018x}", c.run_digest))),
-                ("digest_match", bench_json::bool(true)),
+            Json::Obj(vec![
+                field("app", Json::Str(c.app.into())),
+                field("model", Json::Str(c.model.into())),
+                field("site", Json::Str(c.site.into())),
+                field("runs", Json::Num(c.runs as f64)),
+                field("wall_serial_s", Json::Num(c.wall_serial_s)),
+                field("wall_distributed_s", Json::Num(c.wall_distributed_s)),
+                field("speedup", Json::Num(c.speedup())),
+                field("plan_fingerprint", Json::Str(format!("{:#018x}", c.plan_fingerprint))),
+                field("run_digest", Json::Str(format!("{:#018x}", c.run_digest))),
+                field("digest_match", Json::Bool(true)),
             ])
         })
         .collect();
-    let json = bench_json::object(&[
-        ("bench", bench_json::string("distributed")),
-        ("workers", bench_json::number(opts.workers as f64)),
-        ("cores", bench_json::number(cores as f64)),
-        ("grid", bench_json::number(n as f64)),
-        ("runs_per_cell", bench_json::number(opts.runs as f64)),
-        ("cells", bench_json::array(&cells_json)),
-        (
+    let json = Json::Obj(vec![
+        field("bench", Json::Str("distributed".into())),
+        field("workers", Json::Num(opts.workers as f64)),
+        field("cores", Json::Num(cores as f64)),
+        field("grid", Json::Num(n as f64)),
+        field("runs_per_cell", Json::Num(opts.runs as f64)),
+        field("cells", Json::Arr(cells_json)),
+        field(
             "store",
-            bench_json::object(&[
-                ("builds", bench_json::number(fan_store.builds as f64)),
-                ("disk_hits", bench_json::number(fan_store.disk_hits as f64)),
-                ("blobs", bench_json::number(fan_store.blobs as f64)),
-                ("logical_bytes", bench_json::number(fan_store.logical_bytes as f64)),
-                ("physical_bytes", bench_json::number(fan_store.physical_bytes as f64)),
-                ("dedup_hits", bench_json::number(fan_store.dedup_hits as f64)),
-                ("dedup_ratio", bench_json::number(fan_store.dedup_ratio())),
-                ("corrupt_discards", bench_json::number(fan_store.corrupt_discards as f64)),
+            Json::Obj(vec![
+                field("builds", Json::Num(fan_store.builds as f64)),
+                field("disk_hits", Json::Num(fan_store.disk_hits as f64)),
+                field("blobs", Json::Num(fan_store.blobs as f64)),
+                field("logical_bytes", Json::Num(fan_store.logical_bytes as f64)),
+                field("physical_bytes", Json::Num(fan_store.physical_bytes as f64)),
+                field("dedup_hits", Json::Num(fan_store.dedup_hits as f64)),
+                field("dedup_ratio", Json::Num(fan_store.dedup_ratio())),
+                field("corrupt_discards", Json::Num(fan_store.corrupt_discards as f64)),
             ]),
         ),
     ]);

@@ -18,12 +18,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ffis_vfs::{
-    BatchFork, BatchForks, CheckpointStore, CounterSnapshot, FfisFs, Fnv, Interceptor, MemFs,
+    wire, BatchFork, BatchForks, CheckpointStore, CounterSnapshot, FfisFs, Fnv, Interceptor, MemFs,
     MemoStats, MemoStore, Placement, Primitive, ReadLedger, ReadRecord, ReplayCursor,
     TraceCheckpoint, TraceCheckpoints, TraceOp, TraceRecorder, PRIMITIVES,
 };
 
-use crate::engine::journal::{wire, JournalEntry};
+use crate::engine::journal::JournalEntry;
 use crate::engine::{
     self, CancelToken, CompletionStatus, Durability, EngineConfig, ExecutionPlan, JournalError,
     JournalMeta, PlannedRun, RunEvent, RunJournal, RunRecord, RunStrategy,

@@ -23,7 +23,9 @@
 //! payload: index u64 | outcome u8 | fired u8 | frontend bytes
 //! ```
 //!
-//! Each record is framed by its own CRC-32, so a torn tail (the process
+//! Each record is one `ffis_vfs::frame` record (`put_record` /
+//! `take_record`, the same `len | crc | body` core every sealed store
+//! file uses) guarded by its own CRC-32, so a torn tail (the process
 //! was killed mid-append) is detected and *discarded* on resume — the
 //! interrupted run simply re-executes. The journal is flushed to the OS
 //! after every append but not fsynced: a SIGKILL of the campaign
@@ -42,6 +44,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use ffis_vfs::blobs::crc32;
+use ffis_vfs::{frame, wire};
 
 use crate::outcome::Outcome;
 
@@ -154,101 +157,6 @@ fn outcome_from_code(c: u8) -> Option<Outcome> {
         3 => Outcome::Crash,
         _ => return None,
     })
-}
-
-/// Append `v` as little-endian bytes (encoding helpers shared with the
-/// frontends' payload serializers).
-pub mod wire {
-    /// Append a `u32`, little-endian.
-    pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `u64`, little-endian.
-    pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-        put_u32(buf, s.len() as u32);
-        buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Append an optional length-prefixed UTF-8 string.
-    pub fn put_opt_str(buf: &mut Vec<u8>, s: Option<&str>) {
-        match s {
-            Some(s) => {
-                buf.push(1);
-                put_str(buf, s);
-            }
-            None => buf.push(0),
-        }
-    }
-
-    /// Cursor over encoded bytes; every read is bounds-checked so a
-    /// corrupt payload decodes to `None`, never a panic.
-    pub struct Reader<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        /// Reader over `buf` from the start.
-        pub fn new(buf: &'a [u8]) -> Self {
-            Reader { buf, pos: 0 }
-        }
-
-        /// Bytes not yet consumed.
-        pub fn remaining(&self) -> usize {
-            self.buf.len() - self.pos
-        }
-
-        /// Take one byte.
-        pub fn u8(&mut self) -> Option<u8> {
-            let b = *self.buf.get(self.pos)?;
-            self.pos += 1;
-            Some(b)
-        }
-
-        /// Take a little-endian `u32`.
-        pub fn u32(&mut self) -> Option<u32> {
-            let s = self.buf.get(self.pos..self.pos + 4)?;
-            self.pos += 4;
-            Some(u32::from_le_bytes(s.try_into().ok()?))
-        }
-
-        /// Take a little-endian `u64`.
-        pub fn u64(&mut self) -> Option<u64> {
-            let s = self.buf.get(self.pos..self.pos + 8)?;
-            self.pos += 8;
-            Some(u64::from_le_bytes(s.try_into().ok()?))
-        }
-
-        /// Take a length-prefixed UTF-8 string.
-        pub fn str(&mut self) -> Option<String> {
-            let len = self.u32()? as usize;
-            let s = self.buf.get(self.pos..self.pos.checked_add(len)?)?;
-            self.pos += len;
-            String::from_utf8(s.to_vec()).ok()
-        }
-
-        /// Take an optional length-prefixed UTF-8 string.
-        pub fn opt_str(&mut self) -> Option<Option<String>> {
-            match self.u8()? {
-                0 => Some(None),
-                1 => Some(Some(self.str()?)),
-                _ => None,
-            }
-        }
-
-        /// Take `n` raw bytes.
-        pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-            let s = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
-            self.pos += n;
-            Some(s)
-        }
-    }
 }
 
 fn encode_header(meta: &JournalMeta) -> Vec<u8> {
@@ -365,15 +273,13 @@ impl RunJournal {
         body.push(outcome_code(outcome));
         body.push(fired as u8);
         body.extend_from_slice(payload);
-        let mut frame = Vec::with_capacity(8 + body.len());
-        wire::put_u32(&mut frame, body.len() as u32);
-        wire::put_u32(&mut frame, crc32(&body));
-        frame.extend_from_slice(&body);
+        let mut record = Vec::with_capacity(8 + body.len());
+        frame::put_record(&mut record, &body);
 
         for (attempt, backoff_ms) in
             APPEND_BACKOFF_MS.iter().map(|&ms| Some(ms)).chain([None]).enumerate()
         {
-            match self.file.write_all(&frame).and_then(|()| self.file.flush()) {
+            match self.file.write_all(&record).and_then(|()| self.file.flush()) {
                 Ok(()) => {
                     self.records += 1;
                     return true;
@@ -452,16 +358,7 @@ impl Iterator for RecordScan<'_> {
     type Item = (JournalEntry, usize);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let frame = &self.body[self.pos..];
-        if frame.len() < 8 {
-            return None;
-        }
-        let len = u32::from_le_bytes(frame[..4].try_into().ok()?) as usize;
-        let crc = u32::from_le_bytes(frame[4..8].try_into().ok()?);
-        let payload = frame.get(8..8 + len)?;
-        if crc32(payload) != crc {
-            return None;
-        }
+        let (payload, used) = frame::take_record(&self.body[self.pos..])?;
         let mut r = wire::Reader::new(payload);
         let index = r.u64()? as usize;
         let outcome = outcome_from_code(r.u8()?)?;
@@ -471,7 +368,7 @@ impl Iterator for RecordScan<'_> {
             _ => return None,
         };
         let rest = payload[payload.len() - r.remaining()..].to_vec();
-        self.pos += 8 + len;
+        self.pos += used;
         Some((JournalEntry { index, outcome, fired, payload: rest }, self.pos))
     }
 }
@@ -763,6 +660,43 @@ mod tests {
         let (_, entries) = RunJournal::resume(&dest, &meta()).unwrap();
         assert_eq!(entries.len(), 1, "the torn run stays pending, not corrupted");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The journal format is frozen at `JOURNAL_SCHEMA = 1`: a journal
+    /// written by any earlier build must resume under this one and
+    /// vice versa, so the file is pinned byte for byte (the three
+    /// CRCs below were computed with zlib, not with this crate).
+    #[test]
+    fn two_record_journal_is_pinned_byte_for_byte() {
+        let path = tmp("pinned");
+        let meta =
+            JournalMeta { fingerprint: 0x0102_0304_0506_0708, context: "c".into(), ..meta() };
+        let mut j = RunJournal::create(&path, meta).unwrap();
+        j.append(1, Outcome::Sdc, true, b"ab");
+        j.append(0, Outcome::Benign, false, b"");
+        drop(j);
+        #[rustfmt::skip]
+        let expected: &[u8] = &[
+            // header: magic, schema 1, fingerprint, seed 42, runs 8,
+            // shards 2, context "c", CRC-32 of all of the above
+            b'F', b'F', b'I', b'S', b'J', b'N', b'L', b'1',
+            1, 0, 0, 0,
+            8, 7, 6, 5, 4, 3, 2, 1,
+            42, 0, 0, 0, 0, 0, 0, 0,
+            8, 0, 0, 0, 0, 0, 0, 0,
+            2, 0, 0, 0,
+            1, 0, 0, 0, b'c',
+            49, 221, 44, 7,
+            // record: len 12, crc, index 1, outcome 2 (sdc), fired 1, "ab"
+            12, 0, 0, 0,
+            46, 114, 225, 148,
+            1, 0, 0, 0, 0, 0, 0, 0, 2, 1, b'a', b'b',
+            // record: len 10, crc, index 0, outcome 0 (benign), fired 0
+            10, 0, 0, 0,
+            118, 104, 138, 227,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
     }
 
     #[test]

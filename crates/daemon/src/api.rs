@@ -12,11 +12,7 @@
 use ffis_core::engine::job::{CampaignSpec, JobFailure, JobState};
 use ffis_core::{Outcome, OutcomeTally, RunAborted, RunResult};
 
-use crate::json::{parse, u64_value, Json};
-
-fn field(name: &str, value: Json) -> (String, Json) {
-    (name.to_string(), value)
-}
+use crate::json::{field, parse, u64_value, Json};
 
 /// Encode a spec (round-trips through [`spec_from_json`]).
 pub fn spec_to_json(spec: &CampaignSpec) -> Json {

@@ -11,6 +11,12 @@
 //! | `result.json` | at terminal state | final [`JobView`] (`complete`/`failed`) |
 //! | `cancelled` | on `DELETE` | operator cancelled; do not auto-resume |
 //!
+//! Both JSON files are published by temp file + rename
+//! ([`write_atomic`]), so a daemon killed mid-write leaves no torn file
+//! under a final name; one that is unreadable anyway (bit rot) fails
+//! to parse and its job is skipped (`spec.json`) or re-run
+//! (`result.json`).
+//!
 //! The queue is persistent *by construction*: a job is its spec file
 //! plus its journal. [`JobQueue::open`] re-lists the directory, loads
 //! terminal results as-is, and re-enqueues every non-terminal job with
@@ -31,6 +37,7 @@ use std::thread::JoinHandle;
 
 use ffis_core::engine::job::{CampaignSpec, JobFailure, JobState};
 use ffis_core::{CancelToken, CompletionStatus, RunObserver};
+use ffis_vfs::frame::write_atomic;
 use ffis_vfs::{CheckpointStore, MemoStore};
 
 use crate::api::{self, JobView};
@@ -161,6 +168,9 @@ impl JobQueue {
         ids.sort_unstable();
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         for id in ids {
+            // Even a skipped job keeps its id: reusing it would hand a
+            // new job that directory's stale journal and markers.
+            inner.next_id = inner.next_id.max(id + 1);
             let dir = jobs_dir.join(id.to_string());
             let spec = match std::fs::read_to_string(dir.join("spec.json"))
                 .map_err(|e| e.to_string())
@@ -173,7 +183,6 @@ impl JobQueue {
                     continue;
                 }
             };
-            inner.next_id = inner.next_id.max(id + 1);
             let view = match std::fs::read_to_string(dir.join("result.json")) {
                 Ok(text) => match json::parse(&text).and_then(|v| api::job_from_json(&v)) {
                     Ok(view) => view,
@@ -225,7 +234,7 @@ impl JobQueue {
         inner.next_id += 1;
         let dir = self.job_dir(id);
         std::fs::create_dir_all(&dir).map_err(|e| format!("persist job {}: {}", id, e))?;
-        std::fs::write(dir.join("spec.json"), api::spec_to_json(&spec).render())
+        write_atomic(&dir.join("spec.json"), api::spec_to_json(&spec).render().as_bytes())
             .map_err(|e| format!("persist job {}: {}", id, e))?;
         inner.jobs.insert(
             id,
@@ -532,7 +541,10 @@ impl JobQueue {
         }
         let terminal = matches!(job.view.state, JobState::Complete | JobState::Failed);
         if terminal {
-            let _ = std::fs::write(dir.join("result.json"), api::job_to_json(&job.view).render());
+            let _ = write_atomic(
+                &dir.join("result.json"),
+                api::job_to_json(&job.view).render().as_bytes(),
+            );
         }
         let done = api::done_line(&job.view);
         for tx in job.subscribers.drain(..) {
@@ -544,5 +556,48 @@ impl JobQueue {
             // may now exceed the retention cap.
             self.gc_terminal();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A job whose `spec.json` cannot be read is skipped, but its id
+    /// stays taken: the next submit must not inherit that directory's
+    /// stale journal, result, or `cancelled` marker.
+    #[test]
+    fn unreadable_newest_spec_keeps_its_id_out_of_circulation() {
+        let root = std::env::temp_dir().join(format!("ffis-jobs-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut spec = CampaignSpec::new("paced", "BF");
+        spec.runs = 2;
+
+        let queue = JobQueue::open(&root, 1).unwrap();
+        queue.submit(spec.clone()).unwrap();
+        let torn = queue.submit(spec.clone()).unwrap();
+        queue.shutdown();
+        drop(queue);
+
+        let torn_dir = root.join("jobs").join(torn.to_string());
+        let text = std::fs::read(torn_dir.join("spec.json")).unwrap();
+        std::fs::write(torn_dir.join("spec.json"), &text[..text.len() / 2]).unwrap();
+        std::fs::write(torn_dir.join("cancelled"), b"").unwrap();
+
+        let queue = JobQueue::open(&root, 1).unwrap();
+        assert!(queue.job(torn).is_none(), "the unreadable job is skipped");
+        let fresh = queue.submit(spec.clone()).unwrap();
+        queue.shutdown();
+        assert!(fresh > torn, "job {fresh} reuses the id of skipped job {torn}");
+        let fresh_dir = root.join("jobs").join(fresh.to_string());
+        assert!(!fresh_dir.join("cancelled").exists(), "inherited a stale marker");
+        let published = std::fs::read_to_string(fresh_dir.join("spec.json")).unwrap();
+        assert_eq!(api::spec_from_json(&json::parse(&published).unwrap()).unwrap(), spec);
+        let leftovers = std::fs::read_dir(&fresh_dir)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().starts_with(".tmp-"))
+            .count();
+        assert_eq!(leftovers, 0, "the temp file was renamed into place");
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -111,6 +111,8 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
+            // JSON has no spelling for NaN or the infinities.
+            Json::Num(n) if !n.is_finite() => out.push_str("null"),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
                     let _ = write!(out, "{}", *n as i64);
@@ -143,6 +145,11 @@ impl Json {
             }
         }
     }
+}
+
+/// One object member, for building [`Json::Obj`] literals.
+pub fn field(name: &str, value: Json) -> (String, Json) {
+    (name.to_string(), value)
 }
 
 /// The wire value for a `u64`: a plain number when `f64`-exact,
@@ -337,12 +344,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next delimiter. The
+                    // input is a `&str` and both delimiters are ASCII,
+                    // so the run starts and ends on char boundaries.
+                    let run = &self.bytes[self.pos..];
+                    let end =
+                        run.iter().position(|b| matches!(b, b'"' | b'\\')).unwrap_or(run.len());
+                    out.push_str(
+                        std::str::from_utf8(&run[..end]).expect("cut at ASCII delimiters"),
+                    );
+                    self.pos += end;
                 }
             }
         }
@@ -423,6 +434,39 @@ mod tests {
     fn control_characters_escape() {
         let v = Json::Str("a\u{1}b\tc".into());
         assert_eq!(v.render(), "\"a\\u0001b\\tc\"");
+        assert_eq!(parse(&v.render()).unwrap(), v);
+        let v = Json::Str("a\"b\\c\nd".into());
+        assert_eq!(v.render(), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(parse(&v.render()).unwrap(), v);
+    }
+
+    /// What the `BENCH_*.json` emitters rely on: integral floats print
+    /// as integers, non-finite ones as `null`, members keep their order.
+    #[test]
+    fn documents_render_compactly() {
+        assert_eq!(Json::Num(5.0).render(), "5");
+        assert_eq!(Json::Num(5.25).render(), "5.25");
+        assert_eq!(Json::Num(f64::NAN).render(), "null");
+        assert_eq!(Json::Num(f64::INFINITY).render(), "null");
+        assert_eq!(Json::Bool(true).render(), "true");
+        assert_eq!(Json::Bool(false).render(), "false");
+        assert_eq!(Json::Arr(vec![Json::Num(1.0), Json::Str("x".into())]).render(), "[1,\"x\"]");
+        let doc = Json::Obj(vec![field("n", Json::Num(2.0)), field("s", Json::Str("v".into()))]);
+        assert_eq!(doc.render(), "{\"n\":2,\"s\":\"v\"}");
+    }
+
+    #[test]
+    fn multi_byte_scalars_survive_next_to_escapes_and_quotes() {
+        // 2-, 3- and 4-byte scalars directly against an escape, against
+        // each other, and against the closing quote.
+        let text = "\"é\\n€\\\"𝄞é\\u00e9𝄞\"";
+        assert_eq!(parse(text).unwrap(), Json::Str("é\n€\"𝄞éé𝄞".into()));
+        assert_eq!(parse("\"𝄞\"").unwrap(), Json::Str("𝄞".into()));
+        assert_eq!(parse("[\"é\",\"\\\\€\"]").unwrap().as_arr().unwrap().len(), 2);
+        assert!(parse("\"é").is_err(), "unterminated after a multi-byte scalar");
+        // Long strings parse in one pass over the body.
+        let long = "é€𝄞 plain ".repeat(20_000);
+        let v = Json::Str(long);
         assert_eq!(parse(&v.render()).unwrap(), v);
     }
 }

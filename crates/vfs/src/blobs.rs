@@ -10,19 +10,20 @@
 //! golden state — so a page is written to disk once no matter how many
 //! checkpoints, campaigns, or daemon jobs reference it.
 //!
-//! Durability follows the run journal's discipline: every blob file is
-//! CRC-framed, writes go through a temp file + atomic rename (so a
-//! concurrent writer or a crash can never expose a half-written blob
-//! under its final name), and a corrupt frame is **deleted and treated
-//! as a miss** — the caller rebuilds the state and rewrites the blob;
-//! corruption never crashes a campaign.
+//! Durability is [`crate::frame`]'s: every blob file is one sealed
+//! record published by temp file + atomic rename (so a concurrent
+//! writer or a crash can never expose a half-written blob under its
+//! final name), and a file that fails its CRC — or whose content does
+//! not hash to its own name — is **deleted and treated as a miss**:
+//! the caller rebuilds the state and rewrites the blob; corruption
+//! never crashes a campaign.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::wire;
+use crate::frame::FrameDir;
 
 /// Content address of a blob: SHA-256 over its bytes.
 pub type BlobHash = [u8; 32];
@@ -35,8 +36,9 @@ const BLOB_MAGIC: &[u8; 8] = b"FFISBLB1";
 // ---------------------------------------------------------------------------
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven and
-/// hand-rolled because the workspace is offline by policy. Frames the
-/// blob files here and `ffis-core`'s run journal records.
+/// hand-rolled because the workspace is offline by policy. Guards
+/// every record [`crate::frame`] seals and `ffis-core`'s run journal
+/// header.
 pub fn crc32(bytes: &[u8]) -> u32 {
     static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
     let table = TABLE.get_or_init(|| {
@@ -178,62 +180,40 @@ impl BlobStats {
 /// A content-addressed blob store: memory tier always, disk tier when
 /// constructed with a directory.
 ///
-/// Disk layout: `<dir>/<first 2 hex chars>/<64 hex chars>.blob`, each
-/// file framed as `magic | len u32 | crc32 u32 | bytes`. Writers land
-/// frames via temp-file + rename, so concurrent processes sharing one
-/// store directory race idempotently (same content ⇒ same name ⇒ same
-/// bytes). Readers verify the frame CRC *and* re-hash the payload
-/// against its address before trusting it; any mismatch deletes the
-/// file and reports a miss.
-#[derive(Debug)]
+/// Disk layout: a [`FrameDir`] of `<dir>/<first 2 hex chars>/<64 hex
+/// chars>.blob` files, each sealed as `"FFISBLB1" | len u32 | crc32
+/// u32 | bytes`. Concurrent processes sharing one store directory race
+/// idempotently (same content ⇒ same name ⇒ same bytes). Readers
+/// verify the frame CRC *and* re-hash the payload against its address
+/// before trusting it; any mismatch deletes the file and reports a
+/// miss.
+#[derive(Debug, Default)]
 pub struct BlobStore {
     mem: Mutex<HashMap<BlobHash, Arc<Vec<u8>>>>,
-    dir: Option<PathBuf>,
+    disk: Option<FrameDir>,
     logical_bytes: AtomicU64,
     physical_bytes: AtomicU64,
     dedup_hits: AtomicU64,
     disk_loads: AtomicU64,
-    corrupt_discards: AtomicU64,
-}
-
-impl Default for BlobStore {
-    fn default() -> Self {
-        Self::in_memory()
-    }
 }
 
 impl BlobStore {
     /// Memory-only store (no persistence).
     pub fn in_memory() -> Self {
-        BlobStore {
-            mem: Mutex::new(HashMap::new()),
-            dir: None,
-            logical_bytes: AtomicU64::new(0),
-            physical_bytes: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
-            disk_loads: AtomicU64::new(0),
-            corrupt_discards: AtomicU64::new(0),
-        }
+        Self::default()
     }
 
     /// Disk-backed store rooted at `dir` (created if missing). The
     /// directory may be shared by any number of processes.
     pub fn at_dir(dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let mut store = Self::in_memory();
-        store.dir = Some(dir.to_path_buf());
-        Ok(store)
+        let disk = Some(FrameDir::new(dir.to_path_buf(), BLOB_MAGIC, "blob"));
+        Ok(BlobStore { disk, ..Self::default() })
     }
 
     /// The disk-tier root, when this store has one.
     pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
-    fn blob_path(&self, hash: &BlobHash) -> Option<PathBuf> {
-        let dir = self.dir.as_ref()?;
-        let hex = hash_hex(hash);
-        Some(dir.join(&hex[..2]).join(format!("{}.blob", hex)))
+        self.disk.as_ref().map(FrameDir::root)
     }
 
     /// Store `bytes`, returning their content address. Identical
@@ -250,10 +230,10 @@ impl BlobStore {
             mem.insert(hash, Arc::new(bytes.to_vec()));
         }
         self.physical_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        if let Some(path) = self.blob_path(&hash) {
+        if let Some(disk) = &self.disk {
             // Best-effort persistence: a failed disk write degrades the
             // store to its memory tier, never a campaign.
-            let _ = write_frame(&path, bytes);
+            let _ = disk.publish(&hash_hex(&hash), bytes);
         }
         hash
     }
@@ -266,25 +246,17 @@ impl BlobStore {
         if let Some(hit) = self.mem.lock().unwrap_or_else(|e| e.into_inner()).get(hash) {
             return Some(hit.clone());
         }
-        let path = self.blob_path(hash)?;
-        let raw = std::fs::read(&path).ok()?;
-        match decode_frame(&raw) {
-            Some(bytes) if sha256(&bytes) == *hash => {
-                let blob = Arc::new(bytes);
-                let mut mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
-                let entry = mem.entry(*hash).or_insert_with(|| blob.clone()).clone();
-                drop(mem);
-                self.disk_loads.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
-            }
-            _ => {
-                // Torn or bit-rotted frame: drop it so the rebuild's
-                // rewrite starts clean.
-                let _ = std::fs::remove_file(&path);
-                self.corrupt_discards.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        // A CRC-valid frame holding other content than its name
+        // promises (a botched manual copy) is as corrupt as a torn one.
+        let bytes = self
+            .disk
+            .as_ref()?
+            .load(&hash_hex(hash), |body| (sha256(body) == *hash).then(|| body.to_vec()))?;
+        let mut mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
+        let entry = mem.entry(*hash).or_insert_with(|| Arc::new(bytes)).clone();
+        drop(mem);
+        self.disk_loads.fetch_add(1, Ordering::Relaxed);
+        Some(entry)
     }
 
     /// Is `hash` resident in the memory tier? (Accounting/tests; does
@@ -301,58 +273,15 @@ impl BlobStore {
             physical_bytes: self.physical_bytes.load(Ordering::Relaxed),
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
             disk_loads: self.disk_loads.load(Ordering::Relaxed),
-            corrupt_discards: self.corrupt_discards.load(Ordering::Relaxed),
+            corrupt_discards: self.disk.as_ref().map_or(0, FrameDir::discards),
         }
     }
-}
-
-/// Write one CRC-framed blob file via temp + atomic rename. The temp
-/// name embeds the pid so concurrent writers in different processes
-/// never collide mid-write.
-fn write_frame(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    if path.exists() {
-        return Ok(()); // Content-addressed: an existing file is this file.
-    }
-    let parent = path.parent().expect("blob paths have a shard directory");
-    std::fs::create_dir_all(parent)?;
-    let mut frame = Vec::with_capacity(bytes.len() + 16);
-    frame.extend_from_slice(BLOB_MAGIC);
-    wire::put_u32(&mut frame, bytes.len() as u32);
-    wire::put_u32(&mut frame, crc32(bytes));
-    frame.extend_from_slice(bytes);
-    let tmp = parent.join(format!(
-        ".tmp-{}-{}",
-        std::process::id(),
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("blob")
-    ));
-    std::fs::write(&tmp, &frame)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
-/// Decode a framed blob file; `None` on any structural or CRC damage.
-fn decode_frame(raw: &[u8]) -> Option<Vec<u8>> {
-    let mut r = wire::Reader::new(raw);
-    if r.bytes(BLOB_MAGIC.len())? != BLOB_MAGIC {
-        return None;
-    }
-    let len = r.u32()? as usize;
-    let crc = r.u32()?;
-    let bytes = r.bytes(len)?;
-    if r.remaining() != 0 || crc32(bytes) != crc {
-        return None;
-    }
-    Some(bytes.to_vec())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     #[test]
     fn sha256_known_vectors() {
@@ -401,6 +330,10 @@ mod tests {
         assert!(store.get(&sha256(b"never stored")).is_none());
     }
 
+    fn blob_path(store: &BlobStore, hash: &BlobHash) -> PathBuf {
+        store.disk.as_ref().unwrap().path(&hash_hex(hash))
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ffis-blobs-{}-{}", tag, std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -429,7 +362,7 @@ mod tests {
         let dir = temp_dir("corrupt");
         let store = BlobStore::at_dir(&dir).unwrap();
         let hash = store.put(b"will be damaged");
-        let path = store.blob_path(&hash).unwrap();
+        let path = blob_path(&store, &hash);
         assert!(path.exists());
 
         // Flip one payload byte on disk: CRC (and content hash) break.
@@ -454,12 +387,13 @@ mod tests {
         let dir = temp_dir("torn");
         let store = BlobStore::at_dir(&dir).unwrap();
         let hash = store.put(&[9u8; 1000]);
-        let path = store.blob_path(&hash).unwrap();
+        let path = blob_path(&store, &hash);
         let raw = std::fs::read(&path).unwrap();
         // Simulate a torn write: only half the frame made it to disk.
         std::fs::write(&path, &raw[..raw.len() / 2]).unwrap();
         let fresh = BlobStore::at_dir(&dir).unwrap();
         assert!(fresh.get(&hash).is_none());
+        assert_eq!(fresh.stats().corrupt_discards, 1);
         assert!(!path.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -469,17 +403,14 @@ mod tests {
         let dir = temp_dir("addr");
         let store = BlobStore::at_dir(&dir).unwrap();
         let hash = store.put(b"original");
-        let path = store.blob_path(&hash).unwrap();
+        let path = blob_path(&store, &hash);
         // A structurally valid frame holding *different* content under
         // this address (e.g. a botched manual copy) must not be served.
-        let mut frame = Vec::new();
-        frame.extend_from_slice(BLOB_MAGIC);
-        wire::put_u32(&mut frame, 5);
-        wire::put_u32(&mut frame, crc32(b"wrong"));
-        frame.extend_from_slice(b"wrong");
-        std::fs::write(&path, &frame).unwrap();
+        std::fs::write(&path, crate::frame::seal(BLOB_MAGIC, b"wrong")).unwrap();
         let fresh = BlobStore::at_dir(&dir).unwrap();
         assert!(fresh.get(&hash).is_none());
+        assert_eq!(fresh.stats().corrupt_discards, 1);
+        assert!(!path.exists(), "mis-addressed frame deleted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

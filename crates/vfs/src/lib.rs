@@ -81,6 +81,7 @@ pub mod counting;
 pub mod error;
 pub mod ffisfs;
 pub mod file;
+pub mod frame;
 pub mod fs;
 pub mod inode;
 pub mod interceptor;
@@ -88,7 +89,7 @@ pub mod memfs;
 pub mod memo;
 pub mod path;
 pub mod trace;
-mod wire;
+pub mod wire;
 
 pub use blobs::{BlobHash, BlobStats, BlobStore};
 pub use bufio::BufFile;

@@ -289,7 +289,7 @@ impl MemFs {
                     let n = r.u32()? as usize;
                     let mut map = BTreeMap::new();
                     for _ in 0..n {
-                        let name = r.str_()?;
+                        let name = r.str()?;
                         let child = r.u64()?;
                         map.insert(name, child);
                     }

@@ -18,9 +18,9 @@
 //! * **Values** are opaque byte strings stored in the [`BlobStore`]
 //!   (memory tier + optional CRC-framed disk tier).
 //! * **Single flight** — [`MemoStore::get_or_compute`] guarantees one
-//!   computation per key across racing threads: late arrivals block on
-//!   a condvar until the builder publishes (or fails, in which case one
-//!   waiter takes over). Same idiom as `CheckpointStore::get_or_build`.
+//!   computation per key across racing threads: late arrivals block
+//!   until the builder publishes (or fails, in which case one waiter
+//!   takes over). The same [`SingleFlight`] `CheckpointStore` uses.
 //! * **Counters** — hits, misses, and invalidations
 //!   ([`MemoStats`]) ride alongside the blob tier's [`BlobStats`];
 //!   campaigns surface both. An *invalidation* is recorded by the
@@ -30,20 +30,23 @@
 //! ## Disk layout
 //!
 //! `<dir>/index/<2 hex>/<64 hex>.memo` holds one `key address → value
-//! hash` entry, framed `magic | key 32B | value 32B | crc32`; values
-//! live under `<dir>/blobs/` in standard blob frames. Torn or
-//! bit-rotted index frames are deleted and read as a miss — corruption
-//! costs a recompute, never a wrong artifact, because the value fetch
-//! re-verifies content hashes end to end.
+//! hash` entry: a [`crate::frame`] record sealed `"FFISMEM2"` whose
+//! CRC-covered body is `key 32B | value 32B` (the key echo proves the
+//! file is the entry its name promises); values live under
+//! `<dir>/blobs/` in standard blob frames. Torn, bit-rotted or
+//! `FFISMEM1`-era index files are deleted and read as a miss —
+//! corruption costs a recompute, never a wrong artifact, because the
+//! value fetch re-verifies content hashes end to end.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
-use crate::blobs::{crc32, hash_hex, sha256, BlobHash, BlobStats, BlobStore};
+use crate::blobs::{hash_hex, sha256, BlobHash, BlobStats, BlobStore};
+use crate::frame::{FrameDir, SingleFlight};
 
-const INDEX_MAGIC: &[u8; 8] = b"FFISMEM1";
+const INDEX_MAGIC: &[u8; 8] = b"FFISMEM2";
 
 /// Hit/miss/invalidation counters for a [`MemoStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,37 +71,21 @@ impl MemoStats {
 }
 
 /// Key → artifact memo store over a content-addressed blob tier.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MemoStore {
     blobs: BlobStore,
     index: Mutex<HashMap<BlobHash, BlobHash>>,
-    building: Mutex<HashMap<BlobHash, ()>>,
-    cond: Condvar,
-    dir: Option<PathBuf>,
+    flight: SingleFlight<BlobHash>,
+    disk: Option<FrameDir>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
 }
 
-impl Default for MemoStore {
-    fn default() -> Self {
-        Self::in_memory()
-    }
-}
-
 impl MemoStore {
     /// Memory-only store (no persistence).
     pub fn in_memory() -> Self {
-        MemoStore {
-            blobs: BlobStore::in_memory(),
-            index: Mutex::new(HashMap::new()),
-            building: Mutex::new(HashMap::new()),
-            cond: Condvar::new(),
-            dir: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-        }
+        Self::default()
     }
 
     /// Disk-backed store rooted at `dir` (created if missing). The
@@ -108,21 +95,13 @@ impl MemoStore {
     pub fn at_dir(dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir.join("index"))?;
         let blobs = BlobStore::at_dir(&dir.join("blobs"))?;
-        let mut store = Self::in_memory();
-        store.blobs = blobs;
-        store.dir = Some(dir.to_path_buf());
-        Ok(store)
+        let disk = Some(FrameDir::new(dir.join("index"), INDEX_MAGIC, "memo"));
+        Ok(MemoStore { blobs, disk, ..Self::default() })
     }
 
     /// The disk-tier root, when this store has one.
     pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
-    fn index_path(&self, key: &BlobHash) -> Option<PathBuf> {
-        let dir = self.dir.as_ref()?;
-        let hex = hash_hex(key);
-        Some(dir.join("index").join(&hex[..2]).join(format!("{}.memo", hex)))
+        self.disk.as_ref().and_then(|d| d.root().parent())
     }
 
     /// Look `key` up without counting a hit or miss (internal; the
@@ -132,7 +111,11 @@ impl MemoStore {
         let value_hash = match cached {
             Some(h) => h,
             None => {
-                let h = self.load_index_frame(key)?;
+                // Body: the key echoed, then the value's content hash.
+                let h = self
+                    .disk
+                    .as_ref()?
+                    .load(&hash_hex(key), |body| body.strip_prefix(&key[..])?.try_into().ok())?;
                 self.index.lock().unwrap_or_else(|e| e.into_inner()).insert(*key, h);
                 h
             }
@@ -142,25 +125,13 @@ impl MemoStore {
         self.blobs.get(&value_hash)
     }
 
-    fn load_index_frame(&self, key: &BlobHash) -> Option<BlobHash> {
-        let path = self.index_path(key)?;
-        let raw = std::fs::read(&path).ok()?;
-        match decode_index_frame(&raw, key) {
-            Some(value) => Some(value),
-            None => {
-                let _ = std::fs::remove_file(&path);
-                None
-            }
-        }
-    }
-
     fn publish(&self, key: BlobHash, value: &[u8]) {
         let value_hash = self.blobs.put(value);
         self.index.lock().unwrap_or_else(|e| e.into_inner()).insert(key, value_hash);
-        if let Some(path) = self.index_path(&key) {
+        if let Some(disk) = &self.disk {
             // Best-effort persistence, like the blob tier: a failed
             // index write degrades sharing, never a campaign.
-            let _ = write_index_frame(&path, &key, &value_hash);
+            let _ = disk.publish(&hash_hex(&key), &[key, value_hash].concat());
         }
     }
 
@@ -197,33 +168,16 @@ impl MemoStore {
         compute: impl FnOnce() -> Result<Vec<u8>, String>,
     ) -> Result<Arc<Vec<u8>>, String> {
         let key = sha256(key_material);
-        loop {
-            if let Some(value) = self.lookup(&key) {
+        // Held until this call returns: dropped after `publish` on
+        // success, and on an error or a panicking `compute` too.
+        let _claim = match self.flight.get_or_claim(&key, || self.lookup(&key)) {
+            Ok(value) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(value);
             }
-            let mut building = self.building.lock().unwrap_or_else(|e| e.into_inner());
-            if building.contains_key(&key) {
-                let _guard = self.cond.wait(building).unwrap_or_else(|e| e.into_inner());
-                continue; // re-check the index; builder may have failed
-            }
-            building.insert(key, ());
-            break;
-        }
+            Err(claim) => claim,
+        };
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // Clear the building mark on every exit path (including a
-        // panicking `compute`) so waiters are never stranded.
-        struct BuildGuard<'a> {
-            store: &'a MemoStore,
-            key: BlobHash,
-        }
-        impl Drop for BuildGuard<'_> {
-            fn drop(&mut self) {
-                self.store.building.lock().unwrap_or_else(|e| e.into_inner()).remove(&self.key);
-                self.store.cond.notify_all();
-            }
-        }
-        let _guard = BuildGuard { store: self, key };
         let value = compute()?;
         self.publish(key, &value);
         Ok(Arc::new(value))
@@ -256,44 +210,6 @@ impl MemoStore {
     pub fn blob_stats(&self) -> BlobStats {
         self.blobs.stats()
     }
-}
-
-fn write_index_frame(path: &Path, key: &BlobHash, value: &BlobHash) -> std::io::Result<()> {
-    if path.exists() {
-        return Ok(()); // Content-addressed: an existing frame is this frame.
-    }
-    let parent = path.parent().expect("index paths have a shard directory");
-    std::fs::create_dir_all(parent)?;
-    let mut frame = Vec::with_capacity(8 + 32 + 32 + 4);
-    frame.extend_from_slice(INDEX_MAGIC);
-    frame.extend_from_slice(key);
-    frame.extend_from_slice(value);
-    let crc = crc32(&frame[8..]);
-    frame.extend_from_slice(&crc.to_le_bytes());
-    let tmp = parent.join(format!(
-        ".tmp-{}-{}",
-        std::process::id(),
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("memo")
-    ));
-    std::fs::write(&tmp, &frame)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
-fn decode_index_frame(raw: &[u8], expect_key: &BlobHash) -> Option<BlobHash> {
-    if raw.len() != 8 + 32 + 32 + 4 || &raw[..8] != INDEX_MAGIC {
-        return None;
-    }
-    let crc = u32::from_le_bytes(raw[72..76].try_into().ok()?);
-    if crc32(&raw[8..72]) != crc || raw[8..40] != expect_key[..] {
-        return None;
-    }
-    raw[40..72].try_into().ok()
 }
 
 #[cfg(test)]
@@ -376,12 +292,28 @@ mod tests {
         let key = sha256(b"persisted");
         let hex = hash_hex(&key);
         let frame = dir.join("index").join(&hex[..2]).join(format!("{}.memo", hex));
-        let mut bytes = std::fs::read(&frame).unwrap();
-        bytes[40] ^= 0xFF;
+        let good = std::fs::read(&frame).unwrap();
+        // magic 8 | len 4 | crc 4 | key 32 | value 32: flip the value.
+        assert_eq!(good.len(), 80);
+        let mut bytes = good.clone();
+        bytes[48] ^= 0xFF;
         std::fs::write(&frame, &bytes).unwrap();
         let torn = MemoStore::at_dir(&dir).unwrap();
         assert!(torn.get(b"persisted").is_none());
         assert!(!frame.exists());
+
+        // A CRC-valid entry for *another* key under this name (a
+        // misplaced file) fails the key echo: deleted, a miss.
+        let other = [sha256(b"other key"), sha256(b"value-bytes")].concat();
+        std::fs::write(&frame, crate::frame::seal(INDEX_MAGIC, &other)).unwrap();
+        let misplaced = MemoStore::at_dir(&dir).unwrap();
+        assert!(misplaced.get(b"persisted").is_none());
+        assert!(!frame.exists());
+        assert_eq!(misplaced.disk.as_ref().unwrap().discards(), 1);
+
+        // The recompute's `put` heals the entry, byte for byte.
+        misplaced.put(b"persisted", b"value-bytes");
+        assert_eq!(std::fs::read(&frame).unwrap(), good);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

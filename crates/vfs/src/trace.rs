@@ -194,14 +194,15 @@
 //! memo layer is a pure wall-clock optimization, never a regime.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
-use crate::blobs::{crc32, BlobStats, BlobStore};
+use crate::blobs::{BlobStats, BlobStore};
 use crate::error::{FsError, FsResult};
 use crate::ffisfs::{CounterSnapshot, FfisFs};
 use crate::file::{Page, BLOCK_SIZE};
+use crate::frame::{FrameDir, SingleFlight};
 use crate::fs::{Fd, FileSystem, LockKind, NodeKind, OpenFlags};
 use crate::interceptor::{Interceptor, Primitive};
 use crate::memfs::{self, MemFs};
@@ -542,13 +543,13 @@ impl ReplayCursor {
         self.fds.len()
     }
 
-    /// Does this cursor map golden-run descriptor `fd`? Bookkeeping
-    /// ops (`fsync`/`release`/`lock`/`unlock`) addressing an unmapped
-    /// descriptor are skipped by [`ReplayCursor::step`] without
-    /// touching the filesystem — checkpoint builders use this to count
-    /// only the primitives a replay actually issues.
-    pub fn maps(&self, fd: Fd) -> bool {
-        self.fds.contains_key(&fd)
+    /// Does replaying `op` from this cursor issue its primitive?
+    /// Bookkeeping ops (`fsync`/`release`/`lock`/`unlock`) addressing a
+    /// descriptor the cursor never saw are skipped by
+    /// [`ReplayCursor::step`] without touching the filesystem —
+    /// checkpoint passes count only the primitives a replay issues.
+    fn issues(&self, op: &TraceOp) -> bool {
+        op.bookkeeping_fd().is_none_or(|fd| self.fds.contains_key(&fd))
     }
 
     /// Replay a slice of ops, merging maximal runs of adjacent
@@ -918,48 +919,20 @@ impl TraceCheckpoints {
         Self::build_at(ops, &wanted, Placement::Demand(sorted))
     }
 
-    /// Shared replay pass: snapshot at every index in `wanted` while
-    /// replaying the stream once on a bare [`MemFs`].
+    /// Snapshot at every index in `wanted` while replaying the stream
+    /// once on a bare [`MemFs`].
     fn build_at(
         ops: Vec<TraceOp>,
         wanted: &std::collections::BTreeSet<usize>,
         placement: Placement,
     ) -> Result<Self, ReplayError> {
-        let n = ops.len();
-        let working = MemFs::new();
-        let mut cursor = ReplayCursor::new();
-        let mut counters = CounterSnapshot::default();
-        let mut points = Vec::with_capacity(wanted.len().max(1));
-        if n == 0 {
-            // The zero checkpoint always exists, even for an empty
-            // stream (empty filesystem, no descriptors, zero counts).
-            points.push(TraceCheckpoint {
-                index: 0,
-                fs: Arc::new(working.fork()),
-                cursor: cursor.clone(),
-                counters,
-            });
-        }
-        for (i, op) in ops.iter().enumerate() {
-            if wanted.contains(&i) {
-                points.push(TraceCheckpoint {
-                    index: i,
-                    fs: Arc::new(working.fork()),
-                    cursor: cursor.clone(),
-                    counters,
-                });
-            }
-            // Count only primitives the replay actually issues: ops on
-            // descriptors the cursor never saw are skipped by `step`.
-            let issued = match op.bookkeeping_fd() {
-                Some(fd) => cursor.maps(fd),
-                None => true,
-            };
-            cursor.step(&working, op).map_err(|error| ReplayError { index: i, error })?;
-            if issued {
-                counters.bump(op.primitive(), 1);
-            }
-        }
+        let origin = TraceCheckpoint {
+            index: 0,
+            fs: Arc::new(MemFs::new()),
+            cursor: ReplayCursor::new(),
+            counters: CounterSnapshot::default(),
+        };
+        let (points, _) = snapshot_pass(&ops, &origin, wanted.iter().copied())?;
         Ok(TraceCheckpoints { ops, points, placement })
     }
 
@@ -1030,45 +1003,59 @@ impl TraceCheckpoints {
         wanted.sort_unstable();
         wanted.dedup();
 
-        let working = point.fs.fork();
-        let mut cursor = point.cursor.clone();
-        let mut counters = point.counters;
-        let mut forks: Vec<BatchFork> = Vec::with_capacity(wanted.len());
-        // Counters observed immediately after each target op applied
-        // (`C(target + 1)`); resolved into tail deltas once the final
-        // counters are known.
-        let mut after: Vec<CounterSnapshot> = Vec::with_capacity(wanted.len());
-        let mut next = 0usize;
-        for (i, op) in self.ops.iter().enumerate().skip(point.index) {
-            if next < wanted.len() && wanted[next] == i {
-                forks.push(BatchFork {
-                    point: TraceCheckpoint {
-                        index: i,
-                        fs: Arc::new(working.fork()),
-                        cursor: cursor.clone(),
-                        counters,
-                    },
-                    tail_counters: CounterSnapshot::default(),
-                });
-            }
-            let issued = match op.bookkeeping_fd() {
-                Some(fd) => cursor.maps(fd),
-                None => true,
-            };
-            cursor.step(&working, op).map_err(|error| ReplayError { index: i, error })?;
-            if issued {
-                counters.bump(op.primitive(), 1);
-            }
-            if next < wanted.len() && wanted[next] == i {
-                after.push(counters);
-                next += 1;
-            }
-        }
-        for (fork, seen) in forks.iter_mut().zip(&after) {
-            fork.tail_counters = counters.diff(seen);
-        }
+        let (points, end) = snapshot_pass(&self.ops, point, wanted)?;
+        // A run pre-seeds what its tail `ops[target + 1..]` would have
+        // counted: everything the whole pass counted, less the prefix
+        // and the target op itself.
+        let forks = points
+            .into_iter()
+            .map(|point| {
+                let mut seen = point.counters;
+                let target = &self.ops[point.index];
+                if point.cursor.issues(target) {
+                    seen.bump(target.primitive(), 1);
+                }
+                BatchFork { point, tail_counters: end.diff(&seen) }
+            })
+            .collect();
         Ok(BatchForks { forks })
     }
+}
+
+/// The one bare replay pass behind every checkpoint: advance a fork of
+/// `start` through `ops[start.index..]`, forking a [`TraceCheckpoint`]
+/// (state and counters after `ops[..i]`) at every `i` in `wanted` —
+/// ascending, distinct, `start.index ≤ i ≤ ops.len()` — and return the
+/// points with the counters at the end of the stream. An empty stream
+/// still yields its zero checkpoint. Fails with the first replay error
+/// (a stream that cannot rebuild cleanly cannot anchor injection runs).
+fn snapshot_pass(
+    ops: &[TraceOp],
+    start: &TraceCheckpoint,
+    wanted: impl IntoIterator<Item = usize>,
+) -> Result<(Vec<TraceCheckpoint>, CounterSnapshot), ReplayError> {
+    let working = start.fs.fork();
+    let mut cursor = start.cursor.clone();
+    let mut counters = start.counters;
+    let mut wanted = wanted.into_iter().peekable();
+    let mut points = Vec::with_capacity(wanted.size_hint().0);
+    for i in start.index..=ops.len() {
+        if wanted.next_if_eq(&i).is_some() {
+            points.push(TraceCheckpoint {
+                index: i,
+                fs: Arc::new(working.fork()),
+                cursor: cursor.clone(),
+                counters,
+            });
+        }
+        let Some(op) = ops.get(i) else { break };
+        let issued = cursor.issues(op);
+        cursor.step(&working, op).map_err(|error| ReplayError { index: i, error })?;
+        if issued {
+            counters.bump(op.primitive(), 1);
+        }
+    }
+    Ok((points, counters))
 }
 
 /// One target's slice of a [`TraceCheckpoints::fork_at_targets`]
@@ -1367,112 +1354,42 @@ impl Fnv {
     }
 }
 
-/// Content fingerprint of a golden op stream: every field of every op,
-/// in order, including full write payloads. Campaigns whose golden
-/// runs are byte-identical (the common case: several fault models over
-/// one deterministic workload) hash to the same key.
+/// Content fingerprint of a golden op stream: FNV over every op's
+/// [`encode_op`] bytes, in order, with each write payload hashed in
+/// place instead of externalized. Campaigns whose golden runs are
+/// byte-identical (the common case: several fault models over one
+/// deterministic workload) hash to the same key. A private cache key:
+/// hits are re-checked by op equality, so its value may change freely.
 fn trace_fingerprint(ops: &[TraceOp]) -> u64 {
     let mut h = Fnv::new();
     h.eat_u64(ops.len() as u64);
+    let mut fields = Vec::new();
     for op in ops {
-        match op {
-            TraceOp::Mknod { path, kind, mode, dev } => {
-                h.eat(b"N");
-                h.eat_str(path);
-                h.eat_u64(*kind as u64);
-                h.eat_u64(u64::from(*mode));
-                h.eat_u64(*dev);
-            }
-            TraceOp::Mkdir { path, mode } => {
-                h.eat(b"D");
-                h.eat_str(path);
-                h.eat_u64(u64::from(*mode));
-            }
-            TraceOp::Unlink { path } => {
-                h.eat(b"U");
-                h.eat_str(path);
-            }
-            TraceOp::Rmdir { path } => {
-                h.eat(b"d");
-                h.eat_str(path);
-            }
-            TraceOp::Rename { from, to } => {
-                h.eat(b"R");
-                h.eat_str(from);
-                h.eat_str(to);
-            }
-            TraceOp::Chmod { path, mode } => {
-                h.eat(b"C");
-                h.eat_str(path);
-                h.eat_u64(u64::from(*mode));
-            }
-            TraceOp::Truncate { path, size } => {
-                h.eat(b"T");
-                h.eat_str(path);
-                h.eat_u64(*size);
-            }
-            TraceOp::Create { path, mode, fd } => {
-                h.eat(b"c");
-                h.eat_str(path);
-                h.eat_u64(u64::from(*mode));
-                h.eat_u64(*fd);
-            }
-            TraceOp::Open { path, flags, fd } => {
-                h.eat(b"O");
-                h.eat_str(path);
-                let bits = u64::from(flags.read)
-                    | u64::from(flags.write) << 1
-                    | u64::from(flags.create) << 2
-                    | u64::from(flags.truncate) << 3
-                    | u64::from(flags.append) << 4
-                    | u64::from(flags.excl) << 5;
-                h.eat_u64(bits);
-                h.eat_u64(*fd);
-            }
-            TraceOp::Write { fd, path, offset, data } => {
-                h.eat(b"W");
-                h.eat_u64(*fd);
-                match path {
-                    Some(p) => h.eat_str(p),
-                    None => h.eat(b"-"),
-                }
-                h.eat_u64(offset.map_or(u64::MAX, |o| o));
-                h.eat_u64(data.len() as u64);
-                h.eat(data);
-            }
-            TraceOp::Fsync { fd } => {
-                h.eat(b"F");
-                h.eat_u64(*fd);
-            }
-            TraceOp::Release { fd } => {
-                h.eat(b"r");
-                h.eat_u64(*fd);
-            }
-            TraceOp::Lock { fd, kind } => {
-                h.eat(b"L");
-                h.eat_u64(*fd);
-                h.eat_u64(matches!(kind, LockKind::Exclusive) as u64);
-            }
-            TraceOp::Unlock { fd } => {
-                h.eat(b"l");
-                h.eat_u64(*fd);
-            }
-        }
+        fields.clear();
+        encode_op(op, &mut fields, &mut |fields, data| {
+            h.eat(fields);
+            fields.clear();
+            h.eat(data);
+        });
+        h.eat(&fields);
     }
     h.0
 }
 
-/// Checkpoint-manifest file framing: magic, schema, trace fingerprint,
-/// then a CRC-guarded body (op stream + per-checkpoint state).
-const MANIFEST_MAGIC: &[u8; 8] = b"FFISCKM1";
-// Schema 2 added the placement record to the CRC-covered body;
-// schema-1 manifests fail the frame check and are rebuilt.
+/// Checkpoint-manifest files are [`crate::frame`] records sealed with
+/// this magic; the CRC-covered body opens with the schema and the
+/// cache key the file is named after (see [`encode_manifest`]).
+/// `FFISCKM1` files kept both outside the CRC; they fail `open` and
+/// are rebuilt.
+const MANIFEST_MAGIC: &[u8; 8] = b"FFISCKM2";
 const MANIFEST_SCHEMA: u32 = 2;
 
-/// Serialize one trace op, externalizing write payloads into `blobs`
-/// as ≤ one-page content-addressed chunks. Tag bytes follow
-/// [`TraceOp`]'s variant order.
-fn encode_op(op: &TraceOp, blobs: &BlobStore, buf: &mut Vec<u8>) {
+/// Serialize one trace op — the only field-by-field walk of
+/// [`TraceOp`]; tag bytes follow its variant order. A write's payload
+/// is not appended: after the fixed fields and the payload length,
+/// `payload(buf, data)` decides what stands for the bytes (the
+/// manifest appends blob hashes, the fingerprint hashes them).
+fn encode_op(op: &TraceOp, buf: &mut Vec<u8>, payload: &mut dyn FnMut(&mut Vec<u8>, &[u8])) {
     match op {
         TraceOp::Mknod { path, kind, mode, dev } => {
             wire::put_u8(buf, 0);
@@ -1524,13 +1441,7 @@ fn encode_op(op: &TraceOp, blobs: &BlobStore, buf: &mut Vec<u8>) {
         TraceOp::Write { fd, path, offset, data } => {
             wire::put_u8(buf, 9);
             wire::put_u64(buf, *fd);
-            match path {
-                Some(p) => {
-                    wire::put_u8(buf, 1);
-                    wire::put_str(buf, p);
-                }
-                None => wire::put_u8(buf, 0),
-            }
+            wire::put_opt_str(buf, path.as_deref());
             match offset {
                 Some(o) => {
                     wire::put_u8(buf, 1);
@@ -1539,10 +1450,7 @@ fn encode_op(op: &TraceOp, blobs: &BlobStore, buf: &mut Vec<u8>) {
                 None => wire::put_u8(buf, 0),
             }
             wire::put_u32(buf, data.len() as u32);
-            wire::put_u32(buf, data.chunks(BLOCK_SIZE).len() as u32);
-            for chunk in data.chunks(BLOCK_SIZE) {
-                buf.extend_from_slice(&blobs.put(chunk));
-            }
+            payload(buf, data);
         }
         TraceOp::Fsync { fd } => {
             wire::put_u8(buf, 10);
@@ -1570,33 +1478,40 @@ fn encode_op(op: &TraceOp, blobs: &BlobStore, buf: &mut Vec<u8>) {
     }
 }
 
-/// Inverse of [`encode_op`]; `None` on any malformed field or a write
-/// chunk missing from / corrupted in the blob store.
+/// The manifest's stand-in for a write payload: the bytes go to
+/// `blobs` as ≤ one-page content-addressed chunks, the chunk count and
+/// their hashes to `buf`.
+fn externalize(blobs: &BlobStore, buf: &mut Vec<u8>, data: &[u8]) {
+    wire::put_u32(buf, data.chunks(BLOCK_SIZE).len() as u32);
+    for chunk in data.chunks(BLOCK_SIZE) {
+        buf.extend_from_slice(&blobs.put(chunk));
+    }
+}
+
+/// Inverse of [`encode_op`] with [`externalize`]d payloads; `None` on
+/// any malformed field or a write chunk missing from / corrupted in
+/// the blob store.
 fn decode_op(r: &mut wire::Reader<'_>, blobs: &BlobStore) -> Option<TraceOp> {
     Some(match r.u8()? {
         0 => TraceOp::Mknod {
-            path: r.str_()?,
+            path: r.str()?,
             kind: memfs::kind_from_code(r.u8()?)?,
             mode: r.u32()?,
             dev: r.u64()?,
         },
-        1 => TraceOp::Mkdir { path: r.str_()?, mode: r.u32()? },
-        2 => TraceOp::Unlink { path: r.str_()? },
-        3 => TraceOp::Rmdir { path: r.str_()? },
-        4 => TraceOp::Rename { from: r.str_()?, to: r.str_()? },
-        5 => TraceOp::Chmod { path: r.str_()?, mode: r.u32()? },
-        6 => TraceOp::Truncate { path: r.str_()?, size: r.u64()? },
-        7 => TraceOp::Create { path: r.str_()?, mode: r.u32()?, fd: r.u64()? },
+        1 => TraceOp::Mkdir { path: r.str()?, mode: r.u32()? },
+        2 => TraceOp::Unlink { path: r.str()? },
+        3 => TraceOp::Rmdir { path: r.str()? },
+        4 => TraceOp::Rename { from: r.str()?, to: r.str()? },
+        5 => TraceOp::Chmod { path: r.str()?, mode: r.u32()? },
+        6 => TraceOp::Truncate { path: r.str()?, size: r.u64()? },
+        7 => TraceOp::Create { path: r.str()?, mode: r.u32()?, fd: r.u64()? },
         8 => {
-            TraceOp::Open { path: r.str_()?, flags: memfs::flags_from_code(r.u8()?)?, fd: r.u64()? }
+            TraceOp::Open { path: r.str()?, flags: memfs::flags_from_code(r.u8()?)?, fd: r.u64()? }
         }
         9 => {
             let fd = r.u64()?;
-            let path = match r.u8()? {
-                0 => None,
-                1 => Some(r.str_()?),
-                _ => return None,
-            };
+            let path = r.opt_str()?;
             let offset = match r.u8()? {
                 0 => None,
                 1 => Some(r.u64()?),
@@ -1604,6 +1519,11 @@ fn decode_op(r: &mut wire::Reader<'_>, blobs: &BlobStore) -> Option<TraceOp> {
             };
             let total = r.u32()? as usize;
             let n_chunks = r.u32()? as usize;
+            // `total` is on-disk input: bound it by what the chunk
+            // hashes actually present could hold before allocating.
+            if n_chunks.checked_mul(32)? > r.remaining() || total > n_chunks * BLOCK_SIZE {
+                return None;
+            }
             let mut data = Vec::with_capacity(total);
             for _ in 0..n_chunks {
                 let hash: [u8; 32] = r.bytes(32)?.try_into().ok()?;
@@ -1629,14 +1549,17 @@ fn decode_op(r: &mut wire::Reader<'_>, blobs: &BlobStore) -> Option<TraceOp> {
     })
 }
 
-/// Serialize a built checkpoint set into a CRC-framed manifest file.
-/// Write payloads and filesystem pages land in `blobs` as
+/// Serialize a built checkpoint set into a manifest body: `schema u32
+/// | key u64`, the placement, the op stream, then each checkpoint's
+/// state. Write payloads and filesystem pages land in `blobs` as
 /// content-addressed chunks; the manifest stores only their hashes, so
 /// checkpoints sharing page content (log-spaced snapshots of one
 /// growing file, or sibling campaigns over the same workload) dedupe
 /// on disk.
 fn encode_manifest(key: u64, cks: &TraceCheckpoints, blobs: &BlobStore) -> Vec<u8> {
     let mut body = Vec::new();
+    wire::put_u32(&mut body, MANIFEST_SCHEMA);
+    wire::put_u64(&mut body, key);
     match &cks.placement {
         Placement::LogSpaced => wire::put_u8(&mut body, 0),
         Placement::Demand(demand) => {
@@ -1649,7 +1572,7 @@ fn encode_manifest(key: u64, cks: &TraceCheckpoints, blobs: &BlobStore) -> Vec<u
     }
     wire::put_u32(&mut body, cks.ops.len() as u32);
     for op in &cks.ops {
-        encode_op(op, blobs, &mut body);
+        encode_op(op, &mut body, &mut |body, data| externalize(blobs, body, data));
     }
     wire::put_u32(&mut body, cks.points.len() as u32);
     for point in &cks.points {
@@ -1671,38 +1594,20 @@ fn encode_manifest(key: u64, cks: &TraceCheckpoints, blobs: &BlobStore) -> Vec<u
         wire::put_u32(&mut body, image.len() as u32);
         body.extend_from_slice(&image);
     }
-
-    let mut out = Vec::with_capacity(body.len() + 28);
-    out.extend_from_slice(MANIFEST_MAGIC);
-    wire::put_u32(&mut out, MANIFEST_SCHEMA);
-    wire::put_u64(&mut out, key);
-    wire::put_u32(&mut out, body.len() as u32);
-    wire::put_u32(&mut out, crc32(&body));
-    out.extend_from_slice(&body);
-    out
+    body
 }
 
-/// Decode and fully verify a manifest file: frame magic/schema/key,
-/// body CRC, op stream, and every checkpoint's counters, cursor, and
-/// filesystem image (each page re-fetched — and content-verified — from
-/// the blob store). Any failure yields `None`; callers treat that as a
-/// cache miss and rebuild.
-fn decode_manifest(raw: &[u8], key: u64, blobs: &BlobStore) -> Option<TraceCheckpoints> {
-    let mut r = wire::Reader::new(raw);
-    if r.bytes(MANIFEST_MAGIC.len())? != MANIFEST_MAGIC
-        || r.u32()? != MANIFEST_SCHEMA
-        || r.u64()? != key
-    {
-        return None;
-    }
-    let body_len = r.u32()? as usize;
-    let body_crc = r.u32()?;
-    let body = r.bytes(body_len)?;
-    if r.remaining() != 0 || crc32(body) != body_crc {
-        return None;
-    }
-
+/// Decode and fully verify a manifest body (the frame's magic and CRC
+/// already held): schema and key echo, op stream, and every
+/// checkpoint's counters, cursor, and filesystem image (each page
+/// re-fetched — and content-verified — from the blob store). Any
+/// failure yields `None`; callers treat that as a cache miss and
+/// rebuild.
+fn decode_manifest(body: &[u8], key: u64, blobs: &BlobStore) -> Option<TraceCheckpoints> {
     let mut r = wire::Reader::new(body);
+    if r.u32()? != MANIFEST_SCHEMA || r.u64()? != key {
+        return None;
+    }
     let placement = match r.u8()? {
         0 => Placement::LogSpaced,
         1 => {
@@ -1739,7 +1644,7 @@ fn decode_manifest(raw: &[u8], key: u64, blobs: &BlobStore) -> Option<TraceCheck
         for _ in 0..n_fds {
             let golden = r.u64()?;
             let fd = r.u64()?;
-            let path = r.str_()?;
+            let path = r.str()?;
             fds.insert(golden, ReplayFd { fd, path });
         }
         let image_len = r.u32()? as usize;
@@ -1786,37 +1691,7 @@ fn decode_manifest(raw: &[u8], key: u64, blobs: &BlobStore) -> Option<TraceCheck
 /// write-payload blobs plus per-trace manifest files.
 struct DiskTier {
     blobs: BlobStore,
-    manifests: PathBuf,
-}
-
-/// Slot state for one trace fingerprint: a build in flight (losers
-/// block on the store's condvar) or the finished checkpoints.
-enum Slot {
-    Building,
-    Ready(Arc<TraceCheckpoints>),
-}
-
-/// Clears the `Building` marker and wakes waiters if a build errors or
-/// panics, so a lost build can never wedge every later caller of that
-/// key. Disarmed on the success path once `Ready` is published.
-struct BuildGuard<'a> {
-    store: &'a CheckpointStore,
-    key: u64,
-    armed: bool,
-}
-
-impl Drop for BuildGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let mut state = self.store.state.lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(state.get(&self.key), Some(Slot::Building)) {
-            state.remove(&self.key);
-        }
-        drop(state);
-        self.store.ready.notify_all();
-    }
+    manifests: FrameDir,
 }
 
 /// A concurrent memoizing store of built [`TraceCheckpoints`], keyed
@@ -1832,14 +1707,16 @@ impl Drop for BuildGuard<'_> {
 /// with a given trace builds, every later identical trace returns the
 /// same [`Arc`].
 ///
-/// Concurrent callers are single-flighted: the first thread to miss
-/// claims the key and builds; every other thread requesting the same
-/// trace blocks and receives the winner's `Arc` — never a duplicate
-/// build. A build that fails (or panics) releases the claim and wakes
-/// the waiters, which then race to claim it themselves.
+/// Concurrent callers are single-flighted ([`SingleFlight`]): the
+/// first thread to miss claims the key and builds; every other thread
+/// requesting the same trace blocks and receives the winner's `Arc` —
+/// never a duplicate build. A build that fails (or panics) releases
+/// the claim and wakes the waiters, which then race to claim it
+/// themselves.
 ///
 /// A store created with [`CheckpointStore::with_dir`] additionally
-/// persists every build as a CRC-framed manifest whose pages and write
+/// persists every build as a sealed [`crate::frame`] record — the
+/// manifest, echoing its cache key inside the CRC — whose pages and write
 /// payloads live in a shared content-addressed [`BlobStore`] —
 /// identical pages across checkpoints and campaigns are stored once.
 /// Fresh processes (daemon restarts, fan-out workers) load checkpoints
@@ -1853,8 +1730,8 @@ impl Drop for BuildGuard<'_> {
 /// uncached.
 #[derive(Default)]
 pub struct CheckpointStore {
-    state: Mutex<HashMap<u64, Slot>>,
-    ready: Condvar,
+    ready: Mutex<HashMap<u64, Arc<TraceCheckpoints>>>,
+    flight: SingleFlight<u64>,
     disk: Option<DiskTier>,
     builds: AtomicUsize,
     hits: AtomicUsize,
@@ -1869,13 +1746,14 @@ impl CheckpointStore {
 
     /// Store backed by a disk tier rooted at `dir` (created if
     /// missing): blobs under `dir/blobs`, manifests under
-    /// `dir/manifests`. Several stores — including ones in different
-    /// processes — may share a root; blob writes are idempotent and
-    /// manifest installs are atomic renames.
+    /// `dir/manifests/<2 hex>/<16 hex key>.manifest`. Several stores —
+    /// including ones in different processes — may share a root; blob
+    /// and manifest writes are idempotent atomic renames.
     pub fn with_dir(dir: &Path) -> std::io::Result<Self> {
         let blobs = BlobStore::at_dir(&dir.join("blobs"))?;
         let manifests = dir.join("manifests");
         std::fs::create_dir_all(&manifests)?;
+        let manifests = FrameDir::new(manifests, MANIFEST_MAGIC, "manifest");
         let mut store = Self::new();
         store.disk = Some(DiskTier { blobs, manifests });
         Ok(store)
@@ -1932,37 +1810,37 @@ impl CheckpointStore {
             Some(d) => matches!(hit.placement(), Placement::Demand(got) if got == d),
             None => hit.placement() == &Placement::LogSpaced,
         };
-        {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                match state.get(&key) {
-                    Some(Slot::Ready(hit)) => {
-                        // Equality check (ops and placement) defuses
-                        // fingerprint collisions: on a mismatch build
-                        // fresh, uncached — the slot is taken.
-                        if hit.ops() == &ops[..] && placement_ok(hit) {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            return Ok(hit.clone());
-                        }
-                        drop(state);
-                        let built = Arc::new(build(ops)?);
-                        self.builds.fetch_add(1, Ordering::Relaxed);
-                        return Ok(built);
-                    }
-                    Some(Slot::Building) => {
-                        state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
-                    }
-                    None => {
-                        state.insert(key, Slot::Building);
-                        break;
-                    }
-                }
+        let cached = || self.ready.lock().unwrap_or_else(|e| e.into_inner()).get(&key).cloned();
+        // Held until this call returns, so an erroring or panicking
+        // build frees the key for the waiters.
+        let _claim = match self.flight.get_or_claim(&key, cached) {
+            Ok(hit) if hit.ops() == &ops[..] && placement_ok(&hit) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(hit);
             }
-        }
+            // Fingerprint collision (ops or placement differ): the
+            // slot is taken, so build fresh, uncached.
+            Ok(_) => {
+                let built = Arc::new(build(ops)?);
+                self.builds.fetch_add(1, Ordering::Relaxed);
+                return Ok(built);
+            }
+            Err(claim) => claim,
+        };
 
-        // Sole builder for this key from here on.
-        let mut guard = BuildGuard { store: self, key, armed: true };
-        let built = match self.load_from_disk(key, &ops, &placement_ok) {
+        // Sole builder for this key from here on. The disk tier gets
+        // full verification — frame, key echo, per-page content
+        // hashes, the decoded ops comparing equal to the requested
+        // ones, the decoded placement — and any mismatch deletes the
+        // manifest, so the rebuild below re-persists it.
+        let name = format!("{key:016x}");
+        let loaded = self.disk.as_ref().and_then(|disk| {
+            disk.manifests.load(&name, |body| {
+                let cks = decode_manifest(body, key, &disk.blobs)?;
+                (cks.ops() == &ops[..] && placement_ok(&cks)).then(|| Arc::new(cks))
+            })
+        });
+        let built = match loaded {
             Some(loaded) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 loaded
@@ -1970,61 +1848,17 @@ impl CheckpointStore {
             None => {
                 let built = Arc::new(build(ops)?);
                 self.builds.fetch_add(1, Ordering::Relaxed);
-                self.persist(key, &built);
+                if let Some(disk) = &self.disk {
+                    // Best-effort: a failed write leaves this key
+                    // memory-only.
+                    let _ =
+                        disk.manifests.publish(&name, &encode_manifest(key, &built, &disk.blobs));
+                }
                 built
             }
         };
-        {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.insert(key, Slot::Ready(built.clone()));
-            guard.armed = false;
-        }
-        self.ready.notify_all();
+        self.ready.lock().unwrap_or_else(|e| e.into_inner()).insert(key, built.clone());
         Ok(built)
-    }
-
-    fn manifest_path(&self, key: u64) -> Option<PathBuf> {
-        self.disk.as_ref().map(|d| d.manifests.join(format!("{key:016x}.manifest")))
-    }
-
-    /// Try the disk tier. Full verification: frame, CRC, per-page
-    /// content hashes, the decoded op stream comparing equal to the
-    /// requested one, and the decoded placement satisfying the
-    /// caller's check. Any mismatch deletes the manifest and reports
-    /// a miss, so the caller rebuilds and re-persists.
-    fn load_from_disk(
-        &self,
-        key: u64,
-        ops: &[TraceOp],
-        placement_ok: &dyn Fn(&TraceCheckpoints) -> bool,
-    ) -> Option<Arc<TraceCheckpoints>> {
-        let disk = self.disk.as_ref()?;
-        let path = self.manifest_path(key)?;
-        let raw = std::fs::read(&path).ok()?;
-        match decode_manifest(&raw, key, &disk.blobs) {
-            Some(cks) if cks.ops() == ops && placement_ok(&cks) => Some(Arc::new(cks)),
-            _ => {
-                let _ = std::fs::remove_file(&path);
-                None
-            }
-        }
-    }
-
-    /// Best-effort persist: failures leave the store memory-only for
-    /// this key. Written to a process-unique temp name, then installed
-    /// by atomic rename so a concurrent reader never sees a torn file.
-    fn persist(&self, key: u64, cks: &TraceCheckpoints) {
-        let Some(disk) = self.disk.as_ref() else { return };
-        let Some(path) = self.manifest_path(key) else { return };
-        let bytes = encode_manifest(key, cks, &disk.blobs);
-        let tmp = disk.manifests.join(format!(".tmp-{}-{key:016x}", std::process::id()));
-        if std::fs::write(&tmp, &bytes).is_ok() {
-            if std::fs::rename(&tmp, &path).is_err() {
-                let _ = std::fs::remove_file(&tmp);
-            }
-        } else {
-            let _ = std::fs::remove_file(&tmp);
-        }
     }
 
     /// Number of checkpoint caches built by trace replay (misses in
@@ -2071,6 +1905,7 @@ impl std::fmt::Debug for CheckpointStore {
 mod tests {
     use super::*;
     use crate::fs::FileSystemExt;
+    use std::path::PathBuf;
 
     /// Run a small workload through a recording mount and return the
     /// trace plus the final state.
@@ -2386,6 +2221,18 @@ mod tests {
         dir
     }
 
+    /// Every file of a [`FrameDir`] rooted at `root`, sorted.
+    fn sealed_files(root: &Path) -> Vec<PathBuf> {
+        let mut files = Vec::new();
+        for shard in std::fs::read_dir(root).unwrap() {
+            for f in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+                files.push(f.unwrap().path());
+            }
+        }
+        files.sort();
+        files
+    }
+
     #[test]
     fn store_caches_and_detects_identical_traces() {
         let (ops, _) = record_workload();
@@ -2480,19 +2327,9 @@ mod tests {
         let (ops, _) = record_workload();
         CheckpointStore::with_dir(&dir).unwrap().get_or_build(ops.clone()).unwrap();
 
-        let manifest_of = |d: &Path| {
-            let mut files: Vec<_> = std::fs::read_dir(d.join("manifests"))
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .collect();
-            files.sort();
-            assert_eq!(files.len(), 1);
-            files.pop().unwrap()
-        };
-
         // Bit-rot the manifest body: CRC fails, the store deletes the
         // file, rebuilds, and re-persists.
-        let manifest = manifest_of(&dir);
+        let manifest = sealed_files(&dir.join("manifests")).pop().unwrap();
         let mut raw = std::fs::read(&manifest).unwrap();
         let last = raw.len() - 1;
         raw[last] ^= 0x40;
@@ -2500,6 +2337,8 @@ mod tests {
         let s2 = CheckpointStore::with_dir(&dir).unwrap();
         s2.get_or_build(ops.clone()).unwrap();
         assert_eq!((s2.builds(), s2.disk_hits()), (1, 0), "corrupt manifest forces a rebuild");
+        assert_eq!(s2.disk.as_ref().unwrap().manifests.discards(), 1);
+        assert_eq!(sealed_files(&dir.join("manifests")), [manifest], "re-persisted");
 
         // The rebuild healed the tier: the next store loads cleanly.
         let s3 = CheckpointStore::with_dir(&dir).unwrap();
@@ -2508,26 +2347,43 @@ mod tests {
 
         // Tear one blob (truncated frame). Decode misses, the blob is
         // discarded, and the manifest load falls back to a rebuild.
-        let blob = {
-            let mut blobs = Vec::new();
-            for shard in std::fs::read_dir(dir.join("blobs")).unwrap() {
-                for f in std::fs::read_dir(shard.unwrap().path()).unwrap() {
-                    blobs.push(f.unwrap().path());
-                }
-            }
-            blobs.sort();
-            blobs.remove(0)
-        };
+        let blob = sealed_files(&dir.join("blobs")).remove(0);
         let raw = std::fs::read(&blob).unwrap();
         std::fs::write(&blob, &raw[..raw.len() / 2]).unwrap();
         let s4 = CheckpointStore::with_dir(&dir).unwrap();
         s4.get_or_build(ops.clone()).unwrap();
         assert_eq!((s4.builds(), s4.disk_hits()), (1, 0), "torn blob forces a rebuild");
+        assert_eq!(s4.blob_stats().unwrap().corrupt_discards, 1);
 
         let s5 = CheckpointStore::with_dir(&dir).unwrap();
         s5.get_or_build(ops).unwrap();
         assert_eq!((s5.builds(), s5.disk_hits()), (0, 1), "rebuild restored the torn blob");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hostile_write_length_is_rejected_before_allocating() {
+        // A write op claiming 4 GiB of payload backed by no chunk
+        // hashes at all; the frame CRC would pass, since the attacker
+        // (or the bit flip) is upstream of it.
+        let mut body = Vec::new();
+        wire::put_u8(&mut body, 9);
+        wire::put_u64(&mut body, 3); // fd
+        wire::put_opt_str(&mut body, None);
+        wire::put_u8(&mut body, 0); // no offset
+        wire::put_u32(&mut body, u32::MAX); // total
+        wire::put_u32(&mut body, 0); // n_chunks
+        let blobs = BlobStore::in_memory();
+        assert_eq!(decode_op(&mut wire::Reader::new(&body), &blobs), None);
+        // More chunk hashes promised than bytes remain.
+        let n = body.len();
+        body[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_op(&mut wire::Reader::new(&body), &blobs), None);
+        // The honest encoding of the same op still round-trips.
+        let op = TraceOp::Write { fd: 3, path: None, offset: None, data: vec![5; BLOCK_SIZE + 1] };
+        let mut good = Vec::new();
+        encode_op(&op, &mut good, &mut |buf, data| externalize(&blobs, buf, data));
+        assert_eq!(decode_op(&mut wire::Reader::new(&good), &blobs), Some(op));
     }
 
     #[test]

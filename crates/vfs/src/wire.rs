@@ -1,45 +1,61 @@
-//! Minimal length-prefixed binary encoding helpers shared by the
-//! crate's on-disk formats (blob frames, checkpoint manifests,
-//! filesystem images). Mirrors the `wire` idiom of the run journal in
-//! `ffis-core`: little-endian fixed-width integers, `u32`
-//! length-prefixed strings, and a bounds-checked reader that returns
-//! `None` instead of panicking on truncated or torn input.
+//! Minimal length-prefixed binary encoding helpers — the workspace's
+//! one `wire` module, shared by every on-disk body codec: the record
+//! framing in [`crate::frame`], checkpoint manifests, filesystem
+//! images, and (in `ffis-core`) the run journal's header and the
+//! per-run payloads it carries. Little-endian fixed-width integers,
+//! `u32` length-prefixed strings, and a bounds-checked reader that
+//! returns `None` instead of panicking on truncated or torn input.
 
 /// Append a `u8`.
-pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
+pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
 /// Append a little-endian `u32`.
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append a little-endian `u64`.
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append a `u32` length-prefixed UTF-8 string.
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
+}
+
+/// Append an optional string: a `0` byte, or a `1` byte and the
+/// length-prefixed string.
+pub fn put_opt_str(buf: &mut Vec<u8>, s: Option<&str>) {
+    match s {
+        Some(s) => {
+            put_u8(buf, 1);
+            put_str(buf, s);
+        }
+        None => put_u8(buf, 0),
+    }
 }
 
 /// Bounds-checked sequential reader over an encoded buffer. Every
 /// accessor returns `None` on underflow so a torn or bit-rotted input
 /// decodes to "corrupt" instead of panicking.
-pub(crate) struct Reader<'a> {
+#[derive(Debug)]
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    /// Reader over `buf` from the start.
+    pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
-    pub(crate) fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+    /// Take `n` raw bytes.
+    pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         if end > self.buf.len() {
             return None;
@@ -49,26 +65,39 @@ impl<'a> Reader<'a> {
         Some(out)
     }
 
-    pub(crate) fn u8(&mut self) -> Option<u8> {
+    /// Take one byte.
+    pub fn u8(&mut self) -> Option<u8> {
         self.bytes(1).map(|b| b[0])
     }
 
-    pub(crate) fn u32(&mut self) -> Option<u32> {
+    /// Take a little-endian `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
         self.bytes(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
-    pub(crate) fn u64(&mut self) -> Option<u64> {
+    /// Take a little-endian `u64`.
+    pub fn u64(&mut self) -> Option<u64> {
         self.bytes(8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    pub(crate) fn str_(&mut self) -> Option<String> {
+    /// Take a length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Option<String> {
         let len = self.u32()? as usize;
         let bytes = self.bytes(len)?;
         String::from_utf8(bytes.to_vec()).ok()
     }
 
+    /// Take an optional string (see [`put_opt_str`]).
+    pub fn opt_str(&mut self) -> Option<Option<String>> {
+        match self.u8()? {
+            0 => Some(None),
+            1 => Some(Some(self.str()?)),
+            _ => None,
+        }
+    }
+
     /// Bytes not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 }
@@ -88,7 +117,7 @@ mod tests {
         assert_eq!(r.u8(), Some(7));
         assert_eq!(r.u32(), Some(0xDEAD_BEEF));
         assert_eq!(r.u64(), Some(u64::MAX - 3));
-        assert_eq!(r.str_().as_deref(), Some("/out/data.bin"));
+        assert_eq!(r.str().as_deref(), Some("/out/data.bin"));
         assert_eq!(r.remaining(), 0);
     }
 
@@ -98,7 +127,7 @@ mod tests {
         assert_eq!(r.u32(), None);
         let mut r = Reader::new(&[5, 0, 0, 0, b'a']);
         // Declared length 5, only 1 byte present.
-        assert_eq!(r.str_(), None);
+        assert_eq!(r.str(), None);
     }
 
     #[test]
@@ -106,6 +135,6 @@ mod tests {
         let mut buf = Vec::new();
         put_u32(&mut buf, 2);
         buf.extend_from_slice(&[0xFF, 0xFE]);
-        assert_eq!(Reader::new(&buf).str_(), None);
+        assert_eq!(Reader::new(&buf).str(), None);
     }
 }

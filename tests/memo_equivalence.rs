@@ -372,3 +372,91 @@ mod proptests {
         }
     }
 }
+
+/// Every regular file under `dir`, recursively.
+fn files_under(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(files_under(&path));
+        } else {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// A store directory holding records from before `ffis_vfs::frame` —
+/// memo-index entries as `"FFISMEM1" | key | value | crc`, checkpoint
+/// manifests as `"FFISCKM1" | schema | key | len | crc | body`, the
+/// identity fields outside the CRC — is accepted as it is: every stale
+/// file fails to open, is deleted and rebuilt, nothing panics, and the
+/// campaign's digest does not move. (Those builds also derived the
+/// manifest's name from a different fingerprint, so their manifests
+/// are normally never even read; the old bytes are planted under the
+/// current name here to prove that reading one is harmless.)
+#[test]
+fn parent_era_store_files_are_discarded_and_rebuilt() {
+    use ffis_vfs::blobs::crc32;
+    use ffis_vfs::CheckpointStore;
+
+    let dir = std::env::temp_dir().join(format!("ffis-parent-era-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let app = MontageApp::multi_tile(2);
+    let run = || {
+        let checkpoints = Arc::new(CheckpointStore::with_dir(&dir.join("ck")).unwrap());
+        let cfg = CampaignConfig::new(FaultSignature::on_write(FaultModel::bit_flip()))
+            .with_runs(6)
+            .with_seed(4242)
+            .with_replay(true)
+            .with_memo(true)
+            .with_memo_store(Arc::new(MemoStore::at_dir(&dir.join("memo")).unwrap()))
+            .with_checkpoints(Arc::clone(&checkpoints));
+        (Campaign::new(&app, cfg).run().unwrap(), checkpoints)
+    };
+    let sealed = |ext: &str| -> Vec<std::path::PathBuf> {
+        files_under(&dir).into_iter().filter(|p| p.extension().is_some_and(|e| e == ext)).collect()
+    };
+
+    let (cold, store) = run();
+    assert!(cold.memo.engaged, "{}", cold.memo.reason());
+    assert_eq!((store.builds(), store.disk_hits()), (1, 0));
+    assert!(!sealed("memo").is_empty() && !sealed("manifest").is_empty());
+
+    for path in sealed("memo") {
+        let body = std::fs::read(&path).unwrap()[16..].to_vec();
+        let mut old = b"FFISMEM1".to_vec();
+        old.extend_from_slice(&body);
+        old.extend_from_slice(&crc32(&body).to_le_bytes());
+        std::fs::write(&path, old).unwrap();
+    }
+    for path in sealed("manifest") {
+        let body = std::fs::read(&path).unwrap()[16..].to_vec();
+        let (identity, rest) = body.split_at(12);
+        let mut old = b"FFISCKM1".to_vec();
+        old.extend_from_slice(identity);
+        old.extend_from_slice(&(rest.len() as u32).to_le_bytes());
+        old.extend_from_slice(&crc32(rest).to_le_bytes());
+        old.extend_from_slice(rest);
+        std::fs::write(&path, old).unwrap();
+    }
+
+    let (rebuilt, store) = run();
+    assert_eq!((store.builds(), store.disk_hits()), (1, 0), "the stale manifest is not served");
+    assert!(rebuilt.memo.stats.misses > 0, "stale index entries are not served");
+    assert_equivalent(&cold, &rebuilt, "parent-era store");
+    assert_eq!(rebuilt.run_digest(), cold.run_digest());
+    for path in sealed("memo") {
+        assert!(std::fs::read(&path).unwrap().starts_with(b"FFISMEM2"), "{}", path.display());
+    }
+    for path in sealed("manifest") {
+        assert!(std::fs::read(&path).unwrap().starts_with(b"FFISCKM2"), "{}", path.display());
+    }
+
+    let (healed, store) = run();
+    assert_eq!((store.builds(), store.disk_hits()), (0, 1), "the rebuild re-persisted");
+    assert_eq!(healed.memo.stats.misses, 0);
+    assert_eq!(healed.run_digest(), cold.run_digest());
+    let _ = std::fs::remove_dir_all(&dir);
+}
