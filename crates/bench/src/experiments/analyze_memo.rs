@@ -74,6 +74,7 @@ fn timed_exec(
             }
         })),
         index_range: None,
+        apps: None,
     };
     let result = execute_spec(spec, &hooks).map_err(|e| e.to_string())?;
     if result.status != CompletionStatus::Complete {

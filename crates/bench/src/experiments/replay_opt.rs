@@ -77,6 +77,7 @@ fn timed_exec(spec: &CampaignSpec, opts: &Options) -> Result<TimedRun, String> {
             }
         })),
         index_range: None,
+        apps: None,
     };
     let result = execute_spec(spec, &hooks).map_err(|e| e.to_string())?;
     if result.status != CompletionStatus::Complete {

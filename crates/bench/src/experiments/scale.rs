@@ -222,6 +222,7 @@ pub fn scale(opts: &Options) -> Report {
                     memo: Some(Arc::clone(&memo_store)),
                     observer: None,
                     index_range: None,
+                    apps: None,
                 };
                 execute_spec(&spec, &hooks).map_err(|e| e.to_string())
             }
@@ -534,6 +535,7 @@ fn distribute_cell(
         memo: None,
         observer: None,
         index_range: None,
+        apps: None,
     };
     let memo_dir = store_dir.join("memo");
     let report = run_distributed(
@@ -561,6 +563,7 @@ fn serial_control(spec: &CampaignSpec, opts: &Options) -> Result<(CampaignResult
         memo: None,
         observer: None,
         index_range: None,
+        apps: None,
     };
     let started = Instant::now();
     let result = execute_spec(spec, &hooks).map_err(|e| e.to_string())?;

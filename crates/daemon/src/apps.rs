@@ -9,8 +9,10 @@
 //! campaign by construction (the end-to-end byte-identity the
 //! integration suite pins).
 
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use ffis_core::engine::job::CampaignSpec;
@@ -26,16 +28,34 @@ use qmc_sim::{QmcApp, QmcConfig};
 /// Application names [`execute_spec`] resolves.
 pub const APPS: [&str; 4] = ["nyx", "qmc", "montage", "paced"];
 
+/// A registry entry, resolved from a spec's `app` name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum AppKind {
+    Nyx,
+    Qmc,
+    Montage,
+    Paced,
+}
+
+fn resolve_app(spec: &CampaignSpec) -> Result<AppKind, String> {
+    match spec.app.to_ascii_lowercase().as_str() {
+        "nyx" => Ok(AppKind::Nyx),
+        "qmc" => Ok(AppKind::Qmc),
+        "montage" => Ok(AppKind::Montage),
+        "paced" => Ok(AppKind::Paced),
+        _ => Err(format!(
+            "unknown application '{}' (expected one of: {})",
+            spec.app,
+            APPS.join(", ")
+        )),
+    }
+}
+
 /// Validate the spec's `app` against the registry (the daemon answers
 /// HTTP 400 with this message at submit time, so an unknown app never
 /// occupies a queue slot).
 pub fn check_app(spec: &CampaignSpec) -> Result<(), String> {
-    let name = spec.app.to_ascii_lowercase();
-    if APPS.contains(&name.as_str()) {
-        Ok(())
-    } else {
-        Err(format!("unknown application '{}' (expected one of: {})", spec.app, APPS.join(", ")))
-    }
+    resolve_app(spec).map(drop)
 }
 
 /// The Nyx workload at grid side `n` — the same grid/volume scaling
@@ -57,6 +77,86 @@ pub fn nyx_app(grid: usize, files: usize) -> NyxApp {
     let chunk = (64.0 * 1024.0 * scale / 4096.0).round().max(1.0) as usize * 4096;
     cfg.write_chunk = chunk;
     NyxApp::new(cfg)
+}
+
+/// What an application's construction depends on: the registry entry
+/// and the spec's `grid` and `files`.
+type AppKey = (AppKind, usize, usize);
+
+/// A spec's application, constructed — golden products included.
+enum BuiltApp {
+    Nyx(NyxApp),
+    Qmc(QmcApp),
+    Montage(MontageApp),
+    Paced(PacedApp),
+}
+
+impl BuiltApp {
+    fn build((kind, grid, files): AppKey) -> BuiltApp {
+        let files = files.max(1);
+        match kind {
+            AppKind::Nyx => BuiltApp::Nyx(nyx_app(grid, files)),
+            // Multi-file QMC runs also block the DMC series, so a
+            // dirty checkpoint restart re-derives one block of steps
+            // instead of the whole series (single-file stays the
+            // legacy byte-identical layout).
+            AppKind::Qmc => BuiltApp::Qmc(QmcApp::new(QmcConfig {
+                restarts: files,
+                dmc_blocks: if files > 1 { 4 } else { 1 },
+                ..QmcConfig::default()
+            })),
+            AppKind::Montage => BuiltApp::Montage(MontageApp::multi_tile(files)),
+            AppKind::Paced => BuiltApp::Paced(PacedApp),
+        }
+    }
+
+    fn run(&self, cfg: CampaignConfig) -> Result<CampaignResult, CampaignError> {
+        match self {
+            BuiltApp::Nyx(app) => Campaign::new(app, cfg).run(),
+            BuiltApp::Qmc(app) => Campaign::new(app, cfg).run(),
+            BuiltApp::Montage(app) => Campaign::new(app, cfg).run(),
+            BuiltApp::Paced(app) => Campaign::new(app, cfg).run(),
+        }
+    }
+}
+
+/// Constructed applications, shared by the jobs of one queue.
+///
+/// Constructing an application runs its golden computation — for QMC
+/// the whole VMC + DMC series, some 400 ms — and depends on nothing in
+/// a spec but `(app, grid, files)`; a constructed application is
+/// immutable. A service draining many small jobs over a few
+/// applications therefore builds each once here instead of once per
+/// job. Concurrent jobs over one key wait for a single build.
+#[derive(Default)]
+pub struct AppCache {
+    apps: Mutex<HashMap<AppKey, Arc<OnceLock<BuiltApp>>>>,
+    builds: AtomicUsize,
+}
+
+impl AppCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Applications constructed so far — one per distinct
+    /// `(app, grid, files)` that was asked for.
+    pub fn builds(&self) -> usize {
+        self.builds.load(Ordering::Relaxed)
+    }
+
+    fn run(&self, key: AppKey, cfg: CampaignConfig) -> Result<CampaignResult, CampaignError> {
+        // The map lock covers only the slot lookup; the build runs
+        // under the slot's own once-lock, so other keys do not wait.
+        let slot =
+            Arc::clone(self.apps.lock().unwrap_or_else(|e| e.into_inner()).entry(key).or_default());
+        let app = slot.get_or_init(|| {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            BuiltApp::build(key)
+        });
+        app.run(cfg)
+    }
 }
 
 /// Execution environment the job runner supplies around a spec: where
@@ -86,6 +186,9 @@ pub struct ExecHooks {
     /// the *full* plan (engine law 7), so segments from different
     /// workers merge index-addressed.
     pub index_range: Option<(usize, usize)>,
+    /// Shared constructed applications. `None` constructs the spec's
+    /// application for this call alone.
+    pub apps: Option<Arc<AppCache>>,
 }
 
 /// Run a validated spec through the campaign engine. The spec's
@@ -95,7 +198,7 @@ pub fn execute_spec(
     spec: &CampaignSpec,
     hooks: &ExecHooks,
 ) -> Result<CampaignResult, CampaignError> {
-    check_app(spec).map_err(CampaignError::BadSignature)?;
+    let kind = resolve_app(spec).map_err(CampaignError::BadSignature)?;
     let signature = spec.signature().map_err(CampaignError::BadSignature)?;
     let mut cfg = CampaignConfig::new(signature)
         .with_runs(spec.runs)
@@ -127,28 +230,10 @@ pub fn execute_spec(
     if let Some(observer) = &hooks.observer {
         cfg = cfg.with_observer(observer.clone());
     }
-    match spec.app.to_ascii_lowercase().as_str() {
-        "nyx" => Campaign::new(&nyx_app(spec.grid, spec.files), cfg).run(),
-        "qmc" => {
-            // Multi-file QMC runs also block the DMC series, so a
-            // dirty checkpoint restart re-derives one block of steps
-            // instead of the whole series (single-file stays the
-            // legacy byte-identical layout).
-            let files = spec.files.max(1);
-            let blocks = if files > 1 { 4 } else { 1 };
-            Campaign::new(
-                &QmcApp::new(QmcConfig {
-                    restarts: files,
-                    dmc_blocks: blocks,
-                    ..QmcConfig::default()
-                }),
-                cfg,
-            )
-            .run()
-        }
-        "montage" => Campaign::new(&MontageApp::multi_tile(spec.files.max(1)), cfg).run(),
-        "paced" => Campaign::new(&PacedApp, cfg).run(),
-        other => Err(CampaignError::BadSignature(format!("unknown application '{}'", other))),
+    let key = (kind, spec.grid, spec.files);
+    match &hooks.apps {
+        Some(cache) => cache.run(key, cfg),
+        None => BuiltApp::build(key).run(cfg),
     }
 }
 

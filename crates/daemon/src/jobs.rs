@@ -41,7 +41,7 @@ use ffis_vfs::frame::write_atomic;
 use ffis_vfs::{CheckpointStore, MemoStore};
 
 use crate::api::{self, JobView};
-use crate::apps::{check_app, execute_spec, ExecHooks};
+use crate::apps::{check_app, execute_spec, AppCache, ExecHooks};
 use crate::distributed::{self, run_distributed};
 use crate::json;
 
@@ -83,6 +83,31 @@ struct Job {
     /// Live NDJSON lines fan out to these; cleared (disconnecting the
     /// receivers) after the `done` line.
     subscribers: Vec<Sender<String>>,
+    /// The `run` lines sent so far, kept while the job is active so a
+    /// subscriber that arrives mid-job still receives one line per plan
+    /// index; dropped with the subscribers after `done`.
+    backlog: Vec<String>,
+}
+
+impl Job {
+    fn new(view: JobView, cancelled: bool) -> Job {
+        Job {
+            view,
+            cancel: CancelToken::new(),
+            cancelled,
+            subscribers: Vec::new(),
+            backlog: Vec::new(),
+        }
+    }
+
+    /// Send the `done` line and end every stream.
+    fn finish_streams(&mut self) {
+        let done = api::done_line(&self.view);
+        for tx in self.subscribers.drain(..) {
+            let _ = tx.send(done.clone());
+        }
+        self.backlog = Vec::new();
+    }
 }
 
 struct Inner {
@@ -111,6 +136,10 @@ pub struct JobQueue {
     /// worker process) of this root shares one store, and warm jobs
     /// replay their clean sub-steps across daemon restarts.
     memo: Mutex<Option<Arc<MemoStore>>>,
+    /// Constructed applications, one per `(app, grid, files)`: a job
+    /// pays for its campaign, not for the golden computation every
+    /// earlier job over the same application already ran.
+    apps: Arc<AppCache>,
     options: QueueOptions,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -141,6 +170,7 @@ impl JobQueue {
             max_concurrent: AtomicUsize::new(0),
             stores: Mutex::new(HashMap::new()),
             memo: Mutex::new(None),
+            apps: Arc::new(AppCache::new()),
             options,
             workers: Mutex::new(Vec::new()),
         });
@@ -196,12 +226,7 @@ impl JobQueue {
                 },
                 Err(_) => JobView::queued(id, spec),
             };
-            let mut job = Job {
-                view,
-                cancel: CancelToken::new(),
-                cancelled: dir.join("cancelled").exists(),
-                subscribers: Vec::new(),
-            };
+            let mut job = Job::new(view, dir.join("cancelled").exists());
             if job.view.state.is_active() {
                 if job.cancelled {
                     job.view.state = JobState::Interrupted;
@@ -236,15 +261,7 @@ impl JobQueue {
         std::fs::create_dir_all(&dir).map_err(|e| format!("persist job {}: {}", id, e))?;
         write_atomic(&dir.join("spec.json"), api::spec_to_json(&spec).render().as_bytes())
             .map_err(|e| format!("persist job {}: {}", id, e))?;
-        inner.jobs.insert(
-            id,
-            Job {
-                view: JobView::queued(id, spec),
-                cancel: CancelToken::new(),
-                cancelled: false,
-                subscribers: Vec::new(),
-            },
-        );
+        inner.jobs.insert(id, Job::new(JobView::queued(id, spec), false));
         inner.fifo.push_back(id);
         drop(inner);
         self.ready.notify_one();
@@ -273,6 +290,12 @@ impl JobQueue {
         )
     }
 
+    /// Applications this queue has constructed — one per distinct
+    /// `(app, grid, files)` its jobs asked for (see [`AppCache`]).
+    pub fn app_builds(&self) -> usize {
+        self.apps.builds()
+    }
+
     /// Cancel a job: a queued job is interrupted immediately; a
     /// running one gets its token cancelled and parks as
     /// `interrupted` when the in-flight run finishes. Terminal jobs
@@ -287,24 +310,27 @@ impl JobQueue {
             let _ = std::fs::write(dir.join("cancelled"), b"");
             if job.view.state == JobState::Queued {
                 job.view.state = JobState::Interrupted;
-                let done = api::done_line(&job.view);
-                for tx in job.subscribers.drain(..) {
-                    let _ = tx.send(done.clone());
-                }
+                job.finish_streams();
             }
         }
         Some(job.view.clone())
     }
 
     /// Subscribe to a job's event stream: the snapshot to send first,
-    /// plus a receiver of NDJSON lines. For a terminal job the
-    /// receiver is already disconnected — the stream is just
-    /// `snapshot` + `done`.
+    /// plus a receiver of NDJSON lines. An active job's receiver opens
+    /// with the `run` lines of the runs already executed, queued under
+    /// the same lock that registers it, so the stream carries exactly
+    /// one `run` line per plan index however late it opens. For a
+    /// terminal job the receiver is already disconnected — the stream
+    /// is just `snapshot` + `done`.
     pub fn subscribe(&self, id: u64) -> Option<(JobView, Receiver<String>)> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let job = inner.jobs.get_mut(&id)?;
         let (tx, rx) = channel();
         if job.view.state.is_active() {
+            for line in &job.backlog {
+                let _ = tx.send(line.clone());
+            }
             job.subscribers.push(tx);
         } else {
             let _ = tx.send(api::done_line(&job.view));
@@ -332,10 +358,7 @@ impl JobQueue {
                 if let Some(job) = inner.jobs.get_mut(&id) {
                     if job.view.state == JobState::Queued {
                         job.view.state = JobState::Interrupted;
-                        let done = api::done_line(&job.view);
-                        for tx in job.subscribers.drain(..) {
-                            let _ = tx.send(done.clone());
-                        }
+                        job.finish_streams();
                     }
                 }
             }
@@ -458,6 +481,7 @@ impl JobQueue {
                 api::aborted_counters(&mut job.view, result.aborted.as_ref());
                 let line = api::run_line(result, resumed);
                 job.subscribers.retain(|tx| tx.send(line.clone()).is_ok());
+                job.backlog.push(line);
             }
         });
         // Fan-out (engine law 7): shard journaled multi-run jobs
@@ -481,6 +505,7 @@ impl JobQueue {
                     memo: Some(self.memo_store()),
                     observer: Some(observer.clone()),
                     index_range: None,
+                    apps: Some(Arc::clone(&self.apps)),
                 };
                 match run_distributed(
                     &spec,
@@ -511,6 +536,7 @@ impl JobQueue {
                 memo: Some(self.memo_store()),
                 observer: Some(observer),
                 index_range: None,
+                apps: Some(Arc::clone(&self.apps)),
             };
             execute_spec(&spec, &hooks)
         });
@@ -546,10 +572,7 @@ impl JobQueue {
                 api::job_to_json(&job.view).render().as_bytes(),
             );
         }
-        let done = api::done_line(&job.view);
-        for tx in job.subscribers.drain(..) {
-            let _ = tx.send(done.clone());
-        }
+        job.finish_streams();
         drop(inner);
         if terminal {
             // This job just became collectable; an older terminal job

@@ -15,12 +15,11 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::api;
-use crate::http::{HttpServer, Reply, Request};
+use crate::http::{HttpServer, Reply, Request, Stopper};
 use crate::jobs::JobQueue;
 use crate::json::{self, Json};
 
@@ -69,7 +68,7 @@ impl DaemonConfig {
 pub struct Daemon {
     queue: Arc<JobQueue>,
     addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Stopper,
     listener: Option<JoinHandle<()>>,
 }
 
@@ -83,24 +82,20 @@ impl Daemon {
         };
         let queue = JobQueue::open_with(&config.root, config.workers, options)?;
         let server = HttpServer::bind(&config.addr)?;
-        let addr = server.addr();
-        let stop = Arc::new(AtomicBool::new(false));
+        let (addr, stop) = (server.addr(), server.stopper());
         let handler = {
             let queue = Arc::clone(&queue);
             let bench_dir = config.bench_dir.clone();
             Arc::new(move |req: &Request| route(&queue, bench_dir.as_deref(), req))
         };
-        let listener = {
-            let stop = Arc::clone(&stop);
-            // Two HTTP threads per worker slot: streams occupy one for
-            // a job's whole lifetime, so status polls need headroom.
-            let http_workers = config.workers.max(1) * 2 + 2;
-            std::thread::spawn(move || {
-                if let Err(e) = server.serve(http_workers, handler, stop) {
-                    eprintln!("[ffis-daemon] listener error: {}", e);
-                }
-            })
-        };
+        // Two HTTP threads per worker slot: streams occupy one for a
+        // job's whole lifetime, so status polls need headroom.
+        let http_workers = config.workers.max(1) * 2 + 2;
+        let listener = std::thread::spawn(move || {
+            if let Err(e) = server.serve(http_workers, handler) {
+                eprintln!("[ffis-daemon] listener error: {}", e);
+            }
+        });
         Ok(Daemon { queue, addr, stop, listener: Some(listener) })
     }
 
@@ -117,7 +112,7 @@ impl Daemon {
     /// Graceful shutdown: stop accepting connections, cancel active
     /// jobs, flush journals, join every thread. Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.stop();
         self.queue.shutdown();
         if let Some(handle) = self.listener.take() {
             let _ = handle.join();
@@ -128,8 +123,11 @@ impl Daemon {
 impl Drop for Daemon {
     fn drop(&mut self) {
         // Best effort: a dropped handle still stops the listener so
-        // tests cannot leak accept loops.
-        self.stop.store(true, Ordering::SeqCst);
+        // tests cannot leak accept loops. After `shutdown` the port is
+        // no longer ours to connect to.
+        if self.listener.is_some() {
+            self.stop.stop();
+        }
     }
 }
 

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use ffis_core::engine::journal;
 use ffis_core::{CampaignSpec, JobState, OutcomeTally};
 use ffis_daemon::api::{self, StreamEvent};
-use ffis_daemon::{execute_spec, Client, Daemon, DaemonConfig, ExecHooks, JobView};
+use ffis_daemon::{execute_spec, Client, Daemon, DaemonConfig, ExecHooks, JobQueue, JobView};
 
 fn tmp_root(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ffis-daemon-api-{}-{}", std::process::id(), name));
@@ -374,5 +374,135 @@ fn the_admission_cap_runs_jobs_concurrently_and_deterministically() {
     assert_ne!(view_a.run_digest, view_b.run_digest, "different seeds, different digests");
 
     daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_late_subscriber_still_receives_one_run_event_per_plan_index() {
+    const RUNS: usize = 40;
+    let root = tmp_root("late");
+    let mut daemon = start_daemon(&root, 1);
+    let client = Client::new(daemon.addr().to_string());
+    let id = client.submit(&paced_spec(RUNS, 0x1A7E)).unwrap();
+
+    // Open the stream only once the job is demonstrably under way.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while client.job(id).unwrap().executed < 2 {
+        assert!(Instant::now() < deadline, "job never started executing");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let mut events: Vec<StreamEvent> = Vec::new();
+    let final_view = client.watch(id, |ev| events.push(ev.clone())).unwrap();
+    assert_eq!(final_view.state, JobState::Complete);
+
+    match events.first() {
+        Some(StreamEvent::Snapshot(view)) => {
+            assert!(view.executed >= 2, "subscribed too early to test anything");
+        }
+        other => panic!("stream opens with {other:?}"),
+    }
+    let mut indices = Vec::new();
+    let mut folded = OutcomeTally::default();
+    for ev in &events {
+        if let StreamEvent::Run { run, outcome, fired, .. } = ev {
+            indices.push(*run);
+            api::fold_run_event(&mut folded, *outcome, *fired);
+        }
+    }
+    indices.sort_unstable();
+    assert_eq!(indices, (0..RUNS).collect::<Vec<_>>(), "one run event per plan index");
+    assert_eq!(folded, final_view.tally);
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The six job types of the benchmark's `daemon_jobs` workload at its
+/// smoke size: three applications, four distinct `(app, grid, files)`.
+fn service_job_types() -> Vec<CampaignSpec> {
+    let spec = |app: &str, model: &str, site: &str, files: usize| {
+        let mut s = CampaignSpec::new(app, model);
+        s.site = site.into();
+        s.grid = 16;
+        s.files = files;
+        s.runs = 16;
+        s
+    };
+    vec![
+        spec("nyx", "BF", "write", 1),
+        spec("nyx", "DW", "write", 1),
+        spec("nyx", "BF", "read", 1),
+        spec("montage", "SW", "write", 2),
+        spec("montage", "BF", "read", 2),
+        spec("qmc", "BF", "write", 1),
+    ]
+}
+
+fn wait_in_queue(queue: &JobQueue, id: u64) -> JobView {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let view = queue.job(id).unwrap();
+        if !view.state.is_active() {
+            return view;
+        }
+        assert!(Instant::now() < deadline, "job {id} never reached a terminal state");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A job served from the queue's shared applications answers exactly
+/// what a bare in-process run of its spec answers.
+fn assert_same_as_bare_run(view: &JobView) {
+    let bare = execute_spec(&view.spec, &ExecHooks::default()).unwrap();
+    let id = format!("{} {} seed {:#x}", view.spec.app, view.spec.label(), view.spec.seed);
+    assert_eq!(view.state, JobState::Complete, "{id}");
+    assert_eq!(view.run_digest, Some(bare.run_digest()), "{id}: run digest");
+    assert_eq!(view.tally, bare.tally, "{id}: tally");
+    assert_eq!(view.plan_fingerprint, Some(bare.plan_fingerprint), "{id}: plan fingerprint");
+}
+
+#[test]
+fn jobs_over_shared_applications_answer_like_bare_runs_and_build_each_app_once() {
+    let root = tmp_root("appcache");
+    let queue = JobQueue::open(&root, 1).unwrap();
+    assert_eq!(queue.app_builds(), 0);
+    let mut ids = Vec::new();
+    for round in 0..3u64 {
+        for (k, mut spec) in service_job_types().into_iter().enumerate() {
+            spec.seed = 0xA99 + round * 100 + k as u64;
+            ids.push(queue.submit(spec).unwrap());
+        }
+    }
+    for id in ids {
+        assert_same_as_bare_run(&wait_in_queue(&queue, id));
+    }
+    // nyx g16 f1, montage g16 f2, qmc g16 f1 — not one per job.
+    assert_eq!(queue.app_builds(), 3);
+    queue.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn two_slots_racing_for_one_application_build_it_once() {
+    let root = tmp_root("appcache-race");
+    let queue = JobQueue::open(&root, 2).unwrap();
+    // Two QMC jobs: constructing their application takes longer than
+    // anything else a slot does before it, so the second slot arrives
+    // while the first is still building.
+    let mut qmc = service_job_types().pop().unwrap();
+    let ids: Vec<u64> = [0xC0, 0xC1]
+        .into_iter()
+        .map(|seed| {
+            qmc.seed = seed;
+            queue.submit(qmc.clone()).unwrap()
+        })
+        .collect();
+    let views: Vec<JobView> = ids.iter().map(|&id| wait_in_queue(&queue, id)).collect();
+    assert_eq!(queue.counts().2, 2, "the two jobs never held a slot at the same time");
+    assert_eq!(queue.app_builds(), 1, "the slot that lost the race waited for the winner");
+    for view in &views {
+        assert_same_as_bare_run(view);
+    }
+    queue.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -103,6 +103,7 @@ fn assert_sharded_matches_serial(app: &str, seed: u64) {
         memo: None,
         observer: None,
         index_range: None,
+        apps: None,
     };
     let merged_result = execute_spec(&fspec, &hooks).unwrap();
     assert_eq!(merged_result.status, CompletionStatus::Complete, "{app}");

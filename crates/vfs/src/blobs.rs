@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::frame::FrameDir;
 
@@ -35,26 +35,56 @@ const BLOB_MAGIC: &[u8; 8] = b"FFISBLB1";
 // Hashing
 // ---------------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven and
+/// Slicing-by-8 tables for [`crc32`]: `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table, `CRC_TABLES[k][i]` the CRC of byte `i`
+/// followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), slicing-by-8 and
 /// hand-rolled because the workspace is offline by policy. Guards
 /// every record [`crate::frame`] seals and `ffis-core`'s run journal
 /// header.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
-        }
-        t
-    });
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -70,60 +100,64 @@ const SHA256_K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// One SHA-256 compression round over a 64-byte block.
+fn sha256_block(h: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (slot, word) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *slot = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = hh.wrapping_add(s1).wrapping_add(ch).wrapping_add(SHA256_K[i]).wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (slot, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        *slot = slot.wrapping_add(v);
+    }
+}
+
 /// SHA-256 content hash (FIPS 180-4). Hand-rolled — the workspace is
 /// offline, and the 64-bit FNV used for trace fingerprints is too
 /// collision-prone to address content that is *reconstructed from* its
-/// hash rather than merely cache-keyed by it.
+/// hash rather than merely cache-keyed by it. Whole 64-byte blocks are
+/// compressed in place; only the padded tail (one or two blocks) is
+/// copied.
 pub fn sha256(data: &[u8]) -> BlobHash {
     let mut h: [u32; 8] = [
         0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
         0x5be0cd19,
     ];
-    let bitlen = (data.len() as u64).wrapping_mul(8);
-    let mut msg = Vec::with_capacity(data.len() + 72);
-    msg.extend_from_slice(data);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        sha256_block(&mut h, block.try_into().expect("64 bytes"));
     }
-    msg.extend_from_slice(&bitlen.to_be_bytes());
-
-    let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 =
-                hh.wrapping_add(s1).wrapping_add(ch).wrapping_add(SHA256_K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
-        h[5] = h[5].wrapping_add(f);
-        h[6] = h[6].wrapping_add(g);
-        h[7] = h[7].wrapping_add(hh);
+    // Tail: the remainder, 0x80, zeros up to 56 mod 64, the bit length.
+    let rest = blocks.remainder();
+    let mut tail = [0u8; 128];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    let tail_len = if rest.len() < 56 { 64 } else { 128 };
+    let bitlen = (data.len() as u64).wrapping_mul(8);
+    tail[tail_len - 8..tail_len].copy_from_slice(&bitlen.to_be_bytes());
+    for block in tail[..tail_len].chunks_exact(64) {
+        sha256_block(&mut h, block.try_into().expect("64 bytes"));
     }
     let mut out = [0u8; 32];
     for (i, word) in h.iter().enumerate() {
@@ -238,6 +272,15 @@ impl BlobStore {
         hash
     }
 
+    /// Account for one more reference to `len` bytes this store already
+    /// holds — what a [`BlobStore::put`] of the same bytes would add to
+    /// [`BlobStats`], for a caller that knows their address from an
+    /// earlier `put` and need not hash them again.
+    pub(crate) fn credit_repeat(&self, len: usize) {
+        self.logical_bytes.fetch_add(len as u64, Ordering::Relaxed);
+        self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Fetch a blob by content address: memory tier first, then the
     /// disk tier (verifying frame CRC and content hash; corrupt frames
     /// are deleted and miss). `None` means the content must be
@@ -281,6 +324,7 @@ impl BlobStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::path::PathBuf;
 
     #[test]
@@ -305,6 +349,100 @@ mod tests {
     fn crc32_known_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Bit-at-a-time CRC-32: the definition, no tables.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    /// SHA-256 the way FIPS 180-4 states it: pad the whole message
+    /// into a fresh buffer, then walk its blocks.
+    fn sha256_reference(data: &[u8]) -> BlobHash {
+        let mut h: [u32; 8] = [
+            0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+            0x5be0cd19,
+        ];
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        for block in msg.chunks_exact(64) {
+            let mut w = [0u32; 64];
+            for (i, word) in block.chunks_exact(4).enumerate() {
+                w[i] = u32::from_be_bytes(word.try_into().unwrap());
+            }
+            for i in 16..64 {
+                let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+                let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+                w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+            }
+            let mut v = h;
+            for i in 0..64 {
+                let s1 = v[4].rotate_right(6) ^ v[4].rotate_right(11) ^ v[4].rotate_right(25);
+                let ch = (v[4] & v[5]) ^ (!v[4] & v[6]);
+                let t1 = v[7]
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(SHA256_K[i])
+                    .wrapping_add(w[i]);
+                let s0 = v[0].rotate_right(2) ^ v[0].rotate_right(13) ^ v[0].rotate_right(22);
+                let maj = (v[0] & v[1]) ^ (v[0] & v[2]) ^ (v[1] & v[2]);
+                v.rotate_right(1);
+                v[4] = v[4].wrapping_add(t1);
+                v[0] = t1.wrapping_add(s0.wrapping_add(maj));
+            }
+            for (slot, x) in h.iter_mut().zip(v) {
+                *slot = slot.wrapping_add(x);
+            }
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in h.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// Every length where the padding or the slicing tail changes
+    /// shape: 55/56 and 119/120 (the length field stops fitting the
+    /// last block), 63/64 (a whole block and nothing else), every
+    /// remainder of the 8-byte CRC stride, and a page either side.
+    #[test]
+    fn hashes_match_their_references_at_every_length_to_300_and_around_a_page() {
+        let bytes: Vec<u8> =
+            (0..4097u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for len in (0..=300).chain([4095, 4096, 4097]) {
+            assert_eq!(crc32(&bytes[..len]), crc32_reference(&bytes[..len]), "crc32, {len} bytes");
+            assert_eq!(
+                sha256(&bytes[..len]),
+                sha256_reference(&bytes[..len]),
+                "sha256, {len} bytes"
+            );
+        }
+    }
+
+    proptest! {
+        /// Random content at random lengths, starting at a random
+        /// offset into its buffer so the 8-byte CRC words and 64-byte
+        /// SHA blocks are read from unaligned addresses.
+        #[test]
+        fn hashes_match_their_references_on_random_unaligned_input(
+            buf in proptest::collection::vec(any::<u8>(), 0..308),
+            skip in 0usize..8,
+        ) {
+            let data = &buf[skip.min(buf.len())..];
+            prop_assert_eq!(crc32(data), crc32_reference(data));
+            prop_assert_eq!(sha256(data), sha256_reference(data));
+        }
     }
 
     #[test]

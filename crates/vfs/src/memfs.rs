@@ -191,7 +191,7 @@ impl MemFs {
     /// so identical pages across files, checkpoints, and campaigns
     /// dedupe in the blob store. Iteration is sorted, so the same
     /// state always encodes to the same bytes.
-    pub(crate) fn export_image(&self, put_page: &mut dyn FnMut(&[u8]) -> [u8; 32]) -> Vec<u8> {
+    pub(crate) fn export_image(&self, put_page: &mut dyn FnMut(&Arc<Page>) -> [u8; 32]) -> Vec<u8> {
         let g = self.read_lock();
         let mut buf = Vec::new();
         wire::put_u64(&mut buf, g.next_ino);
@@ -214,7 +214,7 @@ impl MemFs {
                     wire::put_u64(&mut buf, f.len());
                     wire::put_u32(&mut buf, f.pages().len() as u32);
                     for page in f.pages() {
-                        buf.extend_from_slice(&put_page(&page[..]));
+                        buf.extend_from_slice(&put_page(page));
                     }
                 }
                 NodeData::Dir(map) => {
@@ -1292,7 +1292,7 @@ mod tests {
 
         let mut pages: HashMap<[u8; 32], Vec<u8>> = HashMap::new();
         let image = a.export_image(&mut |page| {
-            let h = crate::blobs::sha256(page);
+            let h = crate::blobs::sha256(&page[..]);
             pages.insert(h, page.to_vec());
             h
         });
@@ -1307,7 +1307,7 @@ mod tests {
 
         // Deterministic encoding: re-exporting the reconstruction is
         // byte-identical, i.e. *every* piece of state round-tripped.
-        let reexport = b.export_image(&mut |page| crate::blobs::sha256(page));
+        let reexport = b.export_image(&mut |page| crate::blobs::sha256(&page[..]));
         assert_eq!(image, reexport);
 
         // Spot checks on behaviour, not just bytes.

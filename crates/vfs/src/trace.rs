@@ -193,12 +193,13 @@
 //! that the fallback and the memoized path are byte-identical, so the
 //! memo layer is a pure wall-clock optimization, never a regime.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::blobs::{BlobStats, BlobStore};
+use crate::blobs::{BlobHash, BlobStats, BlobStore};
 use crate::error::{FsError, FsResult};
 use crate::ffisfs::{CounterSnapshot, FfisFs};
 use crate::file::{Page, BLOCK_SIZE};
@@ -1574,6 +1575,14 @@ fn encode_manifest(key: u64, cks: &TraceCheckpoints, blobs: &BlobStore) -> Vec<u
     for op in &cks.ops {
         encode_op(op, &mut body, &mut |body, data| externalize(blobs, body, data));
     }
+    // The points of one set share almost all of their pages by `Arc`
+    // (CoW forks of one replay), so each distinct allocation is hashed
+    // and stored once and every further reference to it is only
+    // accounted — the write-side twin of `decode_manifest`'s
+    // `page_cache`. An entry holds its page: the address cannot be
+    // reused while it keys the map, and a holder of the last other
+    // reference would copy on write, not write in place.
+    let mut hashed: HashMap<*const Page, (Arc<Page>, BlobHash)> = HashMap::new();
     wire::put_u32(&mut body, cks.points.len() as u32);
     for point in &cks.points {
         wire::put_u64(&mut body, point.index as u64);
@@ -1590,7 +1599,13 @@ fn encode_manifest(key: u64, cks: &TraceCheckpoints, blobs: &BlobStore) -> Vec<u
             wire::put_u64(&mut body, live.fd);
             wire::put_str(&mut body, &live.path);
         }
-        let image = point.fs.export_image(&mut |page| blobs.put(page));
+        let image = point.fs.export_image(&mut |page| match hashed.entry(Arc::as_ptr(page)) {
+            Entry::Occupied(seen) => {
+                blobs.credit_repeat(BLOCK_SIZE);
+                seen.get().1
+            }
+            Entry::Vacant(slot) => slot.insert((Arc::clone(page), blobs.put(&page[..]))).1,
+        });
         wire::put_u32(&mut body, image.len() as u32);
         body.extend_from_slice(&image);
     }
@@ -1904,6 +1919,7 @@ impl std::fmt::Debug for CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blobs::{hash_hex, sha256};
     use crate::fs::FileSystemExt;
     use std::path::PathBuf;
 
@@ -2421,6 +2437,92 @@ mod tests {
             after.physical_bytes - before.physical_bytes
                 < (after.logical_bytes - before.logical_bytes) / 2
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A trace whose demand-placed checkpoints share almost every
+    /// page by `Arc`: 24 one-page chunks of one file, a sparse tail
+    /// (zero pages) and a small log — with the demand that places a
+    /// checkpoint every few chunks.
+    fn paged_workload() -> (Vec<TraceOp>, Vec<usize>) {
+        let ffs = FfisFs::mount(Arc::new(MemFs::new()));
+        let rec = Arc::new(TraceRecorder::new());
+        ffs.attach(rec.clone());
+        ffs.mkdir("/out", 0o755).unwrap();
+        let data: Vec<u8> =
+            (0..24 * BLOCK_SIZE).map(|i| (i / BLOCK_SIZE * 7 + i % 251) as u8).collect();
+        ffs.write_file_chunked("/out/data.bin", &data, BLOCK_SIZE).unwrap();
+        let fd = ffs.open("/out/data.bin", OpenFlags::read_write()).unwrap();
+        ffs.pwrite(fd, b"tail", 40 * BLOCK_SIZE as u64).unwrap();
+        ffs.release(fd).unwrap();
+        ffs.write_file("/out/log.txt", b"done\n").unwrap();
+        ffs.unmount();
+        let ops = rec.ops();
+        let demand = vec![6, 10, 14, 18, 22, 26, ops.len() - 2];
+        (ops, demand)
+    }
+
+    /// What the page-by-page encoder (one `BlobStore::put`, so one
+    /// SHA-256, per page *reference*) left behind for
+    /// [`paged_workload`], taken from the commit before the encoder
+    /// learned to hash each distinct `Arc<Page>` once:
+    /// `(logical_bytes, dedup_hits, physical_bytes, blobs)`, the
+    /// SHA-256 of the sorted blob file names, and the SHA-256 of the
+    /// manifest file.
+    const PAGE_BY_PAGE: ((u64, u64, u64, usize), &str, &str) = (
+        (614_409, 123, 110_601, 29),
+        "3a528f67b8b26d59c6c8e2534271f88b3e8b6fc5de804290524666be41d93744",
+        "91c0e87cc39de6b12231d96efe9d432cea3fa32353b4c19d40c7102fa69874a0",
+    );
+
+    #[test]
+    fn hash_once_encode_is_the_page_by_page_encode() {
+        let dir = scratch("hash-once");
+        let (ops, demand) = paged_workload();
+        let first = CheckpointStore::with_dir(&dir).unwrap();
+        let built = first.get_or_build_for_demand(ops.clone(), &demand).unwrap();
+        assert!(built.points().len() >= 4, "{} checkpoints", built.points().len());
+        let shared: usize = built.points().iter().map(|p| p.fs.shared_pages()).sum();
+        assert!(shared > 100, "checkpoints share pages by Arc ({shared} shared references)");
+
+        // Same accounting, same files, same bytes as hashing every
+        // reference: the dedup ratio and the disk tier do not move.
+        let stats = first.blob_stats().unwrap();
+        let names: Vec<String> = sealed_files(&dir.join("blobs"))
+            .iter()
+            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+            .collect();
+        let manifests = sealed_files(&dir.join("manifests"));
+        assert_eq!(manifests.len(), 1);
+        let manifest = std::fs::read(&manifests[0]).unwrap();
+        assert_eq!(
+            (
+                (stats.logical_bytes, stats.dedup_hits, stats.physical_bytes, stats.blobs),
+                hash_hex(&sha256(names.join("\n").as_bytes())).as_str(),
+                hash_hex(&sha256(&manifest)).as_str(),
+            ),
+            PAGE_BY_PAGE
+        );
+        assert_eq!(names.len(), stats.blobs, "one file per distinct blob");
+
+        // A second store over the directory loads the set, and every
+        // checkpoint's files are those of a fresh build.
+        let second = CheckpointStore::with_dir(&dir).unwrap();
+        let loaded = second.get_or_build_for_demand(ops.clone(), &demand).unwrap();
+        assert_eq!((second.builds(), second.disk_hits()), (0, 1));
+        let fresh = TraceCheckpoints::build_for_demand(ops, &demand).unwrap();
+        assert_eq!(loaded.points().len(), fresh.points().len());
+        for (l, f) in loaded.points().iter().zip(fresh.points()) {
+            assert_eq!(l.index(), f.index());
+            for path in ["/out/data.bin", "/out/log.txt"] {
+                assert_eq!(
+                    l.fs.snapshot(path).ok(),
+                    f.fs.snapshot(path).ok(),
+                    "{path} @ {}",
+                    l.index()
+                );
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
