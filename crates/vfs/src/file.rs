@@ -8,13 +8,14 @@
 //! the way a real flash translation layer would.
 //!
 //! Storage is a vector of 4-KiB page extents behind [`Arc`]s. Cloning a
-//! `SectorFile` (and therefore forking a whole
-//! [`MemFs`](crate::MemFs)) copies only the page *pointers*; a page's
-//! bytes are duplicated lazily on the first write that lands in it
-//! ([`Arc::make_mut`]). This is what makes golden-snapshot forking
-//! O(metadata) instead of O(data): a 100 MB plotfile forks by copying
-//! ~25k pointers, and an injection run that damages one metadata byte
-//! dirties exactly one 4-KiB page.
+//! `SectorFile` copies only the page *pointers*; a page's bytes are
+//! duplicated lazily on the first write that lands in it
+//! ([`Arc::make_mut`]). Forking a whole [`MemFs`](crate::MemFs) does
+//! not even do that: the fork shares every inode, and a file's pointer
+//! vector is cloned only when a fork first writes into *that* file. A
+//! 100 MB plotfile therefore forks for free, costs ~25k pointer copies
+//! the first time a run writes into it, and an injection run that
+//! damages one metadata byte dirties exactly one 4-KiB page.
 
 use std::sync::{Arc, OnceLock};
 

@@ -35,12 +35,13 @@
 //! Injection campaigns repeat the same fault-free prefix thousands of
 //! times. Two mechanisms in this crate collapse that cost:
 //!
-//! * **Copy-on-write forking** — [`MemFs`] stores file contents as
-//!   4-KiB page extents behind `Arc`s ([`SectorFile`]), so
-//!   [`MemFs::fork`] clones a whole filesystem — open descriptors and
-//!   all — by copying page *pointers*. Pages are duplicated lazily on
-//!   first write; an injection run that corrupts one metadata byte
-//!   dirties exactly one page of the shared golden snapshot.
+//! * **Copy-on-write forking** — [`MemFs`] keeps its inode table, its
+//!   inodes and each file's 4-KiB page extents ([`SectorFile`]) behind
+//!   `Arc`s, so [`MemFs::fork`] clones a whole filesystem — open
+//!   descriptors and all — by sharing the table. A write un-shares the
+//!   one inode and the one page it lands in; an injection run that
+//!   corrupts one metadata byte dirties exactly one page of the shared
+//!   golden snapshot, and a run that only reads copies nothing.
 //! * **Golden-trace capture/replay** ([`trace`]) — a [`TraceRecorder`]
 //!   attached to the golden run captures every state-mutating
 //!   primitive (with its full write payload) as a replayable

@@ -35,9 +35,62 @@ struct LockState {
     exclusive: bool,
 }
 
+/// The inode table, persistent one level above the pages: a shared
+/// spine of shared inodes. A clone is one `Arc` bump; a read borrows
+/// through both levels; the first mutation through a shared table
+/// copies the spine (pointers only) and then un-shares just the inode
+/// it touches, whose [`SectorFile`] in turn copies only the pages
+/// written.
+#[derive(Debug, Clone)]
+struct InodeTable(Arc<HashMap<Ino, Arc<Inode>>>);
+
+impl InodeTable {
+    fn get(&self, ino: &Ino) -> Option<&Inode> {
+        self.0.get(ino).map(|node| &**node)
+    }
+
+    fn get_mut(&mut self, ino: &Ino) -> Option<&mut Inode> {
+        Arc::make_mut(&mut self.0).get_mut(ino).map(Arc::make_mut)
+    }
+
+    fn insert(&mut self, ino: Ino, node: Inode) {
+        Arc::make_mut(&mut self.0).insert(ino, Arc::new(node));
+    }
+
+    fn remove(&mut self, ino: &Ino) {
+        Arc::make_mut(&mut self.0).remove(ino);
+    }
+
+    fn values(&self) -> impl Iterator<Item = &Inode> {
+        self.0.values().map(|node| &**node)
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Pages reachable from another table too: every page of an inode
+    /// that is itself still shared (through the spine or on its own),
+    /// and the pages an un-shared inode has not yet copied.
+    fn shared_pages(&self) -> usize {
+        let spine_shared = Arc::strong_count(&self.0) > 1;
+        self.0
+            .values()
+            .filter_map(|node| {
+                let file = node.as_file()?;
+                Some(if spine_shared || Arc::strong_count(node) > 1 {
+                    file.page_count()
+                } else {
+                    file.shared_pages()
+                })
+            })
+            .sum()
+    }
+}
+
 #[derive(Debug, Clone)]
 struct MemFsInner {
-    inodes: HashMap<Ino, Inode>,
+    inodes: InodeTable,
     next_ino: Ino,
     handles: HashMap<Fd, Handle>,
     next_fd: Fd,
@@ -48,10 +101,9 @@ struct MemFsInner {
 
 impl MemFsInner {
     fn new() -> Self {
-        let mut inodes = HashMap::new();
-        inodes.insert(ROOT_INO, Inode::dir(ROOT_INO, 0o755, 0));
+        let root = Arc::new(Inode::dir(ROOT_INO, 0o755, 0));
         MemFsInner {
-            inodes,
+            inodes: InodeTable(Arc::new(HashMap::from([(ROOT_INO, root)]))),
             next_ino: ROOT_INO + 1,
             handles: HashMap::new(),
             next_fd: 3,
@@ -155,26 +207,32 @@ impl MemFs {
         node.as_file().map(|f| f.to_vec()).ok_or(FsError::IsADirectory)
     }
 
-    /// Copy-on-write fork: an independent filesystem sharing all file
-    /// pages with `self` until either side writes.
+    /// Copy-on-write fork: an independent filesystem sharing the whole
+    /// inode table — every inode, directory map and file page — with
+    /// `self` until either side writes.
     ///
-    /// The clone copies the inode table, directory maps, open-handle
-    /// table, and lock state, but file contents are page-extent `Arc`
-    /// clones ([`crate::SectorFile`]), so the cost is O(inodes + page
-    /// *pointers*) — no file byte is touched. A fork taken mid-run
-    /// (open descriptors and all) is the substrate of the golden-trace
-    /// replay engine: every injection run forks the pristine snapshot
-    /// instead of re-executing the application's fault-free prefix.
+    /// The clone bumps one reference count on the table and copies the
+    /// open-handle table, the lock state and the counters, so the cost
+    /// is O(open descriptors), whatever the number of files and pages.
+    /// The first mutation on either side copies the table's spine (one
+    /// pointer per inode), then the one inode it touches, then
+    /// ([`crate::SectorFile`]) the pages it writes; a side that only
+    /// opens, reads and releases never copies anything. A fork taken
+    /// mid-run (open descriptors and all) is the substrate of the
+    /// golden-trace replay engine: every injection run forks the
+    /// pristine snapshot instead of re-executing the application's
+    /// fault-free prefix.
     pub fn fork(&self) -> MemFs {
         MemFs { inner: RwLock::new(self.read_lock().clone()) }
     }
 
     /// Total pages across all regular files whose backing allocation
-    /// is still shared with another fork (CoW accounting; used by
-    /// tests and capacity diagnostics).
+    /// is still shared with another fork — because the page's inode is
+    /// (nothing in it was written since the fork), because the page
+    /// itself is, or because it is the zero page (CoW accounting; used
+    /// by tests and capacity diagnostics).
     pub fn shared_pages(&self) -> usize {
-        let g = self.read_lock();
-        g.inodes.values().filter_map(Inode::as_file).map(|f| f.shared_pages()).sum()
+        self.read_lock().inodes.shared_pages()
     }
 
     /// Number of currently open descriptors (leak checking in tests).
@@ -298,7 +356,7 @@ impl MemFs {
                 2 => NodeData::None,
                 _ => return None,
             };
-            inodes.insert(ino, Inode { ino, kind, mode, nlink, mtime, rdev, data });
+            inodes.insert(ino, Arc::new(Inode { ino, kind, mode, nlink, mtime, rdev, data }));
         }
         if !inodes.contains_key(&ROOT_INO) {
             return None;
@@ -330,6 +388,7 @@ impl MemFs {
         if r.remaining() != 0 {
             return None;
         }
+        let inodes = InodeTable(Arc::new(inodes));
         Some(MemFs {
             inner: RwLock::new(MemFsInner { inodes, next_ino, handles, next_fd, locks, clock }),
         })
@@ -1243,6 +1302,65 @@ mod tests {
         // Namespace changes in the fork don't leak back.
         b.write_file("/only-in-b", b"x").unwrap();
         assert!(!a.exists("/only-in-b"));
+
+        // A write un-shares what it touches and nothing else: of 2,000
+        // files of four pages each, one byte costs one inode and one
+        // page, whichever side of the fork writes it.
+        let base = fs();
+        for d in 0..20 {
+            base.mkdir(&format!("/d{d}"), 0o755).unwrap();
+            for f in 0..100 {
+                base.write_file(&format!("/d{d}/f{f}"), &[d as u8; 4 * BLOCK_SIZE]).unwrap();
+            }
+        }
+        let poke = |fs: &MemFs, path: &str| {
+            let fd = fs.open(path, OpenFlags::write_only()).unwrap();
+            fs.pwrite(fd, &[0xEE], BLOCK_SIZE as u64 + 5).unwrap();
+            fs.release(fd).unwrap();
+        };
+        assert_eq!(base.shared_pages(), 0, "nothing to share with yet");
+        let fork = base.fork();
+        assert_eq!(unshared(&base, &fork), (0, 0));
+        assert_eq!((base.shared_pages(), fork.shared_pages()), (8000, 8000));
+
+        poke(&fork, "/d7/f42");
+        assert_eq!(unshared(&base, &fork), (1, 1));
+        assert_eq!((base.shared_pages(), fork.shared_pages()), (7999, 7999));
+        assert_eq!(fork.read_to_vec("/d7/f42").unwrap()[BLOCK_SIZE + 5], 0xEE);
+        assert_eq!(base.read_to_vec("/d7/f42").unwrap()[BLOCK_SIZE + 5], 7);
+
+        poke(&base, "/d3/f9");
+        assert_eq!(unshared(&base, &fork), (2, 2));
+        assert_eq!((base.shared_pages(), fork.shared_pages()), (7998, 7998));
+        assert_eq!(base.read_to_vec("/d3/f9").unwrap()[BLOCK_SIZE + 5], 0xEE);
+        assert_eq!(fork.read_to_vec("/d3/f9").unwrap()[BLOCK_SIZE + 5], 3);
+
+        // A fork that only opens, reads and releases copies nothing.
+        let reader = base.fork();
+        let fd = reader.open("/d0/f0", OpenFlags::read_only()).unwrap();
+        let mut buf = [0u8; 16];
+        assert_eq!(reader.read(fd, &mut buf).unwrap(), 16);
+        reader.release(fd).unwrap();
+        assert_eq!(unshared(&base, &reader), (0, 0));
+        assert!(Arc::ptr_eq(&base.read_lock().inodes.0, &reader.read_lock().inodes.0));
+    }
+
+    /// How many inodes and how many file pages of `b` are no longer
+    /// the very allocation `a` holds under the same inode number.
+    fn unshared(a: &MemFs, b: &MemFs) -> (usize, usize) {
+        let (ga, gb) = (a.read_lock(), b.read_lock());
+        assert_eq!(ga.inodes.len(), gb.inodes.len());
+        let (mut inodes, mut pages) = (0, 0);
+        for (ino, nb) in gb.inodes.0.iter() {
+            let na = &ga.inodes.0[ino];
+            inodes += usize::from(!Arc::ptr_eq(na, nb));
+            if let (Some(fa), Some(fb)) = (na.as_file(), nb.as_file()) {
+                assert_eq!(fa.page_count(), fb.page_count());
+                pages +=
+                    fa.pages().iter().zip(fb.pages()).filter(|(x, y)| !Arc::ptr_eq(x, y)).count();
+            }
+        }
+        (inodes, pages)
     }
 
     #[test]
@@ -1327,6 +1445,423 @@ mod tests {
         let mut truncated = image.clone();
         truncated.truncate(10);
         assert!(MemFs::import_image(&truncated, &mut |_| None).is_none());
+    }
+
+    /// The reference model `MemFs` is checked against, written the
+    /// naive way on purpose: whole-file byte vectors, a set of
+    /// directory paths, and a fork that copies everything — no `Arc`,
+    /// no pages, no inode table, so nothing two filesystems could
+    /// alias. Files sit in numbered slots because an open descriptor
+    /// outlives the file's name (unlink or rename while open).
+    #[derive(Debug, Clone)]
+    struct RefFs {
+        /// Every directory path; always holds `/`.
+        dirs: std::collections::BTreeSet<String>,
+        /// File path → slot in `files`.
+        names: BTreeMap<String, usize>,
+        /// Contents by slot, never reclaimed. `None`: a rename replaced
+        /// the file, which (unlike unlink) takes it from under its open
+        /// descriptors at once.
+        files: Vec<Option<Vec<u8>>>,
+        handles: BTreeMap<Fd, RefHandle>,
+        next_fd: Fd,
+    }
+
+    #[derive(Debug, Clone)]
+    struct RefHandle {
+        file: usize,
+        flags: OpenFlags,
+        cursor: u64,
+    }
+
+    impl RefFs {
+        fn new() -> Self {
+            RefFs {
+                dirs: ["/".to_string()].into(),
+                names: BTreeMap::new(),
+                files: Vec::new(),
+                handles: BTreeMap::new(),
+                next_fd: 3,
+            }
+        }
+
+        /// Walk `p`'s proper prefixes: all must be directories.
+        fn parent_is_dir(&self, p: &str) -> FsResult<()> {
+            for (i, _) in p.match_indices('/').skip(1) {
+                let prefix = &p[..i];
+                if self.names.contains_key(prefix) {
+                    return Err(FsError::NotADirectory);
+                }
+                if !self.dirs.contains(prefix) {
+                    return Err(FsError::NotFound);
+                }
+            }
+            Ok(())
+        }
+
+        fn has_children(&self, dir: &str) -> bool {
+            let under = format!("{dir}/");
+            self.dirs.iter().chain(self.names.keys()).any(|p| p.starts_with(&under))
+        }
+
+        fn new_handle(&mut self, file: usize, flags: OpenFlags) -> Fd {
+            let fd = self.next_fd;
+            self.next_fd += 1;
+            self.handles.insert(fd, RefHandle { file, flags, cursor: 0 });
+            fd
+        }
+
+        fn new_file(&mut self, p: &str) -> usize {
+            self.files.push(Some(Vec::new()));
+            self.names.insert(p.to_string(), self.files.len() - 1);
+            self.files.len() - 1
+        }
+
+        fn mkdir(&mut self, p: &str) -> FsResult<()> {
+            self.parent_is_dir(p)?;
+            if self.dirs.contains(p) || self.names.contains_key(p) {
+                return Err(FsError::Exists);
+            }
+            self.dirs.insert(p.to_string());
+            Ok(())
+        }
+
+        fn rmdir(&mut self, p: &str) -> FsResult<()> {
+            self.parent_is_dir(p)?;
+            if self.names.contains_key(p) {
+                return Err(FsError::NotADirectory);
+            }
+            if !self.dirs.contains(p) {
+                return Err(FsError::NotFound);
+            }
+            if self.has_children(p) {
+                return Err(FsError::NotEmpty);
+            }
+            self.dirs.remove(p);
+            Ok(())
+        }
+
+        fn unlink(&mut self, p: &str) -> FsResult<()> {
+            self.parent_is_dir(p)?;
+            if self.dirs.contains(p) {
+                return Err(FsError::IsADirectory);
+            }
+            self.names.remove(p).map(|_| ()).ok_or(FsError::NotFound)
+        }
+
+        fn rename(&mut self, from: &str, to: &str) -> FsResult<()> {
+            self.parent_is_dir(from)?;
+            self.parent_is_dir(to)?;
+            if !self.dirs.contains(from) && !self.names.contains_key(from) {
+                return Err(FsError::NotFound);
+            }
+            if from == to {
+                return Ok(());
+            }
+            if self.dirs.contains(to) {
+                if self.has_children(to) {
+                    return Err(FsError::NotEmpty);
+                }
+                self.dirs.remove(to);
+            } else if let Some(slot) = self.names.remove(to) {
+                self.files[slot] = None;
+            }
+            if let Some(slot) = self.names.remove(from) {
+                self.names.insert(to.to_string(), slot);
+                return Ok(());
+            }
+            let moved = |p: &str| match p.strip_prefix(from) {
+                Some(rest) if rest.is_empty() || rest.starts_with('/') => format!("{to}{rest}"),
+                _ => p.to_string(),
+            };
+            self.dirs = self.dirs.iter().map(|p| moved(p)).collect();
+            self.names = self.names.iter().map(|(p, slot)| (moved(p), *slot)).collect();
+            Ok(())
+        }
+
+        fn truncate(&mut self, p: &str, size: u64) -> FsResult<()> {
+            self.parent_is_dir(p)?;
+            if self.dirs.contains(p) {
+                return Err(FsError::IsADirectory);
+            }
+            let slot = *self.names.get(p).ok_or(FsError::NotFound)?;
+            self.files[slot].as_mut().expect("named files exist").resize(size as usize, 0);
+            Ok(())
+        }
+
+        fn create(&mut self, p: &str) -> FsResult<Fd> {
+            self.parent_is_dir(p)?;
+            if self.dirs.contains(p) {
+                return Err(FsError::IsADirectory);
+            }
+            let slot = match self.names.get(p) {
+                Some(&slot) => {
+                    self.files[slot].as_mut().expect("named files exist").clear();
+                    slot
+                }
+                None => self.new_file(p),
+            };
+            Ok(self.new_handle(slot, OpenFlags::create_truncate()))
+        }
+
+        fn open(&mut self, p: &str, flags: OpenFlags) -> FsResult<Fd> {
+            self.parent_is_dir(p)?;
+            if self.dirs.contains(p) {
+                return Err(FsError::IsADirectory);
+            }
+            let slot = match self.names.get(p) {
+                Some(&slot) => slot,
+                None if flags.create => self.new_file(p),
+                None => return Err(FsError::NotFound),
+            };
+            if flags.truncate {
+                self.files[slot].as_mut().expect("named files exist").clear();
+            }
+            Ok(self.new_handle(slot, flags))
+        }
+
+        fn bytes_at(bytes: &[u8], len: usize, offset: u64) -> Vec<u8> {
+            let start = (offset as usize).min(bytes.len());
+            bytes[start..(start + len).min(bytes.len())].to_vec()
+        }
+
+        fn put_at(bytes: &mut Vec<u8>, buf: &[u8], offset: u64) {
+            let end = offset as usize + buf.len();
+            if bytes.len() < end {
+                bytes.resize(end, 0);
+            }
+            bytes[offset as usize..end].copy_from_slice(buf);
+        }
+
+        fn pread(&self, fd: Fd, len: usize, offset: u64) -> FsResult<Vec<u8>> {
+            let h = self.handles.get(&fd).ok_or(FsError::BadFd)?;
+            if !h.flags.read {
+                return Err(FsError::PermissionDenied);
+            }
+            let bytes = self.files[h.file].as_ref().ok_or(FsError::BadFd)?;
+            Ok(Self::bytes_at(bytes, len, offset))
+        }
+
+        fn read(&mut self, fd: Fd, len: usize) -> FsResult<Vec<u8>> {
+            let cursor = self.handles.get(&fd).ok_or(FsError::BadFd)?.cursor;
+            let got = self.pread(fd, len, cursor)?;
+            self.handles.get_mut(&fd).expect("checked above").cursor += got.len() as u64;
+            Ok(got)
+        }
+
+        fn pwrite(&mut self, fd: Fd, buf: &[u8], offset: u64) -> FsResult<usize> {
+            let h = self.handles.get(&fd).ok_or(FsError::BadFd)?;
+            if !h.flags.write {
+                return Err(FsError::ReadOnly);
+            }
+            let bytes = self.files[h.file].as_mut().ok_or(FsError::BadFd)?;
+            Self::put_at(bytes, buf, offset);
+            Ok(buf.len())
+        }
+
+        fn write(&mut self, fd: Fd, buf: &[u8]) -> FsResult<usize> {
+            let h = self.handles.get(&fd).ok_or(FsError::BadFd)?;
+            let at = match (h.flags.append, &self.files[h.file]) {
+                (true, Some(bytes)) => bytes.len() as u64,
+                _ => h.cursor,
+            };
+            let n = self.pwrite(fd, buf, at)?;
+            self.handles.get_mut(&fd).expect("checked above").cursor = at + n as u64;
+            Ok(n)
+        }
+
+        fn release(&mut self, fd: Fd) -> FsResult<()> {
+            self.handles.remove(&fd).map(|_| ()).ok_or(FsError::BadFd)
+        }
+
+        /// Every path below `/`: `None` for a directory, the bytes for
+        /// a file.
+        fn tree(&self) -> BTreeMap<String, Option<Vec<u8>>> {
+            let dirs = self.dirs.iter().filter(|d| *d != "/").map(|d| (d.clone(), None));
+            let files = self.names.iter().map(|(p, &slot)| (p.clone(), self.files[slot].clone()));
+            dirs.chain(files).collect()
+        }
+    }
+
+    /// `MemFs`'s side of [`RefFs::tree`], through `readdir`, `getattr`
+    /// and `snapshot`.
+    fn tree(fs: &MemFs, dir: &str, out: &mut BTreeMap<String, Option<Vec<u8>>>) {
+        for entry in fs.readdir(dir).unwrap() {
+            let p = format!("{}/{}", dir.trim_end_matches('/'), entry.name);
+            if entry.kind == NodeKind::Dir {
+                out.insert(p.clone(), None);
+                tree(fs, &p, out);
+            } else {
+                let bytes = fs.snapshot(&p).unwrap();
+                assert_eq!(fs.getattr(&p).unwrap().size, bytes.len() as u64, "{p}");
+                out.insert(p, Some(bytes));
+            }
+        }
+    }
+
+    /// Names one to three levels deep over a three-letter alphabet, so
+    /// the same path is a file in one step and a directory in another.
+    fn model_path(rng: &mut proptest::TestRng) -> String {
+        let depth = [1, 1, 1, 2, 2, 3][(rng.next_u64() % 6) as usize];
+        (0..depth).map(|_| ["/a", "/b", "/c"][(rng.next_u64() % 3) as usize]).collect()
+    }
+
+    /// A descriptor of the model's, or now and then one nobody holds.
+    fn model_fd(rng: &mut proptest::TestRng, model: &RefFs) -> Fd {
+        let live: Vec<Fd> = model.handles.keys().copied().collect();
+        if live.is_empty() || rng.next_u64().is_multiple_of(16) {
+            return 999;
+        }
+        live[(rng.next_u64() % live.len() as u64) as usize]
+    }
+
+    /// Payloads up to a page and a half at offsets up to three pages,
+    /// so writes straddle page boundaries and leave holes.
+    fn model_payload(rng: &mut proptest::TestRng) -> (Vec<u8>, u64) {
+        let len = 1 + (rng.next_u64() % 6000) as usize;
+        (vec![rng.next_u64() as u8; len], rng.next_u64() % (3 * BLOCK_SIZE as u64))
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn forked_memfs_matches_the_naive_reference_model(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let mut live = vec![(MemFs::new(), RefFs::new())];
+            for step in 0..200 {
+                let at = (rng.next_u64() % live.len() as u64) as usize;
+                let op = rng.next_u64() % 100;
+                // Forks (of forks) taken, and dropped, at any point;
+                // descriptors open at the fork are live on both sides.
+                if op < 6 {
+                    if live.len() < 5 {
+                        let (fs, model) = &live[at];
+                        let pair = (fs.fork(), model.clone());
+                        live.push(pair);
+                    }
+                    continue;
+                }
+                if op < 9 {
+                    if live.len() > 1 {
+                        live.swap_remove(at);
+                    }
+                    continue;
+                }
+                let (fs, model) = &mut live[at];
+                let what = match op {
+                    9..=16 => {
+                        let p = model_path(&mut rng);
+                        prop_assert_eq!(fs.create(&p, 0o644), model.create(&p), "create {p}");
+                        format!("create {p}")
+                    }
+                    17..=26 => {
+                        let p = model_path(&mut rng);
+                        let flags = [
+                            OpenFlags::read_only(),
+                            OpenFlags::read_write(),
+                            OpenFlags::write_only(),
+                            OpenFlags::append(),
+                            OpenFlags::create_truncate(),
+                            OpenFlags { read: true, truncate: true, ..OpenFlags::write_only() },
+                        ][(rng.next_u64() % 6) as usize];
+                        prop_assert_eq!(fs.open(&p, flags), model.open(&p, flags), "open {p}");
+                        format!("open {p}")
+                    }
+                    27..=40 => {
+                        let fd = model_fd(&mut rng, model);
+                        let (buf, _) = model_payload(&mut rng);
+                        prop_assert_eq!(fs.write(fd, &buf), model.write(fd, &buf), "write {fd}");
+                        format!("write {fd}")
+                    }
+                    41..=54 => {
+                        let fd = model_fd(&mut rng, model);
+                        let (buf, off) = model_payload(&mut rng);
+                        prop_assert_eq!(
+                            fs.pwrite(fd, &buf, off), model.pwrite(fd, &buf, off), "pwrite {fd}"
+                        );
+                        format!("pwrite {fd} @{off}")
+                    }
+                    55..=60 => {
+                        let fd = model_fd(&mut rng, model);
+                        let mut buf = vec![0u8; 1 + (rng.next_u64() % 9000) as usize];
+                        let got = fs.read(fd, &mut buf).map(|n| buf[..n].to_vec());
+                        prop_assert_eq!(got, model.read(fd, buf.len()), "read {fd}");
+                        format!("read {fd}")
+                    }
+                    61..=64 => {
+                        let fd = model_fd(&mut rng, model);
+                        let (mut buf, off) = model_payload(&mut rng);
+                        let got = fs.pread(fd, &mut buf, off).map(|n| buf[..n].to_vec());
+                        prop_assert_eq!(got, model.pread(fd, buf.len(), off), "pread {fd}");
+                        format!("pread {fd} @{off}")
+                    }
+                    65..=70 => {
+                        let p = model_path(&mut rng);
+                        let size = rng.next_u64() % 10_000;
+                        prop_assert_eq!(
+                            fs.truncate(&p, size), model.truncate(&p, size), "truncate {p}"
+                        );
+                        format!("truncate {p} {size}")
+                    }
+                    71..=75 => {
+                        let p = model_path(&mut rng);
+                        prop_assert_eq!(fs.unlink(&p), model.unlink(&p), "unlink {p}");
+                        format!("unlink {p}")
+                    }
+                    76..=81 => {
+                        let (from, to) = (model_path(&mut rng), model_path(&mut rng));
+                        // Moving a directory below itself detaches it
+                        // from the root; neither side defines that.
+                        if to.starts_with(&format!("{from}/")) {
+                            continue;
+                        }
+                        prop_assert_eq!(
+                            fs.rename(&from, &to), model.rename(&from, &to), "rename {from} {to}"
+                        );
+                        format!("rename {from} {to}")
+                    }
+                    82..=88 => {
+                        let p = model_path(&mut rng);
+                        prop_assert_eq!(fs.mkdir(&p, 0o755), model.mkdir(&p), "mkdir {p}");
+                        format!("mkdir {p}")
+                    }
+                    89..=91 => {
+                        let p = model_path(&mut rng);
+                        prop_assert_eq!(fs.rmdir(&p), model.rmdir(&p), "rmdir {p}");
+                        format!("rmdir {p}")
+                    }
+                    _ => {
+                        let fd = model_fd(&mut rng, model);
+                        prop_assert_eq!(fs.release(fd), model.release(fd), "release {fd}");
+                        format!("release {fd}")
+                    }
+                };
+                // One filesystem moved; every live one must still be
+                // its own model — a write that leaks through a shared
+                // inode or page shows on the side that did not move.
+                for (i, (fs, model)) in live.iter().enumerate() {
+                    let ctx = format!("step {step}, {what} on #{at}, seen from #{i}");
+                    let mut seen = BTreeMap::new();
+                    tree(fs, "/", &mut seen);
+                    prop_assert_eq!(seen, model.tree(), "{ctx}: tree");
+                    let cursors: BTreeMap<Fd, u64> =
+                        fs.read_lock().handles.iter().map(|(fd, h)| (*fd, h.cursor)).collect();
+                    let expect: BTreeMap<Fd, u64> =
+                        model.handles.iter().map(|(fd, h)| (*fd, h.cursor)).collect();
+                    prop_assert_eq!(cursors, expect, "{ctx}: cursors");
+                    // Through the descriptors: files no name reaches.
+                    for (&fd, h) in model.handles.iter().filter(|(_, h)| h.flags.read) {
+                        let want = model.files[h.file].clone().ok_or(FsError::BadFd);
+                        let mut buf = vec![0u8; want.as_ref().map_or(0, Vec::len) + 1];
+                        let got = fs.pread(fd, &mut buf, 0).map(|n| buf[..n].to_vec());
+                        prop_assert_eq!(got, want, "{ctx}: bytes behind fd {fd}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

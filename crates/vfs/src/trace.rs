@@ -19,10 +19,10 @@
 //!   while every other op replays byte-identically).
 //!
 //! Combined with [`crate::MemFs::fork`], an injection run becomes:
-//! fork the pre-injection snapshot (O(page pointers)), replay the
-//! trace suffix through the injector (O(suffix bytes)), and run only
-//! the application's analyze phase — instead of re-running the whole
-//! application.
+//! fork the pre-injection snapshot (O(1): the inode table is shared),
+//! replay the trace suffix through the injector (O(suffix bytes)), and
+//! run only the application's analyze phase — instead of re-running the
+//! whole application.
 //!
 //! ## Mid-trace checkpoints
 //!
@@ -197,7 +197,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::blobs::{BlobHash, BlobStats, BlobStore};
 use crate::error::{FsError, FsResult};
@@ -767,8 +767,8 @@ impl std::error::Error for ReplayError {}
 /// `ops[..index]`.
 ///
 /// The filesystem is held behind an [`Arc`] so thousands of injection
-/// runs can [`MemFs::fork`] it concurrently; each fork is O(page
-/// pointers).
+/// runs can [`MemFs::fork`] it concurrently; each fork shares the whole
+/// inode table and costs the same whatever the state holds.
 pub struct TraceCheckpoint {
     index: usize,
     fs: Arc<MemFs>,
@@ -842,6 +842,11 @@ pub struct TraceCheckpoints {
     ops: Vec<TraceOp>,
     points: Vec<TraceCheckpoint>,
     placement: Placement,
+    /// Per-primitive counts a replay of the whole stream issues: what
+    /// every batch measures its tails against. Known from the build
+    /// pass; a set decoded from disk replays its last segment for them
+    /// on first use (see [`TraceCheckpoints::end_counters`]).
+    end_counters: OnceLock<CounterSnapshot>,
 }
 
 /// Default cap on the number of snapshots [`TraceCheckpoints::build`]
@@ -933,8 +938,19 @@ impl TraceCheckpoints {
             cursor: ReplayCursor::new(),
             counters: CounterSnapshot::default(),
         };
-        let (points, _) = snapshot_pass(&ops, &origin, wanted.iter().copied())?;
-        Ok(TraceCheckpoints { ops, points, placement })
+        let (points, end) = snapshot_pass(&ops, &origin, wanted.iter().copied())?;
+        Ok(TraceCheckpoints { ops, points, placement, end_counters: end.into() })
+    }
+
+    /// The counters at the end of the stream, replaying
+    /// `ops[last checkpoint..]` for them if this set never has.
+    fn end_counters(&self) -> Result<CounterSnapshot, ReplayError> {
+        if let Some(end) = self.end_counters.get() {
+            return Ok(*end);
+        }
+        let last = self.points.last().expect("a set always holds its zero checkpoint");
+        let (_, end) = snapshot_pass(&self.ops, last, [])?;
+        Ok(*self.end_counters.get_or_init(|| end))
     }
 
     /// The full golden op stream.
@@ -977,13 +993,18 @@ impl TraceCheckpoints {
 
     /// Materialize per-target mini-checkpoints for a batch of replay
     /// runs that share the starting checkpoint `checkpoint`: one bare
-    /// replay pass advances from that snapshot through the trace,
-    /// forking a [`TraceCheckpoint`] at every distinct in-range target
-    /// index (state just *before* the target op, counters included)
-    /// and recording, per target, the additive counter delta of the
-    /// remaining tail `ops[target + 1..]` — what a run must pre-seed
-    /// after applying that tail off-mount so analyze observes
-    /// full-replay `prim_seq` numbering.
+    /// replay pass advances from that snapshot to the batch's last
+    /// in-range target and stops there, forking a [`TraceCheckpoint`]
+    /// at every distinct in-range target index (state just *before*
+    /// the target op, counters included) and recording, per target,
+    /// the additive counter delta of the remaining tail
+    /// `ops[target + 1..]` — what a run must pre-seed after applying
+    /// that tail off-mount so analyze observes full-replay `prim_seq`
+    /// numbering. The delta is measured against the set's
+    /// end-of-stream counters, which the pass that built the set
+    /// already counted (a set loaded from disk replays
+    /// `ops[last checkpoint..]` for them once, on its first batch);
+    /// no batch replays past its last target to learn them again.
     ///
     /// This is the fork-once-replay-many amortization behind engine
     /// law 9: the shared prefix `checkpoint → max(target)` is replayed
@@ -1003,11 +1024,19 @@ impl TraceCheckpoints {
             targets.iter().copied().filter(|&t| t >= point.index && t < n).collect();
         wanted.sort_unstable();
         wanted.dedup();
+        let Some(&stop) = wanted.last() else {
+            return Ok(BatchForks { forks: Vec::new() });
+        };
 
-        let (points, end) = snapshot_pass(&self.ops, point, wanted)?;
-        // A run pre-seeds what its tail `ops[target + 1..]` would have
-        // counted: everything the whole pass counted, less the prefix
-        // and the target op itself.
+        let (points, _) = snapshot_pass(&self.ops[..stop], point, wanted)?;
+        Ok(self.batch_forks(points, self.end_counters()?))
+    }
+
+    /// Pair each mini-checkpoint of a batch pass with what its run
+    /// pre-seeds for the tail `ops[target + 1..]`: everything a replay
+    /// of the whole stream counts (`end`), less the prefix and the
+    /// target op itself.
+    fn batch_forks(&self, points: Vec<TraceCheckpoint>, end: CounterSnapshot) -> BatchForks {
         let forks = points
             .into_iter()
             .map(|point| {
@@ -1019,7 +1048,7 @@ impl TraceCheckpoints {
                 BatchFork { point, tail_counters: end.diff(&seen) }
             })
             .collect();
-        Ok(BatchForks { forks })
+        BatchForks { forks }
     }
 }
 
@@ -1027,9 +1056,11 @@ impl TraceCheckpoints {
 /// `start` through `ops[start.index..]`, forking a [`TraceCheckpoint`]
 /// (state and counters after `ops[..i]`) at every `i` in `wanted` —
 /// ascending, distinct, `start.index ≤ i ≤ ops.len()` — and return the
-/// points with the counters at the end of the stream. An empty stream
-/// still yields its zero checkpoint. Fails with the first replay error
-/// (a stream that cannot rebuild cleanly cannot anchor injection runs).
+/// points with the counters at the end of `ops` (a caller that wants
+/// the pass to stop early hands it a prefix of the stream). An empty
+/// stream still yields its zero checkpoint. Fails with the first replay
+/// error (a stream that cannot rebuild cleanly cannot anchor injection
+/// runs).
 fn snapshot_pass(
     ops: &[TraceOp],
     start: &TraceCheckpoint,
@@ -1699,7 +1730,7 @@ fn decode_manifest(body: &[u8], key: u64, blobs: &BlobStore) -> Option<TraceChec
     if points.last().is_some_and(|p| p.index > ops.len()) {
         return None;
     }
-    Some(TraceCheckpoints { ops, points, placement })
+    Some(TraceCheckpoints { ops, points, placement, end_counters: OnceLock::new() })
 }
 
 /// The disk tier of a [`CheckpointStore`]: content-addressed page and
@@ -2640,6 +2671,103 @@ mod tests {
             cache.fork_at_targets(last, &[0, ck_index.saturating_sub(1), n, n + 5]).unwrap();
         assert!(batch.is_empty());
         assert!(batch.for_target(n).is_none());
+    }
+
+    /// [`TraceCheckpoints::fork_at_targets`] as it was before it knew
+    /// where to stop: the pass runs from the checkpoint to the end of
+    /// the trace and reads the end-of-stream counters off its own
+    /// tail. The reference the bounded pass must equal.
+    fn fork_at_targets_to_the_end(
+        cks: &TraceCheckpoints,
+        checkpoint: usize,
+        targets: &[usize],
+    ) -> BatchForks {
+        let n = cks.ops.len();
+        let point = &cks.points[checkpoint];
+        let mut wanted: Vec<usize> =
+            targets.iter().copied().filter(|&t| t >= point.index && t < n).collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let (points, end) = snapshot_pass(&cks.ops, point, wanted).unwrap();
+        cks.batch_forks(points, end)
+    }
+
+    /// Everything a run can observe of one batch fork: target index,
+    /// both counter sets, the descriptor map, and the whole filesystem
+    /// state (files, cursors, locks, clock) as its canonical image.
+    fn observable(fork: &BatchFork) -> (usize, CounterSnapshot, CounterSnapshot, Vec<Fd>, Vec<u8>) {
+        let mut fds: Vec<Fd> = fork.point.cursor.fds.keys().copied().collect();
+        fds.sort_unstable();
+        let image = fork.point.fs.export_image(&mut |page| sha256(&page[..]));
+        (fork.point.index, fork.point.counters, fork.tail_counters, fds, image)
+    }
+
+    #[test]
+    fn bounded_batch_pass_equals_the_pass_to_the_end() {
+        let dir = scratch("bounded-pass");
+        let (paged, demand) = paged_workload();
+        let (recorded, _) = record_workload();
+        let store = CheckpointStore::with_dir(&dir).unwrap();
+        let built = [
+            store.get_or_build_for_demand(paged.clone(), &demand).unwrap(),
+            store.get_or_build(recorded.clone()).unwrap(),
+        ];
+        let second = CheckpointStore::with_dir(&dir).unwrap();
+        let loaded = [
+            second.get_or_build_for_demand(paged, &demand).unwrap(),
+            second.get_or_build(recorded).unwrap(),
+        ];
+        assert_eq!((store.builds(), second.builds(), second.disk_hits()), (2, 0, 2));
+
+        let mut rng = proptest::test_rng("bounded_batch_pass_equals_the_pass_to_the_end");
+        for (built, loaded) in built.iter().zip(&loaded) {
+            let n = built.ops().len();
+            assert!(built.points().len() >= 4, "{} checkpoints", built.points().len());
+            assert!(built.end_counters.get().is_some(), "the build pass counted to the end");
+            assert!(loaded.end_counters.get().is_none(), "a decoded set has replayed nothing");
+
+            for (c, point) in built.points().iter().enumerate() {
+                // No target in range: nothing forked, nothing replayed
+                // — not even the decoded set's last segment.
+                let below = point.index().saturating_sub(1);
+                for cks in [built, loaded] {
+                    assert!(cks.fork_at_targets(c, &[]).unwrap().is_empty());
+                    let skipped = if c == 0 { vec![n, n + 9] } else { vec![below, n, n + 9] };
+                    assert!(cks.fork_at_targets(c, &skipped).unwrap().is_empty());
+                }
+                if c == 0 {
+                    assert!(loaded.end_counters.get().is_none());
+                }
+
+                let mut batches = vec![
+                    vec![point.index()],
+                    vec![n - 1],
+                    vec![point.index(), n - 1, n - 1, point.index(), n, below, n + 9],
+                ];
+                for _ in 0..12 {
+                    let len = rng.next_u64() % 9;
+                    batches.push(
+                        (0..len).map(|_| (rng.next_u64() % (n as u64 + 3)) as usize).collect(),
+                    );
+                }
+                for targets in &batches {
+                    let want = fork_at_targets_to_the_end(built, c, targets);
+                    for cks in [built, loaded] {
+                        let got = cks.fork_at_targets(c, targets).unwrap();
+                        assert_eq!(got.len(), want.len(), "checkpoint {c}, targets {targets:?}");
+                        for (g, w) in got.forks.iter().zip(&want.forks) {
+                            assert_eq!(
+                                observable(g),
+                                observable(w),
+                                "checkpoint {c}, targets {targets:?}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert_eq!(loaded.end_counters.get(), built.end_counters.get());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
