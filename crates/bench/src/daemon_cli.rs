@@ -356,8 +356,16 @@ fn jobs(flags: &HashMap<String, String>) -> Result<i32, String> {
 }
 
 fn health(flags: &HashMap<String, String>) -> Result<i32, String> {
-    let (running, queued, max_concurrent) = client(flags).health()?;
-    println!("ok — running {} queued {} max-concurrent {}", running, queued, max_concurrent);
+    let reply = client(flags).healthz()?;
+    let n = |key: &str| reply.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
+    println!(
+        "ok — running {} queued {} max-concurrent {} app-builds {} golden-runs {}",
+        n("running"),
+        n("queued"),
+        n("max_concurrent"),
+        n("app_builds"),
+        n("golden_runs")
+    );
     Ok(0)
 }
 

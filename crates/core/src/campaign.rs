@@ -18,9 +18,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ffis_vfs::{
-    wire, BatchFork, BatchForks, CheckpointStore, CounterSnapshot, FfisFs, Fnv, Interceptor, MemFs,
-    MemoStats, MemoStore, Placement, Primitive, ReadLedger, ReadRecord, ReplayCursor,
-    TraceCheckpoint, TraceCheckpoints, TraceOp, TraceRecorder, PRIMITIVES,
+    wire, BatchFork, BatchForks, CheckpointStore, CounterSnapshot, FfisFs, Fnv, MemFs, MemoStats,
+    MemoStore, Placement, Primitive, ReadRecord, ReplayCursor, SharedTrace, TraceCheckpoint,
+    TraceCheckpoints, TraceOp, PRIMITIVES,
 };
 
 use crate::engine::journal::JournalEntry;
@@ -29,9 +29,10 @@ use crate::engine::{
     JournalMeta, PlannedRun, RunEvent, RunJournal, RunRecord, RunStrategy,
 };
 use crate::fault::{FaultSignature, TargetFilter};
+use crate::golden::{Capture, Golden, GoldenCache, SubstepLaws};
 use crate::injector::{ArmedInjector, InjectionRecord};
 use crate::outcome::{FaultApp, Outcome, OutcomeTally, SubstepSpec};
-use crate::profiler::{IoProfiler, ProfileReport};
+use crate::profiler::ProfileReport;
 use crate::rng::Rng;
 
 /// Campaign configuration (the paper's user configuration plus the
@@ -989,12 +990,24 @@ impl std::error::Error for CampaignError {}
 pub struct Campaign<'a, A: FaultApp> {
     app: &'a A,
     config: CampaignConfig,
+    goldens: Option<&'a GoldenCache<A::Output>>,
 }
 
 impl<'a, A: FaultApp> Campaign<'a, A> {
     /// New campaign over `app`.
     pub fn new(app: &'a A, config: CampaignConfig) -> Self {
-        Campaign { app, config }
+        Campaign { app, config, goldens: None }
+    }
+
+    /// Take the golden run — and the verdicts of the campaign-wide
+    /// laws checked against it — from `cache`, running it only if no
+    /// earlier campaign over `app` left one that captured the same
+    /// set. Without a cache the campaign makes the same golden run for
+    /// itself; the result is identical either way. The cache must be
+    /// used with this one application only.
+    pub fn with_goldens(mut self, cache: &'a GoldenCache<A::Output>) -> Self {
+        self.goldens = Some(cache);
+        self
     }
 
     /// Execute the whole workflow.
@@ -1011,53 +1024,34 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
             sig.validate().map_err(CampaignError::BadSignature)?;
         }
 
-        // Phase 1+2: one golden run doubles as the profiling run — the
-        // paper executes the application fault-free once to both count
-        // primitives and capture the reference output. When a fast
-        // path is configured (the default), the same run also records
-        // the golden trace (with a watermark between the two phases so
-        // the read-only-analyze law can be checked: write shards
-        // replay it, read shards need it for that law) and the read
-        // ledger plus the phase-boundary counter snapshot the
-        // analyze-only strategy pre-seeds its mounts with. The memo
-        // gate (engine law 8) needs the golden analyze read stream
-        // even for write-site shards, so the ledger rides along
-        // whenever the workload declares sub-steps. Attaching either
-        // only records — it never perturbs counters or the trace.
+        // Phase 1+2: one golden run doubles as the profiling run (see
+        // [`Golden::run`]). What it records beyond the profile follows
+        // from the configured fast paths: the op trace when either is
+        // on (write shards replay it, read shards need it for the
+        // read-only-analyze law), the read ledger and the
+        // phase-boundary counters for read shards — and, because the
+        // memo gate (engine law 8) needs the golden analyze read
+        // stream even for write-site shards, whenever the workload
+        // declares sub-steps.
         let any_site = |p: Primitive| sigs.iter().any(|s| s.primitive == p);
         let write_fast = cfg.replay && any_site(Primitive::Write);
         let read_fast = cfg.replay && any_site(Primitive::Read);
         let substeps = if cfg.memo { self.app.analyze_substeps() } else { None };
-        let profiler = IoProfiler::new(sigs[0].primitive, sigs[0].target.clone());
-        let recorder = Arc::new(TraceRecorder::new());
-        let ledger = Arc::new(ReadLedger::new());
-        let mut extras: Vec<Arc<dyn Interceptor>> = Vec::new();
-        if write_fast || read_fast {
-            extras.push(recorder.clone());
-            if read_fast || substeps.is_some() {
-                extras.push(ledger.clone());
-            }
-        }
-        let produced_ops = std::cell::Cell::new(0usize);
-        let boundary = std::cell::Cell::new(CounterSnapshot::default());
-        let (profile, golden, base) = profiler
-            .profile_with_mount(&extras, |ffs| {
-                self.app.produce(ffs)?;
-                produced_ops.set(recorder.len());
-                ledger.mark_produce_end();
-                boundary.set(ffs.counters());
-                self.app.analyze(ffs, None)
-            })
-            .map_err(CampaignError::GoldenRunFailed)?;
+        let trace = write_fast || read_fast;
+        let capture = Capture { trace, ledger: trace && (read_fast || substeps.is_some()) };
+        let golden = match self.goldens {
+            Some(cache) => cache.get_or_run(capture, || Golden::run(self.app, capture))?,
+            None => Arc::new(Golden::run(self.app, capture)?),
+        };
 
         // The trace interceptor records every primitive crossing, so
         // each shard's eligible population comes from the same
-        // execution (for the first signature it equals
-        // `profile.eligible`, the profiler's own count).
+        // execution; the reported profile is scoped to the first.
         let eligible: Vec<u64> = sigs
             .iter()
             .map(|sig| {
-                profile
+                golden
+                    .profile
                     .trace
                     .iter()
                     .filter(|r| r.in_scope(sig.primitive, |p| sig.target.matches(p)))
@@ -1080,20 +1074,16 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
         let watchdog = cfg.fuel.is_some() || cfg.wall_limit.is_some();
         let replay_opt = cfg.replay_opt && !watchdog;
 
-        // The golden trace is taken once and serves both fast paths:
-        // the analyze-only basis borrows it (read-only-analyze law),
-        // the write-site checkpoint cache consumes it. Each write
-        // shard first resolves its eligible trace ops (instance `n` is
-        // element `n-1`); a shard whose trace disagrees with the
-        // profiler's count cannot replay (`TraceMismatch`) and
-        // contributes nothing to the demand.
-        let ops = recorder.take_ops();
+        // Each write shard first resolves its eligible trace ops
+        // (instance `n` is element `n-1`); a shard whose trace
+        // disagrees with the profiler's count cannot replay
+        // (`TraceMismatch`) and contributes nothing to the demand.
         let write_ops: Vec<Option<Vec<usize>>> = sigs
             .iter()
             .zip(&eligible)
             .map(|(sig, &n)| {
                 (write_fast && sig.primitive == Primitive::Write)
-                    .then(|| eligible_write_ops(&ops, &sig.target))
+                    .then(|| eligible_write_ops(&golden.trace, &sig.target))
                     .filter(|found| found.len() as u64 == n)
             })
             .collect();
@@ -1112,31 +1102,17 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
                 })
                 .collect()
         });
-        let basis = if read_fast {
-            analyze_only_basis(
-                self.app,
-                &ops,
-                produced_ops.get(),
-                &ledger,
-                boundary.get(),
-                &profile,
-                &golden,
-                &base,
-            )
+        // The campaign-wide laws are the golden run's to answer; what
+        // is this campaign's own is where its checkpoints go.
+        let analyze_only = if read_fast {
+            golden.analyze_only_laws(self.app)
         } else {
             Err(ReplayFallback::Disabled)
         };
         let cache = if write_ops.iter().any(Option::is_some) {
-            shared_replay_cache(
-                self.app,
-                ops,
-                produced_ops.get(),
-                profile.counters.get(Primitive::Write),
-                &golden,
-                &base,
-                cfg.checkpoints.as_deref(),
-                demand.as_deref(),
-            )
+            golden.replay_laws(self.app).and_then(|()| {
+                place_checkpoints(&golden.trace, cfg.checkpoints.as_deref(), demand.as_deref())
+            })
         } else {
             Err(ReplayFallback::Disabled)
         };
@@ -1144,13 +1120,13 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
             .iter()
             .zip(&eligible)
             .zip(write_ops)
-            .map(|((sig, &n), found)| self.plan_shard(sig, n, found, &cache, &basis, &ledger))
+            .map(|((sig, &n), found)| self.plan_shard(sig, n, found, &cache, analyze_only, &golden))
             .collect();
 
         // The analyze memoization gate (engine law 8) — never silent:
-        // either the sub-step laws validate against the golden run and
-        // the one basis attaches to every fast-path shard, or the
-        // fallback reason lands in [`CampaignResult::memo`].
+        // either the sub-step laws hold on the golden run and the one
+        // basis attaches to every fast-path shard, or the fallback
+        // reason lands in [`CampaignResult::memo`].
         let memo_store = substeps
             .as_ref()
             .map(|_| cfg.memo_store.clone().unwrap_or_else(|| Arc::new(MemoStore::in_memory())));
@@ -1166,34 +1142,17 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
             (Some(_), Some(_)) if shards.iter().all(|s| s.plan.is_err()) => {
                 Some(MemoFallback::NotFastPath)
             }
-            // The stream-identity law compares against the ledger; a
-            // ledger that missed counted reads cannot anchor it.
-            (Some(_), Some(_)) if ledger.len() as u64 != profile.counters.get(Primitive::Read) => {
-                Some(MemoFallback::SubstepStream)
-            }
-            (Some(specs), Some(store)) => {
-                let golden_reads = ledger.records();
-                let golden_analyze = &golden_reads[ledger.produce_reads()..];
-                match substep_memo(
-                    self.app,
-                    specs,
-                    golden_analyze,
-                    boundary.get(),
-                    &golden,
-                    &base,
-                    store,
-                ) {
-                    Ok(memo) => {
-                        let memo = Arc::new(memo);
-                        for shard in &mut shards {
-                            shard.engage_memo(&memo, golden_analyze);
-                        }
-                        memo_report.engaged = true;
-                        None
+            (Some(specs), Some(store)) => match golden.substep_laws(self.app, specs) {
+                Ok(laws) => {
+                    let memo = Arc::new(SubstepMemo::publish(laws, store));
+                    for shard in &mut shards {
+                        shard.engage_memo(&memo, golden.analyze_reads());
                     }
-                    Err(fallback) => Some(fallback),
+                    memo_report.engaged = true;
+                    None
                 }
-            }
+                Err(fallback) => Some(fallback),
+            },
             _ if cfg.memo => Some(MemoFallback::NoSubsteps),
             _ => Some(MemoFallback::Disabled),
         };
@@ -1289,7 +1248,7 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
                 let result = execute_run(
                     self.app,
                     &shards[pr.shard],
-                    &golden,
+                    &golden.output,
                     pr,
                     batch,
                     liveness,
@@ -1315,7 +1274,7 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
         Ok(CampaignResult {
             tally: out.tally,
             runs: out.kept,
-            profile,
+            profile: ProfileReport { eligible: eligible[0], ..golden.profile.clone() },
             mode: shards[0].mode(),
             shards: shards
                 .into_iter()
@@ -1339,10 +1298,9 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
     /// Gate one signature's fast path: checkpointed replay for a
     /// write-site shard, analyze-only re-execution for a read-site
     /// one, full reruns — with the reason recorded — otherwise. The
-    /// campaign-wide laws were validated once per golden run
-    /// ([`shared_replay_cache`], [`analyze_only_basis`]) and arrive as
-    /// `cache`/`basis`; this adds the per-signature checks. For a
-    /// write shard `write_ops` is `None` when the trace does not
+    /// campaign-wide laws were validated once per golden run and arrive
+    /// as `cache`/`analyze_only`; this adds the per-signature checks. For
+    /// a write shard `write_ops` is `None` when the trace does not
     /// contain exactly as many eligible writes as the profiler counted
     /// — replay instance numbering would diverge from the injector's.
     ///
@@ -1356,8 +1314,8 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
         eligible: u64,
         write_ops: Option<Vec<usize>>,
         cache: &Result<Arc<TraceCheckpoints>, ReplayFallback>,
-        basis: &Result<AnalyzeOnlyBasis, ReplayFallback>,
-        ledger: &ReadLedger,
+        analyze_only: Result<(), ReplayFallback>,
+        golden: &Golden<A::Output>,
     ) -> Shard {
         let plan = if !self.config.replay {
             Err(ReplayFallback::Disabled)
@@ -1372,9 +1330,8 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
                         memo: None,
                     })),
                 },
-                Primitive::Read => basis
-                    .clone()
-                    .and_then(|basis| analyze_only_plan(basis, ledger, &sig.target, eligible))
+                Primitive::Read => analyze_only
+                    .and_then(|()| analyze_only_plan(golden, &sig.target, eligible))
                     .map(CampaignPlan::AnalyzeOnly),
                 _ => Err(ReplayFallback::NonWritePrimitive),
             }
@@ -1626,26 +1583,17 @@ impl ReplayPlan {
     }
 }
 
-/// The validated per-campaign basis of the analyze-only read-site fast
-/// path: the golden post-produce filesystem (read-only analyze means
-/// the golden run's *final* state is byte-identical to its
-/// post-produce state) and the phase-boundary counter snapshot every
-/// analyze-only mount pre-seeds. Read-site shards share one basis
-/// behind `Arc`s; the per-signature phase split lives in
-/// [`AnalyzeOnlyPlan`].
-#[derive(Clone)]
-struct AnalyzeOnlyBasis {
+/// A read-site campaign's prepared fast path: the golden post-produce
+/// filesystem (read-only analyze means the golden run's *final* state
+/// is byte-identical to its post-produce state), the phase-boundary
+/// counter snapshot every analyze-only mount pre-seeds, and the
+/// signature's phase seam in eligible instance space — instances
+/// `1..=produce_eligible` fire during produce (full rerun,
+/// [`ReplayFallback::ProduceReadFault`]), later instances fire during
+/// analyze ([`RunStrategy::AnalyzeOnly`]).
+struct AnalyzeOnlyPlan {
     base: Arc<MemFs>,
     boundary: CounterSnapshot,
-}
-
-/// A read-site campaign's prepared fast path: the shared
-/// [`AnalyzeOnlyBasis`] plus the signature's phase seam in eligible
-/// instance space — instances `1..=produce_eligible` fire during
-/// produce (full rerun, [`ReplayFallback::ProduceReadFault`]), later
-/// instances fire during analyze ([`RunStrategy::AnalyzeOnly`]).
-struct AnalyzeOnlyPlan {
-    basis: AnalyzeOnlyBasis,
     produce_eligible: u64,
     eligible: u64,
     /// Engaged analyze memoization basis plus the per-sub-step
@@ -1682,7 +1630,7 @@ impl AnalyzeOnlyPlan {
             let analyze_instance = target_instance - self.produce_eligible;
             match ia.substep_for(analyze_instance) {
                 Some(d) => {
-                    let (start, end) = ia.memo.read_ranges[d];
+                    let (start, end) = ia.memo.laws.read_ranges[d];
                     RunStrategy::IncrementalAnalyze { cost: (end - start) as u32 }
                 }
                 // Unreachable when the sub-step stream-identity law
@@ -1696,26 +1644,34 @@ impl AnalyzeOnlyPlan {
     }
 }
 
-/// The validated golden basis of the analyze memoization layer: the
-/// declared sub-steps, their golden artifacts (pinned `Arc` handles
-/// into the memo store), each sub-step's golden analyze-phase read
-/// range and start-of-sub-step counter snapshot, and the campaign's
-/// golden memo key (an FNV-1a digest over every sub-step's input
-/// fingerprint stream — two campaigns over byte-identical inputs share
-/// run-level memo entries through it).
+/// An engaged analyze memoization basis: the golden run's validated
+/// [`SubstepLaws`], the store this campaign memoizes into, and pinned
+/// `Arc` handles to the golden artifacts as that store holds them.
 struct SubstepMemo {
-    specs: Vec<SubstepSpec>,
+    laws: Arc<SubstepLaws>,
     artifacts: Vec<Arc<Vec<u8>>>,
-    /// Half-open index ranges into the golden *analyze-phase* read
-    /// stream, one per sub-step, covering it exactly.
-    read_ranges: Vec<(usize, usize)>,
-    /// Absolute counter snapshot at each sub-step's start (produce
-    /// phase plus all earlier sub-steps) — pre-seeded onto
-    /// incremental-analyze mounts so the armed crossing observes
-    /// full-execution `prim_seq`/`seq` numbering.
-    counters: Vec<CounterSnapshot>,
-    golden_key: u64,
     store: Arc<MemoStore>,
+}
+
+impl SubstepMemo {
+    /// Publish the golden artifacts to `store`, keyed on each
+    /// sub-step's input fingerprint stream, so a warm store serves
+    /// them (and the run-level entries derived from them) across
+    /// campaigns. Per campaign, not per golden run: each campaign may
+    /// be handed a store of its own.
+    fn publish(laws: Arc<SubstepLaws>, store: &Arc<MemoStore>) -> Self {
+        let artifacts = laws
+            .keys
+            .iter()
+            .zip(&laws.artifacts)
+            .map(|(key, art)| {
+                store
+                    .get_or_compute(key, || Ok(art.clone()))
+                    .expect("publishing a computed golden artifact cannot fail")
+            })
+            .collect();
+        SubstepMemo { laws, artifacts, store: store.clone() }
+    }
 }
 
 /// Read-site half of an engaged memo basis: the shared [`SubstepMemo`]
@@ -1734,107 +1690,6 @@ impl IncrementalMemo {
             analyze_instance > before && analyze_instance <= before + within
         })
     }
-}
-
-/// Validate the sub-step laws against the golden run and build the
-/// memo basis — the one implementation of the engine law 8 gate.
-/// Returns the [`MemoFallback`] reason — never silently — when any law
-/// fails:
-///
-/// * **input soundness** — every read a sub-step issued during golden
-///   validation must target a path in its declared input set (else
-///   dirty-cascade reachability would be unsound);
-/// * **stream identity** — the concatenated sub-step read streams must
-///   equal the golden whole-analyze read stream exactly (same
-///   `prim_seq`/`seq` numbering, addressing, returned lengths, and
-///   content fingerprints), so per-run injector instance numbering
-///   cannot diverge;
-/// * **assembly identity** — assembling the golden artifacts must
-///   classify [`Outcome::Benign`].
-///
-/// The golden artifacts are published to the memo store keyed on each
-/// sub-step's input fingerprint stream, so a warm store serves them
-/// (and the run-level entries derived from them) across campaigns.
-fn substep_memo<A: FaultApp>(
-    app: &A,
-    specs: Vec<SubstepSpec>,
-    golden_analyze: &[ReadRecord],
-    boundary: CounterSnapshot,
-    golden: &A::Output,
-    golden_fs: &Arc<MemFs>,
-    store: &Arc<MemoStore>,
-) -> Result<SubstepMemo, MemoFallback> {
-    if specs.is_empty() {
-        return Err(MemoFallback::NoSubsteps);
-    }
-    let ffs = FfisFs::mount(Arc::new(golden_fs.fork()));
-    ffs.preseed_counters(&boundary);
-    let check = Arc::new(ReadLedger::new());
-    ffs.attach(check.clone());
-    let mut raw: Vec<Vec<u8>> = Vec::with_capacity(specs.len());
-    let mut read_ranges = Vec::with_capacity(specs.len());
-    let mut counters = Vec::with_capacity(specs.len());
-    for (i, _) in specs.iter().enumerate() {
-        counters.push(ffs.counters());
-        let start = check.len();
-        match app.analyze_substep(&*ffs, i, Some(golden)) {
-            Ok(a) => raw.push(a),
-            Err(_) => {
-                ffs.unmount();
-                return Err(MemoFallback::SubstepIdentity);
-            }
-        }
-        read_ranges.push((start, check.len()));
-    }
-    ffs.unmount();
-    let records = check.records();
-    for (spec, &(start, end)) in specs.iter().zip(&read_ranges) {
-        let sound =
-            records[start..end].iter().all(|r| r.path.as_deref().is_some_and(|p| spec.reads(p)));
-        if !sound {
-            return Err(MemoFallback::SubstepInputs);
-        }
-    }
-    if records != golden_analyze {
-        return Err(MemoFallback::SubstepStream);
-    }
-    match app.assemble(&raw, Some(golden)) {
-        Ok(out) if app.classify(golden, &out) == Outcome::Benign => {}
-        _ => return Err(MemoFallback::SubstepIdentity),
-    }
-
-    // Publish the golden artifacts keyed on each sub-step's input
-    // fingerprint stream and pin `Arc` handles for per-run assembly.
-    let mut golden_hash = Fnv::new();
-    golden_hash.eat(app.name().as_bytes());
-    let mut artifacts = Vec::with_capacity(specs.len());
-    for (i, spec) in specs.iter().enumerate() {
-        let (start, end) = read_ranges[i];
-        let mut key = Vec::with_capacity(64 + (end - start) * 16);
-        key.extend_from_slice(b"ffis-memo-v1|golden|");
-        key.extend_from_slice(app.name().as_bytes());
-        key.push(b'|');
-        key.extend_from_slice(spec.name.as_bytes());
-        key.push(b'|');
-        for r in &records[start..end] {
-            key.extend_from_slice(&r.fingerprint.to_le_bytes());
-            key.extend_from_slice(&r.returned.map(|n| n as u64).unwrap_or(u64::MAX).to_le_bytes());
-        }
-        golden_hash.eat(&key);
-        let art = raw[i].clone();
-        let cached = store
-            .get_or_compute(&key, move || Ok(art))
-            .expect("publishing a computed golden artifact cannot fail");
-        artifacts.push(cached);
-    }
-    Ok(SubstepMemo {
-        specs,
-        artifacts,
-        read_ranges,
-        counters,
-        golden_key: golden_hash.0,
-        store: store.clone(),
-    })
 }
 
 /// Key material of one run-level memo entry: the campaign's golden
@@ -1975,6 +1830,7 @@ impl Shard {
                     records.iter().filter(|r| target.matches(r.path.as_deref())).count() as u64
                 };
                 let eligible_ranges = memo
+                    .laws
                     .read_ranges
                     .iter()
                     .map(|&(start, end)| {
@@ -1987,93 +1843,29 @@ impl Shard {
     }
 }
 
-/// The campaign-wide **analyze-only laws**, validated once per golden
-/// run and shared by every read-site shard. Returns the
-/// [`ReplayFallback`] reason — never silently — when any law fails:
-///
-/// * the analyze phase must not have mutated the filesystem during
-///   the golden run (same predicate as the replay gate: recorded ops
-///   past the produce watermark, bookkeeping excepted) — otherwise
-///   the golden final state is not the post-produce state and forking
-///   it would double-apply analyze's writes;
-/// * the application's declared phase-boundary read count
-///   ([`FaultApp::produce_read_count`]), when present, must match the
-///   ledger's measured produce-phase count;
-/// * the ledger must have seen every `FFIS_read` the mount counted
-///   (a divergence means the golden read stream is not the one the
-///   planner is slicing);
-/// * re-executing analyze on a pre-seeded fork of the golden state —
-///   uninjected — must classify benign (golden identity) *and*
-///   re-issue the exact golden analyze-phase read stream: same
-///   `prim_seq`/`seq` numbering, same addressing, same returned
-///   lengths, same content fingerprints. This is the analyze-only
-///   analogue of the uninjected-replay self-check.
-#[allow(clippy::too_many_arguments)]
-fn analyze_only_basis<A: FaultApp>(
-    app: &A,
-    ops: &[TraceOp],
-    produced_ops: usize,
-    ledger: &ReadLedger,
-    boundary: CounterSnapshot,
-    profile: &ProfileReport,
-    golden: &A::Output,
-    golden_fs: &Arc<MemFs>,
-) -> Result<AnalyzeOnlyBasis, ReplayFallback> {
-    let analyze_mutates =
-        ops[produced_ops.min(ops.len())..].iter().any(|op| op.bookkeeping_fd().is_none());
-    if analyze_mutates {
-        return Err(ReplayFallback::AnalyzeWrites);
-    }
-    if let Some(declared) = app.produce_read_count() {
-        if declared != ledger.produce_reads() as u64 {
-            return Err(ReplayFallback::TraceMismatch);
-        }
-    }
-    if ledger.len() as u64 != profile.counters.get(Primitive::Read) {
-        return Err(ReplayFallback::TraceMismatch);
-    }
-
-    // The self-check: fork the golden state, pre-seed the boundary
-    // counters, and run analyze uninjected with a fresh ledger
-    // attached. Classification must be benign and the re-executed read
-    // stream must reproduce the golden analyze-phase stream exactly.
-    let ffs = FfisFs::mount(Arc::new(golden_fs.fork()));
-    ffs.preseed_counters(&boundary);
-    let check = Arc::new(ReadLedger::new());
-    ffs.attach(check.clone());
-    let ok = crate::outcome::analyze_matches_golden(app, &*ffs, golden);
-    ffs.unmount();
-    if !ok {
-        return Err(ReplayFallback::GoldenIdentity);
-    }
-    let golden_reads = ledger.records();
-    let golden_analyze = &golden_reads[ledger.produce_reads()..];
-    if check.records() != golden_analyze {
-        return Err(ReplayFallback::ReplayCheck);
-    }
-    Ok(AnalyzeOnlyBasis { base: golden_fs.clone(), boundary })
-}
-
 /// Per-signature half of the analyze-only gate: slice the golden read
 /// ledger by the signature's target filter, locate the phase seam in
 /// eligible instance space, and cross-check the eligible count against
 /// the profiler's (the read-site analogue of the write path's
 /// trace-vs-profiler instance check).
-fn analyze_only_plan(
-    basis: AnalyzeOnlyBasis,
-    ledger: &ReadLedger,
+fn analyze_only_plan<O>(
+    golden: &Golden<O>,
     target: &TargetFilter,
     eligible: u64,
 ) -> Result<AnalyzeOnlyPlan, ReplayFallback> {
-    let records = ledger.records();
-    let produce_len = ledger.produce_reads();
-    let matching = records.iter().filter(|r| target.matches(r.path.as_deref())).count() as u64;
-    if matching != eligible {
+    let matching = |records: &[ReadRecord]| {
+        records.iter().filter(|r| target.matches(r.path.as_deref())).count() as u64
+    };
+    if matching(&golden.reads) != eligible {
         return Err(ReplayFallback::TraceMismatch);
     }
-    let produce_eligible =
-        records[..produce_len].iter().filter(|r| target.matches(r.path.as_deref())).count() as u64;
-    Ok(AnalyzeOnlyPlan { basis, produce_eligible, eligible, memo: None })
+    Ok(AnalyzeOnlyPlan {
+        base: golden.base.clone(),
+        boundary: golden.boundary,
+        produce_eligible: matching(&golden.reads[..golden.produce_reads]),
+        eligible,
+        memo: None,
+    })
 }
 
 /// Classify one finished application result into a [`RunResult`] —
@@ -2137,77 +1929,28 @@ fn finish_run<A: FaultApp>(
     }
 }
 
-/// The campaign-wide **replay laws**, validated once per golden trace
-/// and shared by every write-site shard. Returns the
-/// [`ReplayFallback`] reason — never silently — when any law fails:
-///
-/// * the analyze phase must not have written during the golden run
-///   (the recorded op stream would double-apply those writes);
-/// * the trace must record exactly as many writes as the mount's
-///   Write counter attempted — a failed write attempt (counted when
-///   attempted, recorded only on success) would shift replayed
-///   `prim_seq` numbering off a real rerun's;
-/// * analyze must satisfy the golden-identity law on the captured
-///   snapshot;
-/// * an uninjected full replay must rebuild state that analyzes
-///   benign (the fidelity self-check).
-///
-/// Per-signature eligible-write numbering is validated separately,
-/// per shard, against its target filter ([`eligible_write_ops`]).
-#[allow(clippy::too_many_arguments)]
-fn shared_replay_cache<A: FaultApp>(
-    app: &A,
-    ops: Vec<TraceOp>,
-    produced_ops: usize,
-    attempted_writes: u64,
-    golden: &A::Output,
-    golden_fs: &MemFs,
+/// One campaign's checkpoint set over the golden trace. With a
+/// fork-offset demand the snapshots are placed against the campaign's
+/// actual targets; without one they are log-spaced. Construction goes
+/// through the shared store when one is configured: identical golden
+/// traces (several fault models over one deterministic workload) then
+/// share a single built set, demand-placed and log-spaced sets side by
+/// side — the placement is part of the store's key. A trace that does
+/// not replay cleanly cannot anchor injection runs
+/// ([`ReplayFallback::ReplayCheck`]).
+fn place_checkpoints(
+    trace: &SharedTrace,
     store: Option<&CheckpointStore>,
     demand: Option<&[usize]>,
 ) -> Result<Arc<TraceCheckpoints>, ReplayFallback> {
-    // Ops recorded after the produce watermark violate the
-    // read-only-analyze law — except state-neutral bookkeeping
-    // (release/fsync/lock/unlock of analyze's own read-only
-    // descriptors, which the recorder logs but a replay skips).
-    let analyze_mutates =
-        ops[produced_ops.min(ops.len())..].iter().any(|op| op.bookkeeping_fd().is_none());
-    if analyze_mutates {
-        return Err(ReplayFallback::AnalyzeWrites);
+    let trace = trace.clone();
+    match (store, demand) {
+        (Some(store), Some(d)) => store.get_or_build_for_demand(trace, d),
+        (Some(store), None) => store.get_or_build(trace),
+        (None, Some(d)) => TraceCheckpoints::build_for_demand(trace, d).map(Arc::new),
+        (None, None) => TraceCheckpoints::build(trace).map(Arc::new),
     }
-    if ops.iter().filter(|op| op.is_write()).count() as u64 != attempted_writes {
-        return Err(ReplayFallback::TraceMismatch);
-    }
-    if !crate::outcome::analyze_matches_golden(app, golden_fs, golden) {
-        return Err(ReplayFallback::GoldenIdentity);
-    }
-    // Checkpoint construction goes through the shared store when one
-    // is configured: identical golden traces (several fault models
-    // over one deterministic workload) then share a single built
-    // cache. The per-campaign laws above and the fidelity self-check
-    // below still run for every campaign — sharing only skips the
-    // redundant prefix replays that build the snapshots. With a
-    // fork-offset demand the snapshots are placed against the
-    // campaign's actual targets (demand-placed and log-spaced sets
-    // coexist in the store — the placement is part of the cache key).
-    let cache = match (store, demand) {
-        (Some(store), Some(d)) => {
-            store.get_or_build_for_demand(ops, d).map_err(|_| ReplayFallback::ReplayCheck)?
-        }
-        (Some(store), None) => store.get_or_build(ops).map_err(|_| ReplayFallback::ReplayCheck)?,
-        (None, Some(d)) => Arc::new(
-            TraceCheckpoints::build_for_demand(ops, d).map_err(|_| ReplayFallback::ReplayCheck)?,
-        ),
-        (None, None) => {
-            Arc::new(TraceCheckpoints::build(ops).map_err(|_| ReplayFallback::ReplayCheck)?)
-        }
-    };
-    let (ffs, mut cursor) = cache.points()[0].mount_fork();
-    if cursor.replay(&*ffs, cache.ops()).is_err()
-        || !crate::outcome::analyze_matches_golden(app, &*ffs, golden)
-    {
-        return Err(ReplayFallback::ReplayCheck);
-    }
-    Ok(cache)
+    .map_err(|_| ReplayFallback::ReplayCheck)
 }
 
 /// Where one run's filesystem state comes from, resolved from its
@@ -2284,10 +2027,9 @@ fn execute_run<A: FaultApp>(
     let (start, already_seen, dirty) = match (pr.strategy, &shard.plan) {
         (RunStrategy::Replay { checkpoint, .. }, Ok(CampaignPlan::Replay(plan))) => {
             let target_op = plan.eligible_ops[(target_instance - 1) as usize];
-            let dirty = plan
-                .memo
-                .as_deref()
-                .map(|m| (m, dirty_substeps(&m.specs, plan.cache.ops()[target_op].write_path())));
+            let dirty = plan.memo.as_deref().map(|m| {
+                (m, dirty_substeps(&m.laws.specs, plan.cache.ops()[target_op].write_path()))
+            });
             match batch.and_then(|b| b.for_target(target_op)) {
                 // The mini-point sits exactly at the target op, so the
                 // eligible writes already "seen" are precisely the
@@ -2301,7 +2043,7 @@ fn execute_run<A: FaultApp>(
             }
         }
         (RunStrategy::AnalyzeOnly, Ok(CampaignPlan::AnalyzeOnly(plan))) => (
-            Start::Golden { base: &plan.basis.base, counters: plan.basis.boundary },
+            Start::Golden { base: &plan.base, counters: plan.boundary },
             plan.produce_eligible,
             None,
         ),
@@ -2316,7 +2058,7 @@ fn execute_run<A: FaultApp>(
                 .substep_for(target_instance - plan.produce_eligible)
                 .expect("IncrementalAnalyze is only planned for in-range instances");
             (
-                Start::Golden { base: &plan.basis.base, counters: ia.memo.counters[d] },
+                Start::Golden { base: &plan.base, counters: ia.memo.laws.counters[d] },
                 plan.produce_eligible + ia.eligible_ranges[d].0,
                 Some((&*ia.memo, vec![d])),
             )
@@ -2330,9 +2072,9 @@ fn execute_run<A: FaultApp>(
     // run from the store when an identical one already ran.
     let memo = match dirty {
         Some((m, dirty)) => {
-            m.store.note_hits((m.specs.len() - dirty.len()) as u64);
+            m.store.note_hits((m.laws.specs.len() - dirty.len()) as u64);
             m.store.note_invalidations(dirty.len() as u64);
-            let key = memo_run_key(m.golden_key, &shard.signature, target_instance, seed);
+            let key = memo_run_key(m.laws.golden_key, &shard.signature, target_instance, seed);
             if let Some(entry) = m.store.get(&key).and_then(|bytes| decode_memo_run(&bytes)) {
                 return finish_memo_run(app, m, golden, pr.index, target_instance, mode, entry);
             }
@@ -2386,7 +2128,7 @@ fn execute_run<A: FaultApp>(
                 let stats = match &memo {
                     Some((m, dirty, _)) => {
                         cursor.replay_coalesced_filtered(&**ffs.inner(), tail, &|p| {
-                            dirty.iter().any(|&i| m.specs[i].reads(p))
+                            dirty.iter().any(|&i| m.laws.specs[i].reads(p))
                         })
                     }
                     None => cursor.replay_coalesced(&**ffs.inner(), tail),
@@ -2405,9 +2147,9 @@ fn execute_run<A: FaultApp>(
         let Some((m, dirty, _)) = &memo else {
             return Ok((app.analyze(&*ffs, Some(golden))?, Vec::new()));
         };
-        let mut assembled: Vec<Vec<u8>> = Vec::with_capacity(m.specs.len());
+        let mut assembled: Vec<Vec<u8>> = Vec::with_capacity(m.laws.specs.len());
         let mut dirty_artifacts: Vec<(usize, Vec<u8>)> = Vec::with_capacity(dirty.len());
-        for i in 0..m.specs.len() {
+        for i in 0..m.laws.specs.len() {
             if dirty.contains(&i) {
                 let art = app.analyze_substep(&*ffs, i, Some(golden))?;
                 dirty_artifacts.push((i, art.clone()));

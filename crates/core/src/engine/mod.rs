@@ -96,10 +96,10 @@
 //!    re-executing it, recomputing only the dirty cascade — and the
 //!    resulting tallies, kept records, injection records, and run
 //!    digests are identical to whole-run analyze. The memo layer is
-//!    gated by a golden-trace validation (`substep_memo`): the
-//!    concatenated sub-step read streams must reproduce the whole
-//!    analyze's ledger exactly, or the campaign falls back to whole
-//!    analyze with the reason always recorded in
+//!    gated by a golden-run validation (the sub-step laws, decided
+//!    once per golden run): the concatenated sub-step read streams must
+//!    reproduce the whole analyze's ledger exactly, or the campaign
+//!    falls back to whole analyze with the reason always recorded in
 //!    [`crate::MemoReport`] (`memo-disabled`, `no-substeps`,
 //!    `not-fast-path`, `liveness-watchdog`, `substep-inputs`,
 //!    `substep-stream`, `substep-identity`) — there is no silent

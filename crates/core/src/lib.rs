@@ -117,6 +117,7 @@ pub mod campaign;
 pub mod engine;
 pub mod fault;
 pub mod generator;
+mod golden;
 pub mod injector;
 pub mod metadata_scan;
 pub mod outcome;
@@ -138,6 +139,7 @@ pub use fault::{
     TargetFilter,
 };
 pub use generator::{paper_signatures, read_signatures, FaultConfig};
+pub use golden::GoldenCache;
 pub use injector::{ArmedInjector, ByteFaultInjector, ByteFlip, InjectionRecord};
 pub use metadata_scan::{
     attribute, fields_with_outcome, locate_write, run_with_byte_fault, scan, scan_detailed,

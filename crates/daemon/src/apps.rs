@@ -8,6 +8,12 @@
 //! submission and an in-process run of the same spec are the same
 //! campaign by construction (the end-to-end byte-identity the
 //! integration suite pins).
+//!
+//! A spec resolves to a constructed application *and* the cache of
+//! golden runs made over it ([`AppCache`]): callers that share
+//! applications through [`ExecHooks::apps`] — the daemon's queue —
+//! share golden runs and law verdicts with them; every other caller
+//! constructs the application, and makes its golden run, per call.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -17,8 +23,8 @@ use std::time::Duration;
 
 use ffis_core::engine::job::CampaignSpec;
 use ffis_core::{
-    Campaign, CampaignConfig, CampaignError, CampaignResult, CancelToken, FaultApp, Outcome,
-    RunObserver,
+    Campaign, CampaignConfig, CampaignError, CampaignResult, CancelToken, FaultApp, GoldenCache,
+    Outcome, RunObserver,
 };
 use ffis_vfs::{CheckpointStore, FileSystem, FileSystemExt, MemoStore};
 use montage_sim::MontageApp;
@@ -83,44 +89,73 @@ pub fn nyx_app(grid: usize, files: usize) -> NyxApp {
 /// and the spec's `grid` and `files`.
 type AppKey = (AppKind, usize, usize);
 
+/// A constructed application beside the golden runs made over it:
+/// whoever shares the one shares the other, and a caller that
+/// constructs an application for a single call gets a cache that
+/// serves that call only.
+struct Built<A: FaultApp> {
+    app: A,
+    goldens: GoldenCache<A::Output>,
+}
+
+impl<A: FaultApp> Built<A> {
+    fn new(app: A) -> Self {
+        Built { app, goldens: GoldenCache::new() }
+    }
+
+    fn run(&self, cfg: CampaignConfig) -> Result<CampaignResult, CampaignError> {
+        Campaign::new(&self.app, cfg).with_goldens(&self.goldens).run()
+    }
+}
+
 /// A spec's application, constructed — golden products included.
 enum BuiltApp {
-    Nyx(NyxApp),
-    Qmc(QmcApp),
-    Montage(MontageApp),
-    Paced(PacedApp),
+    Nyx(Built<NyxApp>),
+    Qmc(Built<QmcApp>),
+    Montage(Built<MontageApp>),
+    Paced(Built<PacedApp>),
 }
 
 impl BuiltApp {
     fn build((kind, grid, files): AppKey) -> BuiltApp {
         let files = files.max(1);
         match kind {
-            AppKind::Nyx => BuiltApp::Nyx(nyx_app(grid, files)),
+            AppKind::Nyx => BuiltApp::Nyx(Built::new(nyx_app(grid, files))),
             // Multi-file QMC runs also block the DMC series, so a
             // dirty checkpoint restart re-derives one block of steps
             // instead of the whole series (single-file stays the
             // legacy byte-identical layout).
-            AppKind::Qmc => BuiltApp::Qmc(QmcApp::new(QmcConfig {
+            AppKind::Qmc => BuiltApp::Qmc(Built::new(QmcApp::new(QmcConfig {
                 restarts: files,
                 dmc_blocks: if files > 1 { 4 } else { 1 },
                 ..QmcConfig::default()
-            })),
-            AppKind::Montage => BuiltApp::Montage(MontageApp::multi_tile(files)),
-            AppKind::Paced => BuiltApp::Paced(PacedApp),
+            }))),
+            AppKind::Montage => BuiltApp::Montage(Built::new(MontageApp::multi_tile(files))),
+            AppKind::Paced => BuiltApp::Paced(Built::new(PacedApp)),
         }
     }
 
     fn run(&self, cfg: CampaignConfig) -> Result<CampaignResult, CampaignError> {
         match self {
-            BuiltApp::Nyx(app) => Campaign::new(app, cfg).run(),
-            BuiltApp::Qmc(app) => Campaign::new(app, cfg).run(),
-            BuiltApp::Montage(app) => Campaign::new(app, cfg).run(),
-            BuiltApp::Paced(app) => Campaign::new(app, cfg).run(),
+            BuiltApp::Nyx(built) => built.run(cfg),
+            BuiltApp::Qmc(built) => built.run(cfg),
+            BuiltApp::Montage(built) => built.run(cfg),
+            BuiltApp::Paced(built) => built.run(cfg),
+        }
+    }
+
+    fn golden_runs(&self) -> usize {
+        match self {
+            BuiltApp::Nyx(built) => built.goldens.runs(),
+            BuiltApp::Qmc(built) => built.goldens.runs(),
+            BuiltApp::Montage(built) => built.goldens.runs(),
+            BuiltApp::Paced(built) => built.goldens.runs(),
         }
     }
 }
 
-/// Constructed applications, shared by the jobs of one queue.
+/// Constructed applications, shared by the jobs of one queue, each
+/// with the golden runs those jobs made over it.
 ///
 /// Constructing an application runs its golden computation — for QMC
 /// the whole VMC + DMC series, some 400 ms — and depends on nothing in
@@ -128,6 +163,14 @@ impl BuiltApp {
 /// immutable. A service draining many small jobs over a few
 /// applications therefore builds each once here instead of once per
 /// job. Concurrent jobs over one key wait for a single build.
+///
+/// The same rule one level down: a campaign's golden run, and the
+/// verdicts of the campaign-wide laws checked against it, depend on
+/// the application and on what the run captures — not on the job's
+/// seed, run count or fault model. Each slot therefore keeps a
+/// [`GoldenCache`] beside its application and every job over the slot
+/// runs its campaign through it: six Nyx jobs at both sites make two
+/// golden runs, not six.
 #[derive(Default)]
 pub struct AppCache {
     apps: Mutex<HashMap<AppKey, Arc<OnceLock<BuiltApp>>>>,
@@ -144,6 +187,14 @@ impl AppCache {
     /// `(app, grid, files)` that was asked for.
     pub fn builds(&self) -> usize {
         self.builds.load(Ordering::Relaxed)
+    }
+
+    /// Golden runs made so far over those applications — one per
+    /// distinct `(application, capture set)` the jobs asked for, not
+    /// one per job.
+    pub fn golden_runs(&self) -> usize {
+        let apps = self.apps.lock().unwrap_or_else(|e| e.into_inner());
+        apps.values().filter_map(|slot| slot.get()).map(BuiltApp::golden_runs).sum()
     }
 
     fn run(&self, key: AppKey, cfg: CampaignConfig) -> Result<CampaignResult, CampaignError> {
@@ -186,8 +237,9 @@ pub struct ExecHooks {
     /// the *full* plan (engine law 7), so segments from different
     /// workers merge index-addressed.
     pub index_range: Option<(usize, usize)>,
-    /// Shared constructed applications. `None` constructs the spec's
-    /// application for this call alone.
+    /// Shared constructed applications and the golden runs made over
+    /// them. `None` constructs the spec's application, and makes its
+    /// golden run, for this call alone.
     pub apps: Option<Arc<AppCache>>,
 }
 

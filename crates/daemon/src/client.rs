@@ -30,9 +30,15 @@ impl Client {
 
     /// `GET /healthz` → `(running, queued, max_concurrent)`.
     pub fn health(&self) -> Result<(u64, u64, u64), String> {
-        let value = self.request_json("GET", "/api/v0/healthz", None)?;
+        let value = self.healthz()?;
         let get = |key: &str| value.get(key).and_then(Json::as_u64).unwrap_or(0);
         Ok((get("running"), get("queued"), get("max_concurrent")))
+    }
+
+    /// `GET /healthz`, the whole reply: the three numbers above plus
+    /// `app_builds` and `golden_runs`.
+    pub fn healthz(&self) -> Result<Json, String> {
+        self.request_json("GET", "/api/v0/healthz", None)
     }
 
     /// `POST /jobs` → job id.

@@ -17,6 +17,23 @@
 //! to parse and its job is skipped (`spec.json`) or re-run
 //! (`result.json`).
 //!
+//! Beside `jobs/`, the root holds `store/`: `store/memo/` is the one
+//! analyze memo store every job (and fan-out worker) of the root
+//! shares, one file per entry; `store/<app>-g<grid>/` appears only
+//! when jobs fan out ([`QueueOptions::fanout`] > 1) and holds the
+//! checkpoint manifests and page blobs their worker processes share.
+//! An in-process job writes no checkpoint set: it is placed against
+//! that job's own draws, so its key could never match a later job's.
+//!
+//! ## What is paid once per queue
+//!
+//! Whatever does not depend on a job's seed: the constructed
+//! application, the golden run over it, and the verdicts of the
+//! campaign-wide laws checked on that run ([`AppCache`], counted by
+//! [`JobQueue::app_builds`] and [`JobQueue::golden_runs`], both in
+//! `GET /healthz`). A job pays for its draws, its checkpoint set, its
+//! per-signature eligible-count checks and its runs.
+//!
 //! The queue is persistent *by construction*: a job is its spec file
 //! plus its journal. [`JobQueue::open`] re-lists the directory, loads
 //! terminal results as-is, and re-enqueues every non-terminal job with
@@ -27,7 +44,7 @@
 //! marker); its journal stays on disk, so resubmitting the same spec
 //! directory would still resume it.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -38,7 +55,7 @@ use std::thread::JoinHandle;
 use ffis_core::engine::job::{CampaignSpec, JobFailure, JobState};
 use ffis_core::{CancelToken, CompletionStatus, RunObserver};
 use ffis_vfs::frame::write_atomic;
-use ffis_vfs::{CheckpointStore, MemoStore};
+use ffis_vfs::MemoStore;
 
 use crate::api::{self, JobView};
 use crate::apps::{check_app, execute_spec, AppCache, ExecHooks};
@@ -124,21 +141,17 @@ pub struct JobQueue {
     shutdown: AtomicBool,
     running_now: AtomicUsize,
     max_concurrent: AtomicUsize,
-    /// One shared checkpoint store per `(app, grid)`: concurrent and
-    /// successive jobs over the same golden run share one built
-    /// checkpoint cache. Stores are disk-backed under
-    /// `<root>/store/<app>-g<grid>`, so the cache also survives
-    /// daemon restarts and is shared with fan-out worker processes.
-    stores: Mutex<HashMap<(String, usize), Arc<CheckpointStore>>>,
     /// One shared analyze memo store per daemon root, disk-backed
     /// under `<root>/store/memo`. Keys are content-addressed over app,
     /// sub-step, and input fingerprints, so every job (and fan-out
     /// worker process) of this root shares one store, and warm jobs
     /// replay their clean sub-steps across daemon restarts.
     memo: Mutex<Option<Arc<MemoStore>>>,
-    /// Constructed applications, one per `(app, grid, files)`: a job
-    /// pays for its campaign, not for the golden computation every
-    /// earlier job over the same application already ran.
+    /// Constructed applications, one per `(app, grid, files)`, each
+    /// with the golden runs made over it: a job pays for what its seed
+    /// decides, not for the golden computation, the golden run and
+    /// the law checks every earlier job over the same application
+    /// already made.
     apps: Arc<AppCache>,
     options: QueueOptions,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -168,7 +181,6 @@ impl JobQueue {
             shutdown: AtomicBool::new(false),
             running_now: AtomicUsize::new(0),
             max_concurrent: AtomicUsize::new(0),
-            stores: Mutex::new(HashMap::new()),
             memo: Mutex::new(None),
             apps: Arc::new(AppCache::new()),
             options,
@@ -296,6 +308,13 @@ impl JobQueue {
         self.apps.builds()
     }
 
+    /// Golden runs this queue's jobs have made — one per distinct
+    /// `(application, capture set)`, not one per job (see
+    /// [`AppCache::golden_runs`]).
+    pub fn golden_runs(&self) -> usize {
+        self.apps.golden_runs()
+    }
+
     /// Cancel a job: a queued job is interrupted immediately; a
     /// running one gets its token cancelled and parks as
     /// `interrupted` when the in-flight run finishes. Terminal jobs
@@ -370,18 +389,12 @@ impl JobQueue {
         }
     }
 
-    /// Disk directory of the shared checkpoint store for this spec's
-    /// `(app, grid)` — the same directory fan-out worker processes
-    /// mount.
+    /// Disk directory of the checkpoint store the worker processes of
+    /// a fanned-out job share for this spec's `(app, grid)`. Only
+    /// they ever read a persisted checkpoint set; an in-process job
+    /// builds its own against its own demand and drops it.
     fn store_dir(&self, spec: &CampaignSpec) -> PathBuf {
         self.root.join("store").join(format!("{}-g{}", spec.app.to_ascii_lowercase(), spec.grid))
-    }
-
-    fn checkpoint_store(&self, spec: &CampaignSpec) -> Arc<CheckpointStore> {
-        let key = (spec.app.to_ascii_lowercase(), spec.grid);
-        let dir = self.store_dir(spec);
-        let mut stores = self.stores.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(stores.entry(key).or_insert_with(|| distributed::open_store(&dir)))
     }
 
     /// Disk directory of the root-wide shared memo store — the same
@@ -495,13 +508,14 @@ impl JobQueue {
             let worker_cmd =
                 self.options.worker_cmd.clone().or_else(|| distributed::self_worker_cmd().ok());
             if let Some(cmd) = worker_cmd {
-                // The coordinator overrides `journal`/`index_range`;
-                // the observer rides the final merged-resume pass, so
+                // The coordinator overrides `journal`/`index_range`
+                // and mounts the workers' store for its final pass;
+                // the observer rides that merged-resume pass, so
                 // stream subscribers still see one event per index.
                 let hooks = ExecHooks {
                     journal: None,
                     cancel: Some(Arc::clone(&cancel)),
-                    checkpoints: Some(self.checkpoint_store(&spec)),
+                    checkpoints: None,
                     memo: Some(self.memo_store()),
                     observer: Some(observer.clone()),
                     index_range: None,
@@ -532,7 +546,10 @@ impl JobQueue {
             let hooks = ExecHooks {
                 journal: spec.journal.then(|| dir.join("run.journal")),
                 cancel: Some(cancel),
-                checkpoints: Some(self.checkpoint_store(&spec)),
+                // The checkpoint set is placed against this job's own
+                // draws, so no later job could reuse it: build, use,
+                // drop — nothing persisted, nothing retained.
+                checkpoints: None,
                 memo: Some(self.memo_store()),
                 observer: Some(observer),
                 index_range: None,

@@ -10,7 +10,7 @@
 //! | `GET /jobs/:id` | one job's live status + partial tally |
 //! | `GET /jobs/:id/stream` | chunked NDJSON: `snapshot`, then one `run` event per plan index, then `done` |
 //! | `DELETE /jobs/:id` | cancel (queued → interrupted now; running → after the in-flight run) |
-//! | `GET /healthz` | `{"status":"ok", "running", "queued", "max_concurrent"}` |
+//! | `GET /healthz` | `{"status":"ok", "running", "queued", "max_concurrent", "app_builds", "golden_runs"}` — the last two count what the queue built once and shared: applications per `(app, grid, files)`, golden runs per `(application, capture set)` |
 //! | `GET /bench` | list `BENCH_*.json` artifacts; `GET /bench/:name` serves one |
 
 use std::io;
@@ -147,6 +147,8 @@ pub fn route(queue: &Arc<JobQueue>, bench_dir: Option<&Path>, req: &Request) -> 
                     ("running".into(), Json::Num(running as f64)),
                     ("queued".into(), Json::Num(queued as f64)),
                     ("max_concurrent".into(), Json::Num(max_concurrent as f64)),
+                    ("app_builds".into(), Json::Num(queue.app_builds() as f64)),
+                    ("golden_runs".into(), Json::Num(queue.golden_runs() as f64)),
                 ]),
             )
         }
@@ -274,7 +276,9 @@ mod tests {
         for path in ["/healthz", "/api/v0/healthz"] {
             match route(&queue, None, &get(path)) {
                 Reply::Json(200, Json::Obj(fields)) => {
-                    assert!(fields.iter().any(|(k, _)| k == "status"));
+                    for key in ["status", "max_concurrent", "app_builds", "golden_runs"] {
+                        assert!(fields.iter().any(|(k, _)| k == key), "{path}: no {key}");
+                    }
                 }
                 other => panic!("{} => {:?}", path, reply_tag(&other)),
             }

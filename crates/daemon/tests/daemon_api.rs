@@ -465,7 +465,7 @@ fn assert_same_as_bare_run(view: &JobView) {
 fn jobs_over_shared_applications_answer_like_bare_runs_and_build_each_app_once() {
     let root = tmp_root("appcache");
     let queue = JobQueue::open(&root, 1).unwrap();
-    assert_eq!(queue.app_builds(), 0);
+    assert_eq!((queue.app_builds(), queue.golden_runs()), (0, 0));
     let mut ids = Vec::new();
     for round in 0..3u64 {
         for (k, mut spec) in service_job_types().into_iter().enumerate() {
@@ -478,6 +478,21 @@ fn jobs_over_shared_applications_answer_like_bare_runs_and_build_each_app_once()
     }
     // nyx g16 f1, montage g16 f2, qmc g16 f1 — not one per job.
     assert_eq!(queue.app_builds(), 3);
+    // Nor one golden run per job: one per application and capture
+    // set. With the replay fast paths on, single-file Nyx (no
+    // sub-steps) records the read ledger for its read-site jobs only;
+    // 2-tile Montage records it at both sites; QMC has one job type.
+    // With them off (`FFIS_REPLAY=0`) nothing is captured at all.
+    let distinct = if ffis_core::replay_default() { 4 } else { 3 };
+    assert_eq!(queue.golden_runs(), distinct, "18 jobs");
+    // An in-process job places its checkpoints against its own draws,
+    // uses them and drops them: the only store the queue keeps on disk
+    // is the memo store.
+    let stored: Vec<String> = std::fs::read_dir(root.join("store"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(stored, ["memo"], "<root>/store after in-process jobs");
     queue.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

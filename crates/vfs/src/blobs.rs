@@ -253,7 +253,12 @@ impl BlobStore {
     /// Store `bytes`, returning their content address. Identical
     /// content is stored once; repeats count as dedup hits.
     pub fn put(&self, bytes: &[u8]) -> BlobHash {
-        let hash = sha256(bytes);
+        self.put_hashed(sha256(bytes), bytes)
+    }
+
+    /// [`BlobStore::put`] for a caller that has just computed
+    /// `hash = sha256(bytes)` itself (a loader that verified it).
+    pub(crate) fn put_hashed(&self, hash: BlobHash, bytes: &[u8]) -> BlobHash {
         self.logical_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         {
             let mut mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());

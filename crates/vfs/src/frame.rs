@@ -118,15 +118,24 @@ impl FrameDir {
     }
 
     /// Seal `body` and publish it as `name` unless that file already
-    /// exists. Callers treat an error as "not persisted" and carry on
-    /// from their memory tier.
+    /// exists. The shard directory is created only when the write
+    /// finds it missing — at most once per two-hex prefix, not once
+    /// per record. Callers treat an error as "not persisted" and carry
+    /// on from their memory tier.
     pub fn publish(&self, name: &str, body: &[u8]) -> std::io::Result<()> {
         let path = self.path(name);
         if path.exists() {
             return Ok(());
         }
-        std::fs::create_dir_all(path.parent().expect("record paths have a shard directory"))?;
-        write_atomic(&path, &seal(self.magic, body))
+        let sealed = seal(self.magic, body);
+        match write_atomic(&path, &sealed) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                let shard = path.parent().expect("record paths have a shard directory");
+                std::fs::create_dir_all(shard)?;
+                write_atomic(&path, &sealed)
+            }
+            done => done,
+        }
     }
 
     /// Read, [`open`] and `decode` the record called `name`. A missing
@@ -349,6 +358,28 @@ mod tests {
         dir.publish("aa02", b"again").unwrap();
         assert_eq!(dir.load("aa02", text).as_deref(), Some("again"));
         let _ = std::fs::remove_dir_all(dir.root());
+    }
+
+    #[test]
+    fn publish_creates_a_shard_only_when_the_write_misses_it() {
+        let dir = FrameDir::new(scratch("publish").join("not").join("yet"), MAGIC, "rec");
+        let text = |body: &[u8]| Some(String::from_utf8_lossy(body).into_owned());
+        // Fresh root: neither it nor the shard exists.
+        assert!(!dir.root().exists());
+        dir.publish("ab01", b"first").unwrap();
+        assert_eq!(dir.load("ab01", text).as_deref(), Some("first"));
+        // Existing shard: the write lands without the retry.
+        dir.publish("ab02", b"second").unwrap();
+        assert_eq!(dir.load("ab02", text).as_deref(), Some("second"));
+        // Same name again: still a no-op.
+        dir.publish("ab01", b"other").unwrap();
+        assert_eq!(dir.load("ab01", text).as_deref(), Some("first"));
+        let files = std::fs::read_dir(dir.root().join("ab")).unwrap().count();
+        assert_eq!(files, 2, "no temp file outlives the missed first write");
+        // A failure that is not a missing directory is returned as it is.
+        std::fs::write(dir.root().join("cd"), b"a file where the shard should be").unwrap();
+        assert!(dir.publish("cd03", b"third").is_err());
+        let _ = std::fs::remove_dir_all(scratch("publish"));
     }
 
     #[test]

@@ -106,5 +106,6 @@ pub use memfs::MemFs;
 pub use memo::{MemoStats, MemoStore};
 pub use trace::{
     BatchFork, BatchForks, CheckpointStore, CoalesceStats, Fnv, Placement, ReadLedger, ReadRecord,
-    ReplayCursor, ReplayError, TraceCheckpoint, TraceCheckpoints, TraceOp, TraceRecorder,
+    ReplayCursor, ReplayError, SharedTrace, TraceCheckpoint, TraceCheckpoints, TraceOp,
+    TraceRecorder,
 };

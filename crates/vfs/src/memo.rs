@@ -3,40 +3,41 @@
 //! A campaign that splits `analyze` into declared sub-steps needs a
 //! place to park each sub-step's serialized artifact, keyed by *what
 //! the sub-step read* — the [`crate::ReadLedger`] fingerprint stream
-//! of its input files. This store is that place: a thin key → value
-//! index over the same content-addressed [`BlobStore`] tier the
-//! checkpoint store rides, so identical artifacts dedup across
-//! sub-steps, campaigns, and processes, and a disk-backed store
-//! directory is shareable between worker processes exactly like the
-//! checkpoint store's.
+//! of its input files. This store is that place: a key → value index
+//! whose memory tier keeps each distinct value once (a
+//! content-addressed [`BlobStore`]) and whose optional disk tier is
+//! one self-contained file per entry, shareable between worker
+//! processes.
 //!
 //! ## Shape
 //!
 //! * **Keys** are opaque byte strings (the caller encodes app name,
 //!   sub-step name, and ledger fingerprints); they are hashed to a
-//!   32-byte address. The index maps key address → value blob hash.
-//! * **Values** are opaque byte strings stored in the [`BlobStore`]
-//!   (memory tier + optional CRC-framed disk tier).
+//!   32-byte address. The index maps key address → value hash.
+//! * **Values** are opaque byte strings; identical values under
+//!   different keys share one allocation in memory.
 //! * **Single flight** — [`MemoStore::get_or_compute`] guarantees one
 //!   computation per key across racing threads: late arrivals block
 //!   until the builder publishes (or fails, in which case one waiter
 //!   takes over). The same [`SingleFlight`] `CheckpointStore` uses.
 //! * **Counters** — hits, misses, and invalidations
-//!   ([`MemoStats`]) ride alongside the blob tier's [`BlobStats`];
+//!   ([`MemoStats`]) ride alongside the value tier's [`BlobStats`];
 //!   campaigns surface both. An *invalidation* is recorded by the
 //!   campaign layer when a fault injection dirties a sub-step whose
 //!   golden artifact was cached — the dirty-cascade counter.
 //!
 //! ## Disk layout
 //!
-//! `<dir>/index/<2 hex>/<64 hex>.memo` holds one `key address → value
-//! hash` entry: a [`crate::frame`] record sealed `"FFISMEM2"` whose
-//! CRC-covered body is `key 32B | value 32B` (the key echo proves the
-//! file is the entry its name promises); values live under
-//! `<dir>/blobs/` in standard blob frames. Torn, bit-rotted or
-//! `FFISMEM1`-era index files are deleted and read as a miss —
-//! corruption costs a recompute, never a wrong artifact, because the
-//! value fetch re-verifies content hashes end to end.
+//! `<dir>/index/<2 hex>/<64 hex>.memo` holds one entry, value
+//! included: a [`crate::frame`] record sealed `"FFISMEM3"` whose
+//! CRC-covered body is `key 32B | sha256(value) 32B | value`. A `put`
+//! is therefore one file publish. A load checks the frame CRC, the key
+//! echo (the file is the entry its name promises) and re-hashes the
+//! value against the stored hash; a file that fails any of the three —
+//! torn, bit-rotted, misplaced, or left by an older layout
+//! (`FFISMEM2` kept the value in a separate blob file) — is deleted
+//! and read as a miss. Corruption costs a recompute, never a wrong
+//! artifact.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -46,7 +47,7 @@ use std::sync::{Arc, Mutex};
 use crate::blobs::{hash_hex, sha256, BlobHash, BlobStats, BlobStore};
 use crate::frame::{FrameDir, SingleFlight};
 
-const INDEX_MAGIC: &[u8; 8] = b"FFISMEM2";
+const INDEX_MAGIC: &[u8; 8] = b"FFISMEM3";
 
 /// Hit/miss/invalidation counters for a [`MemoStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,9 +71,12 @@ impl MemoStats {
     }
 }
 
-/// Key → artifact memo store over a content-addressed blob tier.
+/// Key → artifact memo store: values deduplicated by content in
+/// memory, one sealed file per entry on disk.
 #[derive(Debug, Default)]
 pub struct MemoStore {
+    /// Memory tier of the values, by content hash. Never disk-backed:
+    /// the disk tier keeps each value inside its entry's own file.
     blobs: BlobStore,
     index: Mutex<HashMap<BlobHash, BlobHash>>,
     flight: SingleFlight<BlobHash>,
@@ -94,9 +98,8 @@ impl MemoStore {
     /// on identical frames.
     pub fn at_dir(dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir.join("index"))?;
-        let blobs = BlobStore::at_dir(&dir.join("blobs"))?;
         let disk = Some(FrameDir::new(dir.join("index"), INDEX_MAGIC, "memo"));
-        Ok(MemoStore { blobs, disk, ..Self::default() })
+        Ok(MemoStore { disk, ..Self::default() })
     }
 
     /// The disk-tier root, when this store has one.
@@ -111,17 +114,16 @@ impl MemoStore {
         let value_hash = match cached {
             Some(h) => h,
             None => {
-                // Body: the key echoed, then the value's content hash.
-                let h = self
-                    .disk
-                    .as_ref()?
-                    .load(&hash_hex(key), |body| body.strip_prefix(&key[..])?.try_into().ok())?;
+                // Body: the key echoed, the value's content hash, the
+                // value. A verified value joins the memory tier.
+                let h = self.disk.as_ref()?.load(&hash_hex(key), |body| {
+                    let (hash, value) = body.strip_prefix(&key[..])?.split_first_chunk::<32>()?;
+                    (sha256(value) == *hash).then(|| self.blobs.put_hashed(*hash, value))
+                })?;
                 self.index.lock().unwrap_or_else(|e| e.into_inner()).insert(*key, h);
                 h
             }
         };
-        // A missing value blob (pruned or corrupt disk tier) degrades
-        // to a miss: the caller recomputes and re-publishes.
         self.blobs.get(&value_hash)
     }
 
@@ -129,9 +131,9 @@ impl MemoStore {
         let value_hash = self.blobs.put(value);
         self.index.lock().unwrap_or_else(|e| e.into_inner()).insert(key, value_hash);
         if let Some(disk) = &self.disk {
-            // Best-effort persistence, like the blob tier: a failed
-            // index write degrades sharing, never a campaign.
-            let _ = disk.publish(&hash_hex(&key), &[key, value_hash].concat());
+            // Best-effort persistence: a failed write degrades
+            // sharing, never a campaign.
+            let _ = disk.publish(&hash_hex(&key), &[&key[..], &value_hash[..], value].concat());
         }
     }
 
@@ -206,7 +208,7 @@ impl MemoStore {
         }
     }
 
-    /// Accounting for the underlying value blob tier.
+    /// Accounting for the memory tier of the values.
     pub fn blob_stats(&self) -> BlobStats {
         self.blobs.stats()
     }
@@ -287,33 +289,51 @@ mod tests {
         assert_eq!(reopened.get(b"persisted").unwrap().as_slice(), b"value-bytes");
         assert_eq!(reopened.stats().hits, 1);
 
-        // Corrupt the index frame: the entry reads as a miss and the
-        // frame is deleted, never a wrong artifact.
         let key = sha256(b"persisted");
         let hex = hash_hex(&key);
         let frame = dir.join("index").join(&hex[..2]).join(format!("{}.memo", hex));
         let good = std::fs::read(&frame).unwrap();
-        // magic 8 | len 4 | crc 4 | key 32 | value 32: flip the value.
-        assert_eq!(good.len(), 80);
-        let mut bytes = good.clone();
-        bytes[48] ^= 0xFF;
-        std::fs::write(&frame, &bytes).unwrap();
-        let torn = MemoStore::at_dir(&dir).unwrap();
-        assert!(torn.get(b"persisted").is_none());
-        assert!(!frame.exists());
+        // magic 8 | len 4 | crc 4 | key 32 | sha256(value) 32 | value:
+        // the entry is this one file, nothing else under the root.
+        assert_eq!(good.len(), 80 + b"value-bytes".len());
+        assert_eq!(&good[80..], b"value-bytes");
+        assert!(!dir.join("blobs").exists());
 
-        // A CRC-valid entry for *another* key under this name (a
-        // misplaced file) fails the key echo: deleted, a miss.
-        let other = [sha256(b"other key"), sha256(b"value-bytes")].concat();
-        std::fs::write(&frame, crate::frame::seal(INDEX_MAGIC, &other)).unwrap();
-        let misplaced = MemoStore::at_dir(&dir).unwrap();
-        assert!(misplaced.get(b"persisted").is_none());
-        assert!(!frame.exists());
-        assert_eq!(misplaced.disk.as_ref().unwrap().discards(), 1);
-
-        // The recompute's `put` heals the entry, byte for byte.
-        misplaced.put(b"persisted", b"value-bytes");
-        assert_eq!(std::fs::read(&frame).unwrap(), good);
+        // Every damaged variant reads as a miss and is deleted, never
+        // a wrong artifact; each is planted into a fresh store.
+        let body =
+            |key: &BlobHash, hash: &BlobHash, value: &[u8]| [&key[..], &hash[..], value].concat();
+        let value_hash = sha256(b"value-bytes");
+        let mut flipped = good.clone();
+        flipped[80] ^= 0xFF;
+        let damaged: [(&str, Vec<u8>); 4] = [
+            ("a flipped value byte fails the frame CRC", flipped),
+            (
+                "a CRC-valid entry for another key fails the key echo",
+                crate::frame::seal(
+                    INDEX_MAGIC,
+                    &body(&sha256(b"other key"), &value_hash, b"value-bytes"),
+                ),
+            ),
+            (
+                "a CRC-valid entry whose value does not hash to its stored hash",
+                crate::frame::seal(INDEX_MAGIC, &body(&key, &value_hash, b"value-bytez")),
+            ),
+            (
+                "an FFISMEM2 file: key | value hash, the value in a blob file",
+                crate::frame::seal(b"FFISMEM2", &[key, value_hash].concat()),
+            ),
+        ];
+        for (what, bytes) in damaged {
+            std::fs::write(&frame, bytes).unwrap();
+            let store = MemoStore::at_dir(&dir).unwrap();
+            assert!(store.get(b"persisted").is_none(), "{what}");
+            assert!(!frame.exists(), "{what}");
+            assert_eq!(store.disk.as_ref().unwrap().discards(), 1, "{what}");
+            // The recompute's `put` heals the entry, byte for byte.
+            store.put(b"persisted", b"value-bytes");
+            assert_eq!(std::fs::read(&frame).unwrap(), good, "{what}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

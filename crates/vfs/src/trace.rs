@@ -762,6 +762,55 @@ impl std::fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
+/// A golden op stream behind one shared allocation.
+///
+/// Every consumer of a golden trace — each checkpoint set placed over
+/// it, each campaign planning against it — holds this handle, so write
+/// payloads are never copied out of the run that recorded them.
+/// Anything that accepts a trace accepts a plain `Vec<TraceOp>` too
+/// (`From`). The content fingerprint a [`CheckpointStore`] keys on is
+/// computed at most once per allocation and travels with it.
+#[derive(Clone)]
+pub struct SharedTrace(Arc<TraceInner>);
+
+struct TraceInner {
+    ops: Vec<TraceOp>,
+    fingerprint: OnceLock<u64>,
+}
+
+impl SharedTrace {
+    /// Content fingerprint of the stream (see [`trace_fingerprint`]),
+    /// hashed on first use.
+    fn fingerprint(&self) -> u64 {
+        *self.0.fingerprint.get_or_init(|| trace_fingerprint(&self.0.ops))
+    }
+
+    /// Do both handles name one allocation?
+    pub fn ptr_eq(&self, other: &SharedTrace) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// Op-for-op equality, decided by the pointers when they agree
+    /// and by comparing every op, payloads included, when they do not.
+    fn same_ops(&self, other: &SharedTrace) -> bool {
+        self.ptr_eq(other) || self.0.ops == other.0.ops
+    }
+}
+
+impl From<Vec<TraceOp>> for SharedTrace {
+    fn from(ops: Vec<TraceOp>) -> Self {
+        SharedTrace(Arc::new(TraceInner { ops, fingerprint: OnceLock::new() }))
+    }
+}
+
+impl std::ops::Deref for SharedTrace {
+    type Target = [TraceOp];
+
+    fn deref(&self) -> &[TraceOp] {
+        &self.0.ops
+    }
+}
+
 /// One mid-trace snapshot of a golden replay stream: the filesystem
 /// state, descriptor map, and per-primitive counts after applying
 /// `ops[..index]`.
@@ -839,7 +888,7 @@ pub enum Placement {
 /// offsets fit the snapshot budget. Either way each checkpoint is a
 /// CoW fork sharing all file pages with its neighbours.
 pub struct TraceCheckpoints {
-    ops: Vec<TraceOp>,
+    ops: SharedTrace,
     points: Vec<TraceCheckpoint>,
     placement: Placement,
     /// Per-primitive counts a replay of the whole stream issues: what
@@ -860,7 +909,7 @@ const DEMAND_DP_LIMIT: usize = 1024;
 
 impl TraceCheckpoints {
     /// Build log-spaced checkpoints with the default cap.
-    pub fn build(ops: Vec<TraceOp>) -> Result<Self, ReplayError> {
+    pub fn build(ops: impl Into<SharedTrace>) -> Result<Self, ReplayError> {
         Self::build_with(ops, DEFAULT_MAX_CHECKPOINTS)
     }
 
@@ -868,7 +917,8 @@ impl TraceCheckpoints {
     /// `max_points` snapshots, by replaying the stream once on a bare
     /// [`MemFs`]. Fails with the first replay error (a stream that
     /// cannot rebuild cleanly cannot anchor injection runs).
-    pub fn build_with(ops: Vec<TraceOp>, max_points: usize) -> Result<Self, ReplayError> {
+    pub fn build_with(ops: impl Into<SharedTrace>, max_points: usize) -> Result<Self, ReplayError> {
+        let ops = ops.into();
         let n = ops.len();
         let mut wanted = std::collections::BTreeSet::new();
         wanted.insert(0usize);
@@ -887,7 +937,10 @@ impl TraceCheckpoints {
     /// that run forks at (its injection target). Out-of-range entries
     /// (`0` or `≥ n`) are ignored; an effectively empty demand falls
     /// back to log-spaced placement.
-    pub fn build_for_demand(ops: Vec<TraceOp>, demand: &[usize]) -> Result<Self, ReplayError> {
+    pub fn build_for_demand(
+        ops: impl Into<SharedTrace>,
+        demand: &[usize],
+    ) -> Result<Self, ReplayError> {
         Self::build_for_demand_with(ops, demand, DEFAULT_MAX_CHECKPOINTS)
     }
 
@@ -898,10 +951,11 @@ impl TraceCheckpoints {
     /// Otherwise a weighted k-median placement over the demand
     /// histogram minimizes the total replayed-op overshoot.
     pub fn build_for_demand_with(
-        ops: Vec<TraceOp>,
+        ops: impl Into<SharedTrace>,
         demand: &[usize],
         max_points: usize,
     ) -> Result<Self, ReplayError> {
+        let ops = ops.into();
         let n = ops.len();
         let mut sorted: Vec<usize> = demand.iter().copied().filter(|&d| d > 0 && d < n).collect();
         sorted.sort_unstable();
@@ -928,7 +982,7 @@ impl TraceCheckpoints {
     /// Snapshot at every index in `wanted` while replaying the stream
     /// once on a bare [`MemFs`].
     fn build_at(
-        ops: Vec<TraceOp>,
+        ops: SharedTrace,
         wanted: &std::collections::BTreeSet<usize>,
         placement: Placement,
     ) -> Result<Self, ReplayError> {
@@ -955,6 +1009,11 @@ impl TraceCheckpoints {
 
     /// The full golden op stream.
     pub fn ops(&self) -> &[TraceOp] {
+        &self.ops
+    }
+
+    /// The shared handle to that stream.
+    pub fn trace(&self) -> &SharedTrace {
         &self.ops
     }
 
@@ -1603,7 +1662,7 @@ fn encode_manifest(key: u64, cks: &TraceCheckpoints, blobs: &BlobStore) -> Vec<u
         }
     }
     wire::put_u32(&mut body, cks.ops.len() as u32);
-    for op in &cks.ops {
+    for op in cks.ops.iter() {
         encode_op(op, &mut body, &mut |body, data| externalize(blobs, body, data));
     }
     // The points of one set share almost all of their pages by `Arc`
@@ -1730,7 +1789,7 @@ fn decode_manifest(body: &[u8], key: u64, blobs: &BlobStore) -> Option<TraceChec
     if points.last().is_some_and(|p| p.index > ops.len()) {
         return None;
     }
-    Some(TraceCheckpoints { ops, points, placement, end_counters: OnceLock::new() })
+    Some(TraceCheckpoints { ops: ops.into(), points, placement, end_counters: OnceLock::new() })
 }
 
 /// The disk tier of a [`CheckpointStore`]: content-addressed page and
@@ -1809,9 +1868,12 @@ impl CheckpointStore {
     /// identical trace was built before (waiting out an in-flight
     /// build if necessary), a disk-tier load when a sibling process
     /// already persisted it, and a fresh build otherwise.
-    pub fn get_or_build(&self, ops: Vec<TraceOp>) -> Result<Arc<TraceCheckpoints>, ReplayError> {
-        let key = trace_fingerprint(&ops);
-        self.get_or_build_keyed(key, ops, None)
+    pub fn get_or_build(
+        &self,
+        ops: impl Into<SharedTrace>,
+    ) -> Result<Arc<TraceCheckpoints>, ReplayError> {
+        let ops = ops.into();
+        self.get_or_build_keyed(ops.fingerprint(), ops, None)
     }
 
     /// Demand-placed shared checkpoints for `ops` (see
@@ -1824,9 +1886,10 @@ impl CheckpointStore {
     /// in-range offsets) delegates to [`CheckpointStore::get_or_build`].
     pub fn get_or_build_for_demand(
         &self,
-        ops: Vec<TraceOp>,
+        ops: impl Into<SharedTrace>,
         demand: &[usize],
     ) -> Result<Arc<TraceCheckpoints>, ReplayError> {
+        let ops = ops.into();
         let n = ops.len();
         let mut sorted: Vec<usize> = demand.iter().copied().filter(|&d| d > 0 && d < n).collect();
         sorted.sort_unstable();
@@ -1834,7 +1897,7 @@ impl CheckpointStore {
             return self.get_or_build(ops);
         }
         let mut h = Fnv::new();
-        h.eat_u64(trace_fingerprint(&ops));
+        h.eat_u64(ops.fingerprint());
         h.eat_u64(demand_fingerprint(&sorted));
         self.get_or_build_keyed(h.0, ops, Some(sorted))
     }
@@ -1845,10 +1908,10 @@ impl CheckpointStore {
     fn get_or_build_keyed(
         &self,
         key: u64,
-        ops: Vec<TraceOp>,
+        ops: SharedTrace,
         demand: Option<Vec<usize>>,
     ) -> Result<Arc<TraceCheckpoints>, ReplayError> {
-        let build = |ops: Vec<TraceOp>| match &demand {
+        let build = |ops: SharedTrace| match &demand {
             Some(d) => TraceCheckpoints::build_for_demand(ops, d),
             None => TraceCheckpoints::build(ops),
         };
@@ -1860,7 +1923,7 @@ impl CheckpointStore {
         // Held until this call returns, so an erroring or panicking
         // build frees the key for the waiters.
         let _claim = match self.flight.get_or_claim(&key, cached) {
-            Ok(hit) if hit.ops() == &ops[..] && placement_ok(&hit) => {
+            Ok(hit) if hit.trace().same_ops(&ops) && placement_ok(&hit) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(hit);
             }
@@ -1883,7 +1946,7 @@ impl CheckpointStore {
         let loaded = self.disk.as_ref().and_then(|disk| {
             disk.manifests.load(&name, |body| {
                 let cks = decode_manifest(body, key, &disk.blobs)?;
-                (cks.ops() == &ops[..] && placement_ok(&cks)).then(|| Arc::new(cks))
+                (cks.trace().same_ops(&ops) && placement_ok(&cks)).then(|| Arc::new(cks))
             })
         });
         let built = match loaded {
@@ -2291,6 +2354,41 @@ mod tests {
         assert_eq!(store.hits(), 1);
         assert_eq!(store.disk_hits(), 0);
         assert!(store.blob_stats().is_none());
+    }
+
+    #[test]
+    fn store_hits_by_pointer_before_it_compares_ops() {
+        let (ops, _) = record_workload();
+        let shared = SharedTrace::from(ops.clone());
+        assert!(shared.0.fingerprint.get().is_none(), "hashed on first use, not at wrap time");
+        let store = CheckpointStore::new();
+        let built = store.get_or_build(shared.clone()).unwrap();
+        // The set holds the caller's allocation, not a copy of it.
+        assert!(built.trace().ptr_eq(&shared));
+        let fingerprint = *shared.0.fingerprint.get().expect("the lookup hashed the trace");
+
+        // Same allocation again: the fingerprint is carried, and
+        // `same_ops` is settled by the pointers.
+        let by_pointer = store.get_or_build(shared.clone()).unwrap();
+        assert!(Arc::ptr_eq(&built, &by_pointer));
+        assert_eq!(shared.fingerprint(), fingerprint);
+        assert!(shared.same_ops(built.trace()));
+
+        // An equal trace in another allocation hashes to the same key
+        // and hits through the op-for-op compare.
+        let distinct = SharedTrace::from(ops.clone());
+        assert!(!distinct.ptr_eq(&shared));
+        let by_compare = store.get_or_build(distinct.clone()).unwrap();
+        assert!(Arc::ptr_eq(&built, &by_compare));
+        assert!(!by_compare.trace().ptr_eq(&distinct));
+        assert_eq!((store.builds(), store.hits()), (1, 2));
+
+        // A trace that differs in one op is neither.
+        let mut other = ops;
+        other.pop();
+        let other = store.get_or_build(other).unwrap();
+        assert!(!Arc::ptr_eq(&built, &other));
+        assert_eq!((store.builds(), store.hits()), (2, 2));
     }
 
     #[test]

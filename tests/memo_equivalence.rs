@@ -448,7 +448,7 @@ fn parent_era_store_files_are_discarded_and_rebuilt() {
     assert_equivalent(&cold, &rebuilt, "parent-era store");
     assert_eq!(rebuilt.run_digest(), cold.run_digest());
     for path in sealed("memo") {
-        assert!(std::fs::read(&path).unwrap().starts_with(b"FFISMEM2"), "{}", path.display());
+        assert!(std::fs::read(&path).unwrap().starts_with(b"FFISMEM3"), "{}", path.display());
     }
     for path in sealed("manifest") {
         assert!(std::fs::read(&path).unwrap().starts_with(b"FFISCKM2"), "{}", path.display());
