@@ -41,6 +41,7 @@
 //! path ran). An equivalence test in `tests/replay_equivalence.rs`
 //! pins byte-identical outcomes between the two paths.
 
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -133,7 +134,7 @@ impl ScanConfig {
 }
 
 /// Outcome of injecting into one metadata byte.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ByteOutcome {
     /// Byte index within the metadata write buffer.
     pub byte_index: usize,
@@ -146,7 +147,7 @@ pub struct ByteOutcome {
 }
 
 /// Full scan result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanResult {
     /// Per-byte outcomes (in byte order).
     pub bytes: Vec<ByteOutcome>,
@@ -236,18 +237,19 @@ pub struct FieldOutcome {
 /// Attribute scan outcomes to fields.
 pub fn attribute(scan: &ScanResult, map: &FieldMap) -> Vec<FieldOutcome> {
     use std::collections::BTreeMap;
-    let mut agg: BTreeMap<String, (u64, OutcomeTally)> = BTreeMap::new();
+    let mut agg: BTreeMap<&str, (u64, OutcomeTally)> = BTreeMap::new();
     for b in &scan.bytes {
-        let name = map
-            .lookup(b.file_offset)
-            .map(|s| s.name.clone())
-            .unwrap_or_else(|| "<unmapped>".to_string());
-        let entry = agg.entry(name).or_insert_with(|| (0, OutcomeTally::new()));
+        let field = map.lookup(b.file_offset).map_or("<unmapped>", |s| s.name.as_str());
+        let entry = agg.entry(field).or_insert_with(|| (0, OutcomeTally::new()));
         entry.0 += 1;
         entry.1.record(b.outcome);
     }
     agg.into_iter()
-        .map(|(name, (bytes_scanned, tally))| FieldOutcome { name, bytes_scanned, tally })
+        .map(|(field, (bytes_scanned, tally))| FieldOutcome {
+            name: field.into(),
+            bytes_scanned,
+            tally,
+        })
         .collect()
 }
 
@@ -279,25 +281,14 @@ fn pick_index(count: usize, pick: WritePick) -> Result<usize, String> {
     }
 }
 
-/// Locate the metadata write: returns `(eligible instance, offset, len)`.
+/// Locate the metadata write: `(eligible instance, offset, len, golden)`.
 pub fn locate_write<A: FaultApp>(
     app: &A,
     target: &TargetFilter,
     pick: WritePick,
 ) -> Result<(u64, u64, usize, A::Output), String> {
-    let profiler = IoProfiler::new(Primitive::Write, target.clone());
-    // Deliberately produce-then-analyze rather than `app.run(fs)`:
-    // drivers always execute the canonical two-phase path, so an app
-    // that (illegally) overrides the provided `run` cannot desync the
-    // golden capture from the analyze-only replay runs.
-    let (profile, golden) = profiler.profile(|fs| {
-        app.produce(fs)?;
-        app.analyze(fs, None)
-    })?;
-    let writes = profile.writes_matching(target);
-    let idx = pick_index(writes.len(), pick)?;
-    let w = writes[idx];
-    Ok((idx as u64 + 1, w.offset.unwrap_or(0), w.len, golden))
+    let cap = capture_golden(app, target, pick, false)?;
+    Ok((cap.write_instance, cap.write_offset, cap.write_len, cap.golden))
 }
 
 /// Everything one golden execution yields for the scanner: the located
@@ -339,6 +330,10 @@ fn capture_golden<A: FaultApp>(
     let recorder: Arc<TraceRecorder> = Arc::new(TraceRecorder::new());
     let extras: Vec<Arc<dyn ffis_vfs::Interceptor>> =
         if record { vec![recorder.clone()] } else { Vec::new() };
+    // Deliberately produce-then-analyze rather than `app.run(fs)`:
+    // drivers always execute the canonical two-phase path, so an app
+    // that (illegally) overrides the provided `run` cannot desync the
+    // golden capture from the analyze-only replay runs.
     let (profile, golden, base) = profiler.profile_with(&extras, |fs| {
         app.produce(fs)?;
         app.analyze(fs, None)
@@ -543,18 +538,25 @@ impl<O> DetailedScanResult<O> {
     }
 }
 
-/// Execute the full byte-by-byte metadata scan, keeping each byte's
-/// application output alongside its classification. The scan is a
-/// thin frontend over the shared [`crate::engine`]: every byte's flip
-/// is drawn at plan time from `root.child(byte_index)` (exactly the
+/// The one scan body behind [`scan`] and [`scan_detailed`], a thin
+/// frontend over the shared [`crate::engine`]: every byte's flip is
+/// drawn at plan time from `root.child(byte_index)` (exactly the
 /// historical stream), the strategy — one shared pre-write snapshot,
 /// or full reruns with a recorded reason — is resolved up front, and
-/// the tally streams through the engine sink. Scans retain every
-/// per-byte run: the byte map *is* the product.
-pub fn scan_detailed<A: FaultApp>(
+/// the tally streams through the engine sink. `keep` runs on the
+/// worker thread right after `classify` and decides what of a faulty
+/// output outlives its byte-run; the sink retains every [`ScanRun`]
+/// (the byte map *is* the product).
+fn scan_with<A, K, F>(
     app: &A,
     config: &ScanConfig,
-) -> Result<DetailedScanResult<A::Output>, String> {
+    keep: F,
+) -> Result<DetailedScanResult<K>, String>
+where
+    A: FaultApp,
+    K: Send,
+    F: Fn(Option<A::Output>) -> Option<K> + Sync,
+{
     let mut cap = capture_golden(app, &config.target, config.pick, config.replay)?;
     let stride = config.stride.max(1);
     let indices: Vec<usize> = (0..cap.write_len).step_by(stride).collect();
@@ -622,7 +624,7 @@ pub fn scan_detailed<A: FaultApp>(
                 outcome,
                 crash_message,
             },
-            output,
+            output: keep(output),
         };
         // Byte injectors always fire (the byte is always within the
         // scanned buffer), so the no-fire law never triggers here.
@@ -647,15 +649,35 @@ struct ByteSpec {
     flip: ByteFlip,
 }
 
+/// Execute the full byte-by-byte metadata scan, keeping each byte's
+/// application output alongside its classification.
+///
+/// Every faulty output stays alive until the result is dropped:
+/// `write_len / stride × size_of(Output)` by the end of the scan (Nyx
+/// 32³ with `keep_field`: 2,184 × 256 KB ≈ 560 MB). It exists to diff
+/// outputs between execution strategies; [`scan`] is the outcome map.
+pub fn scan_detailed<A: FaultApp>(
+    app: &A,
+    config: &ScanConfig,
+) -> Result<DetailedScanResult<A::Output>, String> {
+    scan_with(app, config, |output| output)
+}
+
 /// Execute the full byte-by-byte metadata scan.
+///
+/// Field for field `scan_detailed(app, config)?.into_result()`, but
+/// each faulty output is dropped on the worker thread as soon as it is
+/// classified (a kept `Option<Infallible>` is zero-sized): one output
+/// per executor thread, plus the golden, is alive at a time.
 pub fn scan<A: FaultApp>(app: &A, config: &ScanConfig) -> Result<ScanResult, String> {
-    scan_detailed(app, config).map(DetailedScanResult::into_result)
+    scan_with(app, config, |_classified| None::<Infallible>).map(DetailedScanResult::into_result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ffis_vfs::{FileSystem, FileSystemExt};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Mini file format: a 16-byte "metadata" header (magic, version,
     /// scale factor, reserved) followed by data; the reader validates
@@ -894,6 +916,108 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn scan_equals_detailed_scan_collapsed() {
+        let mut base = ScanConfig::new(TargetFilter::Any);
+        base.flip = FlipMode::Mask(0xFF); // crashes, detections and benign bytes
+        for (parallel, replay) in [(false, false), (false, true), (true, false), (true, true)] {
+            let cfg = ScanConfig { parallel, replay, ..base.clone() };
+            let plain = scan(&MiniFormatApp, &cfg).unwrap();
+            assert!(plain.bytes.iter().any(|b| b.crash_message.is_some()));
+            assert_eq!(
+                plain,
+                scan_detailed(&MiniFormatApp, &cfg).unwrap().into_result(),
+                "parallel {parallel}, replay {replay}"
+            );
+        }
+    }
+
+    /// Outputs alive right now, and the most that ever were at once.
+    static LIVE: AtomicUsize = AtomicUsize::new(0);
+    static HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
+
+    /// An output that counts itself in [`LIVE`] for as long as it lives.
+    struct Counted(Vec<u8>);
+
+    impl Counted {
+        fn new(bytes: Vec<u8>) -> Self {
+            HIGH_WATER.fetch_max(LIVE.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            Counted(bytes)
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            LIVE.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Data, a [`COUNTING_HEADER`]-byte header (the penultimate
+    /// write), a commit mark; analyze never fails, so every scanned
+    /// byte yields exactly one [`Counted`] output.
+    struct CountingApp;
+
+    /// Far more header bytes than any host has executor threads.
+    const COUNTING_HEADER: usize = 1024;
+
+    impl FaultApp for CountingApp {
+        type Output = Counted;
+
+        fn produce(&self, fs: &dyn FileSystem) -> Result<(), String> {
+            let fd = fs.create("/c.dat", 0o644).map_err(|e| e.to_string())?;
+            let end = COUNTING_HEADER as u64 + 8;
+            fs.pwrite(fd, &[7u8; 8], COUNTING_HEADER as u64).map_err(|e| e.to_string())?;
+            fs.pwrite(fd, &[1u8; COUNTING_HEADER], 0).map_err(|e| e.to_string())?;
+            fs.pwrite(fd, b"C", end).map_err(|e| e.to_string())?;
+            fs.release(fd).map_err(|e| e.to_string())
+        }
+
+        fn analyze(
+            &self,
+            fs: &dyn FileSystem,
+            _golden: Option<&Counted>,
+        ) -> Result<Counted, String> {
+            fs.read_to_vec("/c.dat").map(Counted::new).map_err(|e| e.to_string())
+        }
+
+        fn classify(&self, golden: &Counted, faulty: &Counted) -> Outcome {
+            if golden.0 == faulty.0 {
+                Outcome::Benign
+            } else {
+                Outcome::Sdc
+            }
+        }
+
+        fn name(&self) -> String {
+            "COUNTING".into()
+        }
+    }
+
+    /// The host-independent form of the scan's memory claim: `scan`
+    /// holds one output per executor thread plus the golden, whatever
+    /// the write's length; `scan_detailed` holds one per scanned byte.
+    #[test]
+    fn scan_drops_outputs_as_classified_detailed_scan_retains_them() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (parallel, bound) in [(false, 2), (true, threads + 1)] {
+            let mut cfg = ScanConfig::new(TargetFilter::Any);
+            cfg.parallel = parallel;
+            HIGH_WATER.store(0, Ordering::SeqCst);
+            let result = scan(&CountingApp, &cfg).unwrap();
+            assert_eq!(result.tally.total(), COUNTING_HEADER as u64);
+            assert_eq!(LIVE.load(Ordering::SeqCst), 0, "the golden goes with the scan");
+            let high = HIGH_WATER.load(Ordering::SeqCst);
+            assert!(high <= bound, "parallel {parallel}: {high} outputs alive at once");
+
+            HIGH_WATER.store(0, Ordering::SeqCst);
+            let detailed = scan_detailed(&CountingApp, &cfg).unwrap();
+            assert_eq!(HIGH_WATER.load(Ordering::SeqCst), detailed.write_len + 1);
+            assert_eq!(LIVE.load(Ordering::SeqCst), detailed.write_len);
+            drop(detailed);
+            assert_eq!(LIVE.load(Ordering::SeqCst), 0);
         }
     }
 

@@ -253,37 +253,42 @@ impl FloatSpec {
                 raw.len()
             )));
         }
+        // Neither zero nor normal: a subnormal, an infinity or a NaN.
         if *self == Self::ieee_f32() {
-            let mut out = Vec::with_capacity(count);
-            for chunk in raw[..count * 4].chunks_exact(4) {
-                let bits = u32::from_le_bytes(chunk.try_into().expect("chunks_exact(4)"));
-                let exp = (bits >> 23) & 0xFF;
-                let mant = bits & 0x007F_FFFF;
-                if exp == 255 || (exp == 0 && mant != 0) {
-                    out.push(self.decode(chunk)?);
-                } else {
-                    out.push(f32::from_bits(bits) as f64);
-                }
-            }
-            return Ok(out);
+            let special = |b| !f32::from_le_bytes(b).is_normal() & (f32::from_le_bytes(b) != 0.0);
+            return self.decode_ieee(&raw[..count * 4], |b| f32::from_le_bytes(b) as f64, special);
         }
         if *self == Self::ieee_f64() {
-            let mut out = Vec::with_capacity(count);
-            for chunk in raw[..count * 8].chunks_exact(8) {
-                let bits = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
-                let exp = (bits >> 52) & 0x7FF;
-                let mant = bits & 0x000F_FFFF_FFFF_FFFF;
-                if exp == 0x7FF || (exp == 0 && mant != 0) {
-                    out.push(self.decode(chunk)?);
-                } else {
-                    out.push(f64::from_bits(bits));
-                }
-            }
-            return Ok(out);
+            let special = |b| !f64::from_le_bytes(b).is_normal() & (f64::from_le_bytes(b) != 0.0);
+            return self.decode_ieee(&raw[..count * 8], f64::from_le_bytes, special);
         }
         let mut out = Vec::with_capacity(count);
         for i in 0..count {
             out.push(self.decode(&raw[i * size..(i + 1) * size])?);
+        }
+        Ok(out)
+    }
+
+    /// The IEEE fast path over `N`-byte elements: a branch-free pass
+    /// converts every element in hardware, a second ORs `special` (the
+    /// subnormal and non-finite bit patterns, which the hardware and
+    /// the general decode read differently) over the same bytes, and
+    /// only when that saw one does a fix-up pass route exactly those
+    /// elements through [`FloatSpec::decode`].
+    fn decode_ieee<const N: usize>(
+        &self,
+        raw: &[u8],
+        convert: impl Fn([u8; N]) -> f64,
+        special: impl Fn([u8; N]) -> bool,
+    ) -> Hdf5Result<Vec<f64>> {
+        let (elements, _) = raw.as_chunks::<N>();
+        let mut out: Vec<f64> = elements.iter().map(|&e| convert(e)).collect();
+        if elements.iter().fold(false, |any, &e| any | special(e)) {
+            for (slot, e) in out.iter_mut().zip(elements) {
+                if special(*e) {
+                    *slot = self.decode(e)?;
+                }
+            }
         }
         Ok(out)
     }
@@ -416,12 +421,29 @@ mod tests {
         assert!(spec.decode_all(&raw, 4).is_err());
     }
 
+    /// `decode_all` must return, bit for bit, what `decode` returns
+    /// element by element.
+    fn assert_bulk_equals_per_element(spec: &FloatSpec, raw: &[u8]) {
+        let size = spec.size as usize;
+        let count = raw.len() / size;
+        let bulk = spec.decode_all(raw, count).unwrap();
+        assert_eq!(bulk.len(), count);
+        for (i, (b, chunk)) in bulk.iter().zip(raw.chunks_exact(size)).enumerate() {
+            let one = spec.decode(chunk).unwrap();
+            assert_eq!(
+                b.to_bits(),
+                one.to_bits(),
+                "size {size} element {i} ({chunk:02x?}): bulk {b} != per-element {one}"
+            );
+        }
+    }
+
     #[test]
     fn decode_all_fast_path_matches_generic_decode() {
-        // The bulk fast path must agree bit-for-bit with the
-        // field-by-field decode on arbitrary bit patterns — including
-        // the zero/subnormal/non-finite encodings it routes back to
-        // the generic path.
+        // Every exponent x sampled mantissas x both signs: the zeros,
+        // every subnormal and non-finite class the fix-up pass routes
+        // through the generic decode (NaN payloads included), and all
+        // the normals the hardware converts.
         let mut state = 0x1234_5678_9ABC_DEFFu64;
         let mut next = move || {
             state ^= state << 13;
@@ -429,28 +451,55 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for spec in [FloatSpec::ieee_f32(), FloatSpec::ieee_f64()] {
-            let size = spec.size as usize;
-            let mut raw: Vec<u8> = (0..512 * size).map(|_| next() as u8).collect();
-            // Splice in the edge encodings explicitly.
-            raw[..4].copy_from_slice(&0.0f32.to_le_bytes());
-            raw[4..8].copy_from_slice(&(-0.0f32).to_le_bytes());
-            raw[8..12].copy_from_slice(&1u32.to_le_bytes()); // min subnormal
-            raw[12..16].copy_from_slice(&f32::INFINITY.to_le_bytes());
-            let count = 512;
-            let bulk = spec.decode_all(&raw, count).unwrap();
-            for (i, &b) in bulk.iter().enumerate() {
-                let one = spec.decode(&raw[i * size..(i + 1) * size]).unwrap();
-                assert!(
-                    b.to_bits() == one.to_bits() || (b.is_nan() && one.is_nan()),
-                    "{:?} element {}: bulk {} != generic {}",
-                    spec.size,
-                    i,
-                    b,
-                    one
-                );
+        let mut f32s: Vec<u32> = Vec::new();
+        for exp in 0..=0xFFu32 {
+            let random = [next() as u32 & 0x007F_FFFF, next() as u32 & 0x007F_FFFF];
+            for mant in [0, 1, 0x0040_0000, 0x007F_FFFF].into_iter().chain(random) {
+                for sign in [0, 1u32 << 31] {
+                    f32s.push(sign | (exp << 23) | mant);
+                }
             }
         }
+        let mut f64s: Vec<u64> = Vec::new();
+        for exp in 0..=0x7FFu64 {
+            let random = [next() & 0x000F_FFFF_FFFF_FFFF, next() & 0x000F_FFFF_FFFF_FFFF];
+            for mant in [0, 1, 1 << 51, 0x000F_FFFF_FFFF_FFFF].into_iter().chain(random) {
+                for sign in [0, 1u64 << 63] {
+                    f64s.push(sign | (exp << 52) | mant);
+                }
+            }
+        }
+        let raw32: Vec<u8> = f32s.iter().flat_map(|b| b.to_le_bytes()).collect();
+        let raw64: Vec<u8> = f64s.iter().flat_map(|b| b.to_le_bytes()).collect();
+        assert_bulk_equals_per_element(&FloatSpec::ieee_f32(), &raw32);
+        assert_bulk_equals_per_element(&FloatSpec::ieee_f64(), &raw64);
+
+        // Normals and zeros only: the detect pass sees nothing and no
+        // fix-up runs. Then one special element at either end.
+        let normal32: Vec<u8> = f32s
+            .iter()
+            .filter(|&&b| f32::from_bits(b).is_normal() || b << 1 == 0)
+            .flat_map(|b| b.to_le_bytes())
+            .collect();
+        assert_bulk_equals_per_element(&FloatSpec::ieee_f32(), &normal32);
+        for special in [1u32, 0x7F80_0000, 0xFF80_0000, 0x7FC0_0001, 0xFFFF_FFFF] {
+            let mut raw = normal32.clone();
+            raw[..4].copy_from_slice(&special.to_le_bytes());
+            assert_bulk_equals_per_element(&FloatSpec::ieee_f32(), &raw);
+            let mut raw = normal32.clone();
+            let end = raw.len();
+            raw[end - 4..].copy_from_slice(&special.to_le_bytes());
+            assert_bulk_equals_per_element(&FloatSpec::ieee_f32(), &raw);
+        }
+
+        // A perturbed (non-IEEE) spec never enters the fast path: the
+        // same bytes still decode element by element.
+        let mut bias = FloatSpec::ieee_f32();
+        bias.exponent_bias = 0x73;
+        assert_bulk_equals_per_element(&bias, &raw32);
+        let mut norm = FloatSpec::ieee_f64();
+        norm.normalization = Normalization::None;
+        assert_bulk_equals_per_element(&norm, &raw64);
     }
 
     #[test]

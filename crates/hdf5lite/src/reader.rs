@@ -16,6 +16,8 @@
 //!   cross-checks, so corruption silently reshapes the decoded data
 //!   (scaling for Exponent Bias, shifting for ARD — Figure 5).
 
+use std::borrow::Cow;
+
 use ffis_vfs::{FileSystem, LockKind, OpenFlags};
 
 use crate::bytes::Reader;
@@ -561,14 +563,19 @@ impl H5File {
         if ard >= self.bytes.len() as u64 {
             return Err(Hdf5Error::new("raw data address beyond EOF"));
         }
-        // Slice the raw window, zero-filling past the end of file —
+        // Decode the raw window out of the image; only a window that
+        // runs past the end of file is copied, to zero-fill its tail —
         // a shifted ARD slides the decode window over the image
         // (Figure 5c) rather than failing outright.
         let start = ard as usize;
-        let end = (ard + needed).min(self.bytes.len() as u64) as usize;
-        let mut raw = self.bytes[start..end].to_vec();
-        raw.resize(needed as usize, 0);
-
+        let raw = match self.bytes.get(start..start.saturating_add(needed as usize)) {
+            Some(window) => Cow::Borrowed(window),
+            None => {
+                let mut padded = self.bytes[start..].to_vec();
+                padded.resize(needed as usize, 0);
+                Cow::Owned(padded)
+            }
+        };
         let values = spec.decode_all(&raw, count as usize)?;
         Ok(DatasetInfo {
             path: path.to_string(),
@@ -793,6 +800,36 @@ mod tests {
         }
         // Tail reads past EOF -> zero-filled.
         assert!(info.values[info.values.len() - 1].abs() < 1e-12);
+    }
+
+    /// The decode reads the raw window where it lies in the image; a
+    /// window a shifted ARD pushes past EOF reads zeros beyond it. In
+    /// both cases the values are those of a zero-extended copy of the
+    /// window, bit for bit.
+    #[test]
+    fn raw_window_decodes_like_a_zero_extended_copy() {
+        use ffis_vfs::FileSystemExt;
+        // In place; 16 bytes forward, so the tail runs past EOF; 128
+        // bytes back, inside the file and over the metadata.
+        for (xor, runs_past_eof) in [(0, false), (0b0001_0000, true), (0b1000_0000, false)] {
+            let fs = MemFs::new();
+            let report = write_nyx(&fs, 8);
+            let span = report.spans.iter().find(|s| s.name.contains("AddressOfRawData")).unwrap();
+            corrupt_at(&fs, "/plt.h5", span.start, xor);
+            let image = fs.read_to_vec("/plt.h5").unwrap();
+            let info = read_dataset(&fs, "/plt.h5", "/native_fields/baryon_density").unwrap();
+            let start = info.stored_ard as usize;
+            let needed = info.values.len() * 4;
+            assert_eq!(start + needed > image.len(), runs_past_eof, "ard {}", info.stored_ard);
+            let mut window = image[start..image.len().min(start + needed)].to_vec();
+            window.resize(needed, 0);
+            let expect = info.spec.decode_all(&window, info.values.len()).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&info.values), bits(&expect), "ard {}", info.stored_ard);
+            if runs_past_eof {
+                assert!(info.values[info.values.len() - 4..].iter().all(|v| v.to_bits() == 0));
+            }
+        }
     }
 
     #[test]

@@ -60,96 +60,119 @@ impl HaloCatalog {
     /// output comparison (the paper compares halo-finder outputs
     /// byte-for-byte to decide *benign*).
     pub fn render(&self) -> String {
+        use std::fmt::Write;
         let mut s = String::new();
-        s.push_str(&format!("# halos: {}\n", self.halos.len()));
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(s, "# halos: {}", self.halos.len());
         s.push_str("# id x y z cells mass\n");
         for (i, h) in self.halos.iter().enumerate() {
-            s.push_str(&format!(
-                "{} {:.6e} {:.6e} {:.6e} {} {:.6e}\n",
+            let _ = writeln!(
+                s,
+                "{} {:.6e} {:.6e} {:.6e} {} {:.6e}",
                 i, h.center[0], h.center[1], h.center[2], h.cells, h.mass
-            ));
+            );
         }
         s
     }
 }
 
+/// Does a cell exceed the threshold? (NaN and ±∞ never do.)
+fn is_candidate(v: f64, threshold: f64) -> bool {
+    v >= threshold && v.is_finite()
+}
+
 /// The candidate mask: true where a cell exceeds the threshold. Used
 /// directly for the Figure 6 visualization.
 pub fn candidate_mask(values: &[f64], threshold: f64) -> Vec<bool> {
-    values.iter().map(|&v| v >= threshold && v.is_finite()).collect()
+    values.iter().map(|&v| is_candidate(v, threshold)).collect()
+}
+
+/// [`candidate_mask`] packed 64 cells to a word, cell `i` at bit
+/// `i % 64` of word `i / 64`.
+fn candidate_bits(values: &[f64], threshold: f64) -> Vec<u64> {
+    values
+        .chunks(64)
+        .map(|cells| {
+            cells
+                .iter()
+                .enumerate()
+                .fold(0u64, |word, (bit, &v)| word | (u64::from(is_candidate(v, threshold)) << bit))
+        })
+        .collect()
 }
 
 /// Run the Friends-of-Friends finder on a `dims[0]×dims[1]×dims[2]`
 /// row-major grid (x fastest). 6-connectivity, non-periodic linking.
+///
+/// After the mean (summed in index order: its rounding is output) and
+/// one pass packing the candidates into a bitset, work is proportional
+/// to the candidates: a set bit is a candidate no component has claimed,
+/// seeds are each word's lowest set bit in turn — ascending linear
+/// index, the (z, y, x) scan order — and the fill clears what it pushes.
 pub fn find_halos(values: &[f64], dims: [usize; 3], cfg: &HaloFinderConfig) -> HaloCatalog {
     let len = dims[0] * dims[1] * dims[2];
     assert_eq!(values.len(), len, "grid/dims mismatch");
     let mean = if len == 0 { 0.0 } else { values.iter().sum::<f64>() / len as f64 };
     let threshold = mean * cfg.threshold_factor;
-    let mask = candidate_mask(values, threshold);
-    let candidate_cells = mask.iter().filter(|&&m| m).count() as u64;
+    let mut unclaimed = candidate_bits(values, threshold);
+    let candidate_cells = unclaimed.iter().map(|w| u64::from(w.count_ones())).sum();
 
     let (nx, ny, nz) = (dims[0], dims[1], dims[2]);
     let idx = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
-    let mut visited = vec![false; len];
     let mut halos: Vec<Halo> = Vec::new();
     let mut stack: Vec<(usize, usize, usize)> = Vec::new();
 
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                let i0 = idx(x, y, z);
-                if !mask[i0] || visited[i0] {
-                    continue;
+    for word in 0..unclaimed.len() {
+        while unclaimed[word] != 0 {
+            // Flood-fill one connected component from the lowest
+            // unclaimed candidate, claiming it.
+            let i0 = word * 64 + unclaimed[word].trailing_zeros() as usize;
+            unclaimed[word] &= unclaimed[word] - 1;
+            stack.clear();
+            stack.push((i0 % nx, i0 / nx % ny, i0 / (nx * ny)));
+            let mut cells = 0u32;
+            let mut mass = 0.0f64;
+            let mut com = [0.0f64; 3];
+            while let Some((cx, cy, cz)) = stack.pop() {
+                let v = values[idx(cx, cy, cz)];
+                cells += 1;
+                mass += v;
+                com[0] += v * cx as f64;
+                com[1] += v * cy as f64;
+                com[2] += v * cz as f64;
+                let mut push = |nx_: usize, ny_: usize, nz_: usize| {
+                    let ni = idx(nx_, ny_, nz_);
+                    let bit = 1u64 << (ni % 64);
+                    if unclaimed[ni / 64] & bit != 0 {
+                        unclaimed[ni / 64] &= !bit;
+                        stack.push((nx_, ny_, nz_));
+                    }
+                };
+                if cx > 0 {
+                    push(cx - 1, cy, cz);
                 }
-                // Flood-fill one connected component.
-                stack.clear();
-                stack.push((x, y, z));
-                visited[i0] = true;
-                let mut cells = 0u32;
-                let mut mass = 0.0f64;
-                let mut com = [0.0f64; 3];
-                while let Some((cx, cy, cz)) = stack.pop() {
-                    let ci = idx(cx, cy, cz);
-                    let v = values[ci];
-                    cells += 1;
-                    mass += v;
-                    com[0] += v * cx as f64;
-                    com[1] += v * cy as f64;
-                    com[2] += v * cz as f64;
-                    let mut push = |nx_: usize, ny_: usize, nz_: usize| {
-                        let ni = idx(nx_, ny_, nz_);
-                        if mask[ni] && !visited[ni] {
-                            visited[ni] = true;
-                            stack.push((nx_, ny_, nz_));
-                        }
-                    };
-                    if cx > 0 {
-                        push(cx - 1, cy, cz);
-                    }
-                    if cx + 1 < nx {
-                        push(cx + 1, cy, cz);
-                    }
-                    if cy > 0 {
-                        push(cx, cy - 1, cz);
-                    }
-                    if cy + 1 < ny {
-                        push(cx, cy + 1, cz);
-                    }
-                    if cz > 0 {
-                        push(cx, cy, cz - 1);
-                    }
-                    if cz + 1 < nz {
-                        push(cx, cy, cz + 1);
-                    }
+                if cx + 1 < nx {
+                    push(cx + 1, cy, cz);
                 }
-                if cells >= cfg.min_cells && mass > 0.0 {
-                    halos.push(Halo {
-                        center: [com[0] / mass, com[1] / mass, com[2] / mass],
-                        cells,
-                        mass,
-                    });
+                if cy > 0 {
+                    push(cx, cy - 1, cz);
                 }
+                if cy + 1 < ny {
+                    push(cx, cy + 1, cz);
+                }
+                if cz > 0 {
+                    push(cx, cy, cz - 1);
+                }
+                if cz + 1 < nz {
+                    push(cx, cy, cz + 1);
+                }
+            }
+            if cells >= cfg.min_cells && mass > 0.0 {
+                halos.push(Halo {
+                    center: [com[0] / mass, com[1] / mass, com[2] / mass],
+                    cells,
+                    mass,
+                });
             }
         }
     }
@@ -167,6 +190,7 @@ pub fn find_halos(values: &[f64], dims: [usize; 3], cfg: &HaloFinderConfig) -> H
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn uniform_grid(dims: [usize; 3], v: f64) -> Vec<f64> {
         vec![v; dims[0] * dims[1] * dims[2]]
@@ -301,6 +325,184 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.starts_with("# halos: 1\n"));
         assert_eq!(a.lines().count(), 3);
+    }
+
+    /// The dense finder `find_halos` replaced, kept as its oracle: a
+    /// `bool` mask, a separate count pass, a `visited` array and an
+    /// O(cells) seed loop in (z, y, x) order.
+    fn find_halos_dense(values: &[f64], dims: [usize; 3], cfg: &HaloFinderConfig) -> HaloCatalog {
+        let len = dims[0] * dims[1] * dims[2];
+        assert_eq!(values.len(), len, "grid/dims mismatch");
+        let mean = if len == 0 { 0.0 } else { values.iter().sum::<f64>() / len as f64 };
+        let threshold = mean * cfg.threshold_factor;
+        let mask = candidate_mask(values, threshold);
+        let candidate_cells = mask.iter().filter(|&&m| m).count() as u64;
+
+        let (nx, ny, nz) = (dims[0], dims[1], dims[2]);
+        let idx = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
+        let mut visited = vec![false; len];
+        let mut halos: Vec<Halo> = Vec::new();
+        let mut stack: Vec<(usize, usize, usize)> = Vec::new();
+
+        for z in 0..nz {
+            for y in 0..ny {
+                for x in 0..nx {
+                    let i0 = idx(x, y, z);
+                    if !mask[i0] || visited[i0] {
+                        continue;
+                    }
+                    stack.clear();
+                    stack.push((x, y, z));
+                    visited[i0] = true;
+                    let mut cells = 0u32;
+                    let mut mass = 0.0f64;
+                    let mut com = [0.0f64; 3];
+                    while let Some((cx, cy, cz)) = stack.pop() {
+                        let ci = idx(cx, cy, cz);
+                        let v = values[ci];
+                        cells += 1;
+                        mass += v;
+                        com[0] += v * cx as f64;
+                        com[1] += v * cy as f64;
+                        com[2] += v * cz as f64;
+                        let mut push = |nx_: usize, ny_: usize, nz_: usize| {
+                            let ni = idx(nx_, ny_, nz_);
+                            if mask[ni] && !visited[ni] {
+                                visited[ni] = true;
+                                stack.push((nx_, ny_, nz_));
+                            }
+                        };
+                        if cx > 0 {
+                            push(cx - 1, cy, cz);
+                        }
+                        if cx + 1 < nx {
+                            push(cx + 1, cy, cz);
+                        }
+                        if cy > 0 {
+                            push(cx, cy - 1, cz);
+                        }
+                        if cy + 1 < ny {
+                            push(cx, cy + 1, cz);
+                        }
+                        if cz > 0 {
+                            push(cx, cy, cz - 1);
+                        }
+                        if cz + 1 < nz {
+                            push(cx, cy, cz + 1);
+                        }
+                    }
+                    if cells >= cfg.min_cells && mass > 0.0 {
+                        halos.push(Halo {
+                            center: [com[0] / mass, com[1] / mass, com[2] / mass],
+                            cells,
+                            mass,
+                        });
+                    }
+                }
+            }
+        }
+
+        halos.sort_by(|a, b| {
+            b.mass
+                .partial_cmp(&a.mass)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.center.partial_cmp(&b.center).unwrap_or(std::cmp::Ordering::Equal))
+        });
+        HaloCatalog { mean, threshold, candidate_cells, halos }
+    }
+
+    /// A random grid of one of four kinds, with its threshold factor.
+    fn random_grid(kind: u8, len: usize, rng: &mut TestRng) -> (Vec<f64>, f64) {
+        let mut draw = |n: u64| rng.next_u64() % n;
+        match kind {
+            // Plateaus exactly on the threshold. Every cell is a
+            // multiple of 1/8, so every sum is exact in any order; the
+            // last cell is ballast that makes the mean a multiple of
+            // 1/8 too, and the factor a small dyadic, so `threshold`
+            // is exact and runs of cells can be set to it — ballast
+            // absorbing the difference, going negative if it must.
+            0 => {
+                let mut g: Vec<f64> = (0..len).map(|_| draw(32) as f64 / 8.0).collect();
+                let eighths: u64 = g.iter().map(|v| (v * 8.0) as u64).sum();
+                g[len - 1] += ((len as u64 - eighths % len as u64) % len as u64) as f64 / 8.0;
+                if eighths == 0 {
+                    g[len - 1] += len as f64 / 8.0;
+                }
+                let mean = g.iter().sum::<f64>() / len as f64;
+                let factor = [1.0, 1.5, 2.0, 2.5][draw(4) as usize];
+                for _ in 0..draw(4) {
+                    let start = draw(len as u64) as usize;
+                    for i in start..(start + 1 + draw(5) as usize).min(len - 1) {
+                        g[len - 1] += g[i] - mean * factor;
+                        g[i] = mean * factor;
+                    }
+                }
+                (g, factor)
+            }
+            // Finite cells of both signs around a positive mean, then
+            // around a negative one (nearly every cell a candidate, and
+            // components of non-positive mass rejected).
+            1 => ((0..len).map(|_| draw(5000) as f64 / 1000.0 - 1.0).collect(), 1.25),
+            2 => ((0..len).map(|_| draw(5000) as f64 / 1000.0 - 4.0).collect(), 0.5),
+            // Mostly tame cells with a few arbitrary bit patterns: NaN
+            // payloads, infinities, subnormals, huge magnitudes.
+            _ => {
+                let mut g: Vec<f64> = (0..len).map(|_| draw(4000) as f64 / 1000.0).collect();
+                for _ in 0..draw(3) {
+                    let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 1e300];
+                    let v = if draw(2) == 0 {
+                        special[draw(5) as usize]
+                    } else {
+                        f64::from_bits(draw(u64::MAX))
+                    };
+                    g[draw(len as u64) as usize] = v;
+                }
+                (g, 1.5)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The bitset finder returns the dense finder's catalog bit for
+        /// bit, and its bitset is `candidate_mask` packed.
+        #[test]
+        fn find_halos_equals_the_dense_finder(
+            nx in 1usize..90,
+            ny in 1usize..6,
+            nz in 1usize..5,
+            kind in 0u8..4,
+            min_cells in 1u32..=3,
+            seed in any::<u64>(),
+        ) {
+            let dims = [nx, ny, nz];
+            let (grid, threshold_factor) = random_grid(kind, nx * ny * nz, &mut TestRng::new(seed));
+            let cfg = HaloFinderConfig { threshold_factor, min_cells };
+            let (got, want) = (find_halos(&grid, dims, &cfg), find_halos_dense(&grid, dims, &cfg));
+            prop_assert_eq!(got.mean.to_bits(), want.mean.to_bits());
+            prop_assert_eq!(got.threshold.to_bits(), want.threshold.to_bits());
+            prop_assert_eq!(got.candidate_cells, want.candidate_cells);
+            let bits = |c: &HaloCatalog| -> Vec<[u64; 5]> {
+                c.halos
+                    .iter()
+                    .map(|h| [h.center[0], h.center[1], h.center[2], f64::from(h.cells), h.mass])
+                    .map(|h| h.map(f64::to_bits))
+                    .collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(got.render(), want.render());
+
+            let packed = candidate_bits(&grid, got.threshold);
+            let unpacked: Vec<bool> =
+                (0..grid.len()).map(|i| packed[i / 64] >> (i % 64) & 1 == 1).collect();
+            prop_assert_eq!(unpacked, candidate_mask(&grid, got.threshold));
+            if kind == 0 {
+                // The construction held: the mean is a whole number of
+                // eighths, so cells set to the threshold sit on it.
+                prop_assert_eq!((got.mean * 8.0).fract(), 0.0);
+            }
+        }
     }
 
     #[test]

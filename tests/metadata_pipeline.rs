@@ -3,8 +3,8 @@
 //! field-map invariants and the Table III/IV structure.
 
 use ffis_core::{
-    attribute, fields_with_outcome, locate_write, run_with_byte_fault, scan, ByteFlip, FieldMap,
-    FieldSpan, Outcome, ScanConfig, TargetFilter, WritePick,
+    attribute, fields_with_outcome, locate_write, run_with_byte_fault, scan, scan_detailed,
+    ByteFlip, FieldMap, FieldSpan, Outcome, ScanConfig, TargetFilter, WritePick,
 };
 use nyx_sim::{FieldConfig, NyxApp, NyxConfig};
 
@@ -160,5 +160,28 @@ fn scan_determinism_across_invocations() {
     for (a, b) in r1.bytes.iter().zip(&r2.bytes) {
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.file_offset, b.file_offset);
+    }
+}
+
+/// `scan` keeps no output; what it returns is still `scan_detailed`'s
+/// result collapsed, field for field (crash messages included), on
+/// either strategy and either schedule.
+#[test]
+fn scan_equals_detailed_scan_collapsed() {
+    let a = NyxApp::new(NyxConfig {
+        field: FieldConfig { n: 16, ..Default::default() },
+        keep_field: true,
+        ..Default::default()
+    });
+    let mut base = ScanConfig::new(TargetFilter::PathSuffix(".h5".into()));
+    base.stride = 8;
+    for (parallel, replay) in [(false, false), (false, true), (true, false), (true, true)] {
+        let cfg = ScanConfig { parallel, replay, ..base.clone() };
+        let plain = scan(&a, &cfg).unwrap();
+        assert!(plain.tally.crash > 0 && plain.tally.benign > 0);
+        let detailed = scan_detailed(&a, &cfg).unwrap();
+        assert_eq!(detailed.used_replay(), replay);
+        assert!(detailed.runs.iter().any(|r| r.output.as_ref().is_some_and(|o| o.field.is_some())));
+        assert_eq!(plain, detailed.into_result(), "parallel {parallel}, replay {replay}");
     }
 }
