@@ -21,14 +21,14 @@
 //! batching, and its measured checkpoint overshoot must be strictly
 //! below the control's. The headline Montage multi-file cell — the
 //! memoized regime PR 9 left the replay engine as the hot path of —
-//! must clear the [`OPT_SPEEDUP_FLOOR`] on cold run-phase wall-clock
-//! (the CI `replay-opt-smoke` gate, n=64): with the dirty cascade
-//! pinning analyze to one tile, the batched arm also filters the
-//! replayed tail to that tile's declared reads, so the per-run suffix
-//! shrinks by roughly the tile count. Walls are compared on the *run
-//! phase* (total wall minus the time to the first run event) so the
-//! one-time golden produce and checkpoint build, shared by both
-//! regimes, do not dilute the per-run ratio.
+//! has its cold run-phase speedup printed, not gated (a wall-clock
+//! ratio is the host's to decide; `benchmark/` measures it): with the
+//! dirty cascade pinning analyze to one tile, the batched arm also
+//! filters the replayed tail to that tile's declared reads, so the
+//! per-run suffix shrinks by roughly the tile count. Walls are
+//! compared on the *run phase* (total wall minus the time to the first
+//! run event) so the one-time golden produce and checkpoint build,
+//! shared by both regimes, do not dilute the per-run ratio.
 //!
 //! The measured numbers land in `BENCH_replay_opt.json`, with both
 //! regimes' suffix-op accounting and the optimized pass's
@@ -44,11 +44,6 @@ use ffis_daemon::{execute_spec, ExecHooks};
 use crate::bench_json;
 use crate::cli::Options;
 use crate::report::{Report, Table};
-
-/// Acceptance floor for the headline Montage multi-file write cell:
-/// the optimized regime must beat the log-spaced/no-batching control
-/// by at least this factor on cold run-phase wall-clock.
-pub const OPT_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// One spec executed once, with the run phase timed separately: the
 /// first run event marks the end of planning + golden produce +
@@ -257,32 +252,25 @@ pub fn replay_opt(opts: &Options) -> Report {
     report.line("golden produce and checkpoint build both regimes repeat are not counted as");
     report.line("an optimization win. Digest column: tallies and run digests asserted equal.");
 
-    // The acceptance gate: the Montage headline cell must clear the
-    // floor. The Nyx row is reported but not gated — with no memo
-    // basis its tail cannot filter, and its per-run halo-finder
-    // analyze is the same order as the replay it shares the run phase
-    // with.
+    // The Montage headline cell, reported but not gated: its
+    // equivalence, engagement and overshoot were asserted above, and a
+    // wall-clock ratio is the host's to decide. (The Nyx row has no
+    // memo basis, so its tail cannot filter, and its per-run
+    // halo-finder analyze is the same order as the replay it shares
+    // the run phase with.)
     if let Some(head) = measured.iter().find(|c| c.app == "montage") {
-        assert!(
-            head.speedup() >= OPT_SPEEDUP_FLOOR,
-            "plan-aware replay below the acceptance floor: {:.2}x < {}x (control {:.3}s, \
-             optimized {:.3}s)",
-            head.speedup(),
-            OPT_SPEEDUP_FLOOR,
-            head.control.run_phase_s,
-            head.optimized.run_phase_s
-        );
         report.line(format!(
-            "(headline: montage {} write — {:.2}x >= {}x cold, overshoot {} -> {}, floor \
-             asserted)",
+            "(headline: montage {} write — {:.2}x cold (control {:.3}s, optimized {:.3}s), \
+             overshoot {} -> {})",
             head.label,
             head.speedup(),
-            OPT_SPEEDUP_FLOOR,
+            head.control.run_phase_s,
+            head.optimized.run_phase_s,
             head.control.result.replay_opt.overshoot,
             head.optimized.result.replay_opt.overshoot
         ));
     } else {
-        report.line("headline cell missing — floor not asserted (interrupted or failed above)");
+        report.line("headline cell missing (interrupted or failed above)");
     }
 
     let opt_json = |r: &ffis_core::ReplayOptReport| {
@@ -337,7 +325,6 @@ pub fn replay_opt(opts: &Options) -> Report {
         field("grid", Json::Num(n as f64)),
         field("runs_per_pass", Json::Num(opts.runs as f64)),
         field("seed", Json::Num(opts.seed as f64)),
-        field("speedup_floor", Json::Num(OPT_SPEEDUP_FLOOR)),
         field("cells", Json::Arr(cells_json)),
     ]);
     if let Some(path) = bench_json::save_in(&opts.out, "BENCH_replay_opt.json", &json) {

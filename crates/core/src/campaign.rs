@@ -18,9 +18,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ffis_vfs::{
-    wire, BatchFork, BatchForks, CheckpointStore, CounterSnapshot, FfisFs, Fnv, MemFs, MemoStats,
-    MemoStore, Placement, Primitive, ReadRecord, ReplayCursor, SharedTrace, TraceCheckpoint,
-    TraceCheckpoints, TraceOp, PRIMITIVES,
+    wire, BatchFork, BatchForks, CheckpointStore, CounterSnapshot, FfisFs, Fnv, Interceptor, MemFs,
+    MemoStats, MemoStore, Placement, Primitive, ReadRecord, ReplayCursor, SharedTrace,
+    TraceCheckpoint, TraceCheckpoints, TraceOp, PRIMITIVES,
 };
 
 use crate::engine::journal::JournalEntry;
@@ -1412,8 +1412,8 @@ fn plan_fingerprint(planned: &[PlannedRun<InjectionSpec>], shards: usize) -> u64
 /// Per-run watchdog bundle, armed on every injection run's mount —
 /// never on the golden run, which must complete for the campaign to
 /// exist at all.
-#[derive(Debug, Clone, Copy)]
-struct Liveness {
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Liveness {
     fuel: Option<u64>,
     wall: Option<Duration>,
 }
@@ -1481,7 +1481,7 @@ impl ReplayOptReport {
 /// the engine's worker closures; relaxed ordering — they are pure
 /// telemetry).
 #[derive(Debug, Default)]
-struct ReplayOptCounters {
+pub(crate) struct ReplayOptCounters {
     batches: AtomicU64,
     batched_runs: AtomicU64,
     coalesced_calls: AtomicU64,
@@ -1559,7 +1559,7 @@ fn eligible_write_ops(ops: &[TraceOp], target: &TargetFilter) -> Vec<usize> {
 /// trace plus the op index of every eligible write (instance `k` is
 /// `eligible_ops[k-1]`). The checkpoint cache sits behind an `Arc` so
 /// all write-site shards of a campaign share one.
-struct ReplayPlan {
+pub(crate) struct ReplayPlan {
     cache: Arc<TraceCheckpoints>,
     eligible_ops: Vec<usize>,
     /// Engaged analyze memoization basis (engine law 8). When present,
@@ -1570,16 +1570,49 @@ struct ReplayPlan {
 }
 
 impl ReplayPlan {
+    /// The whole write-site gate for a caller with one target filter
+    /// and one demanded instance — the metadata scan. The same checks,
+    /// in the same order, [`Campaign::run`] spreads over its shards:
+    /// the trace must hold exactly the `eligible` writes the profile
+    /// counted under `target`, the golden run's replay laws must hold,
+    /// and the checkpoint set is placed for the demanded write alone,
+    /// so a snapshot sits exactly before it.
+    pub(crate) fn for_instance<A: FaultApp>(
+        app: &A,
+        golden: &Golden<A::Output>,
+        target: &TargetFilter,
+        eligible: u64,
+        instance: u64,
+    ) -> Result<Self, ReplayFallback> {
+        let eligible_ops = eligible_write_ops(&golden.trace, target);
+        if eligible_ops.len() as u64 != eligible {
+            return Err(ReplayFallback::TraceMismatch);
+        }
+        golden.replay_laws(app)?;
+        let demand = [eligible_ops[(instance - 1) as usize]];
+        let cache = place_checkpoints(&golden.trace, None, Some(&demand))?;
+        Ok(ReplayPlan { cache, eligible_ops, memo: None })
+    }
+
     /// Resolve the planned strategy for one target instance: the
     /// nearest checkpoint preceding its trace op, and the suffix
     /// length the run will replay from there (the scheduler's cost
     /// key).
-    fn strategy_for(&self, target_instance: u64) -> RunStrategy {
+    pub(crate) fn strategy_for(&self, target_instance: u64) -> RunStrategy {
         let target_op = self.eligible_ops[(target_instance - 1) as usize];
         let points = self.cache.points();
         let checkpoint = points.partition_point(|p| p.index() <= target_op).saturating_sub(1);
         let suffix_len = self.cache.ops().len() - points[checkpoint].index();
         RunStrategy::Replay { checkpoint, suffix_len }
+    }
+
+    /// The [`Start`] of a run planned on checkpoint `checkpoint`, and
+    /// how many eligible writes precede that snapshot — what the run's
+    /// injector resumes counting from.
+    pub(crate) fn checkpoint_start(&self, checkpoint: usize) -> (Start<'_>, u64) {
+        let point = &self.cache.points()[checkpoint];
+        let seen = self.eligible_ops.partition_point(|&op| op < point.index());
+        (Start::Checkpoint { plan: self, point }, seen as u64)
     }
 }
 
@@ -1647,7 +1680,7 @@ impl AnalyzeOnlyPlan {
 /// An engaged analyze memoization basis: the golden run's validated
 /// [`SubstepLaws`], the store this campaign memoizes into, and pinned
 /// `Arc` handles to the golden artifacts as that store holds them.
-struct SubstepMemo {
+pub(crate) struct SubstepMemo {
     laws: Arc<SubstepLaws>,
     artifacts: Vec<Arc<Vec<u8>>>,
     store: Arc<MemoStore>,
@@ -1868,36 +1901,38 @@ fn analyze_only_plan<O>(
     })
 }
 
-/// Classify one finished application result into a [`RunResult`] —
-/// the one place crash capture (messages, panic downcasts) happens.
-fn finish_run<A: FaultApp>(
+/// What one finished run classifies to: the outcome, the faulty output
+/// when the run completed (a scan's `keep` decides what outlives it),
+/// the crash message, and the watchdog that stopped it.
+pub(crate) struct Classified<O> {
+    pub outcome: Outcome,
+    pub output: Option<O>,
+    pub crash_message: Option<String>,
+    pub aborted: Option<RunAborted>,
+}
+
+/// Classify one finished application result — the one place crash
+/// capture (messages, panic downcasts) happens, for campaign runs and
+/// scanned bytes alike.
+pub(crate) fn classify_run<A: FaultApp>(
     app: &A,
     golden: &A::Output,
-    run: usize,
-    target_instance: u64,
-    injection: Option<InjectionRecord>,
-    mode: ExecutionMode,
     app_result: std::thread::Result<Result<A::Output, String>>,
-) -> RunResult {
+) -> Classified<A::Output> {
+    let crash = |crash_message, aborted| Classified {
+        outcome: Outcome::Crash,
+        output: None,
+        crash_message: Some(crash_message),
+        aborted,
+    };
     match app_result {
-        Ok(Ok(faulty)) => RunResult {
-            run,
+        Ok(Ok(faulty)) => Classified {
             outcome: app.classify(golden, &faulty),
-            target_instance,
-            injection,
+            output: Some(faulty),
             crash_message: None,
-            mode,
             aborted: None,
         },
-        Ok(Err(msg)) => RunResult {
-            run,
-            outcome: Outcome::Crash,
-            target_instance,
-            injection,
-            crash_message: Some(msg),
-            mode,
-            aborted: None,
-        },
+        Ok(Err(msg)) => crash(msg, None),
         Err(panic) => {
             // Watchdog unwinds carry typed payloads; check them before
             // the generic message downcasts so an aborted run is
@@ -1916,17 +1951,23 @@ fn finish_run<A: FaultApp>(
                 .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "panic".to_string());
-            RunResult {
-                run,
-                outcome: Outcome::Crash,
-                target_instance,
-                injection,
-                crash_message: Some(msg),
-                mode,
-                aborted,
-            }
+            crash(msg, aborted)
         }
     }
+}
+
+/// [`classify_run`], as the [`RunResult`] a campaign records.
+fn finish_run<A: FaultApp>(
+    app: &A,
+    golden: &A::Output,
+    run: usize,
+    target_instance: u64,
+    injection: Option<InjectionRecord>,
+    mode: ExecutionMode,
+    app_result: std::thread::Result<Result<A::Output, String>>,
+) -> RunResult {
+    let Classified { outcome, crash_message, aborted, .. } = classify_run(app, golden, app_result);
+    RunResult { run, outcome, target_instance, injection, crash_message, mode, aborted }
 }
 
 /// One campaign's checkpoint set over the golden trace. With a
@@ -1956,19 +1997,20 @@ fn place_checkpoints(
 /// Where one run's filesystem state comes from, resolved from its
 /// planned [`RunStrategy`] and its shard's plan. The variant also
 /// fixes how the run advances to its pre-analyze state.
-enum Start<'p> {
+pub(crate) enum Start<'p> {
     /// Fresh `MemFs`; the application's `produce` runs live — the
     /// full-rerun reference path.
     Fresh,
     /// Fork of the trace checkpoint preceding the target; the whole
     /// suffix replays through the mount. The only replay stage that
-    /// runs under a liveness watchdog, and the refuge when a batch
-    /// declines or lacks the run's target.
+    /// runs under a liveness watchdog, the refuge when a batch
+    /// declines or lacks the run's target, and every scanned byte's
+    /// start.
     Checkpoint { plan: &'p ReplayPlan, point: &'p TraceCheckpoint },
     /// Batch mini-fork sitting exactly at the target op (engine law
     /// 9): only that op steps through the mount, the tail applies to
-    /// the inner filesystem coalesced.
-    Batch { plan: &'p ReplayPlan, fork: &'p BatchFork },
+    /// the inner filesystem coalesced and is counted in `telemetry`.
+    Batch { plan: &'p ReplayPlan, fork: &'p BatchFork, telemetry: &'p ReplayOptCounters },
     /// Fork of the golden post-produce filesystem with `counters`
     /// pre-seeded; nothing to advance — the golden state *is* the
     /// checkpoint.
@@ -1978,7 +2020,7 @@ enum Start<'p> {
 /// A run's live half: the classified output plus the dirty
 /// `(sub-step index, artifact)` pairs worth caching (empty for a
 /// whole analyze).
-type RunOutput<A> = Result<(<A as FaultApp>::Output, Vec<(usize, Vec<u8>)>), String>;
+pub(crate) type RunOutput<A> = Result<(<A as FaultApp>::Output, Vec<(usize, Vec<u8>)>), String>;
 
 /// The sub-steps a write fault on `path` can perturb: exactly those
 /// declaring the path as an input (the dirty cascade). A write op
@@ -1991,26 +2033,114 @@ fn dirty_substeps(specs: &[SubstepSpec], path: Option<&str>) -> Vec<usize> {
     }
 }
 
-/// Execute one injection run and classify it — the one run pipeline
-/// every strategy of every shard funnels through, in three stages:
+/// The one run frame: every injection run of every campaign shard and
+/// every byte of a metadata scan is this start → advance → analyze,
+/// with `injector` attached to the mount, under one liveness /
+/// `catch_unwind` / unmount bracket:
 ///
 /// * **start** — fresh `MemFs` | checkpoint fork | batch mini-fork |
 ///   golden post-produce fork with pre-seeded counters ([`Start`]);
 /// * **advance** — live `produce` | suffix replay through the mount |
 ///   armed target step + coalesced (memoized: path-filtered) tail |
 ///   nothing;
-/// * **analyze** — whole [`FaultApp::analyze`], or (memo engaged,
+/// * **analyze** — whole [`FaultApp::analyze`], or (`memo` engaged,
 ///   engine law 8) only the dirty sub-steps live, assembled with the
 ///   golden artifacts of the clean ones.
 ///
-/// One injector / liveness / `catch_unwind` / unmount frame surrounds
-/// the stages, and one memo prologue/epilogue surrounds the frame: a
-/// run whose key is already in the store is classified without
-/// mounting anything, and every non-panicked memoized run is stored.
-/// The injector always counts from the eligible instances that precede
-/// the start state and the mount's counters are pre-seeded to match,
-/// so the armed crossing observes full-execution `prim_seq`/`seq`
-/// numbering whichever start was taken.
+/// The caller arms the injector to count from the eligible instances
+/// that precede the start state; a checkpoint's mount has its counters
+/// pre-seeded to match, so the armed crossing observes full-execution
+/// `prim_seq`/`seq` numbering whichever start was taken. What comes
+/// back goes to [`classify_run`].
+pub(crate) fn run_frame<A: FaultApp>(
+    app: &A,
+    golden: &A::Output,
+    start: &Start<'_>,
+    injector: Arc<dyn Interceptor>,
+    liveness: Liveness,
+    memo: Option<(&SubstepMemo, &[usize])>,
+) -> std::thread::Result<RunOutput<A>> {
+    let (ffs, mut cursor) = match start {
+        Start::Fresh => (FfisFs::mount(Arc::new(MemFs::new())), ReplayCursor::new()),
+        Start::Checkpoint { point, .. } => point.mount_fork(),
+        Start::Batch { fork, telemetry, .. } => {
+            telemetry.batched_runs.fetch_add(1, Ordering::Relaxed);
+            fork.point().mount_fork()
+        }
+        Start::Golden { base, counters } => {
+            let ffs = FfisFs::mount(Arc::new(base.fork()));
+            ffs.preseed_counters(counters);
+            (ffs, ReplayCursor::new())
+        }
+    };
+    liveness.arm(&ffs);
+    ffs.attach(injector);
+    let result = catch_unwind(AssertUnwindSafe(|| -> RunOutput<A> {
+        match start {
+            Start::Fresh => app.produce(&*ffs)?,
+            Start::Golden { .. } => {}
+            // The fault lands in the same instance, with the same
+            // record numbering, it would during a real execution.
+            Start::Checkpoint { plan, point } => {
+                cursor.replay(&*ffs, plan.cache.suffix(point)).map_err(|e| e.to_string())?
+            }
+            Start::Batch { plan, fork, telemetry } => {
+                let (ops, target_op) = (plan.cache.ops(), fork.point().index());
+                cursor.step(&*ffs, &ops[target_op]).map_err(|e| e.to_string())?;
+                // The fault has fired (or deliberately dropped its
+                // write); nothing needs per-op visibility any more, so
+                // the tail applies straight to the inner filesystem.
+                // When only dirty sub-steps re-read the reconstructed
+                // state, the tail filters down to the paths they
+                // declare — the read-set contract the dirty cascade
+                // itself rests on; for a multi-file app only the
+                // injected file's ops replay.
+                let tail = &ops[target_op + 1..];
+                let stats = match memo {
+                    Some((m, dirty)) => {
+                        cursor.replay_coalesced_filtered(&**ffs.inner(), tail, &|p| {
+                            dirty.iter().any(|&i| m.laws.specs[i].reads(p))
+                        })
+                    }
+                    None => cursor.replay_coalesced(&**ffs.inner(), tail),
+                }
+                .map_err(|e| e.to_string())?;
+                telemetry
+                    .coalesced_calls
+                    .fetch_add(stats.coalesced_calls as u64, Ordering::Relaxed);
+                telemetry.coalesced_ops.fetch_add(stats.coalesced_ops as u64, Ordering::Relaxed);
+                telemetry.skipped_tail_ops.fetch_add(stats.skipped_ops as u64, Ordering::Relaxed);
+                // Restore analyze-time counter numbering from the
+                // recorded tail delta.
+                ffs.preseed_counters(&fork.tail_counters());
+            }
+        }
+        let Some((m, dirty)) = memo else {
+            return Ok((app.analyze(&*ffs, Some(golden))?, Vec::new()));
+        };
+        let mut assembled: Vec<Vec<u8>> = Vec::with_capacity(m.laws.specs.len());
+        let mut dirty_artifacts: Vec<(usize, Vec<u8>)> = Vec::with_capacity(dirty.len());
+        for i in 0..m.laws.specs.len() {
+            if dirty.contains(&i) {
+                let art = app.analyze_substep(&*ffs, i, Some(golden))?;
+                dirty_artifacts.push((i, art.clone()));
+                assembled.push(art);
+            } else {
+                assembled.push(m.artifacts[i].as_ref().clone());
+            }
+        }
+        Ok((app.assemble(&assembled, Some(golden))?, dirty_artifacts))
+    }));
+    ffs.unmount();
+    result
+}
+
+/// Execute one injection run of a campaign and classify it: resolve
+/// the planned strategy to a [`Start`], arm the shard's signature, and
+/// hand both to [`run_frame`]. One memo prologue/epilogue surrounds
+/// the frame: a run whose key is already in the store is classified
+/// without mounting anything, and every non-panicked memoized run is
+/// stored.
 fn execute_run<A: FaultApp>(
     app: &A,
     shard: &Shard,
@@ -2034,11 +2164,10 @@ fn execute_run<A: FaultApp>(
                 // The mini-point sits exactly at the target op, so the
                 // eligible writes already "seen" are precisely the
                 // earlier instances.
-                Some(fork) => (Start::Batch { plan, fork }, target_instance - 1, dirty),
+                Some(fork) => (Start::Batch { plan, fork, telemetry }, target_instance - 1, dirty),
                 None => {
-                    let point = &plan.cache.points()[checkpoint];
-                    let seen = plan.eligible_ops.partition_point(|&op| op < point.index());
-                    (Start::Checkpoint { plan, point }, seen as u64, dirty)
+                    let (start, seen) = plan.checkpoint_start(checkpoint);
+                    (start, seen, dirty)
                 }
             }
         }
@@ -2089,78 +2218,8 @@ fn execute_run<A: FaultApp>(
         seed,
         already_seen,
     ));
-    let (ffs, mut cursor) = match &start {
-        Start::Fresh => (FfisFs::mount(Arc::new(MemFs::new())), ReplayCursor::new()),
-        Start::Checkpoint { point, .. } => point.mount_fork(),
-        Start::Batch { fork, .. } => {
-            telemetry.batched_runs.fetch_add(1, Ordering::Relaxed);
-            fork.point().mount_fork()
-        }
-        Start::Golden { base, counters } => {
-            let ffs = FfisFs::mount(Arc::new(base.fork()));
-            ffs.preseed_counters(counters);
-            (ffs, ReplayCursor::new())
-        }
-    };
-    liveness.arm(&ffs);
-    ffs.attach(injector.clone());
-    let result = catch_unwind(AssertUnwindSafe(|| -> RunOutput<A> {
-        match &start {
-            Start::Fresh => app.produce(&*ffs)?,
-            Start::Golden { .. } => {}
-            // The fault lands in the same instance, with the same
-            // record numbering, it would during a real execution.
-            Start::Checkpoint { plan, point } => {
-                cursor.replay(&*ffs, plan.cache.suffix(point)).map_err(|e| e.to_string())?
-            }
-            Start::Batch { plan, fork } => {
-                let (ops, target_op) = (plan.cache.ops(), fork.point().index());
-                cursor.step(&*ffs, &ops[target_op]).map_err(|e| e.to_string())?;
-                // The fault has fired (or deliberately dropped its
-                // write); nothing needs per-op visibility any more, so
-                // the tail applies straight to the inner filesystem.
-                // When only dirty sub-steps re-read the reconstructed
-                // state, the tail filters down to the paths they
-                // declare — the read-set contract the dirty cascade
-                // itself rests on; for a multi-file app only the
-                // injected file's ops replay.
-                let tail = &ops[target_op + 1..];
-                let stats = match &memo {
-                    Some((m, dirty, _)) => {
-                        cursor.replay_coalesced_filtered(&**ffs.inner(), tail, &|p| {
-                            dirty.iter().any(|&i| m.laws.specs[i].reads(p))
-                        })
-                    }
-                    None => cursor.replay_coalesced(&**ffs.inner(), tail),
-                }
-                .map_err(|e| e.to_string())?;
-                telemetry
-                    .coalesced_calls
-                    .fetch_add(stats.coalesced_calls as u64, Ordering::Relaxed);
-                telemetry.coalesced_ops.fetch_add(stats.coalesced_ops as u64, Ordering::Relaxed);
-                telemetry.skipped_tail_ops.fetch_add(stats.skipped_ops as u64, Ordering::Relaxed);
-                // Restore analyze-time counter numbering from the
-                // recorded tail delta.
-                ffs.preseed_counters(&fork.tail_counters());
-            }
-        }
-        let Some((m, dirty, _)) = &memo else {
-            return Ok((app.analyze(&*ffs, Some(golden))?, Vec::new()));
-        };
-        let mut assembled: Vec<Vec<u8>> = Vec::with_capacity(m.laws.specs.len());
-        let mut dirty_artifacts: Vec<(usize, Vec<u8>)> = Vec::with_capacity(dirty.len());
-        for i in 0..m.laws.specs.len() {
-            if dirty.contains(&i) {
-                let art = app.analyze_substep(&*ffs, i, Some(golden))?;
-                dirty_artifacts.push((i, art.clone()));
-                assembled.push(art);
-            } else {
-                assembled.push(m.artifacts[i].as_ref().clone());
-            }
-        }
-        Ok((app.assemble(&assembled, Some(golden))?, dirty_artifacts))
-    }));
-    ffs.unmount();
+    let dirty = memo.as_ref().map(|(m, dirty, _)| (*m, dirty.as_slice()));
+    let result = run_frame(app, golden, &start, injector.clone(), liveness, dirty);
     let injection = injector.record();
     // Memo epilogue. Panicked runs are never memoized — a warm store
     // re-executes them live.

@@ -2,10 +2,14 @@
 //!
 //! The paper's methodology is one pipeline — profile → inject × N →
 //! classify → tally. This module is the one implementation of its
-//! execution half that both frontends ([`crate::Campaign`], with one
-//! signature or several, and [`crate::metadata_scan::scan_detailed`])
-//! ride — one serial/parallel fan-out, one replay/rerun dispatch, one
-//! streaming sink:
+//! scheduling half: [`crate::Campaign`] (one signature or several)
+//! plans its runs here, and the §IV-D byte scan
+//! ([`crate::metadata_scan::scan_detailed`]) plans one run per scanned
+//! byte the same way — one serial/parallel fan-out, one streaming
+//! sink. What a planned run *does* is the run frame of
+//! [`crate::campaign`] (start → advance → analyze under one
+//! injector / `catch_unwind` / unmount bracket), shared by both: a
+//! campaign arms a fault signature on it, a scan a byte flip.
 //!
 //! * **Planner** ([`ExecutionPlan`]) — maps every scheduled run
 //!   `(shard, index, spec)` to a [`RunStrategy`] — `Replay` with its

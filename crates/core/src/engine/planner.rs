@@ -80,7 +80,7 @@ impl RunStrategy {
 
 /// One fully planned run: its result slot (`index`), its shard, its
 /// resolved [`RunStrategy`], and the frontend-specific spec (target
-/// instance + injection seed for campaigns, byte index + flip for the
+/// instance + injection seed for campaigns, the byte's flip for the
 /// metadata scanner) whose random draws were made at plan time.
 #[derive(Debug, Clone)]
 pub struct PlannedRun<S> {

@@ -33,8 +33,25 @@ use ffis_vfs::{
 
 use crate::campaign::{CampaignError, MemoFallback, ReplayFallback};
 use crate::fault::TargetFilter;
-use crate::outcome::{analyze_matches_golden, FaultApp, Outcome, SubstepSpec};
+use crate::outcome::{FaultApp, Outcome, SubstepSpec};
 use crate::profiler::{IoProfiler, ProfileReport};
+
+/// Does the app's [`FaultApp::analyze`] phase, run against `fs`,
+/// reproduce the golden classification? `false` when analyze errors
+/// or classifies anything but [`Outcome::Benign`]. The one predicate
+/// behind the golden-identity probes and the uninjected self-checks of
+/// the replay and analyze-only laws below — the laws every campaign
+/// shard and every metadata scan is gated by.
+fn analyze_matches_golden<A: FaultApp + ?Sized>(
+    app: &A,
+    fs: &dyn ffis_vfs::FileSystem,
+    golden: &A::Output,
+) -> bool {
+    matches!(
+        app.analyze(fs, Some(golden)),
+        Ok(out) if app.classify(golden, &out) == Outcome::Benign
+    )
+}
 
 /// What a golden run records beyond the profile — the only thing a
 /// campaign's configuration contributes to its [`Golden`]. Attaching
@@ -144,6 +161,12 @@ impl<O> Golden<O> {
             analyze_only_laws: OnceLock::new(),
             substep_laws: OnceLock::new(),
         })
+    }
+
+    /// Keep the reference output alone, freeing the trace and the
+    /// golden filesystem.
+    pub fn into_output(self) -> O {
+        self.output
     }
 
     /// The reads the analyze phase issued.

@@ -297,12 +297,26 @@ impl ByteFaultInjector {
         byte_index: usize,
         flip: ByteFlip,
     ) -> Self {
+        Self::resuming(filter, write_instance, byte_index, flip, 0)
+    }
+
+    /// [`ByteFaultInjector::new`] for a mount started from a mid-trace
+    /// checkpoint: `already_seen` matching writes precede it, so the
+    /// fault still lands on — and records — the absolute
+    /// `write_instance` (see [`ArmedInjector::resuming`]).
+    pub(crate) fn resuming(
+        filter: crate::fault::TargetFilter,
+        write_instance: u64,
+        byte_index: usize,
+        flip: ByteFlip,
+        already_seen: u64,
+    ) -> Self {
         ByteFaultInjector {
             filter,
             write_instance,
             byte_index,
             flip,
-            eligible_seen: AtomicU64::new(0),
+            eligible_seen: AtomicU64::new(already_seen),
             record: Mutex::new(None),
         }
     }
@@ -528,6 +542,53 @@ mod tests {
         fs.write_file("/m", b"short").unwrap();
         assert!(inj.record().is_none());
         assert_eq!(fs.read_to_vec("/m").unwrap(), b"short");
+    }
+
+    /// What [`ArmedInjector::resuming`] promises, for the scan's
+    /// injector: armed on a checkpoint-started mount it records the
+    /// instance, `prim_seq`, offset and detail a full execution does.
+    #[test]
+    fn byte_injector_resumed_on_a_checkpoint_records_what_a_full_execution_does() {
+        use ffis_vfs::{TraceCheckpoints, TraceRecorder};
+        let workload = |fs: &FfisFs| {
+            fs.write_file("/run.log", b"start").unwrap();
+            let fd = fs.create("/d.h5", 0o644).unwrap();
+            for i in 0..4u64 {
+                fs.pwrite(fd, &[i as u8; 16], i * 16).unwrap();
+                fs.write_file("/run.log", b"step").unwrap();
+            }
+            fs.release(fd).unwrap();
+        };
+        let filter = TargetFilter::PathSuffix(".h5".into());
+        let (instance, byte, flip) = (3, 5, ByteFlip::Xor(0b0110_0000));
+
+        let full = Arc::new(ByteFaultInjector::new(filter.clone(), instance, byte, flip));
+        let fs = mount();
+        fs.attach(full.clone());
+        workload(&fs);
+        let full_record = full.record().expect("fired");
+        assert_eq!((full_record.instance, full_record.offset), (3, Some(32)));
+
+        let recorder = Arc::new(TraceRecorder::new());
+        let golden = mount();
+        golden.attach(recorder.clone());
+        workload(&golden);
+        let ops = recorder.take_ops();
+        let eligible: Vec<usize> = (0..ops.len())
+            .filter(|&i| ops[i].is_write() && filter.matches(ops[i].write_path()))
+            .collect();
+        let target_op = eligible[instance as usize - 1];
+        let cache = TraceCheckpoints::build_for_demand(ops, &[target_op]).unwrap();
+        let point = cache.nearest_before(target_op);
+        assert_eq!(point.index(), target_op, "a demanded op gets its own checkpoint");
+
+        let (ffs, mut cursor) = point.mount_fork();
+        let resumed =
+            Arc::new(ByteFaultInjector::resuming(filter, instance, byte, flip, instance - 1));
+        ffs.attach(resumed.clone());
+        cursor.replay(&*ffs, cache.suffix(point)).unwrap();
+        assert_eq!(resumed.record(), Some(full_record));
+        assert_eq!(ffs.read_to_vec("/d.h5").unwrap(), fs.read_to_vec("/d.h5").unwrap());
     }
 
     #[test]

@@ -18,10 +18,14 @@
 //! [`campaign`] orchestrates them into statistically significant
 //! campaigns (1,000 runs with ~1–2% error bars at 95% confidence), and
 //! [`metadata_scan`] implements the byte-by-byte scientific-file-format
-//! metadata study of §IV-D. Both frontends — [`Campaign`] (one
-//! signature, or several sharing one golden run:
-//! [`CampaignConfig::mixed`]) and [`metadata_scan::scan_detailed`] —
-//! execute through the shared [`engine`] (planner → executor → sink):
+//! metadata study of §IV-D. There is one driver and one run pipeline:
+//! [`Campaign`] (one signature, or several sharing one golden run:
+//! [`CampaignConfig::mixed`]) owns the golden run, the fast-path gates
+//! and the per-run frame (start → advance → analyze), and
+//! [`metadata_scan::scan_detailed`] is a caller of those same pieces
+//! with a byte injector armed — it keeps no golden capture, gate,
+//! replay loop or crash classifier of its own. Both schedule their
+//! runs through the shared [`engine`] (planner → executor → sink):
 //! per-run strategies and random draws are resolved up front,
 //! one serial/parallel fan-out schedules replay runs
 //! shortest-suffix-first with reruns interleaved, and tallies stream
@@ -44,9 +48,11 @@
 //! nearest checkpoint preceding its target instance, replays only the
 //! trace suffix — through the armed injector — at raw memcpy speed,
 //! and executes application logic only in the analyze phase.
-//! [`metadata_scan::scan`] specializes further, snapshotting
-//! immediately before the (fixed) metadata write. Read-site campaigns
-//! have their own fast path: the golden run's read ledger
+//! [`metadata_scan::scan`] is the same strategy with a demand of one:
+//! its checkpoint set is placed for the (fixed) metadata write alone,
+//! so every byte forks a snapshot sitting exactly before it.
+//! Read-site campaigns have their own fast path: the golden run's
+//! read ledger
 //! ([`ffis_vfs::ReadLedger`]) locates the produce/analyze seam in the
 //! eligible-read instance space, and analyze-phase targets skip
 //! produce entirely ([`campaign::ExecutionMode::AnalyzeOnly`] — fork

@@ -16,43 +16,39 @@
 //!
 //! ## The fork+replay fast path
 //!
-//! An exhaustive scan is `write_len` complete application executions —
-//! each of which redoes the *identical* fault-free work (field
-//! generation cache aside: HDF5 encoding, checksums, float packing)
-//! before corrupting one byte. Every application is two-phase by
-//! construction ([`FaultApp::produce`] / [`FaultApp::analyze`]), so
-//! the scanner's default strategy is:
+//! An exhaustive scan is `write_len` injection runs differing in one
+//! byte of one write, so it calls what every campaign cell runs on:
 //!
-//! 1. capture the golden run once, recording its mutating primitives
-//!    as a replayable [`TraceOp`] stream ([`TraceRecorder`]);
-//! 2. rebuild the filesystem state *just before the metadata write*
-//!    on a bare [`MemFs`] by replaying the trace prefix (raw memcpy,
-//!    no application logic), once;
-//! 3. per scanned byte: [`MemFs::fork`]s that snapshot (O(page
-//!    pointers)), replays only the trace *suffix* through a mounted
-//!    [`FfisFs`] with the byte injector armed, and runs the
-//!    application's `analyze` phase.
+//! 1. one `Golden` run: its profile locates the metadata write and
+//!    (replay on) it records the replayable op trace;
+//! 2. a write-site campaign shard's replay gate: the trace must number
+//!    the target's writes as the profile does and `Golden::replay_laws`
+//!    must hold — otherwise every byte takes a full rerun and
+//!    [`DetailedScanResult::mode`] records the [`ReplayFallback`] a
+//!    campaign over the same target would;
+//! 3. one checkpoint set whose whole demand is the metadata write
+//!    (`TraceCheckpoints::build_for_demand`), so a snapshot sits
+//!    exactly before it;
+//! 4. per byte, the campaign's run frame: fork that snapshot, replay
+//!    the trace *suffix* through the mount with the byte injector
+//!    armed, run the application's `analyze`, classify.
 //!
 //! Per-byte cost collapses from O(full run) to O(suffix bytes +
-//! analyze). The fast path is self-checking: before use, the golden
-//! snapshot must replay and analyze to a [`Outcome::Benign`]
-//! classification, otherwise the scanner falls back to the legacy
-//! full-rerun path ([`DetailedScanResult::used_replay`] reports which
-//! path ran). An equivalence test in `tests/replay_equivalence.rs`
-//! pins byte-identical outcomes between the two paths.
+//! analyze). `tests/replay_equivalence.rs` pins both routes
+//! byte-identical and the gate's agreement with campaigns.
 
 use std::convert::Infallible;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use ffis_vfs::{FfisFs, MemFs, Primitive, ReplayCursor, TraceOp, TraceRecorder};
-
-use crate::campaign::{replay_default, ExecutionMode, ReplayFallback};
+use crate::campaign::{
+    classify_run, replay_default, run_frame, CampaignError, ExecutionMode, Liveness,
+    ReplayFallback, ReplayPlan, Start,
+};
 use crate::engine::{self, EngineConfig, ExecutionPlan, PlannedRun, RunRecord, RunStrategy};
 use crate::fault::TargetFilter;
+use crate::golden::{Capture, Golden};
 use crate::injector::{ByteFaultInjector, ByteFlip};
 use crate::outcome::{FaultApp, Outcome, OutcomeTally};
-use crate::profiler::IoProfiler;
 use crate::rng::Rng;
 
 /// Which matching write hosts the metadata.
@@ -109,9 +105,7 @@ pub struct ScanConfig {
     pub parallel: bool,
     /// Use the fork+replay fast path (see the module docs). Outcomes
     /// are byte-identical either way; disable only to measure the
-    /// legacy full-rerun cost. The scanner still self-checks and falls
-    /// back when an app's analyze phase breaks the golden-identity
-    /// law.
+    /// legacy full-rerun cost. A scan whose gate refuses falls back.
     pub replay: bool,
 }
 
@@ -287,135 +281,54 @@ pub fn locate_write<A: FaultApp>(
     target: &TargetFilter,
     pick: WritePick,
 ) -> Result<(u64, u64, usize, A::Output), String> {
-    let cap = capture_golden(app, target, pick, false)?;
-    Ok((cap.write_instance, cap.write_offset, cap.write_len, cap.golden))
+    let (golden, at) = golden_run(app, target, pick, false)?;
+    Ok((at.instance, at.offset, at.len, golden.output))
 }
 
-/// Everything one golden execution yields for the scanner: the located
-/// metadata write, the reference output, the final filesystem state,
-/// and the replayable op stream.
-struct GoldenCapture<O> {
-    write_instance: u64,
-    write_offset: u64,
-    write_len: usize,
-    golden: O,
-    /// Final golden filesystem (for probing `verify` support).
-    golden_fs: Arc<MemFs>,
-    /// The golden run's mutating primitives, replay-ready.
-    ops: Vec<TraceOp>,
-    /// Matching writes the golden run *attempted* (counted at the
-    /// interceptor, like [`ByteFaultInjector`]'s eligibility counter),
-    /// as opposed to the successful ones present in `ops`. A mismatch
-    /// disables the replay fast path — see [`prepare_replay`].
-    attempted_matching_writes: usize,
+/// The metadata write, as 1-based `instance` of the `matching` writes
+/// the golden run *attempted* — the interceptor-level numbering the
+/// injectors count in, whether or not a matching write failed.
+struct LocatedWrite {
+    instance: u64,
+    offset: u64,
+    len: usize,
+    matching: u64,
 }
 
-/// Run the workload once, fault-free, optionally recording its golden
-/// trace (`record` — skipped for legacy-mode scans, since the trace
-/// clones every write buffer and would pin the workload's full I/O
-/// volume in memory for nothing).
-///
-/// The metadata write is located on the *attempted*-write numbering
-/// (the interceptor-level trace, exactly like [`locate_write`] and
-/// the injectors' eligibility counters), so the legacy per-byte path
-/// targets the same instance it always has even if a matching write
-/// failed during the golden run.
-fn capture_golden<A: FaultApp>(
+/// Run the workload once, fault-free — recording its trace only when
+/// a fast path will replay it (the trace holds every write payload) —
+/// and locate the write `pick` designates.
+fn golden_run<A: FaultApp>(
     app: &A,
     target: &TargetFilter,
     pick: WritePick,
-    record: bool,
-) -> Result<GoldenCapture<A::Output>, String> {
-    let profiler = IoProfiler::new(Primitive::Write, target.clone());
-    let recorder: Arc<TraceRecorder> = Arc::new(TraceRecorder::new());
-    let extras: Vec<Arc<dyn ffis_vfs::Interceptor>> =
-        if record { vec![recorder.clone()] } else { Vec::new() };
-    // Deliberately produce-then-analyze rather than `app.run(fs)`:
-    // drivers always execute the canonical two-phase path, so an app
-    // that (illegally) overrides the provided `run` cannot desync the
-    // golden capture from the analyze-only replay runs.
-    let (profile, golden, base) = profiler.profile_with(&extras, |fs| {
-        app.produce(fs)?;
-        app.analyze(fs, None)
+    trace: bool,
+) -> Result<(Golden<A::Output>, LocatedWrite), String> {
+    let golden = Golden::run(app, Capture { trace, ledger: false }).map_err(|e| match e {
+        CampaignError::GoldenRunFailed(msg) => msg,
+        other => other.to_string(),
     })?;
-    let writes = profile.writes_matching(target);
+    let writes = golden.profile.writes_matching(target);
     let idx = pick_index(writes.len(), pick)?;
-    let w = writes[idx];
-    Ok(GoldenCapture {
-        write_instance: idx as u64 + 1,
-        write_offset: w.offset.unwrap_or(0),
-        write_len: w.len,
-        golden,
-        golden_fs: base,
-        ops: recorder.take_ops(),
-        attempted_matching_writes: writes.len(),
-    })
+    let at = LocatedWrite {
+        instance: idx as u64 + 1,
+        offset: writes[idx].offset.unwrap_or(0),
+        len: writes[idx].len,
+        matching: writes.len() as u64,
+    };
+    Ok((golden, at))
 }
 
-/// The scanner's replay fast path, prepared once per scan: the
-/// pre-injection snapshot plus the trace suffix that still has to run
-/// per byte.
-struct ReplayPlan {
-    /// Filesystem state immediately before the metadata write, with
-    /// the golden run's descriptors still open.
-    pre: MemFs,
-    /// Descriptor map at the snapshot point.
-    cursor: ReplayCursor,
-    /// Index of the metadata write within the op stream.
-    suffix_start: usize,
-}
-
-/// Build the replay plan, validating it end-to-end on the golden
-/// snapshot (replay the suffix uninjected, analyze, and require a
-/// benign classification). Returns the [`ReplayFallback`] reason —
-/// fall back to full reruns — when the golden run attempted a matching
-/// write that failed (the success-only trace would then number
-/// instances differently than the injectors do), when the app's
-/// analyze phase violates the golden-identity law, or when the
-/// self-check fails.
-fn prepare_replay<A: FaultApp>(
+/// One byte-run through the campaign's run frame; classify.
+fn byte_run<A: FaultApp>(
     app: &A,
-    cap: &GoldenCapture<A::Output>,
-    target: &TargetFilter,
-) -> Result<ReplayPlan, ReplayFallback> {
-    let recorded_matching =
-        cap.ops.iter().filter(|op| op.is_write() && target.matches(op.write_path())).count();
-    if recorded_matching != cap.attempted_matching_writes {
-        return Err(ReplayFallback::TraceMismatch);
-    }
-    // Probe: does analyze satisfy the golden-identity law on the
-    // final golden state?
-    if !crate::outcome::analyze_matches_golden(app, &*cap.golden_fs, &cap.golden) {
-        return Err(ReplayFallback::GoldenIdentity);
-    }
-    // Locate the target write in the op stream.
-    let mut seen = 0u64;
-    let suffix_start = cap
-        .ops
-        .iter()
-        .position(|op| {
-            if op.is_write() && target.matches(op.write_path()) {
-                seen += 1;
-                seen == cap.write_instance
-            } else {
-                false
-            }
-        })
-        .ok_or(ReplayFallback::TraceMismatch)?;
-    // Rebuild the pre-injection state at memcpy speed.
-    let pre = MemFs::new();
-    let mut cursor = ReplayCursor::new();
-    cursor.replay(&pre, &cap.ops[..suffix_start]).map_err(|_| ReplayFallback::ReplayCheck)?;
-    let plan = ReplayPlan { pre, cursor, suffix_start };
-    // Self-check: an uninjected suffix replay must analyze benign.
-    let ffs = FfisFs::mount(Arc::new(plan.pre.fork()));
-    let mut cur = plan.cursor.clone();
-    cur.seed_mount(&ffs);
-    cur.replay(&*ffs, &cap.ops[plan.suffix_start..]).map_err(|_| ReplayFallback::ReplayCheck)?;
-    if !crate::outcome::analyze_matches_golden(app, &*ffs, &cap.golden) {
-        return Err(ReplayFallback::ReplayCheck);
-    }
-    Ok(plan)
+    golden: &A::Output,
+    start: &Start<'_>,
+    injector: ByteFaultInjector,
+) -> (Outcome, Option<A::Output>, Option<String>) {
+    let live = run_frame(app, golden, start, Arc::new(injector), Liveness::default(), None);
+    let run = classify_run(app, golden, live.map(|live| live.map(|(out, _)| out)));
+    (run.outcome, run.output, run.crash_message)
 }
 
 /// Run the workload once with a single byte fault armed; classify.
@@ -427,64 +340,8 @@ pub fn run_with_byte_fault<A: FaultApp>(
     byte_index: usize,
     flip: ByteFlip,
 ) -> (Outcome, Option<A::Output>, Option<String>) {
-    let injector =
-        Arc::new(ByteFaultInjector::new(target.clone(), write_instance, byte_index, flip));
-    let ffs = FfisFs::mount(Arc::new(MemFs::new()));
-    ffs.attach(injector);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        app.produce(&*ffs)?;
-        app.analyze(&*ffs, Some(golden))
-    }));
-    ffs.unmount();
-    classify_run_result(app, golden, result)
-}
-
-/// Fork the pre-injection snapshot, replay the trace suffix with a
-/// byte fault armed, and run the app's analyze phase; classify.
-fn replay_with_byte_fault<A: FaultApp>(
-    app: &A,
-    cap: &GoldenCapture<A::Output>,
-    plan: &ReplayPlan,
-    target: &TargetFilter,
-    byte_index: usize,
-    flip: ByteFlip,
-) -> (Outcome, Option<A::Output>, Option<String>) {
-    // The suffix begins at the metadata write, so relative to the
-    // replayed stream the armed instance is always the first match.
-    let injector = Arc::new(ByteFaultInjector::new(target.clone(), 1, byte_index, flip));
-    let ffs = FfisFs::mount(Arc::new(plan.pre.fork()));
-    let mut cursor = plan.cursor.clone();
-    cursor.seed_mount(&ffs);
-    ffs.attach(injector);
-    let result = catch_unwind(AssertUnwindSafe(|| -> Result<A::Output, String> {
-        cursor.replay(&*ffs, &cap.ops[plan.suffix_start..]).map_err(|e| e.to_string())?;
-        app.analyze(&*ffs, Some(&cap.golden))
-    }));
-    ffs.unmount();
-    classify_run_result(app, &cap.golden, result)
-}
-
-/// Shared crash/panic classification for both execution strategies.
-fn classify_run_result<A: FaultApp>(
-    app: &A,
-    golden: &A::Output,
-    result: std::thread::Result<Result<A::Output, String>>,
-) -> (Outcome, Option<A::Output>, Option<String>) {
-    match result {
-        Ok(Ok(faulty)) => {
-            let o = app.classify(golden, &faulty);
-            (o, Some(faulty), None)
-        }
-        Ok(Err(msg)) => (Outcome::Crash, None, Some(msg)),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic".to_string());
-            (Outcome::Crash, None, Some(msg))
-        }
-    }
+    let injector = ByteFaultInjector::new(target.clone(), write_instance, byte_index, flip);
+    byte_run(app, golden, &Start::Fresh, injector)
 }
 
 /// One scanned byte paired with the faulty run's surviving output, so
@@ -538,15 +395,13 @@ impl<O> DetailedScanResult<O> {
     }
 }
 
-/// The one scan body behind [`scan`] and [`scan_detailed`], a thin
-/// frontend over the shared [`crate::engine`]: every byte's flip is
-/// drawn at plan time from `root.child(byte_index)` (exactly the
-/// historical stream), the strategy — one shared pre-write snapshot,
-/// or full reruns with a recorded reason — is resolved up front, and
-/// the tally streams through the engine sink. `keep` runs on the
-/// worker thread right after `classify` and decides what of a faulty
-/// output outlives its byte-run; the sink retains every [`ScanRun`]
-/// (the byte map *is* the product).
+/// The one scan body behind [`scan`] and [`scan_detailed`]: every
+/// byte's flip is drawn at plan time from `root.child(byte_index)`
+/// (engine law 2), the strategy — one shared pre-write snapshot, or
+/// full reruns with a recorded reason — is resolved up front, and the
+/// tally streams through the engine sink. `keep` runs on the worker
+/// thread right after `classify` and decides what of a faulty output
+/// outlives its byte-run; the sink retains every [`ScanRun`].
 fn scan_with<A, K, F>(
     app: &A,
     config: &ScanConfig,
@@ -557,70 +412,46 @@ where
     K: Send,
     F: Fn(Option<A::Output>) -> Option<K> + Sync,
 {
-    let mut cap = capture_golden(app, &config.target, config.pick, config.replay)?;
-    let stride = config.stride.max(1);
-    let indices: Vec<usize> = (0..cap.write_len).step_by(stride).collect();
-    let root = Rng::seed_from(config.seed);
+    let (golden, at) = golden_run(app, &config.target, config.pick, config.replay)?;
     let plan = if config.replay {
-        prepare_replay(app, &cap, &config.target)
+        ReplayPlan::for_instance(app, &golden, &config.target, at.matching, at.instance)
     } else {
         Err(ReplayFallback::Disabled)
     };
-    let reason = plan.as_ref().err().copied();
-    let plan = plan.ok();
-    if plan.is_none() {
-        // Legacy path: the trace (which holds every write payload) and
-        // the golden filesystem are never consulted again — free them
-        // before the per-byte loop instead of pinning workload-sized
-        // memory for the whole scan.
-        cap.ops = Vec::new();
-        cap.golden_fs = Arc::new(MemFs::new());
-    }
+    // Only the reference output outlives the gate: a fast path holds
+    // the trace through its checkpoint set, a fallback frees it (every
+    // write payload) and the golden filesystem before the byte loop.
+    let golden = golden.into_output();
+    // One pre-write snapshot serves every byte; `seen` matching
+    // writes precede it.
+    let strategy = match &plan {
+        Ok(plan) => plan.strategy_for(at.instance),
+        Err(reason) => RunStrategy::Rerun { reason: *reason },
+    };
+    let (start, seen) = match (&plan, strategy) {
+        (Ok(plan), RunStrategy::Replay { checkpoint, .. }) => plan.checkpoint_start(checkpoint),
+        _ => (Start::Fresh, 0),
+    };
 
-    let planned: Vec<PlannedRun<ByteSpec>> = indices
-        .iter()
-        .enumerate()
-        .map(|(index, &byte_index)| {
-            let mut rng = root.child(byte_index as u64);
-            let flip = config.flip.to_flip(&mut rng);
-            let strategy = match (&plan, reason) {
-                // One pre-write snapshot serves every byte: the
-                // suffix starts at the metadata write for all of them.
-                (Some(p), _) => RunStrategy::Replay {
-                    checkpoint: 0,
-                    suffix_len: cap.ops.len() - p.suffix_start,
-                },
-                (None, Some(reason)) => RunStrategy::Rerun { reason },
-                (None, None) => unreachable!("no plan implies a recorded reason"),
-            };
-            PlannedRun { index, shard: 0, strategy, spec: ByteSpec { byte_index, flip } }
+    let (root, stride) = (Rng::seed_from(config.seed), config.stride.max(1));
+    let planned: Vec<PlannedRun<ByteFlip>> = (0..at.len.div_ceil(stride))
+        .map(|index| {
+            let spec = config.flip.to_flip(&mut root.child((index * stride) as u64));
+            PlannedRun { index, shard: 0, strategy, spec }
         })
         .collect();
-    let mode = match (planned.first(), reason) {
-        (Some(pr), _) => pr.strategy.mode(),
-        (None, Some(reason)) => ExecutionMode::FullRerun { reason },
-        (None, None) => ExecutionMode::Replay,
-    };
     let eplan = ExecutionPlan::new(planned, 1);
     let engine_cfg =
         EngineConfig { parallel: config.parallel, keep_runs: None, keep_seed: config.seed };
     let out = engine::execute(&eplan, &engine_cfg, |pr| {
-        let ByteSpec { byte_index, flip } = pr.spec;
-        let (outcome, output, crash_message) = match &plan {
-            Some(plan) => replay_with_byte_fault(app, &cap, plan, &config.target, byte_index, flip),
-            None => run_with_byte_fault(
-                app,
-                &cap.golden,
-                &config.target,
-                cap.write_instance,
-                byte_index,
-                flip,
-            ),
-        };
+        let (byte_index, flip) = (pr.index * stride, pr.spec);
+        let injector =
+            ByteFaultInjector::resuming(config.target.clone(), at.instance, byte_index, flip, seen);
+        let (outcome, output, crash_message) = byte_run(app, &golden, &start, injector);
         let payload = ScanRun {
             byte: ByteOutcome {
                 byte_index,
-                file_offset: cap.write_offset + byte_index as u64,
+                file_offset: at.offset + byte_index as u64,
                 outcome,
                 crash_message,
             },
@@ -633,20 +464,12 @@ where
 
     Ok(DetailedScanResult {
         runs: out.kept,
-        write_offset: cap.write_offset,
-        write_len: cap.write_len,
-        write_instance: cap.write_instance,
+        write_offset: at.offset,
+        write_len: at.len,
+        write_instance: at.instance,
         tally: out.tally,
-        mode,
+        mode: strategy.mode(),
     })
-}
-
-/// Plan-time per-byte data of a metadata scan: the byte under fault
-/// and the seeded flip damage (drawn at plan time, engine law 2).
-#[derive(Debug, Clone, Copy)]
-struct ByteSpec {
-    byte_index: usize,
-    flip: ByteFlip,
 }
 
 /// Execute the full byte-by-byte metadata scan, keeping each byte's
@@ -892,10 +715,8 @@ mod tests {
         cfg.replay = true;
         let result = scan_detailed(&SelfMutatingApp, &cfg).unwrap();
         assert!(!result.used_replay(), "identity-violating analyze must disable replay");
-        assert_eq!(
-            result.mode,
-            ExecutionMode::FullRerun { reason: ReplayFallback::GoldenIdentity }
-        );
+        // The shared gate checks the read-only-analyze law first.
+        assert_eq!(result.mode, ExecutionMode::FullRerun { reason: ReplayFallback::AnalyzeWrites });
         assert_eq!(result.tally.total(), 32);
     }
 

@@ -269,24 +269,6 @@ impl SubstepSpec {
     }
 }
 
-/// Shared replay-gate predicate: does the app's [`FaultApp::analyze`]
-/// phase, run against `fs`, reproduce the golden classification?
-/// Returns `false` when analyze errors or the classification is
-/// anything but [`Outcome::Benign`]. Both the campaign and the
-/// metadata-scan fast paths use this for the golden-identity probe
-/// *and* the uninjected replay self-check, so the engagement rules
-/// cannot drift apart.
-pub(crate) fn analyze_matches_golden<A: FaultApp + ?Sized>(
-    app: &A,
-    fs: &dyn ffis_vfs::FileSystem,
-    golden: &A::Output,
-) -> bool {
-    matches!(
-        app.analyze(fs, Some(golden)),
-        Ok(out) if app.classify(golden, &out) == Outcome::Benign
-    )
-}
-
 /// Aggregated outcome counts for a campaign, with Wilson 95% CIs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutcomeTally {

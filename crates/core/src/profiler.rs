@@ -105,29 +105,20 @@ impl IoProfiler {
         &self,
         workload: impl FnOnce(&dyn FileSystem) -> Result<T, String>,
     ) -> Result<(ProfileReport, T), String> {
-        let (report, out, _fs) = self.profile_with(&[], workload)?;
+        let (report, out, _fs) = self.profile_with_mount(&[], |ffs| workload(ffs))?;
         Ok((report, out))
     }
 
     /// [`IoProfiler::profile`], additionally attaching `extras`
-    /// interceptors (e.g. a golden-trace
-    /// [`ffis_vfs::TraceRecorder`]) and returning the backing
-    /// filesystem so callers can inspect — or fork — the golden
-    /// state the run produced.
-    pub fn profile_with<T>(
-        &self,
-        extras: &[Arc<dyn Interceptor>],
-        workload: impl FnOnce(&dyn FileSystem) -> Result<T, String>,
-    ) -> Result<(ProfileReport, T, Arc<MemFs>), String> {
-        self.profile_with_mount(extras, |ffs| workload(ffs))
-    }
-
-    /// [`IoProfiler::profile_with`], handing the workload the mounted
-    /// [`FfisFs`] itself instead of the erased `&dyn FileSystem`, so a
-    /// two-phase campaign driver can snapshot the mount's counters at
-    /// the produce/analyze boundary ([`FfisFs::counters`]) — the
-    /// phase-boundary [`CounterSnapshot`] that analyze-only read-site
-    /// runs pre-seed their fresh mounts with.
+    /// interceptors (e.g. a golden-trace [`ffis_vfs::TraceRecorder`]),
+    /// returning the backing filesystem so callers can inspect — or
+    /// fork — the golden state the run produced, and handing the
+    /// workload the mounted [`FfisFs`] itself instead of the erased
+    /// `&dyn FileSystem`, so a two-phase campaign driver can snapshot
+    /// the mount's counters at the produce/analyze boundary
+    /// ([`FfisFs::counters`]) — the phase-boundary [`CounterSnapshot`]
+    /// that analyze-only read-site runs pre-seed their fresh mounts
+    /// with.
     pub fn profile_with_mount<T>(
         &self,
         extras: &[Arc<dyn Interceptor>],

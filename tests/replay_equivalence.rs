@@ -8,7 +8,7 @@
 //! [`ExecutionMode::FullRerun`], never silently.
 
 use ffis_core::prelude::*;
-use ffis_core::{scan_detailed, FlipMode, ScanConfig};
+use ffis_core::{scan_detailed, FlipMode, ScanConfig, WritePick};
 use ffis_vfs::FileSystem;
 use montage_sim::MontageApp;
 use nyx_sim::{FieldConfig, NyxApp, NyxConfig};
@@ -265,7 +265,7 @@ fn failed_golden_writes_disable_replay_and_paths_still_agree() {
     }
 
     let mut scfg = ScanConfig::new(TargetFilter::Any);
-    scfg.pick = ffis_core::WritePick::Nth(1);
+    scfg.pick = WritePick::Nth(1);
     scfg.stride = 512;
     let scan = scan_detailed(&FailedProbeApp, &scfg).unwrap();
     assert!(!scan.used_replay(), "scan must also fall back on the count mismatch");
@@ -292,6 +292,112 @@ fn failed_nonmatching_writes_also_disable_replay() {
     for (f, s) in fast.runs.iter().zip(&slow.runs) {
         assert_eq!(f.injection, s.injection);
     }
+}
+
+/// Analyze logs through the filesystem under test: the read-only
+/// analyze law fails.
+struct ChattyAnalyzeApp;
+
+impl FaultApp for ChattyAnalyzeApp {
+    type Output = Vec<u8>;
+
+    fn produce(&self, fs: &dyn FileSystem) -> Result<(), String> {
+        use ffis_vfs::FileSystemExt;
+        fs.write_file_chunked("/d.bin", &[9u8; 8192], 4096).map_err(|e| e.to_string())
+    }
+
+    fn analyze(&self, fs: &dyn FileSystem, _golden: Option<&Vec<u8>>) -> Result<Vec<u8>, String> {
+        use ffis_vfs::FileSystemExt;
+        fs.write_file("/analyze.log", b"analyzing\n").map_err(|e| e.to_string())?;
+        fs.read_to_vec("/d.bin").map_err(|e| e.to_string())
+    }
+
+    fn classify(&self, golden: &Vec<u8>, faulty: &Vec<u8>) -> Outcome {
+        FailedProbeApp.classify(golden, faulty)
+    }
+
+    fn name(&self) -> String {
+        "CHATTY".into()
+    }
+}
+
+/// Analyze appends to the artifact it then returns: not read-only, and
+/// not idempotent either.
+struct SelfMutatingApp;
+
+impl FaultApp for SelfMutatingApp {
+    type Output = Vec<u8>;
+
+    fn produce(&self, fs: &dyn FileSystem) -> Result<(), String> {
+        use ffis_vfs::FileSystemExt;
+        fs.write_file_chunked("/grow.bin", &[4u8; 8192], 4096).map_err(|e| e.to_string())?;
+        fs.write_file("/grow.meta", &[1u8; 32]).map_err(|e| e.to_string())
+    }
+
+    fn analyze(&self, fs: &dyn FileSystem, _golden: Option<&Vec<u8>>) -> Result<Vec<u8>, String> {
+        use ffis_vfs::{FileSystemExt, OpenFlags};
+        let len = fs.read_to_vec("/grow.bin").map_err(|e| e.to_string())?.len() as u64;
+        let fd = fs.open("/grow.bin", OpenFlags::read_write()).map_err(|e| e.to_string())?;
+        fs.pwrite(fd, b"!", len).map_err(|e| e.to_string())?;
+        fs.release(fd).map_err(|e| e.to_string())?;
+        fs.read_to_vec("/grow.bin").map_err(|e| e.to_string())
+    }
+
+    fn classify(&self, golden: &Vec<u8>, faulty: &Vec<u8>) -> Outcome {
+        FailedProbeApp.classify(golden, faulty)
+    }
+
+    fn name(&self) -> String {
+        "SELFMUT".into()
+    }
+}
+
+/// One row of the gate table: a campaign and a scan over the same
+/// application and target must record the same [`ExecutionMode`] (here
+/// always a fallback, for `reason`), and the scan that fell back must
+/// equal the scan that was told to rerun, byte for byte.
+fn assert_gate_agrees<A: FaultApp<Output = Vec<u8>>>(
+    app: &A,
+    target: TargetFilter,
+    pick: WritePick,
+    reason: ReplayFallback,
+) {
+    let mut sig = FaultSignature::on_write(FaultModel::bit_flip());
+    sig.target = target.clone();
+    let cfg = CampaignConfig::new(sig).with_runs(6).with_seed(17).with_replay(true);
+    let campaign = Campaign::new(app, cfg).run().unwrap();
+
+    let mut scfg = ScanConfig::new(target.clone());
+    scfg.pick = pick;
+    scfg.stride = 13;
+    scfg.replay = true;
+    let gated = scan_detailed(app, &scfg).unwrap();
+    scfg.replay = false;
+    let rerun = scan_detailed(app, &scfg).unwrap();
+
+    let row = format!("{} {:?}", app.name(), target);
+    assert_eq!(campaign.mode, ExecutionMode::FullRerun { reason }, "{row}");
+    assert_eq!(gated.mode, campaign.mode, "{row}: the scan gates as the campaign does");
+    assert_eq!(rerun.mode, ExecutionMode::FullRerun { reason: ReplayFallback::Disabled });
+    assert_eq!(gated.tally, rerun.tally, "{row}");
+    assert!(!gated.runs.is_empty(), "{row}");
+    assert_eq!(gated.runs.len(), rerun.runs.len(), "{row}");
+    for (g, r) in gated.runs.iter().zip(&rerun.runs) {
+        assert_eq!(g.byte, r.byte, "{row}");
+        assert_eq!(g.output, r.output, "{row} byte {}", g.byte.byte_index);
+    }
+}
+
+/// The scan's fast path is gated by the campaign's laws, not by a copy
+/// of them: the fixtures that break a law break it for both.
+#[test]
+fn scan_and_campaign_agree_on_the_replay_gate() {
+    use ReplayFallback::{AnalyzeWrites, TraceMismatch};
+    let meta = || TargetFilter::PathSuffix(".meta".into());
+    assert_gate_agrees(&ChattyAnalyzeApp, TargetFilter::Any, WritePick::Penultimate, AnalyzeWrites);
+    assert_gate_agrees(&FailedProbeApp, TargetFilter::Any, WritePick::Nth(1), TraceMismatch);
+    assert_gate_agrees(&FailedProbeApp, meta(), WritePick::Last, TraceMismatch);
+    assert_gate_agrees(&SelfMutatingApp, meta(), WritePick::Last, AnalyzeWrites);
 }
 
 /// Parameter faults (mknod/chmod/truncate) can make a replayed op fail
