@@ -7,8 +7,6 @@ use ffis_core::{
 };
 use ffis_vfs::{FileSystem, FileSystemExt, MemFs};
 
-use std::sync::Arc;
-
 use crate::cli::Options;
 use crate::experiments::campaigns::{nyx_app, run_cell};
 use crate::experiments::tables::{metadata_app, nyx_field_map};
@@ -22,7 +20,6 @@ pub fn ablation_bits(opts: &Options) -> Report {
     report.blank();
 
     let app = nyx_app(opts);
-    let store = Arc::new(ffis_vfs::CheckpointStore::new());
     let mut t = Table::new();
     t.row(&["bits", "benign%", "detected%", "SDC%", "crash%"]);
     for bits in [1u32, 2, 4, 8] {
@@ -32,7 +29,6 @@ pub fn ablation_bits(opts: &Options) -> Report {
             TargetFilter::Any,
             opts,
             400 + bits as u64,
-            Some(&store),
         );
         t.row(&[
             &bits.to_string(),
@@ -55,7 +51,6 @@ pub fn ablation_shorn(opts: &Options) -> Report {
     report.blank();
 
     let app = nyx_app(opts);
-    let store = Arc::new(ffis_vfs::CheckpointStore::new());
     let mut t = Table::new();
     t.row(&["keep", "fill", "benign%", "detected%", "SDC%", "crash%"]);
     for keep in [ShornKeep::SevenEighths, ShornKeep::ThreeEighths] {
@@ -66,7 +61,6 @@ pub fn ablation_shorn(opts: &Options) -> Report {
                 TargetFilter::Any,
                 opts,
                 500 + keep.sectors_kept() as u64 * 10 + fill as u64,
-                Some(&store),
             );
             t.row(&[
                 &format!("{}/8", keep.sectors_kept()),

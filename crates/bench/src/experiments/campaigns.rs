@@ -1,10 +1,7 @@
 //! Figure 7 — the main characterization — and the average-value
 //! protection variant (the figure's footnote).
 
-use std::sync::Arc;
-
 use ffis_core::prelude::*;
-use ffis_vfs::CheckpointStore;
 use montage_sim::{MontageApp, Stage};
 use nyx_sim::NyxApp;
 use qmc_sim::QmcApp;
@@ -58,18 +55,15 @@ fn tally_row(table: &mut Table, cell: &str, model: &str, t: &OutcomeTally, mode:
     ]);
 }
 
-/// One campaign cell. `store` shares one built checkpoint cache
-/// across every cell over the same deterministic golden run (pass a
-/// per-app store when running several models against one workload).
+/// One campaign cell.
 pub fn run_cell<A: FaultApp>(
     app: &A,
     model: FaultModel,
     target: TargetFilter,
     opts: &Options,
     salt: u64,
-    store: Option<&Arc<CheckpointStore>>,
 ) -> OutcomeTally {
-    run_cell_full(app, model, target, opts, salt, store).map(|r| r.tally).unwrap_or_default()
+    run_cell_full(app, model, target, opts, salt).map(|r| r.tally).unwrap_or_default()
 }
 
 /// One campaign cell, returning the full result (per-run records,
@@ -80,11 +74,10 @@ pub fn run_cell_full<A: FaultApp>(
     target: TargetFilter,
     opts: &Options,
     salt: u64,
-    store: Option<&Arc<CheckpointStore>>,
 ) -> Option<ffis_core::CampaignResult> {
     let mut sig = FaultSignature::on_write(model);
     sig.target = target;
-    run_cell_sig(app, sig, opts.runs, opts, salt, store)
+    run_cell_sig(app, sig, opts.runs, opts, salt)
 }
 
 /// One campaign cell for an arbitrary (write- or read-site) fault
@@ -95,12 +88,8 @@ pub fn run_cell_sig<A: FaultApp>(
     runs: usize,
     opts: &Options,
     salt: u64,
-    store: Option<&Arc<CheckpointStore>>,
 ) -> Option<ffis_core::CampaignResult> {
-    let mut cfg = CampaignConfig::new(sig).with_runs(runs).with_seed(opts.seed.wrapping_add(salt));
-    if let Some(store) = store {
-        cfg = cfg.with_checkpoints(store.clone());
-    }
+    let cfg = CampaignConfig::new(sig).with_runs(runs).with_seed(opts.seed.wrapping_add(salt));
     match Campaign::new(app, cfg).run() {
         Ok(r) => Some(r),
         Err(e) => {
@@ -166,15 +155,9 @@ pub fn fig7(opts: &Options) -> Report {
         ]);
     }
 
-    // One checkpoint store per workload: the write-model campaigns
-    // over one deterministic app record identical golden traces, so
-    // the first cell builds the checkpoint cache and the others share
-    // it through the engine.
     let nyx = nyx_app(opts);
-    let nyx_store = Arc::new(CheckpointStore::new());
     for (i, (label, model)) in models().into_iter().enumerate() {
-        let r =
-            run_cell_full(&nyx, model, TargetFilter::Any, opts, 100 + i as u64, Some(&nyx_store));
+        let r = run_cell_full(&nyx, model, TargetFilter::Any, opts, 100 + i as u64);
         if let Some(t) = record("NYX", label, r, &mut table) {
             group_tally.merge(&t);
         }
@@ -183,19 +166,16 @@ pub fn fig7(opts: &Options) -> Report {
 
     // QMC.
     let qmc = QmcApp::paper_default();
-    let qmc_store = Arc::new(CheckpointStore::new());
     for (i, (label, model)) in models().into_iter().enumerate() {
-        let r =
-            run_cell_full(&qmc, model, TargetFilter::Any, opts, 200 + i as u64, Some(&qmc_store));
+        let r = run_cell_full(&qmc, model, TargetFilter::Any, opts, 200 + i as u64);
         if let Some(t) = record("QMC", label, r, &mut table) {
             group_tally.merge(&t);
         }
     }
     sigma_row(&mut table, "QMC", &std::mem::take(&mut group_tally));
 
-    // MT1..MT4 — all twelve cells share one golden-trace store.
+    // MT1..MT4.
     let montage = MontageApp::paper_default();
-    let montage_store = Arc::new(CheckpointStore::new());
     for (s, stage) in Stage::ALL.into_iter().enumerate() {
         for (i, (label, model)) in models().into_iter().enumerate() {
             let r = run_cell_full(
@@ -204,7 +184,6 @@ pub fn fig7(opts: &Options) -> Report {
                 MontageApp::stage_filter(stage),
                 opts,
                 300 + 10 * s as u64 + i as u64,
-                Some(&montage_store),
             );
             if let Some(t) = record(stage.label(), label, r, &mut table) {
                 group_tally.merge(&t);
@@ -220,49 +199,20 @@ pub fn fig7(opts: &Options) -> Report {
     // produce-phase targets would surface as rerun(produce-read-fault)
     // instead — never silently.
     for (i, (label, model)) in read_models().into_iter().enumerate() {
-        let r = run_cell_sig(
-            &nyx,
-            FaultSignature::on_read(model),
-            opts.runs,
-            opts,
-            400 + i as u64,
-            None,
-        );
+        let r = run_cell_sig(&nyx, FaultSignature::on_read(model), opts.runs, opts, 400 + i as u64);
         let _ = record("NYX", label, r, &mut table);
     }
     for (i, (label, model)) in read_models().into_iter().enumerate() {
-        let r = run_cell_sig(
-            &qmc,
-            FaultSignature::on_read(model),
-            opts.runs,
-            opts,
-            500 + i as u64,
-            None,
-        );
+        let r = run_cell_sig(&qmc, FaultSignature::on_read(model), opts.runs, opts, 500 + i as u64);
         let _ = record("QMC", label, r, &mut table);
     }
     for (i, (label, model)) in read_models().into_iter().enumerate() {
-        let r = run_cell_sig(
-            &montage,
-            FaultSignature::on_read(model),
-            opts.runs,
-            opts,
-            600 + i as u64,
-            None,
-        );
+        let r =
+            run_cell_sig(&montage, FaultSignature::on_read(model), opts.runs, opts, 600 + i as u64);
         let _ = record("MT", label, r, &mut table);
     }
 
     report.line(table.render());
-    report.line(format!(
-        "(checkpoint sharing: NYX {}b/{}h, QMC {}b/{}h, MT {}b/{}h — builds/hits per store)",
-        nyx_store.builds(),
-        nyx_store.hits(),
-        qmc_store.builds(),
-        qmc_store.hits(),
-        montage_store.builds(),
-        montage_store.hits()
-    ));
     crate::report::save_bytes(&opts.out, "fig7.csv", csv.as_bytes()).ok();
     if !crash_notes.is_empty() {
         report.header("Crash-source breakdown (top messages per cell)");
@@ -410,10 +360,6 @@ pub fn protect(opts: &Options) -> Report {
 
     let nyx = nyx_app(opts);
     let protected = ProtectedNyx(nyx_app(opts));
-    // Plain and protected Nyx produce byte-identical golden traces
-    // (only classification differs), so all six campaigns share one
-    // checkpoint build.
-    let store = Arc::new(CheckpointStore::new());
 
     let mut table = Table::new();
     table.row(&[
@@ -424,9 +370,8 @@ pub fn protect(opts: &Options) -> Report {
         "detected% (protected)",
     ]);
     for (i, (label, model)) in models().into_iter().enumerate() {
-        let plain = run_cell(&nyx, model, TargetFilter::Any, opts, 100 + i as u64, Some(&store));
-        let prot =
-            run_cell(&protected, model, TargetFilter::Any, opts, 100 + i as u64, Some(&store));
+        let plain = run_cell(&nyx, model, TargetFilter::Any, opts, 100 + i as u64);
+        let prot = run_cell(&protected, model, TargetFilter::Any, opts, 100 + i as u64);
         table.row(&[
             label,
             &format!("{:.1}", plain.rate_pct(Outcome::Sdc)),

@@ -99,34 +99,27 @@ pub fn read_faults(opts: &Options) -> Report {
         sig.target = target;
         sig
     };
-    row(nyx.name(), run_cell_sig(&nyx, sig(TargetFilter::Any), runs, opts, 0x5EAD, None));
-    row(qmc.name(), run_cell_sig(&qmc, sig(TargetFilter::Any), runs, opts, 0x5EAE, None));
-    row(montage.name(), run_cell_sig(&montage, sig(TargetFilter::Any), runs, opts, 0x5EAF, None));
+    row(nyx.name(), run_cell_sig(&nyx, sig(TargetFilter::Any), runs, opts, 0x5EAD));
+    row(qmc.name(), run_cell_sig(&qmc, sig(TargetFilter::Any), runs, opts, 0x5EAE));
+    row(montage.name(), run_cell_sig(&montage, sig(TargetFilter::Any), runs, opts, 0x5EAF));
     // Scoped rows: each app's sensitive read channel, via the apps'
     // own target filters. QMC's checkpoint is the restart handoff —
     // every fault there lands in the walkers DMC restarts from.
     row(
         format!("{} (plotfile)", nyx.name()),
-        run_cell_sig(&nyx, sig(nyx_sim::NyxApp::plotfile_filter()), runs, opts, 0x5EB0, None),
+        run_cell_sig(&nyx, sig(nyx_sim::NyxApp::plotfile_filter()), runs, opts, 0x5EB0),
     );
     row(
         format!("{} (checkpoint)", qmc.name()),
-        run_cell_sig(&qmc, sig(qmc_sim::QmcApp::checkpoint_filter()), runs, opts, 0x5EB1, None),
+        run_cell_sig(&qmc, sig(qmc_sim::QmcApp::checkpoint_filter()), runs, opts, 0x5EB1),
     );
     row(
         format!("{} (series)", qmc.name()),
-        run_cell_sig(&qmc, sig(qmc_sim::QmcApp::series_filter()), runs, opts, 0x5EB3, None),
+        run_cell_sig(&qmc, sig(qmc_sim::QmcApp::series_filter()), runs, opts, 0x5EB3),
     );
     row(
         format!("{} (mosaic)", montage.name()),
-        run_cell_sig(
-            &montage,
-            sig(montage_sim::MontageApp::mosaic_filter()),
-            runs,
-            opts,
-            0x5EB2,
-            None,
-        ),
+        run_cell_sig(&montage, sig(montage_sim::MontageApp::mosaic_filter()), runs, opts, 0x5EB2),
     );
     report.line(table.render());
     report.line("Reads outnumber writes in multi-stage pipelines, so read-side corruption gives");

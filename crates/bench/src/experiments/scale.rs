@@ -1,6 +1,6 @@
 //! `repro scale` — the scale-regime experiment: paper-scale Nyx grids
 //! (n=192 by default) driven through the streaming engine with bounded
-//! run-record retention and a shared checkpoint store.
+//! run-record retention.
 //!
 //! This is the ROADMAP "Scale experiments" item made executable — and,
 //! since the analyze-only read path landed, the read-model rows of the
@@ -11,14 +11,12 @@
 //! *asserts* the engine's scale contracts instead of just reporting
 //! them — the retained run records never exceed the
 //! [`SCALE_KEEP_RUNS`] reservoir bound while the tallies still cover
-//! every run, the three write campaigns reuse checkpoint-cache
-//! builds through the [`CheckpointStore`] (one demand-placed set per
-//! campaign — the store key carries each campaign's demand), and
-//! (when the fast paths are enabled) every read campaign engages
-//! `analyze-only` rather than silently rerunning. Write-site
-//! rows additionally report the plan-aware replay accounting: total
-//! replayed suffix ops and checkpoint overshoot per cell, in the
-//! table and in `BENCH_scale.json`.
+//! every run, and (when the fast paths are enabled) every write
+//! campaign replays and every read campaign engages `analyze-only`
+//! rather than silently rerunning. Write-site rows additionally report
+//! the plan-aware replay accounting: total replayed suffix ops and
+//! checkpoint overshoot per cell, in the table and in
+//! `BENCH_scale.json`.
 //!
 //! `--grid`/`--runs` plumb straight through (`repro scale --grid 64
 //! --runs 96` is the CI smoke configuration); without an explicit
@@ -29,15 +27,15 @@
 //!
 //! With `--workers N` (N > 1) the whole matrix runs *distributed*:
 //! each cell's run plan is sharded by index range across N spawned
-//! worker processes sharing one disk-backed content-addressed
-//! checkpoint store under `--out/store`, the workers' journal
-//! segments are merged, and the final result is re-derived through
-//! the engine's resume path. Engine law 7 makes that byte-identical
-//! to the in-process run — same tallies, same `DIGESTS.txt` — which
-//! the experiment *asserts* by rerunning two cells as serial controls
-//! (the CPU-bound nyx BF cell and a latency-bound paced cell whose
-//! fan-out speedup survives even a single-core host). The per-cell
-//! speedups and the shared store's dedup accounting land in
+//! worker processes (each builds the cell's checkpoint set from the
+//! plan it derives; only the analyze memo under `--out/store/memo` is
+//! shared), the workers' journal segments are merged, and the final
+//! result is re-derived through the engine's resume path. Engine law 7
+//! makes that byte-identical to the in-process run — same tallies,
+//! same `DIGESTS.txt` — which the experiment *asserts* by rerunning
+//! two cells as serial controls (the CPU-bound nyx BF cell and a
+//! latency-bound paced cell whose fan-out speedup survives even a
+//! single-core host). The per-cell speedups land in
 //! `BENCH_distributed.json`.
 
 use std::mem::size_of;
@@ -48,8 +46,8 @@ use std::time::Instant;
 use ffis_core::prelude::*;
 use ffis_core::{CampaignResult, CampaignSpec, CompletionStatus, RunResult};
 use ffis_daemon::json::{field, Json};
-use ffis_daemon::{execute_spec, run_distributed, self_worker_cmd, ExecHooks, StoreTotals};
-use ffis_vfs::{CheckpointStore, MemoStats, MemoStore};
+use ffis_daemon::{execute_spec, run_distributed, self_worker_cmd, ExecHooks};
+use ffis_vfs::{MemoStats, MemoStore};
 
 use crate::bench_json;
 use crate::cli::Options;
@@ -105,7 +103,6 @@ pub fn scale(opts: &Options) -> Report {
     ));
     report.blank();
 
-    let store = Arc::new(CheckpointStore::new());
     // One analyze memo store shared across every in-process cell —
     // the scale mirror of the daemon's per-root store. The matrix
     // cells are single-file (files=1), so the engine records the
@@ -137,16 +134,10 @@ pub fn scale(opts: &Options) -> Report {
         None
     };
     if worker_cmd.is_some() {
-        report.line(format!(
-            "(distributed: {} worker processes per cell, shared disk checkpoint store under {})",
-            opts.workers,
-            opts.out.join("store").display()
-        ));
+        report.line(format!("(distributed: {} worker processes per cell)", opts.workers));
         report.blank();
     }
     let fan_root = opts.out.join("fanout");
-    let fan_store_dir = opts.out.join("store");
-    let mut fan_store = StoreTotals::default();
 
     let mut table = Table::new();
     table.row(&[
@@ -170,7 +161,7 @@ pub fn scale(opts: &Options) -> Report {
 
     // The full campaign matrix at scale, as the same [`CampaignSpec`]s
     // a daemon submission would carry: the three write-site models
-    // (replay-backed, sharing one checkpoint build) and their
+    // (replay-backed, one demand-placed checkpoint set each) and their
     // read-site mirrors (analyze-only, no checkpoints needed — the
     // golden state is the checkpoint). The CI daemon-smoke job submits
     // these exact specs over HTTP and diffs the digests against this
@@ -211,18 +202,13 @@ pub fn scale(opts: &Options) -> Report {
         let work_dir = fan_root.join(format!("{}_{}", label.replace(':', "-"), site.token()));
         let started = Instant::now();
         let exec = match worker_cmd.as_deref() {
-            Some(cmd) => {
-                distribute_cell(&spec, opts, cmd, &work_dir, &fan_store_dir, &mut fan_store)
-            }
+            Some(cmd) => distribute_cell(&spec, opts, cmd, &work_dir),
             None => {
                 let hooks = ExecHooks {
                     journal: journal_path.clone(),
                     cancel: opts.cancel.clone(),
-                    checkpoints: (site == InjectionSite::Write).then(|| store.clone()),
                     memo: Some(Arc::clone(&memo_store)),
-                    observer: None,
-                    index_range: None,
-                    apps: None,
+                    ..ExecHooks::default()
                 };
                 execute_spec(&spec, &hooks).map_err(|e| e.to_string())
             }
@@ -340,61 +326,14 @@ pub fn scale(opts: &Options) -> Report {
         });
     }
 
-    // Checkpoint sharing across the three write campaigns. Under
-    // demand-driven placement the store key carries each campaign's
-    // demand fingerprint, and the three campaigns draw distinct
-    // target sets — so each builds its own demand-placed set: at most
-    // one build per write campaign. Read campaigns never touch the
-    // store — the golden snapshot is their checkpoint. (In
-    // distributed mode the in-process store sits idle; the workers'
-    // shared disk store carries the same contract as content dedup,
-    // asserted below.)
-    assert!(
-        store.builds() <= 3,
-        "write-model campaigns must build at most one checkpoint set each, got {}",
-        store.builds()
-    );
-
     report.line(table.render());
-    if worker_cmd.is_some() {
-        // Fresh builds put checkpoint pages; identical page extents
-        // (across the set's snapshots and across racing workers) dedup
-        // to one stored blob. A rerun over an already-populated store
-        // legitimately loads instead of putting, so the >1 assert only
-        // fires when bytes actually flowed.
-        if fan_store.physical_bytes > 0 {
-            assert!(
-                fan_store.dedup_ratio() > 1.0,
-                "shared store saw fresh builds but no page dedup (logical {} / physical {})",
-                fan_store.logical_bytes,
-                fan_store.physical_bytes
-            );
-        }
-        report.line(format!(
-            "(shared disk checkpoint store: {} builds, {} disk loads across {} workers per cell; \
-             {} unique blobs, {:.2}x page dedup — {} logical / {} physical bytes; {} total runs)",
-            fan_store.builds,
-            fan_store.disk_hits,
-            opts.workers,
-            fan_store.blobs,
-            fan_store.dedup_ratio(),
-            fan_store.logical_bytes,
-            fan_store.physical_bytes,
-            total_runs
-        ));
-    } else {
-        report.line(format!(
-            "(checkpoint store: {} builds, {} hits across 3 write campaigns — one demand-keyed \
-             set each; {} total runs; record memory bounded at keep_runs={} per campaign — dropped records freed in the \
-             worker)",
-            store.builds(),
-            store.hits(),
-            total_runs,
-            SCALE_KEEP_RUNS
-        ));
-    }
-    // The analyze memo store's accounting, alongside the checkpoint
-    // store's: hit/miss/invalidation counters summed over every cell.
+    report.line(format!(
+        "({} total runs; record memory bounded at keep_runs={} per campaign — dropped records \
+         freed in the worker)",
+        total_runs, SCALE_KEEP_RUNS
+    ));
+    // The analyze memo store's accounting: hit/miss/invalidation
+    // counters summed over every cell.
     // Single-file matrix cells record the `no-substeps` fallback, so
     // all three stay zero here — the multi-file cells of `repro
     // analyze-memo` drive the same counters hot.
@@ -464,8 +403,6 @@ pub fn scale(opts: &Options) -> Report {
         field("seed", Json::Num(opts.seed as f64)),
         field("runs_per_cell", Json::Num(opts.runs as f64)),
         field("keep_runs", Json::Num(SCALE_KEEP_RUNS as f64)),
-        field("checkpoint_builds", Json::Num(store.builds() as f64)),
-        field("checkpoint_hits", Json::Num(store.hits() as f64)),
         field("memo_hits", Json::Num(memo_totals.hits as f64)),
         field("memo_misses", Json::Num(memo_totals.misses as f64)),
         field("memo_invalidations", Json::Num(memo_totals.invalidations as f64)),
@@ -477,9 +414,9 @@ pub fn scale(opts: &Options) -> Report {
     }
 
     // DIGESTS.txt: one deterministic `label site fingerprint digest`
-    // line per completed cell — what the CI resume-smoke job diffs
-    // between its killed-and-resumed pass and its uninterrupted
-    // control.
+    // line per completed cell — what the CI scale-smoke job diffs
+    // between its fan-out and killed-and-resumed passes and its
+    // uninterrupted control.
     let mut digests = String::new();
     for s in stats.iter().filter(|s| s.complete) {
         digests.push_str(&format!(
@@ -497,74 +434,36 @@ pub fn scale(opts: &Options) -> Report {
     }
 
     if let Some(cmd) = worker_cmd.as_deref() {
-        distributed_summary(
-            opts,
-            n,
-            cmd,
-            &fan_root,
-            &fan_store_dir,
-            fan_store,
-            &stats,
-            &mut report,
-        );
+        distributed_summary(opts, n, cmd, &fan_root, &stats, &mut report);
     }
     report
 }
 
 /// Run one matrix cell through the multi-process fan-out: journaling
 /// forced on (segments live under `work_dir`), the workers sharing
-/// the disk checkpoint store under `store_dir` (and its analyze-memo
-/// sibling under `store_dir/memo`), and the fan-out's store
-/// accounting folded into `totals`. Any failure is the cell's
-/// failure — a distributed invocation never silently mixes regimes by
-/// falling back in-process mid-matrix.
+/// the analyze-memo store under `--out/store/memo`. Any failure is the
+/// cell's failure — a distributed invocation never silently mixes
+/// regimes by falling back in-process mid-matrix.
 fn distribute_cell(
     spec: &CampaignSpec,
     opts: &Options,
     worker_cmd: &[String],
     work_dir: &Path,
-    store_dir: &Path,
-    totals: &mut StoreTotals,
 ) -> Result<CampaignResult, String> {
     let mut spec = spec.clone();
     spec.journal = true;
-    let hooks = ExecHooks {
-        journal: None,
-        cancel: opts.cancel.clone(),
-        checkpoints: None,
-        memo: None,
-        observer: None,
-        index_range: None,
-        apps: None,
-    };
-    let memo_dir = store_dir.join("memo");
-    let report = run_distributed(
-        &spec,
-        opts.workers,
-        work_dir,
-        Some(store_dir),
-        Some(&memo_dir),
-        worker_cmd,
-        hooks,
-    )
-    .map_err(|e| e.to_string())?;
-    totals.merge(&report.store);
-    Ok(report.result)
+    let hooks = ExecHooks { cancel: opts.cancel.clone(), ..ExecHooks::default() };
+    let memo_dir = opts.out.join("store").join("memo");
+    run_distributed(&spec, opts.workers, work_dir, Some(&memo_dir), worker_cmd, hooks)
+        .map(|report| report.result)
+        .map_err(|e| e.to_string())
 }
 
-/// Execute `spec` in-process with a fresh memory checkpoint store and
-/// no journal — the serial side of a speedup measurement — returning
-/// the completed result and its wall-clock seconds.
+/// Execute `spec` in-process with no journal — the serial side of a
+/// speedup measurement — returning the completed result and its
+/// wall-clock seconds.
 fn serial_control(spec: &CampaignSpec, opts: &Options) -> Result<(CampaignResult, f64), String> {
-    let hooks = ExecHooks {
-        journal: None,
-        cancel: opts.cancel.clone(),
-        checkpoints: Some(Arc::new(CheckpointStore::new())),
-        memo: None,
-        observer: None,
-        index_range: None,
-        apps: None,
-    };
+    let hooks = ExecHooks { cancel: opts.cancel.clone(), ..ExecHooks::default() };
     let started = Instant::now();
     let result = execute_spec(spec, &hooks).map_err(|e| e.to_string())?;
     if result.status != CompletionStatus::Complete {
@@ -600,14 +499,11 @@ impl SpeedCell {
 /// CPU-bound (its speedup honestly tracks the host's cores); the
 /// paced row is latency-bound, so the fan-out's overlap shows even on
 /// a single-core host.
-#[allow(clippy::too_many_arguments)]
 fn distributed_summary(
     opts: &Options,
     n: usize,
     worker_cmd: &[String],
     fan_root: &Path,
-    store_dir: &Path,
-    mut fan_store: StoreTotals,
     stats: &[CellStats],
     report: &mut Report,
 ) {
@@ -667,7 +563,7 @@ fn distributed_summary(
         let _ = std::fs::remove_dir_all(&work_dir);
         let serial = serial_control(&pspec, opts);
         let started = Instant::now();
-        let dist = distribute_cell(&pspec, opts, worker_cmd, &work_dir, store_dir, &mut fan_store);
+        let dist = distribute_cell(&pspec, opts, worker_cmd, &work_dir);
         let dist_wall = started.elapsed().as_secs_f64();
         match (serial, dist) {
             (Ok((s, s_wall)), Ok(d)) if d.status == CompletionStatus::Complete => {
@@ -738,19 +634,6 @@ fn distributed_summary(
         field("grid", Json::Num(n as f64)),
         field("runs_per_cell", Json::Num(opts.runs as f64)),
         field("cells", Json::Arr(cells_json)),
-        field(
-            "store",
-            Json::Obj(vec![
-                field("builds", Json::Num(fan_store.builds as f64)),
-                field("disk_hits", Json::Num(fan_store.disk_hits as f64)),
-                field("blobs", Json::Num(fan_store.blobs as f64)),
-                field("logical_bytes", Json::Num(fan_store.logical_bytes as f64)),
-                field("physical_bytes", Json::Num(fan_store.physical_bytes as f64)),
-                field("dedup_hits", Json::Num(fan_store.dedup_hits as f64)),
-                field("dedup_ratio", Json::Num(fan_store.dedup_ratio())),
-                field("corrupt_discards", Json::Num(fan_store.corrupt_discards as f64)),
-            ]),
-        ),
     ]);
     if let Some(path) = bench_json::save_in(&opts.out, "BENCH_distributed.json", &json) {
         report.line(format!("(distributed numbers: {})", path.display()));

@@ -28,7 +28,7 @@ fn usage() -> String {
          Ctrl-C          graceful stop: completed runs are journaled, partial tallies reported\n\n\
          distribution:\n  --workers N     (scale only) shard each campaign across N worker \
          processes\n  \
-         \u{20}                sharing a disk checkpoint store; writes BENCH_distributed.json\n",
+         \u{20}                and merge their journals; writes BENCH_distributed.json\n",
     );
     s
 }

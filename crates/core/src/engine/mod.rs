@@ -82,15 +82,15 @@
 //!    laws 2, 3, and 6 composed: ranges partition the plan (each index
 //!    lands exactly once), every run's result is a pure function of
 //!    its plan-time spec (so *which process* executes it cannot matter
-//!    — workers share checkpoints through the content-addressed
-//!    `ffis_vfs::CheckpointStore` disk tier, which is verified-or-
-//!    rebuilt and therefore semantically invisible), and the
-//!    coordinator's final resume re-derives the result from the merged
-//!    journal exactly as a crash-resume would. A worker judges
-//!    [`CompletionStatus`] against its own range, so partial sinks
-//!    report honestly; only the coordinator speaks for the whole plan.
-//!    Pinned by the distributed differential tests in
-//!    `crates/daemon/tests/` and the `distributed-smoke` CI job.
+//!    — every process derives the same plan, and from it the same
+//!    demand-placed checkpoint set; nothing but the memo tier is
+//!    shared between them), and the coordinator's final resume
+//!    re-derives the result from the merged journal exactly as a
+//!    crash-resume would. A worker judges [`CompletionStatus`]
+//!    against its own range, so partial sinks report honestly; only
+//!    the coordinator speaks for the whole plan. Pinned by the
+//!    distributed differential tests in `crates/daemon/tests/` and the
+//!    fan-out step of the `scale-smoke` CI job.
 //! 8. **Memoization law** — *memoized analyze == full analyze, byte
 //!    for byte.* When an application declares analyze sub-steps with
 //!    their read file-sets ([`crate::SubstepSpec`]) and the campaign

@@ -222,8 +222,10 @@ pub struct ExecHooks {
     pub journal: Option<PathBuf>,
     /// Cooperative cancellation token.
     pub cancel: Option<Arc<CancelToken>>,
-    /// Shared checkpoint store (reused across jobs of the same
-    /// app/grid).
+    /// Checkpoint store forwarded to
+    /// [`CampaignConfig::with_checkpoints`]. No daemon, fan-out or
+    /// `repro` path sets it: a set is keyed by its campaign's demand,
+    /// so each campaign builds, uses and drops its own.
     pub checkpoints: Option<Arc<CheckpointStore>>,
     /// Shared analyze memo store (reused across every job of a daemon
     /// root — keys are content-addressed over app, sub-step, and input

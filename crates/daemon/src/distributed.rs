@@ -13,12 +13,13 @@
 //!    [`execute_spec`] the in-process path uses — identical planning,
 //!    identical golden run, identical journal header — restricted to
 //!    its range via `ExecHooks::index_range`, journaling into its own
-//!    segment file. Workers share checkpoints through the
-//!    content-addressed `CheckpointStore` disk tier, so the expensive
-//!    checkpoint build happens once per store directory, not once per
-//!    process — and share analyze memoization the same way through the
-//!    `MemoStore` disk tier, so a sub-step artifact computed by one
-//!    worker is a disk hit for every other.
+//!    segment file. Each process builds its own checkpoint set: it is
+//!    placed against the whole plan's demand, which every process
+//!    derives identically, so the sets are equal without being shared
+//!    (and a rebuild costs less than a load). Analyze memoization *is*
+//!    shared, through the `MemoStore` disk tier: its keys are content,
+//!    not demand, so a sub-step artifact computed by one worker is a
+//!    disk hit for every other.
 //! 3. The coordinator merges the segments index-addressed
 //!    ([`merge_segments`], first
 //!    wins — exactly the resume law's dedup rule) and executes the
@@ -40,9 +41,10 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ffis_core::engine::{index_ranges, journal, merge_segments};
+use ffis_core::engine::journal::{self, JournalError, JournalMeta};
+use ffis_core::engine::{index_ranges, merge_segments};
 use ffis_core::{CampaignError, CampaignResult, CampaignSpec};
-use ffis_vfs::{CheckpointStore, MemoStore};
+use ffis_vfs::MemoStore;
 
 use crate::api;
 use crate::apps::{execute_spec, ExecHooks};
@@ -63,46 +65,18 @@ pub struct WorkerStats {
     pub executed: u64,
     /// Wall-clock seconds for the worker's whole campaign.
     pub wall_s: f64,
-    /// Checkpoint sets built from scratch in this process.
-    pub builds: u64,
-    /// In-memory checkpoint cache hits.
-    pub mem_hits: u64,
-    /// Checkpoint sets loaded from the shared disk tier.
-    pub disk_hits: u64,
-    /// Unique blobs indexed in this worker's store view.
-    pub blobs: u64,
-    /// Bytes offered to the blob store (before dedup).
-    pub logical_bytes: u64,
-    /// Bytes actually written for unique blobs (after dedup).
-    pub physical_bytes: u64,
-    /// `put` calls answered by an existing blob.
-    pub dedup_hits: u64,
-    /// Blobs faulted in from disk.
-    pub disk_loads: u64,
-    /// Corrupt disk frames discarded and rebuilt.
-    pub corrupt_discards: u64,
 }
 
 impl WorkerStats {
     /// Render as the stdout line the coordinator parses.
     pub fn render(&self) -> String {
         format!(
-            "{} start={} end={} executed={} wall_ms={} builds={} mem_hits={} disk_hits={} \
-             blobs={} logical={} physical={} dedup_hits={} disk_loads={} corrupt_discards={}",
+            "{} start={} end={} executed={} wall_ms={}",
             WORKER_STATS_PREFIX,
             self.start,
             self.end,
             self.executed,
             (self.wall_s * 1000.0).round() as u64,
-            self.builds,
-            self.mem_hits,
-            self.disk_hits,
-            self.blobs,
-            self.logical_bytes,
-            self.physical_bytes,
-            self.dedup_hits,
-            self.disk_loads,
-            self.corrupt_discards,
         )
     }
 
@@ -118,75 +92,10 @@ impl WorkerStats {
                 "end" => stats.end = n,
                 "executed" => stats.executed = n,
                 "wall_ms" => stats.wall_s = n as f64 / 1000.0,
-                "builds" => stats.builds = n,
-                "mem_hits" => stats.mem_hits = n,
-                "disk_hits" => stats.disk_hits = n,
-                "blobs" => stats.blobs = n,
-                "logical" => stats.logical_bytes = n,
-                "physical" => stats.physical_bytes = n,
-                "dedup_hits" => stats.dedup_hits = n,
-                "disk_loads" => stats.disk_loads = n,
-                "corrupt_discards" => stats.corrupt_discards = n,
                 _ => return None,
             }
         }
         Some(stats)
-    }
-}
-
-/// Blob-store and checkpoint accounting aggregated across every
-/// worker process of one fan-out.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StoreTotals {
-    /// Checkpoint sets built from scratch (across all workers).
-    pub builds: u64,
-    /// Checkpoint sets loaded from the shared disk tier.
-    pub disk_hits: u64,
-    /// Unique blobs (max over workers — they share one directory).
-    pub blobs: u64,
-    /// Total bytes offered to the store across workers.
-    pub logical_bytes: u64,
-    /// Total bytes written for unique blobs across workers.
-    pub physical_bytes: u64,
-    /// Content-dedup hits across workers.
-    pub dedup_hits: u64,
-    /// Corrupt frames discarded and healed across workers.
-    pub corrupt_discards: u64,
-}
-
-impl StoreTotals {
-    /// Logical-over-physical byte ratio across the whole fan-out: how
-    /// many times each byte actually written to the shared store was
-    /// referenced by some checkpoint page.
-    pub fn dedup_ratio(&self) -> f64 {
-        if self.physical_bytes == 0 {
-            1.0
-        } else {
-            self.logical_bytes as f64 / self.physical_bytes as f64
-        }
-    }
-
-    fn absorb(&mut self, w: &WorkerStats) {
-        self.builds += w.builds;
-        self.disk_hits += w.disk_hits;
-        self.blobs = self.blobs.max(w.blobs);
-        self.logical_bytes += w.logical_bytes;
-        self.physical_bytes += w.physical_bytes;
-        self.dedup_hits += w.dedup_hits;
-        self.corrupt_discards += w.corrupt_discards;
-    }
-
-    /// Fold another fan-out's totals into this one (campaigns sharing
-    /// one store directory: blob counts take the max, everything else
-    /// sums).
-    pub fn merge(&mut self, other: &StoreTotals) {
-        self.builds += other.builds;
-        self.disk_hits += other.disk_hits;
-        self.blobs = self.blobs.max(other.blobs);
-        self.logical_bytes += other.logical_bytes;
-        self.physical_bytes += other.physical_bytes;
-        self.dedup_hits += other.dedup_hits;
-        self.corrupt_discards += other.corrupt_discards;
     }
 }
 
@@ -207,8 +116,6 @@ pub struct FanoutReport {
     /// Per-worker stats, range-ordered (`None` where a worker died
     /// without reporting — its indices land in `coordinator_filled`).
     pub worker_stats: Vec<Option<WorkerStats>>,
-    /// Store accounting aggregated across workers.
-    pub store: StoreTotals,
 }
 
 /// Why a distributed run failed — callers treat the two cases very
@@ -244,52 +151,31 @@ pub fn self_worker_cmd() -> std::io::Result<Vec<String>> {
 
 /// Execute one worker shard in-process: the spec (journaling forced
 /// on, resume on so a re-spawned worker reuses its own segment),
-/// restricted to `range`, journaled into `segment`, checkpoints via
-/// the shared disk store under `store_dir` and analyze memoization via
-/// the shared memo store under `memo_dir` when given.
+/// restricted to `range`, journaled into `segment`, with analyze
+/// memoization via the shared memo store under `memo_dir` when given.
+/// The checkpoint set is this process's own: built from the plan,
+/// used, dropped.
 pub fn run_worker(
     spec: &CampaignSpec,
     range: (usize, usize),
     segment: &Path,
-    store_dir: Option<&Path>,
     memo_dir: Option<&Path>,
-) -> Result<(CampaignResult, Option<Arc<CheckpointStore>>), CampaignError> {
+) -> Result<CampaignResult, CampaignError> {
     let mut spec = spec.clone();
     spec.journal = true;
     spec.resume = true;
-    let store = store_dir.map(open_store);
     let hooks = ExecHooks {
         journal: Some(segment.to_path_buf()),
-        checkpoints: store.clone(),
         memo: memo_dir.map(open_memo),
         index_range: Some(range),
         ..ExecHooks::default()
     };
-    let result = execute_spec(&spec, &hooks)?;
-    Ok((result, store))
-}
-
-/// A disk-backed store at `dir`, degrading to memory-only (with a
-/// stderr note) if the directory cannot be created — the store is a
-/// cache, so degradation costs time, never correctness.
-pub fn open_store(dir: &Path) -> Arc<CheckpointStore> {
-    match CheckpointStore::with_dir(dir) {
-        Ok(store) => Arc::new(store),
-        Err(e) => {
-            eprintln!(
-                "[ffis-daemon] checkpoint store at {} unavailable ({}); using memory only",
-                dir.display(),
-                e
-            );
-            Arc::new(CheckpointStore::new())
-        }
-    }
+    execute_spec(&spec, &hooks)
 }
 
 /// A disk-backed memo store at `dir`, degrading to memory-only (with
-/// a stderr note) if the directory cannot be created — like the
-/// checkpoint store, the memo layer is a cache, so degradation costs
-/// recomputation, never correctness.
+/// a stderr note) if the directory cannot be created — the memo layer
+/// is a cache, so degradation costs recomputation, never correctness.
 pub fn open_memo(dir: &Path) -> Arc<MemoStore> {
     match MemoStore::at_dir(dir) {
         Ok(store) => Arc::new(store),
@@ -306,8 +192,8 @@ pub fn open_memo(dir: &Path) -> Arc<MemoStore> {
 
 /// The `repro daemon worker` entry point: load the spec from
 /// `--spec`, execute `[--start, --end)` into `--journal`, share
-/// checkpoints under `--store` and analyze memoization under
-/// `--memo`, and print one [`WorkerStats`] line.
+/// analyze memoization under `--memo`, and print one [`WorkerStats`]
+/// line.
 /// Exit code 0 when the shard completed, 130 when interrupted, and an
 /// `Err` (the caller prints it and exits 2) on any structural failure.
 pub fn worker_cli(flags: &HashMap<String, String>) -> Result<i32, String> {
@@ -324,27 +210,15 @@ pub fn worker_cli(flags: &HashMap<String, String>) -> Result<i32, String> {
     let text = std::fs::read_to_string(spec_path)
         .map_err(|e| format!("read spec {}: {}", spec_path, e))?;
     let spec = json::parse(&text).and_then(|v| api::spec_from_json(&v))?;
-    let store_dir = flags.get("store").map(PathBuf::from);
     let memo_dir = flags.get("memo").map(PathBuf::from);
     let started = Instant::now();
-    let (result, store) =
-        run_worker(&spec, (start, end), &segment, store_dir.as_deref(), memo_dir.as_deref())
-            .map_err(|e| e.to_string())?;
-    let blob = store.as_ref().and_then(|s| s.blob_stats()).unwrap_or_default();
+    let result = run_worker(&spec, (start, end), &segment, memo_dir.as_deref())
+        .map_err(|e| e.to_string())?;
     let stats = WorkerStats {
         start: start as u64,
         end: end as u64,
         executed: result.executed as u64,
         wall_s: started.elapsed().as_secs_f64(),
-        builds: store.as_ref().map_or(0, |s| s.builds() as u64),
-        mem_hits: store.as_ref().map_or(0, |s| s.hits() as u64),
-        disk_hits: store.as_ref().map_or(0, |s| s.disk_hits() as u64),
-        blobs: blob.blobs as u64,
-        logical_bytes: blob.logical_bytes,
-        physical_bytes: blob.physical_bytes,
-        dedup_hits: blob.dedup_hits,
-        disk_loads: blob.disk_loads,
-        corrupt_discards: blob.corrupt_discards,
     };
     println!("{}", stats.render());
     Ok(if result.status == ffis_core::CompletionStatus::Complete { 0 } else { 130 })
@@ -355,14 +229,12 @@ pub fn worker_cli(flags: &HashMap<String, String>) -> Result<i32, String> {
 ///
 /// `work_dir` holds the spec file, per-worker journal segments, and
 /// the merged journal; re-running over the same directory resumes.
-/// `store_dir` (when given) is the shared disk-backed checkpoint
-/// store every worker *and* the final pass mount; `memo_dir` is its
-/// analyze-memo sibling, shared the same way. `worker_cmd` is the
-/// argv prefix for one worker process (usually [`self_worker_cmd`]);
-/// the coordinator appends
-/// `--spec/--start/--end/--journal[/--store][/--memo]`.
+/// `memo_dir` (when given) is the disk-backed analyze-memo store
+/// every worker *and* the final pass mount. `worker_cmd` is the argv
+/// prefix for one worker process (usually [`self_worker_cmd`]); the
+/// coordinator appends `--spec/--start/--end/--journal[/--memo]`.
 /// `hooks` applies to the final resume pass (its `journal`,
-/// `checkpoints`, and `index_range` fields are overridden); its
+/// `checkpoints` and `index_range` fields are overridden); its
 /// `cancel` token is also polled while workers run — cancellation
 /// kills the children, and the final pass then reports honestly
 /// interrupted partial results, every completed run already merged.
@@ -370,7 +242,6 @@ pub fn run_distributed(
     spec: &CampaignSpec,
     workers: usize,
     work_dir: &Path,
-    store_dir: Option<&Path>,
     memo_dir: Option<&Path>,
     worker_cmd: &[String],
     mut hooks: ExecHooks,
@@ -410,9 +281,6 @@ pub fn run_distributed(
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit());
-        if let Some(dir) = store_dir {
-            cmd.arg("--store").arg(dir);
-        }
         if let Some(dir) = memo_dir {
             cmd.arg("--memo").arg(dir);
         }
@@ -464,13 +332,10 @@ pub fn run_distributed(
 
     // Merge whatever the workers produced. Zero segments (every spawn
     // died before its header) degrades to a plain single-process run.
-    let produced: Vec<PathBuf> = segments.iter().filter(|p| p.exists()).cloned().collect();
     let merged = work_dir.join("merged.journal");
     let mut merged_records = 0;
     let mut final_spec = spec.clone();
-    if let Some(first) = produced.first() {
-        let (meta, _) =
-            journal::scan(first).map_err(|e| setup(format!("scan {}: {}", first.display(), e)))?;
+    if let Some((meta, produced)) = produced_segments(&segments).map_err(setup)? {
         merged_records = merge_segments(&merged, &meta, &produced)
             .map_err(|e| setup(format!("merge segments: {}", e)))?;
         final_spec.journal = true;
@@ -480,26 +345,54 @@ pub fn run_distributed(
         hooks.journal = None;
     }
     hooks.index_range = None;
-    if hooks.checkpoints.is_none() {
-        hooks.checkpoints = store_dir.map(open_store);
-    }
+    // Whatever the final pass still has to execute it places its own
+    // checkpoints for, like every worker did.
+    hooks.checkpoints = None;
     if hooks.memo.is_none() {
         hooks.memo = memo_dir.map(open_memo);
     }
     let result = execute_spec(&final_spec, &hooks).map_err(FanoutError::Campaign)?;
 
-    let mut store = StoreTotals::default();
-    for stats in worker_stats.iter().flatten() {
-        store.absorb(stats);
-    }
     Ok(FanoutReport {
         coordinator_filled: result.executed,
         result,
         workers: ranges.len(),
         merged_records,
         worker_stats,
-        store,
     })
+}
+
+/// The segments worth merging and the header of the first of them
+/// (`None` when no worker produced one).
+///
+/// `RunJournal::create` truncates and then writes the header, so a
+/// worker killed in between leaves a segment whose header does not
+/// decode. Such a segment holds no record: it is removed (or the next
+/// attempt over this work directory would trip on it again) and counts
+/// as not produced, so the final pass fills its range. A header that
+/// decodes is kept even if it names another plan; the merge rejects
+/// that one with `PlanMismatch`.
+fn produced_segments(segments: &[PathBuf]) -> Result<Option<(JournalMeta, Vec<PathBuf>)>, String> {
+    let mut first = None;
+    let mut produced = Vec::new();
+    for segment in segments.iter().filter(|p| p.exists()) {
+        match journal::scan(segment) {
+            Ok((meta, _)) => {
+                first.get_or_insert(meta);
+                produced.push(segment.clone());
+            }
+            Err(JournalError::BadMagic | JournalError::CorruptHeader(_)) => {
+                eprintln!(
+                    "[ffis-daemon] segment {} has no readable header; its range re-executes",
+                    segment.display()
+                );
+                std::fs::remove_file(segment)
+                    .map_err(|e| format!("remove {}: {}", segment.display(), e))?;
+            }
+            Err(e) => return Err(format!("scan {}: {}", segment.display(), e)),
+        }
+    }
+    Ok(first.map(|meta| (meta, produced)))
 }
 
 #[cfg(test)]
@@ -508,21 +401,7 @@ mod tests {
 
     #[test]
     fn worker_stats_lines_round_trip() {
-        let stats = WorkerStats {
-            start: 4,
-            end: 9,
-            executed: 5,
-            wall_s: 1.25,
-            builds: 1,
-            mem_hits: 2,
-            disk_hits: 3,
-            blobs: 40,
-            logical_bytes: 81920,
-            physical_bytes: 4096,
-            dedup_hits: 19,
-            disk_loads: 7,
-            corrupt_discards: 0,
-        };
+        let stats = WorkerStats { start: 4, end: 9, executed: 5, wall_s: 1.25 };
         let line = stats.render();
         assert!(line.starts_with(WORKER_STATS_PREFIX), "{line}");
         assert_eq!(WorkerStats::parse(&line), Some(stats));
@@ -530,28 +409,44 @@ mod tests {
         assert_eq!(WorkerStats::parse("FFIS_WORKER start=x"), None);
     }
 
+    /// A worker killed between `RunJournal::create`'s truncate and its
+    /// header write leaves an empty (or short) segment. It is dropped
+    /// and removed; the segments with a header are merged as before,
+    /// and one written for another plan is still the merge's
+    /// `PlanMismatch`, not something this selection hides.
     #[test]
-    fn store_totals_aggregate_and_report_dedup() {
-        let mut totals = StoreTotals::default();
-        totals.absorb(&WorkerStats {
-            builds: 1,
-            blobs: 10,
-            logical_bytes: 4096,
-            physical_bytes: 4096,
-            ..WorkerStats::default()
-        });
-        totals.absorb(&WorkerStats {
-            disk_hits: 1,
-            blobs: 10,
-            logical_bytes: 8192,
-            physical_bytes: 0,
-            dedup_hits: 2,
-            ..WorkerStats::default()
-        });
-        assert_eq!(totals.builds, 1);
-        assert_eq!(totals.disk_hits, 1);
-        assert_eq!(totals.blobs, 10);
-        assert!((totals.dedup_ratio() - 3.0).abs() < 1e-9, "{}", totals.dedup_ratio());
+    fn segments_without_a_header_are_removed_and_left_to_the_final_pass() {
+        let dir = std::env::temp_dir().join(format!("ffis-torn-segment-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut spec = CampaignSpec::new("paced", "BF");
+        spec.runs = 9;
+        spec.seed = 5;
+        let segments: Vec<PathBuf> =
+            (0..4).map(|i| dir.join(format!("segment-{:02}.journal", i))).collect();
+        std::fs::write(&segments[0], b"").unwrap();
+        run_worker(&spec, (3, 6), &segments[1], None).unwrap();
+        std::fs::write(&segments[2], b"FFISJ").unwrap();
+        // segments[3] was never created.
+
+        let (meta, produced) = produced_segments(&segments).unwrap().expect("one good segment");
+        assert_eq!(produced, vec![segments[1].clone()]);
+        assert!(!segments[0].exists() && !segments[2].exists(), "torn segments are removed");
+        let merged = dir.join("merged.journal");
+        assert_eq!(merge_segments(&merged, &meta, &produced).unwrap(), 3);
+
+        // Nothing readable at all: the fan-out degrades to a plain run.
+        std::fs::write(&segments[0], b"").unwrap();
+        assert!(produced_segments(&segments[..1]).unwrap().is_none());
+
+        let mut other = spec.clone();
+        other.seed = 6;
+        run_worker(&other, (0, 3), &segments[0], None).unwrap();
+        let (meta, produced) = produced_segments(&segments).unwrap().unwrap();
+        assert_eq!(produced, segments[..2].to_vec(), "a decodable header is never dropped");
+        let err = merge_segments(&merged, &meta, &produced).unwrap_err();
+        assert!(matches!(err, JournalError::PlanMismatch { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -563,13 +458,13 @@ mod tests {
         spec.runs = 6;
         spec.seed = 3;
         let segment = dir.join("seg.journal");
-        let (result, _) = run_worker(&spec, (0, 3), &segment, None, None).unwrap();
+        let result = run_worker(&spec, (0, 3), &segment, None).unwrap();
         assert_eq!(result.status, ffis_core::CompletionStatus::Complete);
         assert_eq!(result.executed, 3);
         assert!(segment.exists());
         // Re-running the same shard resumes its own segment: nothing
         // executes twice.
-        let (again, _) = run_worker(&spec, (0, 3), &segment, None, None).unwrap();
+        let again = run_worker(&spec, (0, 3), &segment, None).unwrap();
         assert_eq!(again.executed, 0);
         assert_eq!(again.resumed, 3);
         let _ = std::fs::remove_dir_all(&dir);

@@ -17,13 +17,13 @@
 //! to parse and its job is skipped (`spec.json`) or re-run
 //! (`result.json`).
 //!
-//! Beside `jobs/`, the root holds `store/`: `store/memo/` is the one
-//! analyze memo store every job (and fan-out worker) of the root
-//! shares, one file per entry; `store/<app>-g<grid>/` appears only
-//! when jobs fan out ([`QueueOptions::fanout`] > 1) and holds the
-//! checkpoint manifests and page blobs their worker processes share.
-//! An in-process job writes no checkpoint set: it is placed against
-//! that job's own draws, so its key could never match a later job's.
+//! Beside `jobs/`, the root holds `store/`, and `store/` holds
+//! `memo/` only: the one analyze memo store every job (and fan-out
+//! worker) of the root shares, one file per entry. No process writes
+//! a checkpoint set: it is placed against one job's own draws, so its
+//! key could never match a later job's, and the worker processes of a
+//! fanned-out job ([`QueueOptions::fanout`] > 1) each derive the same
+//! set from the same plan faster than they could load it.
 //!
 //! ## What is paid once per queue
 //!
@@ -75,8 +75,8 @@ pub struct QueueOptions {
     pub retain: Option<usize>,
     /// Worker *processes* per job (engine law 7 fan-out). `1` runs
     /// jobs in-process; `N > 1` shards each journaled job's run plan
-    /// across `N` spawned workers sharing the disk-backed checkpoint
-    /// store, then merges and resumes. Requires [`QueueOptions::
+    /// across `N` spawned workers sharing the root's memo store, then
+    /// merges their journal segments and resumes. Requires [`QueueOptions::
     /// worker_cmd`] (or a host binary with a `daemon worker`
     /// subcommand, the [`distributed::self_worker_cmd`] default).
     pub fanout: usize,
@@ -389,14 +389,6 @@ impl JobQueue {
         }
     }
 
-    /// Disk directory of the checkpoint store the worker processes of
-    /// a fanned-out job share for this spec's `(app, grid)`. Only
-    /// they ever read a persisted checkpoint set; an in-process job
-    /// builds its own against its own demand and drops it.
-    fn store_dir(&self, spec: &CampaignSpec) -> PathBuf {
-        self.root.join("store").join(format!("{}-g{}", spec.app.to_ascii_lowercase(), spec.grid))
-    }
-
     /// Disk directory of the root-wide shared memo store — the same
     /// directory fan-out worker processes mount via `--memo`.
     fn memo_dir(&self) -> PathBuf {
@@ -498,7 +490,7 @@ impl JobQueue {
             }
         });
         // Fan-out (engine law 7): shard journaled multi-run jobs
-        // across worker processes sharing the disk store, merge the
+        // across worker processes sharing the memo store, merge the
         // segments, and resume — byte-identical to the in-process
         // path, which stays the fallback if the fan-out cannot even
         // start (missing worker binary, unwritable work dir).
@@ -509,9 +501,9 @@ impl JobQueue {
                 self.options.worker_cmd.clone().or_else(|| distributed::self_worker_cmd().ok());
             if let Some(cmd) = worker_cmd {
                 // The coordinator overrides `journal`/`index_range`
-                // and mounts the workers' store for its final pass;
-                // the observer rides that merged-resume pass, so
-                // stream subscribers still see one event per index.
+                // for its final pass; the observer rides that
+                // merged-resume pass, so stream subscribers still see
+                // one event per index.
                 let hooks = ExecHooks {
                     journal: None,
                     cancel: Some(Arc::clone(&cancel)),
@@ -525,7 +517,6 @@ impl JobQueue {
                     &spec,
                     fanout,
                     &dir.join("fanout"),
-                    Some(&self.store_dir(&spec)),
                     Some(&self.memo_dir()),
                     &cmd,
                     hooks,

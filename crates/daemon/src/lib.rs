@@ -29,9 +29,10 @@
 //!
 //! Admission control is a fixed pool of campaign worker threads (the
 //! `--workers` cap): at most that many jobs run concurrently and the
-//! overflow waits in FIFO order. Jobs of the same `(app, grid)` share
-//! one [`CheckpointStore`](ffis_vfs::CheckpointStore), so concurrent
-//! jobs over the same golden run build its checkpoint cache once.
+//! overflow waits in FIFO order. Jobs of the same `(app, grid, files)`
+//! share one constructed application and its golden runs
+//! ([`AppCache`](apps::AppCache)); each job places, uses and drops its
+//! own checkpoint set, since the set is keyed by that job's draws.
 //!
 //! Each job is a directory `<root>/jobs/<id>/` holding `spec.json`
 //! (the accepted spec), `run.journal` (the engine's CRC-framed run
@@ -74,6 +75,6 @@ pub mod server;
 pub use api::{JobView, StreamEvent};
 pub use apps::{execute_spec, ExecHooks, PacedApp};
 pub use client::Client;
-pub use distributed::{run_distributed, self_worker_cmd, FanoutReport, StoreTotals, WorkerStats};
+pub use distributed::{run_distributed, self_worker_cmd, FanoutReport, WorkerStats};
 pub use jobs::{JobQueue, QueueOptions};
 pub use server::{Daemon, DaemonConfig};

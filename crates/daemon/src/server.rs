@@ -43,8 +43,8 @@ pub struct DaemonConfig {
     pub retain: Option<usize>,
     /// Worker *processes* per job (`--fanout N`): `N > 1` shards each
     /// journaled job's run plan across `N` spawned worker processes
-    /// that share the disk-backed checkpoint store (engine law 7).
-    /// `1` runs jobs in-process.
+    /// that share the root's memo store (engine law 7). `1` runs jobs
+    /// in-process.
     pub fanout: usize,
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Two laws are pinned here. First, engine law 7 (the distributed
 //! merge law) as a differential test over every paper app: a run plan
-//! sharded across workers — each with its *own* `CheckpointStore`
-//! handle on one shared disk directory, exactly the cross-process
-//! topology — merges back to the single-process result byte for byte.
+//! sharded across workers — each building its *own* checkpoint set
+//! from the plan, exactly the cross-process topology — merges back to
+//! the single-process result byte for byte.
 //! Second, the jobs-directory retention contract: `--retain N` only
 //! ever collects terminal jobs, so a daemon SIGKILLed mid-job can be
 //! restarted with an aggressive retention cap and the interrupted job
@@ -13,7 +13,7 @@
 //!
 //! (The true multi-*process* differential — spawned worker binaries —
 //! lives in the bench crate's `distributed_process` test and the
-//! `distributed-smoke` CI job, which diff `DIGESTS.txt` between a
+//! `scale-smoke` CI job, which diff `DIGESTS.txt` between a
 //! `--workers 2` invocation and a single-process control.)
 
 use std::path::{Path, PathBuf};
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use ffis_core::engine::{index_ranges, journal, merge_segments};
 use ffis_core::{CampaignSpec, CompletionStatus, JobState};
-use ffis_daemon::distributed::{open_memo, open_store, run_worker};
+use ffis_daemon::distributed::{open_memo, run_worker};
 use ffis_daemon::{execute_spec, Client, Daemon, DaemonConfig, ExecHooks};
 
 fn tmp_root(name: &str) -> PathBuf {
@@ -60,8 +60,8 @@ fn wait_terminal(client: &Client, id: u64) -> ffis_daemon::JobView {
 }
 
 /// The law-7 differential for one app: shard across three workers
-/// (each opening its own store view on one shared directory), merge
-/// the segments, resume over the merged journal, and demand the
+/// (each placing its own checkpoints, nothing shared), merge the
+/// segments, resume over the merged journal, and demand the
 /// single-process control's exact tally, fingerprint, and digest.
 fn assert_sharded_matches_serial(app: &str, seed: u64) {
     let mut spec = CampaignSpec::new(app, "BF");
@@ -73,15 +73,14 @@ fn assert_sharded_matches_serial(app: &str, seed: u64) {
     assert_eq!(control.status, CompletionStatus::Complete, "{app}: control");
 
     let dir = tmp_root(&format!("law7-{}", app));
-    let store_dir = dir.join("store");
     let ranges = index_ranges(spec.runs, 3);
     let segments: Vec<PathBuf> =
         (0..ranges.len()).map(|i| dir.join(format!("seg-{i}.journal"))).collect();
     std::thread::scope(|s| {
         for (range, segment) in ranges.iter().zip(&segments) {
-            let (spec, store_dir) = (&spec, &store_dir);
+            let spec = &spec;
             s.spawn(move || {
-                let (res, _) = run_worker(spec, *range, segment, Some(store_dir), None).unwrap();
+                let res = run_worker(spec, *range, segment, None).unwrap();
                 assert_eq!(res.status, CompletionStatus::Complete, "{app}: shard {range:?}");
                 assert_eq!(res.executed, range.1 - range.0, "{app}: shard {range:?}");
             });
@@ -96,15 +95,7 @@ fn assert_sharded_matches_serial(app: &str, seed: u64) {
     let mut fspec = spec.clone();
     fspec.journal = true;
     fspec.resume = true;
-    let hooks = ExecHooks {
-        journal: Some(merged),
-        cancel: None,
-        checkpoints: Some(open_store(&store_dir)),
-        memo: None,
-        observer: None,
-        index_range: None,
-        apps: None,
-    };
+    let hooks = ExecHooks { journal: Some(merged), ..ExecHooks::default() };
     let merged_result = execute_spec(&fspec, &hooks).unwrap();
     assert_eq!(merged_result.status, CompletionStatus::Complete, "{app}");
     assert_eq!(merged_result.executed, 0, "{app}: nothing may execute twice");
@@ -130,9 +121,9 @@ fn sharded_montage_merges_to_the_single_process_result() {
     assert_sharded_matches_serial("montage", 0x51AD);
 }
 
-/// Memo sharing across fan-out workers, the way the checkpoint blob
-/// store is already shared: two workers split a multi-file Montage
-/// write campaign (the regime where the analyze memo engages), each
+/// Memo sharing across fan-out workers, the one store they do share
+/// (its keys are content, not demand): two workers split a multi-file
+/// Montage write campaign (the regime where the analyze memo engages), each
 /// opening its own `MemoStore` handle on one shared disk directory.
 /// The merged result must equal the single-process control byte for
 /// byte, and the shared memo tier must have actually persisted
@@ -150,17 +141,15 @@ fn workers_sharing_a_memo_disk_tier_merge_to_the_single_process_digest() {
     assert_eq!(control.status, CompletionStatus::Complete, "control");
 
     let dir = tmp_root("memo-share");
-    let store_dir = dir.join("store");
     let memo_dir = dir.join("memo");
     let ranges = index_ranges(spec.runs, 2);
     let segments: Vec<PathBuf> =
         (0..ranges.len()).map(|i| dir.join(format!("seg-{i}.journal"))).collect();
     std::thread::scope(|s| {
         for (range, segment) in ranges.iter().zip(&segments) {
-            let (spec, store_dir, memo_dir) = (&spec, &store_dir, &memo_dir);
+            let (spec, memo_dir) = (&spec, &memo_dir);
             s.spawn(move || {
-                let (res, _) =
-                    run_worker(spec, *range, segment, Some(store_dir), Some(memo_dir)).unwrap();
+                let res = run_worker(spec, *range, segment, Some(memo_dir)).unwrap();
                 assert_eq!(res.status, CompletionStatus::Complete, "shard {range:?}");
             });
         }
@@ -178,7 +167,6 @@ fn workers_sharing_a_memo_disk_tier_merge_to_the_single_process_digest() {
     fspec.resume = true;
     let hooks = ExecHooks {
         journal: Some(merged),
-        checkpoints: Some(open_store(&store_dir)),
         memo: Some(open_memo(&memo_dir)),
         ..ExecHooks::default()
     };

@@ -8,7 +8,7 @@
 //! [`ExecutionMode::FullRerun`], never silently.
 
 use ffis_core::prelude::*;
-use ffis_core::{scan_detailed, FlipMode, ScanConfig, WritePick};
+use ffis_core::{scan_detailed, FlipMode, ReplayOptReport, ScanConfig, WritePick};
 use ffis_vfs::FileSystem;
 use montage_sim::MontageApp;
 use nyx_sim::{FieldConfig, NyxApp, NyxConfig};
@@ -424,4 +424,58 @@ fn param_fault_campaigns_never_use_replay() {
         Err(ffis_core::CampaignError::NoEligibleInstances) => {}
         Err(other) => panic!("unexpected {:?}", other),
     }
+}
+
+/// Engine law 9 at campaign level: plan-aware replay (demand-placed
+/// checkpoints, checkpoint-grouped batches, coalesced and filtered
+/// tails) against the unbatched control (`replay_opt` off: log-spaced
+/// checkpoints, one mounted suffix replay per run). Nothing a digest
+/// sees may move, and the optimized side must really have engaged
+/// every layer — the exact-repeat counters, not a wall-clock ratio.
+#[test]
+fn plan_aware_replay_equals_the_unbatched_control() {
+    fn both<A: FaultApp>(app: &A, cfg: CampaignConfig) -> ReplayOptReport {
+        let cfg = cfg.with_seed(0x1A09).with_replay(true).with_memo(true);
+        let name = app.name();
+        let control = Campaign::new(app, cfg.clone().with_replay_opt(false)).run().unwrap();
+        let opt = Campaign::new(app, cfg.with_replay_opt(true)).run().unwrap();
+        assert_eq!(control.mode, ExecutionMode::Replay, "{name}: control");
+        assert_eq!(opt.mode, ExecutionMode::Replay, "{name}: optimized");
+        assert_eq!(opt.tally, control.tally, "{name}");
+        assert_eq!(opt.run_digest(), control.run_digest(), "{name}");
+        assert_eq!(opt.runs.len(), control.runs.len(), "{name}");
+        for (o, c) in opt.runs.iter().zip(&control.runs) {
+            assert_eq!(o.injection, c.injection, "{name} run {}", o.run);
+            assert_eq!(o.crash_message, c.crash_message, "{name} run {}", o.run);
+        }
+        let (oo, co) = (opt.replay_opt, control.replay_opt);
+        assert!(!co.engaged && !co.demand_placed && co.batches == 0, "{name}: {co:?}");
+        assert!(oo.engaged && oo.demand_placed, "{name}: {oo:?}");
+        assert!(oo.batches > 0 && oo.coalesced_calls > 0, "{name}: {oo:?}");
+        assert!(oo.overshoot < co.overshoot, "{name}: overshoot {co:?} -> {oo:?}");
+        oo
+    }
+    let write = |model| FaultSignature::on_write(model);
+
+    // Single plotfile, no memo basis: the batched arm replays full tails.
+    let single = both(&nyx(), CampaignConfig::new(write(FaultModel::bit_flip())).with_runs(24));
+    assert_eq!(single.skipped_tail_ops, 0, "nothing to filter without sub-steps");
+
+    // Multi-tile mosaic with the memo engaged: a run's dirty cascade is
+    // one tile, so the tail filter drops every other tile's ops.
+    let tiles = both(
+        &MontageApp::multi_tile(4),
+        CampaignConfig::new(write(FaultModel::bit_flip())).with_runs(24),
+    );
+    assert!(tiles.skipped_tail_ops > 0, "the tail filter never ran: {tiles:?}");
+
+    // Two signatures over one golden run share the batches.
+    both(
+        &nyx(),
+        CampaignConfig::mixed(vec![
+            write(FaultModel::bit_flip()),
+            write(FaultModel::dropped_write()),
+        ])
+        .with_runs(24),
+    );
 }
