@@ -1736,7 +1736,7 @@ fn memo_run_key(
     seed: u64,
 ) -> Vec<u8> {
     let mut key = Vec::with_capacity(128);
-    key.extend_from_slice(b"ffis-memo-v1|run|");
+    key.extend_from_slice(b"ffis-memo-v2|run|");
     key.extend_from_slice(&golden_key.to_le_bytes());
     key.extend_from_slice(format!("|{signature:?}|").as_bytes());
     key.extend_from_slice(&target_instance.to_le_bytes());

@@ -356,7 +356,7 @@ impl<O> Golden<O> {
             .zip(&read_ranges)
             .map(|(spec, &(start, end))| {
                 let mut key = Vec::with_capacity(64 + (end - start) * 16);
-                key.extend_from_slice(b"ffis-memo-v1|golden|");
+                key.extend_from_slice(b"ffis-memo-v2|golden|");
                 key.extend_from_slice(app.name().as_bytes());
                 key.push(b'|');
                 key.extend_from_slice(spec.name.as_bytes());

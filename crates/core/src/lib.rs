@@ -154,6 +154,10 @@ pub use metadata_scan::{
 };
 pub use outcome::{FaultApp, Outcome, OutcomeTally, SubstepSpec, OUTCOMES};
 pub use profiler::{EligibleCounter, IoProfiler, ProfileReport};
+/// The order-preserving parallel iterators the executor fans runs out
+/// with (`into_par_iter().map(..).collect()`), for applications that
+/// build their per-file goldens the same way.
+pub use rayon::prelude as par;
 pub use rng::Rng;
 pub use stats::{blocking_error, mean_std, wilson, Accumulator, Histogram, Proportion};
 

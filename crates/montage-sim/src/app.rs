@@ -16,6 +16,7 @@
 //! scoping the fault signature to the stage's output directory via
 //! [`MontageApp::stage_filter`].
 
+use ffis_core::par::*;
 use ffis_core::{FaultApp, Outcome, SubstepSpec, TargetFilter};
 use ffis_vfs::{FileSystem, FileSystemExt};
 use fitslite::{parse_fits, render_fits, FitsImage};
@@ -215,16 +216,22 @@ impl MontageApp {
 
     /// Fallible constructor: returns the golden pipeline's error for
     /// degenerate configurations (e.g. an overlap threshold that
-    /// leaves no difference pairs) instead of panicking.
+    /// leaves no difference pairs) instead of panicking. Tiles are
+    /// independent, so their pipelines build side by side; the app
+    /// holds them in tile order and a failure reports the lowest
+    /// failing tile's error, as a tile-by-tile loop would.
     pub fn try_new(mut config: MontageConfig) -> Result<Self, String> {
         config.tiles = config.tiles.max(1);
-        let mut golden = Vec::with_capacity(config.tiles);
-        for t in 0..config.tiles {
-            let cfg = Self::tile_pipeline(&config, t);
-            let raws = make_raw_images(&cfg);
-            golden.push(GoldenPipeline::build(&raws, &cfg)?);
-        }
+        let tiles: Vec<Result<GoldenPipeline, String>> =
+            (0..config.tiles).into_par_iter().map(|t| Self::tile_golden(&config, t)).collect();
+        let golden = tiles.into_iter().collect::<Result<_, _>>()?;
         Ok(MontageApp { config, golden })
+    }
+
+    /// The golden pipeline of tile `t` alone.
+    fn tile_golden(config: &MontageConfig, t: usize) -> Result<GoldenPipeline, String> {
+        let cfg = Self::tile_pipeline(config, t);
+        GoldenPipeline::build(&make_raw_images(&cfg), &cfg)
     }
 
     /// Paper-defaults app.
@@ -692,7 +699,35 @@ impl FaultApp for MontageApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ffis_vfs::MemFs;
+    use ffis_vfs::{FfisFs, MemFs, TraceOp, TraceRecorder};
+    use std::sync::Arc;
+
+    /// Every mutating op `produce` issues, payloads included.
+    fn produce_stream(app: &MontageApp) -> Vec<TraceOp> {
+        let ffs = FfisFs::mount(Arc::new(MemFs::new()));
+        let recorder = Arc::new(TraceRecorder::new());
+        ffs.attach(recorder.clone());
+        app.produce(&*ffs).unwrap();
+        ffs.unmount();
+        recorder.take_ops()
+    }
+
+    #[test]
+    fn tiles_built_side_by_side_are_the_tiles_built_in_order() {
+        let app = MontageApp::multi_tile(5);
+        let config = app.config;
+        let golden = (0..5).map(|t| MontageApp::tile_golden(&config, t).unwrap()).collect();
+        let in_order = MontageApp { config, golden };
+        assert_eq!(produce_stream(&app), produce_stream(&in_order));
+    }
+
+    #[test]
+    fn failing_tiles_report_tile_zero() {
+        let mut config = MontageConfig::default().with_tiles(5);
+        config.pipeline.min_overlap_px = usize::MAX;
+        let first = MontageApp::tile_golden(&config, 0).err().expect("no pair overlaps that much");
+        assert_eq!(MontageApp::try_new(config).err(), Some(first));
+    }
 
     #[test]
     fn golden_run_completes() {

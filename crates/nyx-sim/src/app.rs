@@ -11,6 +11,7 @@
 //! classified as benign. If they differ, and there is no halo found,
 //! the cases are detected and otherwise they are the SDC."
 
+use ffis_core::par::*;
 use ffis_core::{FaultApp, Outcome, SubstepSpec};
 use ffis_vfs::FileSystem;
 use hdf5lite::{Dataset, FileBuilder, WriteOptions};
@@ -130,12 +131,17 @@ pub struct NyxApp {
 
 impl NyxApp {
     /// Build the app, running the (deterministic) simulation once per
-    /// plotfile.
+    /// plotfile — side by side, kept in plotfile order.
     pub fn new(mut config: NyxConfig) -> Self {
         config.plotfiles = config.plotfiles.max(1);
         let fields =
-            (0..config.plotfiles).map(|k| generate(&Self::file_field(&config, k))).collect();
+            (0..config.plotfiles).into_par_iter().map(|k| Self::simulate(&config, k)).collect();
         NyxApp { config, fields }
+    }
+
+    /// The simulated field of plotfile `k` alone.
+    fn simulate(config: &NyxConfig, k: usize) -> Vec<f32> {
+        generate(&Self::file_field(config, k))
     }
 
     /// Paper-defaults app.
@@ -404,7 +410,26 @@ impl FaultApp for NyxApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ffis_vfs::MemFs;
+    use ffis_vfs::{FfisFs, MemFs, TraceRecorder};
+    use std::sync::Arc;
+
+    #[test]
+    fn plotfiles_built_side_by_side_are_the_plotfiles_built_in_order() {
+        let config = NyxConfig { plotfiles: 3, ..Default::default() };
+        assert_eq!(config.field.n, 32);
+        let in_order =
+            NyxApp { config, fields: (0..3).map(|k| NyxApp::simulate(&config, k)).collect() };
+        // Every mutating op `produce` issues, payloads included.
+        let [built, serial] = [NyxApp::new(config), in_order].map(|app| {
+            let ffs = FfisFs::mount(Arc::new(MemFs::new()));
+            let recorder = Arc::new(TraceRecorder::new());
+            ffs.attach(recorder.clone());
+            app.produce(&*ffs).unwrap();
+            ffs.unmount();
+            recorder.take_ops()
+        });
+        assert_eq!(built, serial);
+    }
 
     fn app() -> NyxApp {
         NyxApp::new(NyxConfig {

@@ -22,6 +22,7 @@
 //! *SDC*; otherwise ⇒ *detected*. Unreadable/unparsable artifacts or
 //! a DMC abort ⇒ *crash*.
 
+use ffis_core::par::*;
 use ffis_core::{FaultApp, Outcome, SubstepSpec};
 use ffis_vfs::{FileSystem, FileSystemExt};
 
@@ -205,36 +206,36 @@ pub struct QmcApp {
 
 impl QmcApp {
     /// Build the app, running VMC and the golden DMC once per restart
-    /// segment.
+    /// segment — side by side, kept in segment order.
     pub fn new(mut config: QmcConfig) -> Self {
         config.restarts = config.restarts.max(1);
         config.dmc_blocks = config.dmc_blocks.max(1);
-        let segments = (0..config.restarts)
-            .map(|s| {
-                // Segment 0 keeps the configured seed (the
-                // single-restart regime stays byte-identical); later
-                // segments shift it for independent trajectories.
-                let vmc_cfg = VmcConfig {
-                    seed: config.vmc.seed.wrapping_add(0x0D5C * s as u64),
-                    ..config.vmc
-                };
-                let vmc = run_vmc(&config.wavefunction, &vmc_cfg);
-                // Chain the DMC blocks: each restarts from the walker
-                // ensemble its predecessor ended on, exactly like a
-                // checkpointed production series.
-                let mut start = vmc.walkers;
-                let mut blocks = Vec::with_capacity(config.dmc_blocks);
-                for b in 0..config.dmc_blocks {
-                    let checkpoint_bytes = render_checkpoint(&start);
-                    let dmc = run_dmc(&config.wavefunction, &start, &block_dmc_cfg(&config, b))
-                        .expect("golden DMC must run");
-                    start = dmc.final_walkers;
-                    blocks.push(Block { checkpoint_bytes, golden_rows: dmc.rows });
-                }
-                Segment { s000_text: render_scalar(&vmc.rows), blocks }
-            })
-            .collect();
+        let segments =
+            (0..config.restarts).into_par_iter().map(|s| Self::segment(&config, s)).collect();
         QmcApp { config, segments }
+    }
+
+    /// The golden VMC/DMC products of restart segment `s` alone.
+    fn segment(config: &QmcConfig, s: usize) -> Segment {
+        // Segment 0 keeps the configured seed (the single-restart
+        // regime stays byte-identical); later segments shift it for
+        // independent trajectories.
+        let vmc_cfg =
+            VmcConfig { seed: config.vmc.seed.wrapping_add(0x0D5C * s as u64), ..config.vmc };
+        let vmc = run_vmc(&config.wavefunction, &vmc_cfg);
+        // Chain the DMC blocks: each restarts from the walker ensemble
+        // its predecessor ended on, exactly like a checkpointed
+        // production series.
+        let mut start = vmc.walkers;
+        let mut blocks = Vec::with_capacity(config.dmc_blocks);
+        for b in 0..config.dmc_blocks {
+            let checkpoint_bytes = render_checkpoint(&start);
+            let dmc = run_dmc(&config.wavefunction, &start, &block_dmc_cfg(config, b))
+                .expect("golden DMC must run");
+            start = dmc.final_walkers;
+            blocks.push(Block { checkpoint_bytes, golden_rows: dmc.rows });
+        }
+        Segment { s000_text: render_scalar(&vmc.rows), blocks }
     }
 
     /// Paper-defaults app.
@@ -592,7 +593,26 @@ impl FaultApp for QmcApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ffis_vfs::MemFs;
+    use ffis_vfs::{FfisFs, MemFs, TraceRecorder};
+    use std::sync::Arc;
+
+    #[test]
+    fn segments_built_side_by_side_are_the_segments_built_in_order() {
+        let app = QmcApp::new(QmcConfig { restarts: 3, ..small_app().config });
+        let config = app.config;
+        let in_order =
+            QmcApp { config, segments: (0..3).map(|s| QmcApp::segment(&config, s)).collect() };
+        // Every mutating op `produce` issues, payloads included.
+        let [built, serial] = [app, in_order].map(|app| {
+            let ffs = FfisFs::mount(Arc::new(MemFs::new()));
+            let recorder = Arc::new(TraceRecorder::new());
+            ffs.attach(recorder.clone());
+            app.produce(&*ffs).unwrap();
+            ffs.unmount();
+            recorder.take_ops()
+        });
+        assert_eq!(built, serial);
+    }
 
     fn small_app() -> QmcApp {
         QmcApp::new(QmcConfig {

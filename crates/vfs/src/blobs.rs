@@ -134,11 +134,11 @@ fn sha256_block(h: &mut [u32; 8], block: &[u8; 64]) {
 }
 
 /// SHA-256 content hash (FIPS 180-4). Hand-rolled — the workspace is
-/// offline, and the 64-bit FNV used for trace fingerprints is too
-/// collision-prone to address content that is *reconstructed from* its
-/// hash rather than merely cache-keyed by it. Whole 64-byte blocks are
-/// compressed in place; only the padded tail (one or two blocks) is
-/// copied.
+/// offline, and the 64-bit fingerprints that key traces and memo
+/// entries are too collision-prone to address content that is
+/// *reconstructed from* its hash rather than merely cache-keyed by it.
+/// Whole 64-byte blocks are compressed in place; only the padded tail
+/// (one or two blocks) is copied.
 pub fn sha256(data: &[u8]) -> BlobHash {
     let mut h: [u32; 8] = [
         0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,

@@ -82,6 +82,7 @@ pub mod counting;
 pub mod error;
 pub mod ffisfs;
 pub mod file;
+pub mod fingerprint;
 pub mod frame;
 pub mod fs;
 pub mod inode;
@@ -98,6 +99,7 @@ pub use counting::{TraceInterceptor, TraceRecord};
 pub use error::{FsError, FsResult};
 pub use ffisfs::{CounterSnapshot, DeadlineExceeded, FfisFs, FuelExhausted};
 pub use file::{SectorFile, BLOCK_SIZE, SECTOR_SIZE};
+pub use fingerprint::{content_fingerprint, EMPTY_FINGERPRINT};
 pub use fs::{
     DirEntry, Fd, FileSystem, FileSystemExt, LockKind, Metadata, NodeKind, OpenFlags, StatFs,
 };

@@ -160,8 +160,8 @@
 //! ## Read fingerprints as sub-step reachability
 //!
 //! The [`ReadLedger`] does more than locate the produce/analyze seam:
-//! each [`ReadRecord`] carries the path and an FNV-1a fingerprint of
-//! the bytes the read returned, so the golden ledger is a complete,
+//! each [`ReadRecord`] carries the path and the [`content_fingerprint`]
+//! of the bytes the read returned, so the golden ledger is a complete,
 //! content-addressed map of *what analyze actually consumed, in
 //! order*. That map is what makes incremental analyze sound. An
 //! application that declares analyze sub-steps with their read
@@ -203,6 +203,7 @@ use crate::blobs::{BlobHash, BlobStats, BlobStore};
 use crate::error::{FsError, FsResult};
 use crate::ffisfs::{CounterSnapshot, FfisFs};
 use crate::file::{Page, BLOCK_SIZE};
+use crate::fingerprint::{content_fingerprint, EMPTY_FINGERPRINT};
 use crate::frame::{FrameDir, SingleFlight};
 use crate::fs::{Fd, FileSystem, LockKind, NodeKind, OpenFlags};
 use crate::interceptor::{Interceptor, Primitive};
@@ -1287,7 +1288,7 @@ pub fn demand_fingerprint(demand: &[usize]) -> u64 {
 /// Entries are appended at call *entry* (the attempt-based numbering
 /// the profiler and the armed injector both use), so a read that fails
 /// still occupies its slot — `returned` stays `None` and the
-/// fingerprint stays at the FNV offset basis.
+/// fingerprint stays at [`EMPTY_FINGERPRINT`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadRecord {
     /// Per-primitive dynamic count of this `FFIS_read` (1-based).
@@ -1303,7 +1304,8 @@ pub struct ReadRecord {
     /// Bytes the inner filesystem returned; `None` when the read
     /// failed (the crossing was counted but never filled a buffer).
     pub returned: Option<usize>,
-    /// FNV-1a over the returned bytes (offset basis when none).
+    /// [`content_fingerprint`] of the returned bytes
+    /// ([`EMPTY_FINGERPRINT`] when none).
     pub fingerprint: u64,
 }
 
@@ -1391,7 +1393,7 @@ impl Interceptor for ReadLedger {
             offset: cx.offset,
             len: cx.len,
             returned: None,
-            fingerprint: Fnv::new().0,
+            fingerprint: EMPTY_FINGERPRINT,
         });
     }
 
@@ -1401,23 +1403,26 @@ impl Interceptor for ReadLedger {
         buf: &mut [u8],
         n: usize,
     ) -> crate::interceptor::ReadAction {
+        // Hash before taking the lock: the buffer is this caller's.
+        let fingerprint = content_fingerprint(&buf[..n]);
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         // The matching entry is almost always the last one (golden
         // runs are single-threaded); search backwards by `seq` to stay
         // correct regardless.
         if let Some(entry) = entries.iter_mut().rev().find(|e| e.seq == cx.seq) {
-            let mut h = Fnv::new();
-            h.eat(&buf[..n]);
             entry.returned = Some(n);
-            entry.fingerprint = h.0;
+            entry.fingerprint = fingerprint;
         }
         crate::interceptor::ReadAction::Forward
     }
 }
 
-/// FNV-1a accumulator — the workspace's one digest primitive: trace
-/// and demand fingerprints here, plan fingerprints, run digests and
-/// memo keys in `ffis-core`. The field is the running hash.
+/// FNV-1a accumulator — the workspace's *identity* digest: demand
+/// fingerprints and the fixed fields of a trace key here, plan
+/// fingerprints, run digests and the golden memo key in `ffis-core`.
+/// Its values are pinned by tests and echoed in journals. It never
+/// sees a payload — a read buffer or a write op's `data` goes through
+/// [`content_fingerprint`]. The field is the running hash.
 #[derive(Debug)]
 pub struct Fnv(pub u64);
 
@@ -1446,8 +1451,8 @@ impl Fnv {
 }
 
 /// Content fingerprint of a golden op stream: FNV over every op's
-/// [`encode_op`] bytes, in order, with each write payload hashed in
-/// place instead of externalized. Campaigns whose golden runs are
+/// [`encode_op`] bytes, in order, with each write payload standing in
+/// as its [`content_fingerprint`]. Campaigns whose golden runs are
 /// byte-identical (the common case: several fault models over one
 /// deterministic workload) hash to the same key. A private cache key:
 /// hits are re-checked by op equality, so its value may change freely.
@@ -1458,9 +1463,7 @@ fn trace_fingerprint(ops: &[TraceOp]) -> u64 {
     for op in ops {
         fields.clear();
         encode_op(op, &mut fields, &mut |fields, data| {
-            h.eat(fields);
-            fields.clear();
-            h.eat(data);
+            wire::put_u64(fields, content_fingerprint(data));
         });
         h.eat(&fields);
     }
@@ -2281,13 +2284,37 @@ mod tests {
         assert_eq!(entries[2].prim_seq, 3);
         // The failed attempt occupies its slot with no returned bytes.
         assert_eq!(entries[1].returned, None);
-        assert_eq!(entries[1].fingerprint, Fnv::new().0);
+        assert_eq!(entries[1].fingerprint, EMPTY_FINGERPRINT);
         // Successful reads of the same bytes fingerprint identically.
         assert_eq!(entries[0].returned, entries[2].returned);
         assert_eq!(entries[0].fingerprint, entries[2].fingerprint);
-        assert_ne!(entries[0].fingerprint, Fnv::new().0);
+        assert_ne!(entries[0].fingerprint, EMPTY_FINGERPRINT);
         // Paths resolve through the mount's fd tracking.
         assert_eq!(entries[0].path.as_deref(), Some("/d.bin"));
+    }
+
+    #[test]
+    fn read_ledger_fingerprints_tell_one_flipped_bit() {
+        let ffs = FfisFs::mount(Arc::new(MemFs::new()));
+        let ledger = Arc::new(ReadLedger::new());
+        ffs.attach(ledger.clone());
+        let clean: Vec<u8> = (0..10_000u32).map(|i| (i * 31 % 251) as u8).collect();
+        let mut flipped = clean.clone();
+        flipped[7_777] ^= 0x10;
+        ffs.write_file_chunked("/a.bin", &clean, 4096).unwrap();
+        ffs.write_file_chunked("/same.bin", &clean, 1000).unwrap();
+        ffs.write_file_chunked("/flipped.bin", &flipped, 4096).unwrap();
+        for path in ["/a.bin", "/same.bin", "/flipped.bin"] {
+            assert_eq!(ffs.read_to_vec(path).unwrap().len(), clean.len());
+        }
+        ffs.unmount();
+
+        let entries = ledger.records();
+        assert_eq!(entries.len(), 3, "one whole-file read each");
+        assert_eq!(entries[0].fingerprint, content_fingerprint(&clean));
+        assert_eq!(entries[0].fingerprint, entries[1].fingerprint);
+        assert_eq!(entries[0].returned, entries[2].returned);
+        assert_ne!(entries[0].fingerprint, entries[2].fingerprint);
     }
 
     #[test]
@@ -2597,11 +2624,14 @@ mod tests {
     /// learned to hash each distinct `Arc<Page>` once:
     /// `(logical_bytes, dedup_hits, physical_bytes, blobs)`, the
     /// SHA-256 of the sorted blob file names, and the SHA-256 of the
-    /// manifest file.
+    /// manifest file. The manifest echoes its cache key, so its digest
+    /// was taken again when write payloads moved to
+    /// [`content_fingerprint`]: against that commit's file the bytes
+    /// differ in the 8-byte key and the 4-byte frame CRC, nowhere else.
     const PAGE_BY_PAGE: ((u64, u64, u64, usize), &str, &str) = (
         (614_409, 123, 110_601, 29),
         "3a528f67b8b26d59c6c8e2534271f88b3e8b6fc5de804290524666be41d93744",
-        "91c0e87cc39de6b12231d96efe9d432cea3fa32353b4c19d40c7102fa69874a0",
+        "0e8c1b526544261a478ff23bb6e633041fc7839defecfdc86acf46eb1632345d",
     );
 
     #[test]
