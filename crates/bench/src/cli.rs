@@ -41,9 +41,9 @@ pub struct Options {
     /// Worker *processes* for the distributed fan-out (`--workers N`).
     /// `1` (the default) runs everything in-process; `N > 1` makes
     /// `repro scale` shard each campaign's run plan by index range
-    /// across `N` spawned worker processes, merge their journal
-    /// segments, and write `BENCH_distributed.json` (engine law 7:
-    /// the results are byte-identical either way).
+    /// across `N` spawned worker processes and merge their journal
+    /// segments (engine law 7: the results are byte-identical either
+    /// way).
     pub workers: usize,
     /// Cooperative cancellation token, wired to Ctrl-C by the `repro`
     /// binary. Not a CLI flag; experiments thread it into their

@@ -1,8 +1,8 @@
 //! `repro daemon …` — the thin-client face of the campaign service.
 //!
 //! ```text
-//! repro daemon serve  [--root DIR] [--addr H:P] [--workers N] [--bench DIR]
-//!                     [--retain N] [--fanout N]
+//! repro daemon serve  [--root DIR] [--addr H:P] [--workers N] [--retain N]
+//!                     [--fanout N]
 //! repro daemon submit --app nyx --model BF [--site write|read] [--grid G]
 //!                     [--runs N] [--seed S] [--keep-runs K] [--fuel F]
 //!                     [--wall-limit-ms M] [--files F] [--no-memo]
@@ -70,7 +70,7 @@ pub fn run(args: &[String], cancel: &Arc<CancelToken>) -> i32 {
 
 fn usage() -> &'static str {
     "usage: repro daemon <serve|submit|status|watch|cancel|jobs|health> [flags]\n\
-     \u{20} serve   --root DIR --addr H:P --workers N --bench DIR\n\
+     \u{20} serve   --root DIR --addr H:P --workers N\n\
      \u{20}         [--retain N: GC old terminal job dirs] [--fanout N: worker processes per job]\n\
      \u{20} submit  --app A --model M [--site S] [--grid G] [--runs N] [--seed S]\n\
      \u{20}         [--keep-runs K] [--fuel F] [--wall-limit-ms M] [--no-journal]\n\
@@ -129,7 +129,6 @@ fn serve(flags: &HashMap<String, String>, cancel: &Arc<CancelToken>) -> Result<i
             return Err("--workers must be at least 1".into());
         }
     }
-    config.bench_dir = Some(flags.get("bench").map(String::as_str).unwrap_or("results").into());
     if let Some(v) = flags.get("retain") {
         config.retain = Some(v.parse().map_err(|_| format!("bad --retain '{}'", v))?);
     }

@@ -2,11 +2,9 @@
 //! experiment index in DESIGN.md).
 
 pub mod ablations;
-pub mod analyze_memo;
 pub mod campaigns;
 pub mod extensions;
 pub mod figures;
-pub mod replay_opt;
 pub mod scale;
 pub mod tables;
 
@@ -52,8 +50,6 @@ pub fn run(name: &str, opts: &Options) -> Result<Report, String> {
         "checksum" => ablations::checksum(opts),
         "param-faults" => extensions::param_faults(opts),
         "scale" => scale::scale(opts),
-        "analyze-memo" => analyze_memo::analyze_memo(opts),
-        "replay-opt" => replay_opt::replay_opt(opts),
         other => return Err(format!("unknown experiment '{}'", other)),
     })
 }

@@ -15,15 +15,15 @@
 //! campaign replays and every read campaign engages `analyze-only`
 //! rather than silently rerunning. Write-site rows additionally report
 //! the plan-aware replay accounting: total replayed suffix ops and
-//! checkpoint overshoot per cell, in the table and in
-//! `BENCH_scale.json`.
+//! checkpoint overshoot per cell. Every row says how many of its runs
+//! were `executed` here and how many were `resumed` from a journal —
+//! what the CI resume step reads.
 //!
 //! `--grid`/`--runs` plumb straight through (`repro scale --grid 64
 //! --runs 96` is the CI smoke configuration); without an explicit
-//! `--grid` the experiment picks the paper-scale n=192. The measured
-//! numbers are also written as machine-readable JSON
-//! (`BENCH_scale.json` in `--out`) for the CI perf-trajectory
-//! artifact.
+//! `--grid` the experiment picks the paper-scale n=192. What other
+//! runs are diffed against is `DIGESTS.txt`; the wall-clock columns
+//! are for the reader (time is measured by `benchmark/`).
 //!
 //! With `--workers N` (N > 1) the whole matrix runs *distributed*:
 //! each cell's run plan is sharded by index range across N spawned
@@ -35,8 +35,7 @@
 //! same `DIGESTS.txt` — which the experiment *asserts* by rerunning
 //! two cells as serial controls (the CPU-bound nyx BF cell and a
 //! latency-bound paced cell whose fan-out speedup survives even a
-//! single-core host). The per-cell speedups land in
-//! `BENCH_distributed.json`.
+//! single-core host).
 
 use std::mem::size_of;
 use std::path::Path;
@@ -45,11 +44,9 @@ use std::time::Instant;
 
 use ffis_core::prelude::*;
 use ffis_core::{CampaignResult, CampaignSpec, CompletionStatus, RunResult};
-use ffis_daemon::json::{field, Json};
 use ffis_daemon::{execute_spec, run_distributed, self_worker_cmd, ExecHooks};
 use ffis_vfs::{MemoStats, MemoStore};
 
-use crate::bench_json;
 use crate::cli::Options;
 use crate::experiments::campaigns::{models, read_models};
 use crate::report::{Report, Table};
@@ -70,25 +67,16 @@ fn record_bytes(r: &RunResult) -> usize {
             .map_or(0, |i| i.detail.len() + i.path.as_ref().map_or(0, |p| p.len()))
 }
 
-/// One executed cell's numbers, kept for the paired summary and the
-/// JSON artifact.
+/// One executed cell's numbers, kept for the paired summary, the
+/// digest file and the fan-out controls.
 struct CellStats {
     label: &'static str,
     site: InjectionSite,
-    mode: String,
     wall_s: f64,
     runs_per_s: f64,
-    total: u64,
     plan_fingerprint: u64,
     run_digest: u64,
-    executed: usize,
-    resumed: usize,
     complete: bool,
-    journal: Option<String>,
-    memo_reason: String,
-    replay_opt_engaged: bool,
-    replayed_suffix_ops: u64,
-    overshoot: u64,
 }
 
 /// The scale experiment (see the module docs).
@@ -108,8 +96,8 @@ pub fn scale(opts: &Options) -> Report {
     // cells are single-file (files=1), so the engine records the
     // `no-substeps` fallback and the counters stay zero; the store is
     // wired (and reported) anyway so the accounting line below is the
-    // same one a multi-file regime populates (see `repro
-    // analyze-memo` for the cells that actually hit it).
+    // same one a multi-file regime populates (the multi-file cells
+    // of `tests/memo_equivalence.rs` are the ones that hit it).
     let memo_store = Arc::new(MemoStore::in_memory());
     let mut memo_totals = MemoStats::default();
     let fast_paths = ffis_core::replay_default();
@@ -148,6 +136,8 @@ pub fn scale(opts: &Options) -> Report {
         "SDC%",
         "crash%",
         "n",
+        "executed",
+        "resumed",
         "kept",
         "kept KiB",
         "exec",
@@ -291,6 +281,8 @@ pub fn scale(opts: &Options) -> Report {
             &format!("{:.1}", t.rate_pct(Outcome::Sdc)),
             &format!("{:.1}", t.rate_pct(Outcome::Crash)),
             &t.total().to_string(),
+            &result.executed.to_string(),
+            &result.resumed.to_string(),
             &result.runs.len().to_string(),
             &format!("{:.1}", kept_bytes as f64 / 1024.0),
             &result.mode.to_string(),
@@ -303,26 +295,11 @@ pub fn scale(opts: &Options) -> Report {
         stats.push(CellStats {
             label,
             site,
-            mode: result.mode.to_string(),
             wall_s: wall,
             runs_per_s: opts.runs as f64 / wall.max(1e-9),
-            total: t.total(),
             plan_fingerprint: result.plan_fingerprint,
             run_digest: result.run_digest(),
-            executed: result.executed,
-            resumed: result.resumed,
             complete,
-            journal: if worker_cmd.is_some() {
-                // Distributed cells are journal-carried by construction:
-                // the merged segment file is the cell's journal.
-                Some(work_dir.join("merged.journal").display().to_string())
-            } else {
-                journal_path.map(|p| p.display().to_string())
-            },
-            memo_reason: result.memo.reason().to_string(),
-            replay_opt_engaged: ro.engaged,
-            replayed_suffix_ops: ro.replayed_suffix_ops,
-            overshoot: ro.overshoot,
         });
     }
 
@@ -335,11 +312,9 @@ pub fn scale(opts: &Options) -> Report {
     // The analyze memo store's accounting: hit/miss/invalidation
     // counters summed over every cell.
     // Single-file matrix cells record the `no-substeps` fallback, so
-    // all three stay zero here — the multi-file cells of `repro
-    // analyze-memo` drive the same counters hot.
+    // all three stay zero here.
     report.line(format!(
-        "(analyze memo store: {} hits, {} misses, {} invalidations across {} cells; per-cell \
-         fallback reasons in BENCH_scale.json)",
+        "(analyze memo store: {} hits, {} misses, {} invalidations across {} cells)",
         memo_totals.hits,
         memo_totals.misses,
         memo_totals.invalidations,
@@ -368,50 +343,6 @@ pub fn scale(opts: &Options) -> Report {
     report.line("Read rows ride the analyze-only fast path: fork the golden post-produce state,");
     report.line("pre-seed the phase-boundary counters, and run only analyze with the fault armed");
     report.line("— produce-phase read targets (none on Nyx) would rerun as produce-read-fault.");
-
-    // Machine-readable artifact for the CI perf trajectory, including
-    // the run/commit metadata that identifies each cell's plan: the
-    // journal schema, the plan fingerprint a resume must match, and
-    // the run digest the resume-law CI job diffs against its control.
-    let cells_json: Vec<Json> = stats
-        .iter()
-        .map(|s| {
-            Json::Obj(vec![
-                field("model", Json::Str(s.label.into())),
-                field("site", Json::Str(s.site.token().into())),
-                field("exec", Json::Str(s.mode.clone())),
-                field("runs", Json::Num(s.total as f64)),
-                field("wall_s", Json::Num(s.wall_s)),
-                field("runs_per_s", Json::Num(s.runs_per_s)),
-                field("plan_fingerprint", Json::Str(format!("{:#018x}", s.plan_fingerprint))),
-                field("run_digest", Json::Str(format!("{:#018x}", s.run_digest))),
-                field("executed", Json::Num(s.executed as f64)),
-                field("resumed", Json::Num(s.resumed as f64)),
-                field("complete", Json::Bool(s.complete)),
-                field("journal", s.journal.clone().map_or(Json::Null, Json::Str)),
-                field("memo", Json::Str(s.memo_reason.clone())),
-                field("replay_opt_engaged", Json::Bool(s.replay_opt_engaged)),
-                field("replayed_suffix_ops", Json::Num(s.replayed_suffix_ops as f64)),
-                field("checkpoint_overshoot", Json::Num(s.overshoot as f64)),
-            ])
-        })
-        .collect();
-    let json = Json::Obj(vec![
-        field("bench", Json::Str("scale".into())),
-        field("journal_schema", Json::Num(f64::from(ffis_core::engine::journal::JOURNAL_SCHEMA))),
-        field("grid", Json::Num(n as f64)),
-        field("seed", Json::Num(opts.seed as f64)),
-        field("runs_per_cell", Json::Num(opts.runs as f64)),
-        field("keep_runs", Json::Num(SCALE_KEEP_RUNS as f64)),
-        field("memo_hits", Json::Num(memo_totals.hits as f64)),
-        field("memo_misses", Json::Num(memo_totals.misses as f64)),
-        field("memo_invalidations", Json::Num(memo_totals.invalidations as f64)),
-        field("total_runs", Json::Num(total_runs as f64)),
-        field("cells", Json::Arr(cells_json)),
-    ]);
-    if let Some(path) = bench_json::save_in(&opts.out, "BENCH_scale.json", &json) {
-        report.line(format!("(machine-readable numbers: {})", path.display()));
-    }
 
     // DIGESTS.txt: one deterministic `label site fingerprint digest`
     // line per completed cell — what the CI scale-smoke job diffs
@@ -472,10 +403,9 @@ fn serial_control(spec: &CampaignSpec, opts: &Options) -> Result<(CampaignResult
     Ok((result, started.elapsed().as_secs_f64()))
 }
 
-/// One serial-vs-distributed measurement row of
-/// `BENCH_distributed.json`. The digests are asserted equal before a
-/// row is admitted, so `digest_match` in the artifact is always the
-/// literal truth.
+/// One serial-vs-distributed row of the fan-out table. The digests are
+/// asserted equal before a row is admitted, so its `match` column is
+/// always the literal truth.
 struct SpeedCell {
     app: &'static str,
     model: &'static str,
@@ -483,8 +413,6 @@ struct SpeedCell {
     runs: usize,
     wall_serial_s: f64,
     wall_distributed_s: f64,
-    plan_fingerprint: u64,
-    run_digest: u64,
 }
 
 impl SpeedCell {
@@ -494,8 +422,8 @@ impl SpeedCell {
 }
 
 /// The distributed section of the scale report: rerun two cells as
-/// serial controls, assert byte-identity against the fan-out (engine
-/// law 7), and write `BENCH_distributed.json`. The nyx row is
+/// serial controls and assert byte-identity against the fan-out
+/// (engine law 7). The nyx row is
 /// CPU-bound (its speedup honestly tracks the host's cores); the
 /// paced row is latency-bound, so the fan-out's overlap shows even on
 /// a single-core host.
@@ -543,8 +471,6 @@ fn distributed_summary(
                     runs: opts.runs,
                     wall_serial_s: wall,
                     wall_distributed_s: d.wall_s,
-                    plan_fingerprint: d.plan_fingerprint,
-                    run_digest: d.run_digest,
                 });
             }
             Err(e) => report.line(format!("nyx serial control skipped: {}", e)),
@@ -579,8 +505,6 @@ fn distributed_summary(
                     runs: opts.runs,
                     wall_serial_s: s_wall,
                     wall_distributed_s: dist_wall,
-                    plan_fingerprint: d.plan_fingerprint,
-                    run_digest: d.run_digest(),
                 });
             }
             (Err(e), _) => report.line(format!("paced serial control skipped: {}", e)),
@@ -609,33 +533,4 @@ fn distributed_summary(
          latency-bound and measures the fan-out overlap directly)",
         cores
     ));
-
-    let cells_json: Vec<Json> = speed
-        .iter()
-        .map(|c| {
-            Json::Obj(vec![
-                field("app", Json::Str(c.app.into())),
-                field("model", Json::Str(c.model.into())),
-                field("site", Json::Str(c.site.into())),
-                field("runs", Json::Num(c.runs as f64)),
-                field("wall_serial_s", Json::Num(c.wall_serial_s)),
-                field("wall_distributed_s", Json::Num(c.wall_distributed_s)),
-                field("speedup", Json::Num(c.speedup())),
-                field("plan_fingerprint", Json::Str(format!("{:#018x}", c.plan_fingerprint))),
-                field("run_digest", Json::Str(format!("{:#018x}", c.run_digest))),
-                field("digest_match", Json::Bool(true)),
-            ])
-        })
-        .collect();
-    let json = Json::Obj(vec![
-        field("bench", Json::Str("distributed".into())),
-        field("workers", Json::Num(opts.workers as f64)),
-        field("cores", Json::Num(cores as f64)),
-        field("grid", Json::Num(n as f64)),
-        field("runs_per_cell", Json::Num(opts.runs as f64)),
-        field("cells", Json::Arr(cells_json)),
-    ]);
-    if let Some(path) = bench_json::save_in(&opts.out, "BENCH_distributed.json", &json) {
-        report.line(format!("(distributed numbers: {})", path.display()));
-    }
 }

@@ -1,9 +1,12 @@
 //! # ffis-bench — the reproduction harness
 //!
 //! One subcommand per table/figure of the paper's evaluation section
-//! (see DESIGN.md's experiment index), plus ablations and the §V-A
-//! repair study. The `repro` binary prints each table and saves it
-//! (with any PGM/CSV artifacts) under `results/`.
+//! (see DESIGN.md's experiment index), plus ablations, the §V-A
+//! repair study, `scale` (the engine-law differential driver CI diffs
+//! `DIGESTS.txt` from) and the `daemon` client. The `repro` binary
+//! prints each table and saves it (with any PGM/CSV artifacts) under
+//! `results/`. Nothing here judges wall-clock: time is measured by
+//! `benchmark/`.
 //!
 //! ```text
 //! repro table1 | table2 | table3 | table4
@@ -12,7 +15,6 @@
 //! repro all [--quick] [--runs N] [--seed S] [--grid G] [--out DIR]
 //! ```
 
-pub mod bench_json;
 pub mod cli;
 pub mod daemon_cli;
 pub mod experiments;

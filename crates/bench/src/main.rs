@@ -17,10 +17,8 @@ fn usage() -> String {
     }
     s.push_str(
         "  repair\n  profile\n  read-faults\n  checksum\n  param-faults\n  scale      \
-         (n=192 paper regime unless --grid given)\n  analyze-memo  \
-         (multi-file cells, memoized vs full analyze; BENCH_analyze_memo.json)\n  \
-         replay-opt  (plan-aware replay vs log-spaced control; BENCH_replay_opt.json)\n  \
-         all        (everything above except scale, analyze-memo, and replay-opt)\n\n\
+         (n=192 paper regime unless --grid given)\n  \
+         all        (everything above except scale)\n\n\
          daemon:\n  repro daemon serve|submit|status|watch|cancel|jobs|health\n  \
          campaign-as-a-service: persistent job queue + REST/NDJSON API (see `repro daemon`)\n\n\
          durability:\n  --journal DIR   write per-campaign run journals under DIR\n  \
@@ -28,7 +26,7 @@ fn usage() -> String {
          Ctrl-C          graceful stop: completed runs are journaled, partial tallies reported\n\n\
          distribution:\n  --workers N     (scale only) shard each campaign across N worker \
          processes\n  \
-         \u{20}                and merge their journals; writes BENCH_distributed.json\n",
+         \u{20}                and merge their journals\n",
     );
     s
 }

@@ -40,14 +40,14 @@ fn worker_processes_reproduce_the_single_process_digests() {
     assert!(!dist_digests.is_empty(), "distributed run produced no digests");
     assert_eq!(dist_digests, ctrl_digests, "law 7 violated across process boundaries");
 
-    // The distributed invocation also leaves its measurement artifact,
-    // with the digest-equality asserts already passed in-process.
-    let bench = std::fs::read_to_string(dist.join("BENCH_distributed.json")).unwrap();
-    for needle in [r#""bench":"distributed""#, r#""workers":2"#, r#""digest_match":true"#] {
-        assert!(bench.contains(needle), "{} missing in {}", needle, bench);
-    }
-    // And the single-process control must not claim one.
-    assert!(!ctrl.join("BENCH_distributed.json").exists());
+    // The distributed invocation's report carries the fan-out section,
+    // printed only after its serial-control digest asserts passed
+    // in-process; the single-process control must not claim one.
+    let section = "Distributed fan-out — 2 worker processes";
+    let dist_report = std::fs::read_to_string(dist.join("scale.txt")).unwrap();
+    assert!(dist_report.contains(section), "no fan-out section in:\n{}", dist_report);
+    let ctrl_report = std::fs::read_to_string(ctrl.join("scale.txt")).unwrap();
+    assert!(!ctrl_report.contains(section), "control claims a fan-out:\n{}", ctrl_report);
 
     let _ = std::fs::remove_dir_all(&dist);
     let _ = std::fs::remove_dir_all(&ctrl);

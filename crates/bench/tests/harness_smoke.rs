@@ -81,7 +81,12 @@ fn param_faults_covers_three_primitives() {
 
 #[test]
 fn unknown_experiment_is_an_error() {
-    assert!(experiments::run("figure-42", &opts()).is_err());
+    // `scale` is the one engine experiment; the law 8 and law 9 runs
+    // are tier-1 tests, not subcommands.
+    for name in ["figure-42", "analyze-memo", "replay-opt"] {
+        let err = experiments::run(name, &opts()).err();
+        assert_eq!(err, Some(format!("unknown experiment '{}'", name)));
+    }
 }
 
 #[test]

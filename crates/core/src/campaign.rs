@@ -343,7 +343,7 @@ impl CampaignConfig {
 /// Why a campaign configured for replay executed full reruns instead.
 ///
 /// The fallback is never silent: the reason is recorded in
-/// [`CampaignResult::mode`] and surfaced by the bench report tables.
+/// [`CampaignResult::mode`] and surfaced by the `repro` report tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayFallback {
     /// Replay was disabled in the [`CampaignConfig`].
@@ -404,8 +404,8 @@ impl std::fmt::Display for ReplayFallback {
 /// Why the analyze memoization layer did not engage for a campaign.
 ///
 /// Like [`ReplayFallback`], the fallback is never silent: the reason
-/// is recorded in [`CampaignResult::memo`] and surfaced by the bench
-/// report tables. A campaign that falls back still runs correctly —
+/// is recorded in [`CampaignResult::memo`] and surfaced in the
+/// daemon's job view. A campaign that falls back still runs correctly —
 /// every run takes the whole-analyze path the memo layer would have
 /// shortened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

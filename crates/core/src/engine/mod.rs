@@ -108,8 +108,8 @@
 //!    `not-fast-path`, `liveness-watchdog`, `substep-inputs`,
 //!    `substep-stream`, `substep-identity`) — there is no silent
 //!    regime mixing. Pinned by `tests/memo_equivalence.rs` (all three
-//!    apps × both sites × cold/warm stores, plus a seed proptest) and
-//!    the `memo-smoke` CI job.
+//!    apps × both sites × cold/warm stores, the dirty-cascade
+//!    counters, plus a seed proptest).
 //! 9. **Amortized-fork batching law** — *batched == unbatched, byte
 //!    for byte.* The executor may group pending replay runs that fork
 //!    the same trace checkpoint ([`RunStrategy::batch_key`]) and hand
@@ -126,8 +126,8 @@
 //!    executes). Batch contexts (and the suffix coalescing they
 //!    enable) are disabled under liveness watchdogs, whose fuel
 //!    accounting counts per-op mount crossings. Pinned by the batched
-//!    schedule proptest in `tests/properties.rs` and the `replay-opt`
-//!    differential experiment.
+//!    schedule proptest in `tests/properties.rs` and
+//!    `tests/replay_equivalence.rs::plan_aware_replay_equals_the_unbatched_control`.
 //!
 //! ## Liveness: fuel budgets and cancellation
 //!

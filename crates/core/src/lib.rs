@@ -63,10 +63,11 @@
 //! records, and crash messages are byte-identical to full
 //! re-execution; the engine self-checks per campaign/scan and falls
 //! back — recording why in [`campaign::ExecutionMode`] — when a law
-//! is violated. `benches/scan_replay.rs`, `benches/campaign_replay.rs`
-//! and `benches/read_replay.rs` measure the speedups and
-//! `tests/replay_equivalence.rs` plus the analyze-only differential
-//! pins hold the equivalence across all three paper workloads.
+//! is violated. `benchmark/` measures the speedups
+//! (`metadata_scan.{replay,rerun}_byte_us`, the `nyx_write` and
+//! `nyx_read` workloads) and `tests/replay_equivalence.rs` plus the
+//! analyze-only differential pins hold the equivalence across all
+//! three paper workloads.
 //!
 //! ## Fault models (§III-B, Table I)
 //!

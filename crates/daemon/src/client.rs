@@ -15,6 +15,12 @@ use crate::json::{self, Json};
 
 /// Connect timeout for every request.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// Cap on any one size a reply declares (a `Content-Length`, a chunk's
+/// size line). A job listing is kilobytes and a stream chunk is one
+/// NDJSON line; a size beyond this is a damaged size line, and asking
+/// the allocator for it would abort the process rather than fail the
+/// call.
+const MAX_RESPONSE: usize = 64 * 1024 * 1024;
 
 /// A client bound to one daemon address (`host:port`).
 #[derive(Debug, Clone)]
@@ -65,18 +71,6 @@ impl Client {
     pub fn cancel(&self, id: u64) -> Result<JobView, String> {
         let value = self.request_json("DELETE", &format!("/api/v0/jobs/{}", id), None)?;
         api::job_from_json(&value)
-    }
-
-    /// `GET /bench` → artifact names. An empty artifact store is a
-    /// structured 404 on the wire; mirror it as a clear error message
-    /// rather than an empty list, so callers can tell "nothing
-    /// published yet" from "published nothing".
-    pub fn bench_list(&self) -> Result<Vec<String>, String> {
-        let value = self
-            .request_json("GET", "/api/v0/bench", None)
-            .map_err(|e| format!("bench artifacts: {}", e))?;
-        let items = value.as_arr().ok_or("bench reply is not an array")?;
-        Ok(items.iter().filter_map(|v| v.as_str().map(str::to_string)).collect())
     }
 
     /// `GET /jobs/:id/stream`: decode the chunked NDJSON stream,
@@ -251,17 +245,28 @@ fn read_head<R: BufRead>(reader: &mut R) -> Result<(u16, bool, Option<usize>), S
     Ok((status, chunked, content_length))
 }
 
+/// A declared size the client is willing to allocate for.
+fn checked_size(size: usize, what: &str) -> Result<usize, String> {
+    if size > MAX_RESPONSE {
+        return Err(format!("{} {} exceeds the {} byte reply cap", what, size, MAX_RESPONSE));
+    }
+    Ok(size)
+}
+
 /// Read one chunk of a chunked body; `None` at the terminal chunk.
 fn read_chunk<R: BufRead>(reader: &mut R) -> Result<Option<Vec<u8>>, String> {
     let mut size_line = String::new();
-    reader.read_line(&mut size_line).map_err(|e| e.to_string())?;
-    let size_line = size_line.trim();
-    if size_line.is_empty() {
-        // Tolerate a stray CRLF between chunks.
-        return read_chunk(reader);
+    // Tolerate stray CRLFs between chunks.
+    while size_line.trim().is_empty() {
+        size_line.clear();
+        if reader.read_line(&mut size_line).map_err(|e| e.to_string())? == 0 {
+            return Err("chunked body ended without its terminal chunk".into());
+        }
     }
+    let size_line = size_line.trim();
     let size = usize::from_str_radix(size_line.split(';').next().unwrap_or(""), 16)
         .map_err(|_| format!("bad chunk size {:?}", size_line))?;
+    let size = checked_size(size, "chunk size")?;
     if size == 0 {
         let mut trailer = String::new();
         let _ = reader.read_line(&mut trailer);
@@ -286,7 +291,7 @@ fn read_body<R: BufRead>(
         }
         Ok(body)
     } else if let Some(len) = content_length {
-        let mut body = vec![0u8; len];
+        let mut body = vec![0u8; checked_size(len, "Content-Length")?];
         reader.read_exact(&mut body).map_err(|e| e.to_string())?;
         Ok(body)
     } else {
@@ -298,5 +303,33 @@ fn read_body<R: BufRead>(
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(body),
             Err(e) => Err(e.to_string()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    /// One flipped bit in a size line must fail the call, not ask the
+    /// allocator for terabytes (an abort no `catch_unwind` sees).
+    #[test]
+    fn declared_sizes_beyond_the_reply_cap_are_errors_not_allocations() {
+        let err = read_chunk(&mut Cursor::new(&b"FFFFFFFFFFFF\r\n"[..])).unwrap_err();
+        assert!(err.contains("chunk size"), "{err}");
+        let err = read_body(&mut Cursor::new(&b""[..]), false, Some(0xFFFF_FFFF_FFFF)).unwrap_err();
+        assert!(err.contains("Content-Length"), "{err}");
+        let mut ok = Cursor::new(&b"5\r\nhello\r\n0\r\n\r\n"[..]);
+        assert_eq!(read_body(&mut ok, true, None).unwrap(), b"hello");
+    }
+
+    /// Blank lines between chunks are skipped in a loop: a million of
+    /// them cost no stack, and running out of stream is an error.
+    #[test]
+    fn a_stream_of_blank_lines_neither_recurses_nor_hangs() {
+        let mut blanks = Cursor::new(b"\r\n".repeat(1_000_000));
+        assert!(read_chunk(&mut blanks).is_err());
+        let mut stray = Cursor::new(&b"\r\n\r\n3\r\nabc\r\n"[..]);
+        assert_eq!(read_chunk(&mut stray).unwrap().as_deref(), Some(&b"abc"[..]));
     }
 }

@@ -60,9 +60,6 @@ pub type StreamBody = Box<dyn FnOnce(&mut LineStream<'_>) -> io::Result<()> + Se
 pub enum Reply {
     /// A JSON document with this status code.
     Json(u16, Json),
-    /// A raw body with an explicit content type (used to serve the
-    /// `BENCH_*.json` report files verbatim).
-    Raw(u16, &'static str, Vec<u8>),
     /// `Transfer-Encoding: chunked` NDJSON: the closure drives the
     /// stream, writing one line per chunk, for as long as it likes.
     Stream(StreamBody),
@@ -143,10 +140,14 @@ fn parse_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
     let mut reader = BufReader::new(stream);
     let mut head = Vec::new();
     // Read byte-wise up to the blank line; BufReader makes this cheap
-    // and never over-reads into the body.
+    // and never over-reads into the body. Each line is read through
+    // what is left of the head budget, so a peer that never sends a
+    // newline is answered once the budget is spent instead of growing
+    // `line` until the read timeout.
     loop {
         let mut line = Vec::new();
-        reader.read_until(b'\n', &mut line)?;
+        let budget = (MAX_HEAD + 1 - head.len()) as u64;
+        reader.by_ref().take(budget).read_until(b'\n', &mut line)?;
         if line.is_empty() {
             return Err(ParseError::Io);
         }
@@ -237,10 +238,6 @@ fn handle_connection(mut stream: TcpStream, handler: &dyn Fn(&Request) -> Reply)
             let body = value.render();
             let _ = write_head(&mut stream, status, "application/json", Some(body.len()))
                 .and_then(|()| stream.write_all(body.as_bytes()));
-        }
-        Reply::Raw(status, content_type, body) => {
-            let _ = write_head(&mut stream, status, content_type, Some(body.len()))
-                .and_then(|()| stream.write_all(&body));
         }
         Reply::Stream(drive) => {
             // A watcher may sit on the stream for the whole campaign.
@@ -396,18 +393,23 @@ mod tests {
         (addr, stopper, join)
     }
 
+    /// The request body back as a JSON string.
+    fn echo(req: &Request) -> Reply {
+        Reply::Json(200, Json::Str(String::from_utf8_lossy(&req.body).into_owned()))
+    }
+
     #[test]
     fn request_response_and_clean_shutdown() {
         let (addr, stopper, join) = start(|req| match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/ping") => Reply::Json(200, Json::Str("pong".into())),
-            ("POST", "/echo") => Reply::Raw(200, "text/plain", req.body.clone()),
+            ("POST", "/echo") => echo(req),
             _ => Reply::error(404, "no such route"),
         });
         let out = exchange(addr, "GET /ping?x=1 HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
         assert!(out.ends_with("\"pong\""), "{out}");
         let out = exchange(addr, "POST /echo HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello");
-        assert!(out.ends_with("hello"), "{out}");
+        assert!(out.ends_with("\"hello\""), "{out}");
         let out = exchange(addr, "GET /missing HTTP/1.1\r\n\r\n");
         assert!(out.starts_with("HTTP/1.1 404"), "{out}");
         let out = exchange(addr, "garbage\r\n\r\n");
@@ -435,7 +437,7 @@ mod tests {
 
     #[test]
     fn transfer_coded_bodies_get_501_and_lengthless_posts_411() {
-        let (addr, stopper, join) = start(|req| Reply::Raw(200, "text/plain", req.body.clone()));
+        let (addr, stopper, join) = start(echo);
         // A chunked POST would otherwise be read as an *empty* body and
         // fail downstream with a misleading validation error.
         let out = exchange(
@@ -467,6 +469,25 @@ mod tests {
         let big = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n", "x".repeat(MAX_HEAD));
         let out = exchange(addr, &big);
         assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+        stopper.stop();
+        join.join().unwrap();
+    }
+
+    /// A head that never ends a line is refused when the head budget
+    /// is spent, not when the read timeout expires: the client sends
+    /// exactly one byte more than the cap, no newline, and keeps the
+    /// socket open.
+    #[test]
+    fn an_unterminated_head_is_refused_at_the_cap_not_at_the_timeout() {
+        let (addr, stopper, join) = start(|_req| Reply::Json(200, Json::Null));
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(READ_TIMEOUT / 2)).unwrap();
+        let sent = std::time::Instant::now();
+        conn.write_all(&vec![b'x'; MAX_HEAD + 1]).unwrap();
+        let mut out = String::new();
+        conn.read_to_string(&mut out).expect("no answer before the client gave up");
+        assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+        assert!(sent.elapsed() < READ_TIMEOUT / 4, "answered after {:?}", sent.elapsed());
         stopper.stop();
         join.join().unwrap();
     }

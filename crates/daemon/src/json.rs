@@ -440,7 +440,7 @@ mod tests {
         assert_eq!(parse(&v.render()).unwrap(), v);
     }
 
-    /// What the `BENCH_*.json` emitters rely on: integral floats print
+    /// What every wire document relies on: integral floats print
     /// as integers, non-finite ones as `null`, members keep their order.
     #[test]
     fn documents_render_compactly() {

@@ -23,7 +23,6 @@
 //! | `GET /jobs/:id/stream` | — | chunked NDJSON: one `snapshot` line, one `run` line per plan index (resumed indices first), one `done` line |
 //! | `DELETE /jobs/:id` | — | cancel; queued jobs interrupt immediately, running jobs after the in-flight run |
 //! | `GET /healthz` | — | `{"status":"ok","running","queued","max_concurrent","app_builds","golden_runs"}` |
-//! | `GET /bench`, `GET /bench/:name` | — | list / serve `BENCH_*.json` artifacts |
 //!
 //! ## Queue and persistence model
 //!

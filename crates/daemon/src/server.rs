@@ -11,10 +11,9 @@
 //! | `GET /jobs/:id/stream` | chunked NDJSON: `snapshot`, then one `run` event per plan index, then `done` |
 //! | `DELETE /jobs/:id` | cancel (queued → interrupted now; running → after the in-flight run) |
 //! | `GET /healthz` | `{"status":"ok", "running", "queued", "max_concurrent", "app_builds", "golden_runs"}` — the last two count what the queue built once and shared: applications per `(app, grid, files)`, golden runs per `(application, capture set)` |
-//! | `GET /bench` | list `BENCH_*.json` artifacts; `GET /bench/:name` serves one |
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -34,8 +33,6 @@ pub struct DaemonConfig {
     /// Admission cap: number of campaign worker threads (= maximum
     /// concurrently running jobs; the rest queue FIFO).
     pub workers: usize,
-    /// Directory scanned for `BENCH_*.json` artifacts (`GET /bench`).
-    pub bench_dir: Option<PathBuf>,
     /// Terminal job-directory retention cap (`--retain N`): keep at
     /// most this many `complete`/`failed` job directories, collecting
     /// the oldest first. Resumable jobs are never collected. `None`
@@ -56,7 +53,6 @@ impl DaemonConfig {
             root: root.into(),
             addr: "127.0.0.1:0".into(),
             workers: 2,
-            bench_dir: None,
             retain: None,
             fanout: 1,
         }
@@ -85,8 +81,7 @@ impl Daemon {
         let (addr, stop) = (server.addr(), server.stopper());
         let handler = {
             let queue = Arc::clone(&queue);
-            let bench_dir = config.bench_dir.clone();
-            Arc::new(move |req: &Request| route(&queue, bench_dir.as_deref(), req))
+            Arc::new(move |req: &Request| route(&queue, req))
         };
         // Two HTTP threads per worker slot: streams occupy one for a
         // job's whole lifetime, so status polls need headroom.
@@ -133,7 +128,7 @@ impl Drop for Daemon {
 
 /// Dispatch one request against the queue. Public so tests can drive
 /// the route table without a socket.
-pub fn route(queue: &Arc<JobQueue>, bench_dir: Option<&Path>, req: &Request) -> Reply {
+pub fn route(queue: &Arc<JobQueue>, req: &Request) -> Reply {
     let path = req.path.strip_prefix("/api/v0").unwrap_or(&req.path);
     let path = if path.is_empty() { "/" } else { path };
     let segments: Vec<&str> = path.trim_matches('/').split('/').filter(|s| !s.is_empty()).collect();
@@ -186,8 +181,6 @@ pub fn route(queue: &Arc<JobQueue>, bench_dir: Option<&Path>, req: &Request) -> 
             },
             None => Reply::error(400, format!("bad job id '{}'", id)),
         },
-        ("GET", ["bench"]) => bench_index(bench_dir),
-        ("GET", ["bench", name]) => bench_artifact(bench_dir, name),
         _ => Reply::error(404, format!("no route for {} {}", req.method, req.path)),
     }
 }
@@ -215,43 +208,6 @@ fn submit(queue: &Arc<JobQueue>, body: &[u8]) -> Reply {
     }
 }
 
-fn bench_index(dir: Option<&Path>) -> Reply {
-    let Some(dir) = dir else {
-        return Reply::error(404, "no bench directory configured");
-    };
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .filter_map(|e| e.ok()?.file_name().into_string().ok())
-                .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-                .collect()
-        })
-        .unwrap_or_default();
-    if names.is_empty() {
-        // A structured 404, not an empty 200: "nothing published yet"
-        // and "no artifacts match" are client-visible conditions, not
-        // a silent empty list.
-        return Reply::error(404, "no bench artifacts published yet (no BENCH_*.json files)");
-    }
-    names.sort();
-    Reply::Json(200, Json::Arr(names.into_iter().map(Json::Str).collect()))
-}
-
-fn bench_artifact(dir: Option<&Path>, name: &str) -> Reply {
-    let Some(dir) = dir else {
-        return Reply::error(404, "no bench directory configured");
-    };
-    // The artifact namespace is flat BENCH_*.json; anything else (in
-    // particular path traversal) is not a bench name.
-    if !name.starts_with("BENCH_") || !name.ends_with(".json") || name.contains(['/', '\\']) {
-        return Reply::error(404, format!("no bench artifact '{}'", name));
-    }
-    match std::fs::read(dir.join(name)) {
-        Ok(bytes) => Reply::Raw(200, "application/json", bytes),
-        Err(_) => Reply::error(404, format!("no bench artifact '{}'", name)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,7 +230,7 @@ mod tests {
         let root = temp_root("prefix");
         let queue = JobQueue::open(&root, 1).unwrap();
         for path in ["/healthz", "/api/v0/healthz"] {
-            match route(&queue, None, &get(path)) {
+            match route(&queue, &get(path)) {
                 Reply::Json(200, Json::Obj(fields)) => {
                     for key in ["status", "max_concurrent", "app_builds", "golden_runs"] {
                         assert!(fields.iter().any(|(k, _)| k == key), "{path}: no {key}");
@@ -283,9 +239,16 @@ mod tests {
                 other => panic!("{} => {:?}", path, reply_tag(&other)),
             }
         }
-        match route(&queue, None, &get("/nope")) {
-            Reply::Json(404, _) => {}
-            other => panic!("{:?}", reply_tag(&other)),
+        // The daemon serves jobs and nothing else: it hands out no
+        // files, so `/bench` is an unknown route like any other.
+        for path in ["/nope", "/bench", "/bench/x.json", "/api/v0/bench"] {
+            match route(&queue, &get(path)) {
+                Reply::Json(404, body) => {
+                    let msg = body.get("error").and_then(Json::as_str).unwrap_or("");
+                    assert!(msg.starts_with("no route for GET"), "{path}: {msg}");
+                }
+                other => panic!("{} => {:?}", path, reply_tag(&other)),
+            }
         }
         queue.shutdown();
         let _ = std::fs::remove_dir_all(&root);
@@ -302,49 +265,10 @@ mod tests {
         ];
         for body in cases {
             let req = Request { method: "POST".into(), path: "/jobs".into(), body: body.to_vec() };
-            match route(&queue, None, &req) {
+            match route(&queue, &req) {
                 Reply::Json(400, _) => {}
                 other => panic!("{:?} for {:?}", reply_tag(&other), String::from_utf8_lossy(body)),
             }
-        }
-        queue.shutdown();
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn bench_routes_serve_only_flat_bench_json() {
-        let root = temp_root("bench");
-        let bench = root.join("bench");
-        std::fs::create_dir_all(&bench).unwrap();
-        std::fs::write(bench.join("BENCH_demo.json"), b"{\"ok\":true}").unwrap();
-        std::fs::write(bench.join("notes.txt"), b"x").unwrap();
-        let queue = JobQueue::open(&root, 1).unwrap();
-        match route(&queue, Some(&bench), &get("/bench")) {
-            Reply::Json(200, Json::Arr(names)) => {
-                assert_eq!(names, vec![Json::Str("BENCH_demo.json".into())]);
-            }
-            other => panic!("{:?}", reply_tag(&other)),
-        }
-        match route(&queue, Some(&bench), &get("/bench/BENCH_demo.json")) {
-            Reply::Raw(200, "application/json", bytes) => assert_eq!(bytes, b"{\"ok\":true}"),
-            other => panic!("{:?}", reply_tag(&other)),
-        }
-        for bad in ["/bench/notes.txt", "/bench/..%2fBENCH_x.json", "/bench/BENCH_missing.json"] {
-            match route(&queue, Some(&bench), &get(bad)) {
-                Reply::Json(404, _) => {}
-                other => panic!("{:?} for {}", reply_tag(&other), bad),
-            }
-        }
-        // A dir with no artifacts answers a *structured* 404, never an
-        // empty 200 body.
-        let empty = root.join("empty-bench");
-        std::fs::create_dir_all(&empty).unwrap();
-        match route(&queue, Some(&empty), &get("/bench")) {
-            Reply::Json(404, body) => {
-                let msg = body.get("error").and_then(Json::as_str).unwrap_or("");
-                assert!(msg.contains("no bench artifacts published yet"), "{msg}");
-            }
-            other => panic!("{:?} for empty bench dir", reply_tag(&other)),
         }
         queue.shutdown();
         let _ = std::fs::remove_dir_all(&root);
@@ -379,7 +303,6 @@ mod tests {
     fn reply_tag(reply: &Reply) -> String {
         match reply {
             Reply::Json(status, v) => format!("Json({}, {})", status, v.render()),
-            Reply::Raw(status, ct, _) => format!("Raw({}, {})", status, ct),
             Reply::Stream(_) => "Stream".into(),
         }
     }
