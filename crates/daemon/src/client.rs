@@ -4,7 +4,7 @@
 //! daemon exclusively through this module, so the wire format is
 //! exercised on every test run.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -21,6 +21,11 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// the allocator for it would abort the process rather than fail the
 /// call.
 const MAX_RESPONSE: usize = 64 * 1024 * 1024;
+/// Cap on any one framing line of a reply (the status line, a header,
+/// a chunk's size line, the trailer): the daemon's own are under a
+/// hundred bytes. A peer that never sends `\n` fails the call here
+/// instead of growing the line until memory or the read timeout ends it.
+const MAX_LINE: usize = 8 * 1024;
 
 /// A client bound to one daemon address (`host:port`).
 #[derive(Debug, Clone)]
@@ -214,11 +219,21 @@ fn error_message(status: u16, body: &[u8]) -> String {
     }
 }
 
+/// Read one framing line through what [`MAX_LINE`] allows; empty at
+/// end of stream.
+fn read_line<R: BufRead>(reader: &mut R, what: &str) -> Result<String, String> {
+    let mut line = String::new();
+    reader.by_ref().take(MAX_LINE as u64).read_line(&mut line).map_err(|e| e.to_string())?;
+    if line.len() == MAX_LINE && !line.ends_with('\n') {
+        return Err(format!("{} exceeds the {} byte line cap", what, MAX_LINE));
+    }
+    Ok(line)
+}
+
 /// Parse the status line and headers; returns `(status, chunked,
 /// content_length)`.
 fn read_head<R: BufRead>(reader: &mut R) -> Result<(u16, bool, Option<usize>), String> {
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| e.to_string())?;
+    let line = read_line(reader, "status line")?;
     let status: u16 = line
         .split_whitespace()
         .nth(1)
@@ -227,8 +242,7 @@ fn read_head<R: BufRead>(reader: &mut R) -> Result<(u16, bool, Option<usize>), S
     let mut chunked = false;
     let mut content_length = None;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|e| e.to_string())?;
+        let header = read_line(reader, "header line")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -258,8 +272,8 @@ fn read_chunk<R: BufRead>(reader: &mut R) -> Result<Option<Vec<u8>>, String> {
     let mut size_line = String::new();
     // Tolerate stray CRLFs between chunks.
     while size_line.trim().is_empty() {
-        size_line.clear();
-        if reader.read_line(&mut size_line).map_err(|e| e.to_string())? == 0 {
+        size_line = read_line(reader, "chunk size line")?;
+        if size_line.is_empty() {
             return Err("chunked body ended without its terminal chunk".into());
         }
     }
@@ -268,8 +282,7 @@ fn read_chunk<R: BufRead>(reader: &mut R) -> Result<Option<Vec<u8>>, String> {
         .map_err(|_| format!("bad chunk size {:?}", size_line))?;
     let size = checked_size(size, "chunk size")?;
     if size == 0 {
-        let mut trailer = String::new();
-        let _ = reader.read_line(&mut trailer);
+        let _ = read_line(reader, "trailer");
         return Ok(None);
     }
     let mut chunk = vec![0u8; size];
@@ -331,5 +344,56 @@ mod tests {
         assert!(read_chunk(&mut blanks).is_err());
         let mut stray = Cursor::new(&b"\r\n\r\n3\r\nabc\r\n"[..]);
         assert_eq!(read_chunk(&mut stray).unwrap().as_deref(), Some(&b"abc"[..]));
+    }
+
+    /// Counts the bytes read out of `inner`.
+    struct Counting<'a, R> {
+        inner: R,
+        consumed: &'a std::cell::Cell<usize>,
+    }
+
+    impl<R: Read> Read for Counting<'_, R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.consumed.set(self.consumed.get() + n);
+            Ok(n)
+        }
+    }
+
+    /// A peer that stops sending newlines — in the status line, in a
+    /// header, in a chunk's size line — fails the call at the line cap,
+    /// not after the client has swallowed everything it sent.
+    #[test]
+    fn a_line_that_never_ends_is_an_error_at_the_line_cap() {
+        const FLOOD: u64 = 4 * 1024 * 1024;
+        const BUFFER: usize = 8 * 1024;
+        let consumed = std::cell::Cell::new(0);
+        let flood_after = |prefix: &'static [u8]| {
+            consumed.set(0);
+            let inner = Cursor::new(prefix).chain(io::repeat(b'x').take(FLOOD));
+            BufReader::with_capacity(BUFFER, Counting { inner, consumed: &consumed })
+        };
+        let at_the_cap = |what: &str, prefix: usize, err: String| {
+            assert!(err.contains("line cap"), "{what}: {err:.120}");
+            let consumed = consumed.get();
+            assert!(consumed <= prefix + MAX_LINE + BUFFER, "{what}: consumed {consumed} bytes");
+        };
+        at_the_cap("status line", 0, read_head(&mut flood_after(b"")).unwrap_err());
+        let head = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-Pad: ";
+        at_the_cap("header line", head.len(), read_head(&mut flood_after(head)).unwrap_err());
+        at_the_cap("chunk size line", 0, read_chunk(&mut flood_after(b"")).unwrap_err());
+        let stray = b"\r\n\r\n";
+        at_the_cap(
+            "chunk size line",
+            stray.len(),
+            read_chunk(&mut flood_after(stray)).unwrap_err(),
+        );
+
+        // A line of exactly the cap, newline included, is still a line.
+        let mut line = vec![b'x'; MAX_LINE - 1];
+        line.push(b'\n');
+        assert_eq!(read_line(&mut Cursor::new(&line), "line").unwrap().len(), MAX_LINE);
+        line.insert(0, b'x');
+        assert!(read_line(&mut Cursor::new(&line), "line").is_err());
     }
 }

@@ -269,10 +269,10 @@ impl FloatSpec {
         Ok(out)
     }
 
-    /// The IEEE fast path over `N`-byte elements: a branch-free pass
-    /// converts every element in hardware, a second ORs `special` (the
-    /// subnormal and non-finite bit patterns, which the hardware and
-    /// the general decode read differently) over the same bytes, and
+    /// The IEEE fast path over `N`-byte elements: one branch-free pass
+    /// converts every element in hardware and, on the bytes it already
+    /// holds, ORs `special` (the subnormal and non-finite bit patterns,
+    /// which the hardware and the general decode read differently);
     /// only when that saw one does a fix-up pass route exactly those
     /// elements through [`FloatSpec::decode`].
     fn decode_ieee<const N: usize>(
@@ -282,8 +282,15 @@ impl FloatSpec {
         special: impl Fn([u8; N]) -> bool,
     ) -> Hdf5Result<Vec<f64>> {
         let (elements, _) = raw.as_chunks::<N>();
-        let mut out: Vec<f64> = elements.iter().map(|&e| convert(e)).collect();
-        if elements.iter().fold(false, |any, &e| any | special(e)) {
+        let mut any_special = false;
+        let mut out: Vec<f64> = elements
+            .iter()
+            .map(|&e| {
+                any_special |= special(e);
+                convert(e)
+            })
+            .collect();
+        if any_special {
             for (slot, e) in out.iter_mut().zip(elements) {
                 if special(*e) {
                     *slot = self.decode(e)?;
@@ -438,6 +445,39 @@ mod tests {
         }
     }
 
+    /// Over `normals` (no special element), `decode_ieee` asks `special`
+    /// once per element: the detect rides the convert pass and no
+    /// fix-up pass runs. With one of `specials` at the first, a middle
+    /// or the last element it asks twice — one fix-up pass — and bulk
+    /// equals per-element throughout.
+    fn assert_one_special_costs_one_fixup<const N: usize>(
+        spec: &FloatSpec,
+        mut raw: Vec<u8>,
+        specials: &[[u8; N]],
+        convert: impl Fn([u8; N]) -> f64,
+        special: impl Fn([u8; N]) -> bool,
+    ) {
+        let count = raw.len() / N;
+        let asked = std::cell::Cell::new(0usize);
+        let counted = |b| {
+            asked.set(asked.get() + 1);
+            special(b)
+        };
+        assert_bulk_equals_per_element(spec, &raw);
+        spec.decode_ieee(&raw, &convert, counted).unwrap();
+        assert_eq!(asked.replace(0), count, "no special element, no fix-up pass");
+        for at in [0, count / 2, count - 1] {
+            for special in specials {
+                let normal: [u8; N] = raw[at * N..][..N].try_into().unwrap();
+                raw[at * N..][..N].copy_from_slice(special);
+                assert_bulk_equals_per_element(spec, &raw);
+                spec.decode_ieee(&raw, &convert, counted).unwrap();
+                assert_eq!(asked.replace(0), 2 * count, "one special at {at}, one fix-up pass");
+                raw[at * N..][..N].copy_from_slice(&normal);
+            }
+        }
+    }
+
     #[test]
     fn decode_all_fast_path_matches_generic_decode() {
         // Every exponent x sampled mantissas x both signs: the zeros,
@@ -491,6 +531,41 @@ mod tests {
             raw[end - 4..].copy_from_slice(&special.to_le_bytes());
             assert_bulk_equals_per_element(&FloatSpec::ieee_f32(), &raw);
         }
+
+        // A dataset-sized buffer of normals, then exactly one special
+        // in it at a time.
+        const LONG: usize = (1 << 16) + 3;
+        let long32: Vec<u8> = (0..LONG)
+            .map(|_| (next() as u32 & 0x807F_FFFF) | ((1 + next() as u32 % 0xFE) << 23))
+            .flat_map(u32::to_le_bytes)
+            .collect();
+        let long64: Vec<u8> = (0..LONG)
+            .map(|_| (next() & 0x800F_FFFF_FFFF_FFFF) | ((1 + next() % 0x7FE) << 52))
+            .flat_map(u64::to_le_bytes)
+            .collect();
+        assert_one_special_costs_one_fixup(
+            &FloatSpec::ieee_f32(),
+            long32,
+            &[1u32, 0x807F_FFFF, 0x7F80_0000, 0xFF80_0000, 0x7FC0_0001, 0xFFBF_FFFF]
+                .map(u32::to_le_bytes),
+            |b| f32::from_le_bytes(b) as f64,
+            |b| !f32::from_le_bytes(b).is_normal() & (f32::from_le_bytes(b) != 0.0),
+        );
+        assert_one_special_costs_one_fixup(
+            &FloatSpec::ieee_f64(),
+            long64,
+            &[
+                1u64,
+                0x800F_FFFF_FFFF_FFFF,
+                0x7FF0_0000_0000_0000,
+                0xFFF0_0000_0000_0000,
+                0x7FF8_0000_0000_0001,
+                0xFFF7_FFFF_FFFF_FFFF,
+            ]
+            .map(u64::to_le_bytes),
+            f64::from_le_bytes,
+            |b| !f64::from_le_bytes(b).is_normal() & (f64::from_le_bytes(b) != 0.0),
+        );
 
         // A perturbed (non-IEEE) spec never enters the fast path: the
         // same bytes still decode element by element.
