@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use ffis_vfs::{
     wire, BatchFork, BatchForks, CheckpointStore, CounterSnapshot, FfisFs, Fnv, Interceptor, MemFs,
-    MemoStats, MemoStore, Placement, Primitive, ReadRecord, ReplayCursor, SharedTrace,
+    MemoStats, MemoStore, PathSet, Placement, Primitive, ReadRecord, ReplayCursor, SharedTrace,
     TraceCheckpoint, TraceCheckpoints, TraceOp, PRIMITIVES,
 };
 
@@ -1328,6 +1328,7 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
                         cache: cache.clone(),
                         eligible_ops,
                         memo: None,
+                        tail_inputs: Vec::new(),
                     })),
                 },
                 Primitive::Read => analyze_only
@@ -1567,6 +1568,11 @@ pub(crate) struct ReplayPlan {
     /// injected op's path as an input and assembles the rest from the
     /// memo store (see [`Shard::engage_memo`]).
     memo: Option<Arc<SubstepMemo>>,
+    /// With `memo`, per sub-step: which of the trace's paths it
+    /// declares as inputs — what a run's filtered tail keeps for each
+    /// dirty sub-step. Resolved to path ids once per plan, so no run
+    /// compares a path string.
+    tail_inputs: Vec<PathSet>,
 }
 
 impl ReplayPlan {
@@ -1591,7 +1597,7 @@ impl ReplayPlan {
         golden.replay_laws(app)?;
         let demand = [eligible_ops[(instance - 1) as usize]];
         let cache = place_checkpoints(&golden.trace, None, Some(&demand))?;
-        Ok(ReplayPlan { cache, eligible_ops, memo: None })
+        Ok(ReplayPlan { cache, eligible_ops, memo: None, tail_inputs: Vec::new() })
     }
 
     /// Resolve the planned strategy for one target instance: the
@@ -1856,7 +1862,16 @@ impl Shard {
     fn engage_memo(&mut self, memo: &Arc<SubstepMemo>, golden_analyze: &[ReadRecord]) {
         match &mut self.plan {
             Err(_) => {}
-            Ok(CampaignPlan::Replay(rp)) => rp.memo = Some(memo.clone()),
+            Ok(CampaignPlan::Replay(rp)) => {
+                let paths = rp.cache.trace().path_index();
+                rp.tail_inputs = memo
+                    .laws
+                    .specs
+                    .iter()
+                    .map(|spec| paths.select(spec.inputs.iter().map(String::as_str)))
+                    .collect();
+                rp.memo = Some(memo.clone());
+            }
             Ok(CampaignPlan::AnalyzeOnly(ap)) => {
                 let target = &self.signature.target;
                 let matching = |records: &[ReadRecord]| {
@@ -2095,14 +2110,18 @@ pub(crate) fn run_frame<A: FaultApp>(
                 // declare — the read-set contract the dirty cascade
                 // itself rests on; for a multi-file app only the
                 // injected file's ops replay.
-                let tail = &ops[target_op + 1..];
                 let stats = match memo {
-                    Some((m, dirty)) => {
-                        cursor.replay_coalesced_filtered(&**ffs.inner(), tail, &|p| {
-                            dirty.iter().any(|&i| m.laws.specs[i].reads(p))
-                        })
+                    Some((_, dirty)) => {
+                        let kept: Vec<&PathSet> =
+                            dirty.iter().map(|&i| &plan.tail_inputs[i]).collect();
+                        cursor.replay_tail_filtered(
+                            &**ffs.inner(),
+                            plan.cache.trace(),
+                            target_op + 1,
+                            &kept,
+                        )
                     }
-                    None => cursor.replay_coalesced(&**ffs.inner(), tail),
+                    None => cursor.replay_coalesced(&**ffs.inner(), &ops[target_op + 1..]),
                 }
                 .map_err(|e| e.to_string())?;
                 telemetry
@@ -3275,5 +3294,110 @@ mod tests {
         for (a, b) in resumed.shards.iter().zip(&control.shards) {
             assert_eq!(a.tally, b.tally);
         }
+    }
+
+    /// Two data files, one analyze sub-step each.
+    struct TwoFileApp;
+
+    const TWO_FILES: [&str; 2] = ["/a.dat", "/b.dat"];
+
+    impl FaultApp for TwoFileApp {
+        type Output = Vec<Vec<u8>>;
+
+        fn produce(&self, fs: &dyn FileSystem) -> Result<(), String> {
+            for (i, path) in TWO_FILES.iter().enumerate() {
+                let data: Vec<u8> = (0..4096 * 3).map(|b| (b % 251) as u8 + i as u8).collect();
+                fs.write_file_chunked(path, &data, 4096).map_err(|e| e.to_string())?;
+            }
+            Ok(())
+        }
+
+        fn analyze(
+            &self,
+            fs: &dyn FileSystem,
+            golden: Option<&Vec<Vec<u8>>>,
+        ) -> Result<Vec<Vec<u8>>, String> {
+            (0..2).map(|i| self.analyze_substep(fs, i, golden)).collect()
+        }
+
+        fn analyze_substeps(&self) -> Option<Vec<SubstepSpec>> {
+            Some(TWO_FILES.iter().map(|p| SubstepSpec::new(*p, vec![p.to_string()])).collect())
+        }
+
+        fn analyze_substep(
+            &self,
+            fs: &dyn FileSystem,
+            index: usize,
+            _golden: Option<&Vec<Vec<u8>>>,
+        ) -> Result<Vec<u8>, String> {
+            fs.read_to_vec(TWO_FILES[index]).map_err(|e| e.to_string())
+        }
+
+        fn assemble(
+            &self,
+            artifacts: &[Vec<u8>],
+            _golden: Option<&Vec<Vec<u8>>>,
+        ) -> Result<Vec<Vec<u8>>, String> {
+            Ok(artifacts.to_vec())
+        }
+
+        fn classify(&self, golden: &Vec<Vec<u8>>, faulty: &Vec<Vec<u8>>) -> Outcome {
+            if golden == faulty {
+                Outcome::Benign
+            } else {
+                Outcome::Sdc
+            }
+        }
+
+        fn name(&self) -> String {
+            "TWO".into()
+        }
+    }
+
+    /// The golden run a cache holds for a write-site (`trace` only,
+    /// `memo` off) or memoized (`trace` and `ledger`) campaign.
+    fn kept_golden(cache: &GoldenCache<Vec<Vec<u8>>>, ledger: bool) -> Arc<Golden<Vec<Vec<u8>>>> {
+        cache
+            .get_or_run(Capture { trace: true, ledger }, || unreachable!("the campaign ran it"))
+            .unwrap()
+    }
+
+    #[test]
+    fn the_path_index_is_built_by_memoized_write_campaigns_alone_and_once_per_trace() {
+        let cfg = |site: fn(FaultModel) -> FaultSignature, memo: bool, seed: u64| {
+            CampaignConfig::new(site(FaultModel::bit_flip()))
+                .with_runs(12)
+                .with_seed(seed)
+                .with_replay(true)
+                .with_replay_opt(true)
+                .with_memo(memo)
+        };
+        let run = |cache: &GoldenCache<Vec<Vec<u8>>>, cfg: CampaignConfig| {
+            Campaign::new(&TwoFileApp, cfg).with_goldens(cache).run().unwrap()
+        };
+
+        // Without `memo` the tail is not filtered: nothing asks.
+        let plain = GoldenCache::new();
+        let result = run(&plain, cfg(FaultSignature::on_write, false, 1));
+        assert!(result.mode.is_fast_path() && !result.memo.engaged);
+        assert!(!kept_golden(&plain, false).trace.path_index_built());
+
+        // A memoized read-site campaign replays no tail either.
+        let cache = GoldenCache::new();
+        let result = run(&cache, cfg(FaultSignature::on_read, true, 2));
+        assert!(result.memo.engaged);
+        let golden = kept_golden(&cache, true);
+        assert!(!golden.trace.path_index_built());
+
+        // A memoized write-site campaign builds it, while planning;
+        // the next one over the same golden run finds it there.
+        let result = run(&cache, cfg(FaultSignature::on_write, true, 3));
+        assert!(result.memo.engaged && result.replay_opt.skipped_tail_ops > 0);
+        assert!(golden.trace.path_index_built());
+        let first: *const ffis_vfs::PathIndex = golden.trace.path_index();
+        let again = run(&cache, cfg(FaultSignature::on_write, true, 4));
+        assert!(again.replay_opt.skipped_tail_ops > 0);
+        assert_eq!(cache.runs(), 1);
+        assert!(std::ptr::eq(first, kept_golden(&cache, true).trace.path_index()));
     }
 }

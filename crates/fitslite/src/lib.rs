@@ -143,17 +143,51 @@ impl FitsImage {
     }
 }
 
+/// One 80-byte card image: `KEYWORD = value`, the value right-aligned
+/// to 20 columns, or the bare keyword when `value` is empty.
+///
+/// The value field is bytes 10..80. A value longer than those 70
+/// bytes is **cut**, not rejected: the card keeps its first 70 bytes
+/// and the reader parses what is left (`f64::MAX` at `{:.10}` reads
+/// back as a 70-digit number near 1.8e69). That is pinned behaviour —
+/// what analyze computes from a corrupted WCS, and so every digest
+/// downstream of one, depends on it — and [`reread`] reproduces it by
+/// going through this function.
 fn card(key: &str, value: &str) -> [u8; CARD_LEN] {
+    debug_assert!(key.len() <= 8 && key.is_ascii() && value.is_ascii());
     let mut c = [b' '; CARD_LEN];
-    let text =
-        if value.is_empty() { key.to_string() } else { format!("{:<8}= {:>20}", key, value) };
-    let bytes = text.as_bytes();
-    c[..bytes.len().min(CARD_LEN)].copy_from_slice(&bytes[..bytes.len().min(CARD_LEN)]);
+    c[..key.len()].copy_from_slice(key.as_bytes());
+    if !value.is_empty() {
+        c[8] = b'=';
+        let at = 10 + 20usize.saturating_sub(value.len());
+        let kept = value.len().min(CARD_LEN - at);
+        c[at..at + kept].copy_from_slice(&value.as_bytes()[..kept]);
+    }
     c
 }
 
-/// Serialize an image to FITS bytes.
-pub fn render_fits(img: &FitsImage) -> FitsResult<Vec<u8>> {
+/// Keyword and decimals of the six WCS cards, in header order: ten
+/// decimals for sky coordinates and scales, four for pixels.
+const WCS_CARDS: [(&str, usize); 6] =
+    [("CRVAL1", 10), ("CRVAL2", 10), ("CRPIX1", 4), ("CRPIX2", 4), ("CDELT1", 10), ("CDELT2", 10)];
+
+/// The six WCS cards, in [`WCS_CARDS`] order — the one place their
+/// values become text. [`render_fits`] appends them to the header;
+/// [`reread`] reads each value back off its card.
+fn wcs_cards(wcs: &Wcs) -> [[u8; CARD_LEN]; 6] {
+    use std::fmt::Write;
+    let values = [wcs.crval1, wcs.crval2, wcs.crpix1, wcs.crpix2, wcs.cdelt1, wcs.cdelt2];
+    let mut text = String::new();
+    std::array::from_fn(|i| {
+        let (key, decimals) = WCS_CARDS[i];
+        text.clear();
+        write!(text, "{:.*}", decimals, values[i]).expect("writing to a String");
+        card(key, &text)
+    })
+}
+
+/// The writer's one check: the pixel vector fills the declared shape.
+fn check_data_len(img: &FitsImage) -> FitsResult<()> {
     if img.data.len() != img.width * img.height {
         return Err(FitsError(format!(
             "data length {} != {}x{}",
@@ -162,19 +196,26 @@ pub fn render_fits(img: &FitsImage) -> FitsResult<Vec<u8>> {
             img.height
         )));
     }
+    Ok(())
+}
+
+/// Serialize an image to FITS bytes.
+pub fn render_fits(img: &FitsImage) -> FitsResult<Vec<u8>> {
+    check_data_len(img)?;
     let mut header = Vec::with_capacity(FITS_BLOCK);
+    let [crval1, crval2, crpix1, crpix2, cdelt1, cdelt2] = wcs_cards(&img.wcs);
     let cards = [
         card("SIMPLE", "T"),
         card("BITPIX", "-64"),
         card("NAXIS", "2"),
         card("NAXIS1", &img.width.to_string()),
         card("NAXIS2", &img.height.to_string()),
-        card("CRVAL1", &format!("{:.10}", img.wcs.crval1)),
-        card("CRVAL2", &format!("{:.10}", img.wcs.crval2)),
-        card("CRPIX1", &format!("{:.4}", img.wcs.crpix1)),
-        card("CRPIX2", &format!("{:.4}", img.wcs.crpix2)),
-        card("CDELT1", &format!("{:.10}", img.wcs.cdelt1)),
-        card("CDELT2", &format!("{:.10}", img.wcs.cdelt2)),
+        crval1,
+        crval2,
+        crpix1,
+        crpix2,
+        cdelt1,
+        cdelt2,
         card("CTYPE1", "'RA---TAN'"),
         card("CTYPE2", "'DEC--TAN'"),
         card("END", ""),
@@ -200,15 +241,47 @@ pub fn write_fits(fs: &dyn FileSystem, path: &str, img: &FitsImage) -> FitsResul
     Ok(())
 }
 
+/// Hand `f` the value field of a card image as the reader takes it:
+/// bytes 10..80, trimmed.
+fn with_card_value<T>(c: &[u8], f: impl FnOnce(&str) -> T) -> T {
+    f(String::from_utf8_lossy(&c[10..]).trim())
+}
+
+fn parse_value(key: &str, value: &str) -> FitsResult<f64> {
+    value.parse::<f64>().map_err(|_| FitsError(format!("unparsable {} card", key)))
+}
+
 fn parse_card_value(
     cards: &std::collections::HashMap<String, String>,
     key: &str,
 ) -> FitsResult<f64> {
-    cards
-        .get(key)
-        .ok_or_else(|| FitsError(format!("missing {} card", key)))?
-        .parse::<f64>()
-        .map_err(|_| FitsError(format!("unparsable {} card", key)))
+    parse_value(key, cards.get(key).ok_or_else(|| FitsError(format!("missing {} card", key)))?)
+}
+
+/// The reader's shape check on the `NAXIS1` / `NAXIS2` values.
+fn check_dimensions(width: i64, height: i64) -> FitsResult<(usize, usize)> {
+    if width <= 0 || height <= 0 || width > 1 << 16 || height > 1 << 16 {
+        return Err(FitsError(format!("implausible dimensions {}x{}", width, height)));
+    }
+    Ok((width as usize, height as usize))
+}
+
+/// The reader's last step: six parsed WCS values, in [`WCS_CARDS`]
+/// order (each an error of its own card), and the `CDELT` check.
+fn check_wcs(v: [FitsResult<f64>; 6]) -> FitsResult<Wcs> {
+    let [crval1, crval2, crpix1, crpix2, cdelt1, cdelt2] = v;
+    let wcs = Wcs {
+        crval1: crval1?,
+        crval2: crval2?,
+        crpix1: crpix1?,
+        crpix2: crpix2?,
+        cdelt1: cdelt1?,
+        cdelt2: cdelt2?,
+    };
+    if wcs.cdelt1 == 0.0 || wcs.cdelt2 == 0.0 {
+        return Err(FitsError("degenerate CDELT".into()));
+    }
+    Ok(wcs)
 }
 
 /// Parse FITS bytes.
@@ -230,8 +303,7 @@ pub fn parse_fits(bytes: &[u8]) -> FitsResult<FitsImage> {
                 break 'blocks;
             }
             if c.len() > 10 && c[8] == b'=' {
-                let value = String::from_utf8_lossy(&c[10..]).trim().to_string();
-                cards.insert(key, value);
+                cards.insert(key, with_card_value(c, str::to_string));
             }
         }
         pos += FITS_BLOCK;
@@ -252,10 +324,7 @@ pub fn parse_fits(bytes: &[u8]) -> FitsResult<FitsImage> {
     }
     let width = parse_card_value(&cards, "NAXIS1")? as i64;
     let height = parse_card_value(&cards, "NAXIS2")? as i64;
-    if width <= 0 || height <= 0 || width > 1 << 16 || height > 1 << 16 {
-        return Err(FitsError(format!("implausible dimensions {}x{}", width, height)));
-    }
-    let (width, height) = (width as usize, height as usize);
+    let (width, height) = check_dimensions(width, height)?;
     let need = width * height * 8;
     if bytes.len() < pos + need {
         return Err(FitsError(format!(
@@ -264,23 +333,48 @@ pub fn parse_fits(bytes: &[u8]) -> FitsResult<FitsImage> {
             bytes.len() - pos
         )));
     }
-    let mut data = Vec::with_capacity(width * height);
-    for i in 0..width * height {
-        let b = &bytes[pos + 8 * i..pos + 8 * (i + 1)];
-        data.push(f64::from_be_bytes(b.try_into().unwrap()));
-    }
-    let wcs = Wcs {
-        crval1: parse_card_value(&cards, "CRVAL1")?,
-        crval2: parse_card_value(&cards, "CRVAL2")?,
-        crpix1: parse_card_value(&cards, "CRPIX1")?,
-        crpix2: parse_card_value(&cards, "CRPIX2")?,
-        cdelt1: parse_card_value(&cards, "CDELT1")?,
-        cdelt2: parse_card_value(&cards, "CDELT2")?,
-    };
-    if wcs.cdelt1 == 0.0 || wcs.cdelt2 == 0.0 {
-        return Err(FitsError("degenerate CDELT".into()));
-    }
+    let data = bytes[pos..pos + need]
+        .chunks_exact(8)
+        .map(|b| f64::from_be_bytes(b.try_into().expect("chunks of 8")))
+        .collect();
+    let wcs = check_wcs(WCS_CARDS.map(|(key, _)| parse_card_value(&cards, key)))?;
     Ok(FitsImage { width, height, data, wcs })
+}
+
+/// What [`parse_fits`] makes of what [`render_fits`] writes for `img`
+/// — the image the next stage of a pipeline reads back — without
+/// building the bytes: `reread(img)` equals
+/// `render_fits(img).and_then(|b| parse_fits(&b))`, errors and their
+/// strings included.
+///
+/// * The pixels are copied: big-endian IEEE there and back is the
+///   identity on every bit pattern, NaN payloads included.
+/// * Each WCS value goes through the text its card carries (ten
+///   decimals, four for `CRPIXn`; right-aligned to 20, cut at 70
+///   bytes), then through the reader's trim and parse — this is where a value
+///   loses precision, or most of its digits when the text overruns.
+/// * Of the reader's error sites only two can fire on bytes the
+///   writer wrote, and they fire here in the reader's order, after
+///   the writer's own `data length` check: `implausible dimensions`
+///   (a side of 0 or above 65,536) and `degenerate CDELT` (an
+///   |cdelt| that prints as zero at ten decimals: 4e-11 does, 5e-11
+///   does not). The writer always emits one whole
+///   header block with `SIMPLE`, `BITPIX`, `NAXIS`, every card the
+///   reader asks for and `END`, a data unit of the declared length,
+///   and number text Rust's `f64` parser accepts (`NaN`, `inf`, a cut
+///   that ends in `.` included), so `smaller than one block`, `END not
+///   found`, `SIMPLE`, `BITPIX`, `NAXIS`, `missing`, `unparsable` and
+///   `data truncated` cannot.
+pub fn reread(img: &FitsImage) -> FitsResult<FitsImage> {
+    check_data_len(img)?;
+    // `NAXISn` holds the side in decimal and is read as an `f64` cut
+    // to `i64`: both conversions round to nearest-even and saturate.
+    let (width, height) = check_dimensions(img.width as f64 as i64, img.height as f64 as i64)?;
+    let cards = wcs_cards(&img.wcs);
+    let wcs = check_wcs(std::array::from_fn(|i| {
+        with_card_value(&cards[i], |value| parse_value(WCS_CARDS[i].0, value))
+    }))?;
+    Ok(FitsImage { width, height, data: img.data.clone(), wcs })
 }
 
 /// Read an image from the filesystem.
@@ -294,6 +388,7 @@ pub fn read_fits(fs: &dyn FileSystem, path: &str) -> FitsResult<FitsImage> {
 mod tests {
     use super::*;
     use ffis_vfs::MemFs;
+    use proptest::prelude::*;
 
     fn wcs() -> Wcs {
         Wcs {
@@ -430,5 +525,159 @@ mod tests {
         img.set(1, 1, -3.0);
         assert_eq!(img.min(), -3.0);
         assert_eq!(img.max(), 5.0);
+    }
+
+    #[test]
+    fn a_card_is_its_format_string_cut_at_80_bytes() {
+        let values = ["", "T", "-64", "'RA---TAN'", "-0.0010000000", "NaN", "-inf"];
+        let long: Vec<String> =
+            [19, 20, 21, 69, 70, 71, 320].map(|n| "1234567890".repeat(32)[..n].into()).into();
+        for value in values.into_iter().chain(long.iter().map(String::as_str)) {
+            for key in ["END", "NAXIS1", "BITPIX"] {
+                let text = if value.is_empty() {
+                    key.to_string()
+                } else {
+                    format!("{:<8}= {:>20}", key, value)
+                };
+                let mut want = [b' '; CARD_LEN];
+                let n = text.len().min(CARD_LEN);
+                want[..n].copy_from_slice(&text.as_bytes()[..n]);
+                assert_eq!(card(key, value), want, "{key} {value}");
+            }
+        }
+    }
+
+    /// The slow composite [`reread`] replaces — kept as its oracle.
+    fn roundtrip(img: &FitsImage) -> FitsResult<FitsImage> {
+        render_fits(img).and_then(|b| parse_fits(&b))
+    }
+
+    /// `Ok` sides equal bit for bit, `Err` sides equal as errors.
+    fn assert_reread_is_roundtrip(img: &FitsImage) -> Result<(), String> {
+        let bits = |r: FitsResult<FitsImage>| {
+            r.map(|i| {
+                let w = i.wcs;
+                let wcs = [w.crval1, w.crval2, w.crpix1, w.crpix2, w.cdelt1, w.cdelt2];
+                let data: Vec<u64> = i.data.iter().map(|v| v.to_bits()).collect();
+                (i.width, i.height, data, wcs.map(f64::to_bits))
+            })
+        };
+        prop_assert_eq!(bits(reread(img)), bits(roundtrip(img)));
+        Ok(())
+    }
+
+    /// Values that reach every branch of a WCS card's way out and back:
+    /// text that overruns the 70-byte value field (and `1e58`, the last
+    /// that fits at `{:.10}`), specials, signed zeros, and |cdelt| on
+    /// either side of printing as zero.
+    const EDGE: [f64; 17] = [
+        1e58,
+        1e59,
+        1e60,
+        f64::MAX,
+        -1e300,
+        1e64,
+        1e65,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        4e-11,
+        -4e-11,
+        5e-11,
+        -5e-11,
+        f64::MIN_POSITIVE,
+    ];
+
+    fn draw_f64(rng: &mut TestRng) -> f64 {
+        match rng.next_u64() % 4 {
+            0 => EDGE[(rng.next_u64() % EDGE.len() as u64) as usize],
+            1 => (rng.unit_f64() - 0.5) * 400.0,
+            _ => f64::arbitrary(rng),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn reread_is_render_then_parse(seed in any::<u64>(), shape in 0u8..8) {
+            let rng = &mut TestRng::new(seed);
+            let (width, height) = match shape {
+                0 => (0, (rng.next_u64() % 4) as usize),
+                1 => ((rng.next_u64() % 4) as usize, 0),
+                _ => (1 + (rng.next_u64() % 12) as usize, 1 + (rng.next_u64() % 12) as usize),
+            };
+            // One shape in eight carries a pixel vector of another length.
+            let len = if shape == 2 { (rng.next_u64() % 150) as usize } else { width * height };
+            let mut v = [0.0; 6];
+            v.fill_with(|| draw_f64(rng));
+            let wcs = Wcs {
+                crval1: v[0], crval2: v[1], crpix1: v[2], crpix2: v[3], cdelt1: v[4], cdelt2: v[5],
+            };
+            let data = (0..len).map(|_| draw_f64(rng)).collect();
+            assert_reread_is_roundtrip(&FitsImage { width, height, data, wcs })?;
+        }
+    }
+
+    #[test]
+    fn reread_fails_where_the_round_trip_fails() {
+        let err = |img: &FitsImage| reread(img).unwrap_err().0;
+        let mut img = image();
+        img.data.pop();
+        assert_eq!(err(&img), "data length 1535 != 48x32");
+        // The shape check comes before the WCS, as in the reader.
+        let bad_wcs = Wcs { cdelt1: 0.0, ..wcs() };
+        for (w, h) in [(0, 0), (0, 5), (5, 0), (65_537, 0), ((1 << 53) + 1, 0), (usize::MAX, 0)] {
+            let img = FitsImage { width: w, height: h, data: Vec::new(), wcs: bad_wcs };
+            assert!(err(&img).starts_with("implausible dimensions"), "{w}x{h}");
+            assert_reread_is_roundtrip(&img).unwrap();
+        }
+        assert_eq!(err(&FitsImage::blank(65_537, 0, wcs())), "implausible dimensions 65537x0");
+        assert_eq!(
+            err(&FitsImage::blank(usize::MAX, 0, wcs())),
+            format!("implausible dimensions {}x0", i64::MAX)
+        );
+        assert!(reread(&FitsImage::blank(65_536, 1, wcs())).is_ok());
+        for cdelt in [0.0, -0.0, 4e-11, -4e-11, f64::MIN_POSITIVE] {
+            assert_eq!(
+                err(&FitsImage::blank(2, 2, Wcs { cdelt2: cdelt, ..wcs() })),
+                "degenerate CDELT"
+            );
+        }
+        assert!(reread(&FitsImage::blank(2, 2, Wcs { cdelt2: 5e-11, ..wcs() })).is_ok());
+    }
+
+    #[test]
+    fn a_value_past_the_card_is_cut_not_rejected() {
+        // Pinned: digests downstream of a corrupted WCS depend on it.
+        let back = |v: f64| reread(&FitsImage::blank(1, 1, Wcs { crval1: v, crpix1: v, ..wcs() }));
+        // 59 digits + 11 fill the 70 bytes exactly; one more loses a zero.
+        assert_eq!(back(1e58).unwrap().wcs.crval1, 1e58);
+        assert_eq!(back(1e60).unwrap().wcs.crval1, 1e60);
+        // 309 digits, then 300 after a sign: the first 70 bytes are
+        // read as a whole number.
+        for v in [f64::MAX, -1e300] {
+            let text = format!("{:.10}", v);
+            assert!(text.len() > 300);
+            let cut = back(v).unwrap().wcs;
+            assert_eq!(cut.crval1, text[..70].parse::<f64>().unwrap());
+            assert_eq!(cut.crpix1, cut.crval1);
+        }
+        assert!((1.79e69..1.80e69).contains(&back(f64::MAX).unwrap().wcs.crval1));
+        assert!((-1.01e68..-0.99e68).contains(&back(-1e300).unwrap().wcs.crval1));
+        let nan = back(f64::NAN).unwrap().wcs;
+        assert!(nan.crval1.is_nan() && nan.crpix1.is_nan());
+        assert_eq!(back(f64::NEG_INFINITY).unwrap().wcs.crpix1, f64::NEG_INFINITY);
+        assert!(back(-0.0).unwrap().wcs.crval1.is_sign_negative());
+        for v in [1e58, 1e60, f64::MAX, -1e300, f64::NAN, -0.0] {
+            assert_reread_is_roundtrip(&FitsImage::blank(
+                1,
+                1,
+                Wcs { crval1: v, crpix1: v, ..wcs() },
+            ))
+            .unwrap();
+        }
     }
 }

@@ -19,7 +19,7 @@
 use ffis_core::par::*;
 use ffis_core::{FaultApp, Outcome, SubstepSpec, TargetFilter};
 use ffis_vfs::{FileSystem, FileSystemExt};
-use fitslite::{parse_fits, render_fits, FitsImage};
+use fitslite::{parse_fits, render_fits, reread, FitsImage};
 
 use crate::stages::{
     apply_background, coadd, corr_area_path, corr_path, diff_overlaps, diff_path, fit_background,
@@ -91,12 +91,23 @@ struct GoldenPipeline {
     image: FinalImage,
 }
 
-/// Serialize an image and parse it back: the bytes are what the
-/// pipeline writes, the image is what the next stage reads.
+/// What the next stage reads back of an image the pipeline has just
+/// written — [`fitslite::reread`], which never builds the bytes. The
+/// analyze cascade needs only this half of a round trip.
+///
+/// Every image that reaches here comes out of a stage core or out of
+/// `parse_fits`, so its pixel vector fills its shape and only the
+/// reader's own checks (dimensions, `CDELT`) can fail.
+fn read_back(img: &FitsImage) -> FitsImage {
+    reread(img).expect("render/parse roundtrip")
+}
+
+/// Both halves of a round trip, for the golden build: the bytes are
+/// what the pipeline writes (`produce` streams them, analyze compares
+/// against them), the image is what the next stage reads.
 fn roundtrip(img: &FitsImage) -> (Vec<u8>, FitsImage) {
     let bytes = render_fits(img).expect("golden images are well-formed");
-    let rt = parse_fits(&bytes).expect("render/parse roundtrip");
-    (bytes, rt)
+    (bytes, read_back(img))
 }
 
 impl GoldenPipeline {
@@ -393,7 +404,7 @@ impl MontageApp {
                             let raw =
                                 parse_image(&read_bytes(fs, &self.tile_path(t, &raw_path(i)))?)?;
                             let (data, area) = project_image(&raw, cfg);
-                            Ok((roundtrip(&data).1, roundtrip(&area).1))
+                            Ok((read_back(&data), read_back(&area)))
                         })
                         .collect::<Result<_, String>>()?
                 } else {
@@ -418,7 +429,7 @@ impl MontageApp {
                 let mut diffs = Vec::new();
                 for (pair, diff) in diff_overlaps(&projs, cfg)? {
                     pairs.push(pair);
-                    diffs.push(roundtrip(&diff).1);
+                    diffs.push(read_back(&diff));
                 }
                 background_tail(&projs, &pairs, &diffs, cfg)
             }
@@ -491,8 +502,10 @@ fn decode_final(b: &[u8]) -> Result<FinalImage, String> {
         Ok(u64::from_le_bytes(b.get(at..at + 8).ok_or_else(err)?.try_into().unwrap()))
     };
     let len = take_u64(0)? as usize;
-    let bytes = b.get(8..8 + len).ok_or_else(err)?.to_vec();
-    let at = 8 + len;
+    // `len` is the artifact's word (a memo store can be a file): an
+    // end past the slice is malformed, one past `usize` as well.
+    let at = len.checked_add(8).ok_or_else(err)?;
+    let bytes = b.get(8..at).ok_or_else(err)?.to_vec();
     if b.len() != at + 32 {
         return Err(err());
     }
@@ -519,7 +532,7 @@ fn background_tail(
         .zip(&planes)
         .map(|((data, area), plane)| {
             let corr = apply_background(data, *plane, cfg);
-            (roundtrip(&corr).1, roundtrip(area).1)
+            (read_back(&corr), read_back(area))
         })
         .collect();
     coadd_tail(&corrs, cfg)
@@ -531,7 +544,7 @@ fn coadd_tail(
     cfg: &PipelineConfig,
 ) -> Result<FinalImage, String> {
     let (mosaic, _) = coadd(corrs, cfg)?;
-    stretch_mosaic(&roundtrip(&mosaic).1)
+    stretch_mosaic(&read_back(&mosaic))
 }
 
 impl FaultApp for MontageApp {
@@ -727,6 +740,89 @@ mod tests {
         config.pipeline.min_overlap_px = usize::MAX;
         let first = MontageApp::tile_golden(&config, 0).err().expect("no pair overlaps that much");
         assert_eq!(MontageApp::try_new(config).err(), Some(first));
+    }
+
+    #[test]
+    fn a_tile_artifact_with_a_hostile_length_is_malformed_not_a_panic() {
+        let img = FinalImage {
+            bytes: b"P5 2 1 255\n\x00\xff".to_vec(),
+            min: 82.8,
+            max: 91.0,
+            width: 2,
+            height: 1,
+        };
+        let good = encode_final(&img);
+        assert_eq!(decode_final(&good).unwrap(), img);
+        let len = img.bytes.len() as u64;
+        for prefix in [u64::MAX, u64::MAX - 7, len + 1] {
+            let mut bad = good.clone();
+            bad[..8].copy_from_slice(&prefix.to_le_bytes());
+            assert_eq!(decode_final(&bad).unwrap_err(), "malformed tile artifact");
+        }
+    }
+
+    /// An image as its bits: blank pixels are NaN, which `==` rejects.
+    fn bits(img: &FitsImage) -> (usize, usize, Vec<u64>, [u64; 6]) {
+        let w = img.wcs;
+        let wcs = [w.crval1, w.crval2, w.crpix1, w.crpix2, w.cdelt1, w.cdelt2];
+        (
+            img.width,
+            img.height,
+            img.data.iter().map(|v| v.to_bits()).collect(),
+            wcs.map(f64::to_bits),
+        )
+    }
+
+    /// The golden build of a 2-tile app again, stage by stage, with the
+    /// slow composite as the oracle: on every product a stage hands to
+    /// the next one (raw, proj, proj area, diff, corr, corr area,
+    /// mosaic) the re-read is the image half of that round trip, bit for
+    /// bit, and so is what `roundtrip` hands the golden build.
+    #[test]
+    fn the_reread_is_the_round_trip_on_every_golden_product() {
+        let app = MontageApp::multi_tile(2);
+        let checked = std::cell::Cell::new(0usize);
+        let check = |img: &FitsImage| -> FitsImage {
+            let oracle = parse_fits(&render_fits(img).unwrap()).unwrap();
+            assert_eq!(bits(&read_back(img)), bits(&oracle));
+            let (_, golden) = roundtrip(img);
+            assert_eq!(bits(&golden), bits(&oracle));
+            checked.set(checked.get() + 1);
+            oracle
+        };
+        for t in 0..2 {
+            let cfg = MontageApp::tile_pipeline(&app.config, t);
+            let raws: Vec<FitsImage> = make_raw_images(&cfg).iter().map(check).collect();
+            let projs: Vec<(FitsImage, FitsImage)> = raws
+                .iter()
+                .map(|raw| {
+                    let (data, area) = project_image(raw, &cfg);
+                    (check(&data), check(&area))
+                })
+                .collect();
+            let (pairs, diffs): (Vec<_>, Vec<_>) = diff_overlaps(&projs, &cfg)
+                .unwrap()
+                .into_iter()
+                .map(|(pair, diff)| (pair, check(&diff)))
+                .unzip();
+            let planes = fit_background(&pairs, &diffs, cfg.n_images(), &cfg).unwrap();
+            let corrs: Vec<(FitsImage, FitsImage)> = projs
+                .iter()
+                .zip(&planes)
+                .map(|((data, area), plane)| {
+                    (check(&apply_background(data, *plane, &cfg)), check(area))
+                })
+                .collect();
+            let (mosaic, marea) = coadd(&corrs, &cfg).unwrap();
+            let mosaic_rt = check(&mosaic);
+            check(&marea);
+            // The walk arrived where the app's own build did.
+            assert_eq!(stretch_mosaic(&mosaic_rt).unwrap(), app.golden[t].image);
+            assert_eq!(pairs, app.golden[t].pairs);
+        }
+        let n = app.config.pipeline.n_images();
+        let pairs: usize = app.golden.iter().map(|g| g.pairs.len()).sum();
+        assert_eq!(checked.get(), 2 * (5 * n + 2) + pairs);
     }
 
     #[test]

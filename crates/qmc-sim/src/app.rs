@@ -402,8 +402,10 @@ fn encode_segment(s001_bytes: &[u8], qmca: &QmcaResult) -> Vec<u8> {
 fn decode_segment(b: &[u8]) -> Result<(Vec<u8>, QmcaResult), String> {
     let err = || "malformed segment artifact".to_string();
     let len = u64::from_le_bytes(b.get(..8).ok_or_else(err)?.try_into().unwrap()) as usize;
-    let s001_bytes = b.get(8..8 + len).ok_or_else(err)?.to_vec();
-    let at = 8 + len;
+    // `len` is the artifact's word (a memo store can be a file): an
+    // end past the slice is malformed, one past `usize` as well.
+    let at = len.checked_add(8).ok_or_else(err)?;
+    let s001_bytes = b.get(8..at).ok_or_else(err)?.to_vec();
     if b.len() != at + 24 {
         return Err(err());
     }
@@ -595,6 +597,19 @@ mod tests {
     use super::*;
     use ffis_vfs::{FfisFs, MemFs, TraceRecorder};
     use std::sync::Arc;
+
+    #[test]
+    fn a_segment_artifact_with_a_hostile_length_is_malformed_not_a_panic() {
+        let qmca = QmcaResult { energy: -0.5, error: 1e-3, rows_used: 7 };
+        let good = encode_segment(b"# index LocalEnergy\n0 -0.5\n", &qmca);
+        assert_eq!(decode_segment(&good).unwrap().0, b"# index LocalEnergy\n0 -0.5\n");
+        let len = good.len() as u64 - 32;
+        for prefix in [u64::MAX, u64::MAX - 7, len + 1] {
+            let mut bad = good.clone();
+            bad[..8].copy_from_slice(&prefix.to_le_bytes());
+            assert_eq!(decode_segment(&bad).unwrap_err(), "malformed segment artifact");
+        }
+    }
 
     #[test]
     fn segments_built_side_by_side_are_the_segments_built_in_order() {

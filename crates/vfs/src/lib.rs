@@ -107,7 +107,7 @@ pub use interceptor::{CallContext, Interceptor, Primitive, ReadAction, WriteActi
 pub use memfs::MemFs;
 pub use memo::{MemoStats, MemoStore};
 pub use trace::{
-    BatchFork, BatchForks, CheckpointStore, CoalesceStats, Fnv, Placement, ReadLedger, ReadRecord,
-    ReplayCursor, ReplayError, SharedTrace, TraceCheckpoint, TraceCheckpoints, TraceOp,
-    TraceRecorder,
+    BatchFork, BatchForks, CheckpointStore, CoalesceStats, Fnv, PathIndex, PathSet, Placement,
+    ReadLedger, ReadRecord, ReplayCursor, ReplayError, SharedTrace, TraceCheckpoint,
+    TraceCheckpoints, TraceOp, TraceRecorder,
 };

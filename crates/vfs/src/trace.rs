@@ -615,81 +615,75 @@ impl ReplayCursor {
         Ok(stats)
     }
 
-    /// Replay a tail slice applying only the ops that can reach paths
-    /// selected by `keep`, coalescing the kept stretches exactly like
-    /// [`ReplayCursor::replay_coalesced`].
+    /// Replay the tail `trace[start..]` applying only the ops that
+    /// address a path in one of the `kept` sets, coalescing the kept
+    /// stretches exactly like [`ReplayCursor::replay_coalesced`].
     ///
-    /// The filter is path-attributed and conservative:
+    /// Which path an op addresses is read off the trace's
+    /// [`PathIndex`] — resolved once per trace, so a run pays one
+    /// indexed load per tail op and no hashing. The filter is
+    /// path-attributed and conservative:
     ///
     /// * `create`/`open` of a dropped path also drops every later op
     ///   addressing the descriptor it would have mapped;
-    /// * `write` and bookkeeping ops follow their descriptor — a
-    ///   descriptor opened within the slice follows its
-    ///   `create`/`open` verdict, one live at the slice start follows
-    ///   the path this cursor maps it to, and an unmapped descriptor
-    ///   is applied so a full replay's error surfaces unchanged;
-    /// * path-addressed metadata ops (`truncate`/`chmod`) follow
-    ///   `keep`; `mknod`/`mkdir` always apply — they are rare, cheap,
+    /// * `write` and bookkeeping ops follow the `create`/`open` that
+    ///   last bound their descriptor number in the stream — before
+    ///   `start` or after it; for a cursor that replayed
+    ///   `trace[..start]` that is the path the cursor maps a live
+    ///   descriptor to. A `release` does not end the attribution: an
+    ///   op on a number already released still follows the path it
+    ///   last named, so whatever is applied finds the descriptor in
+    ///   the state a full replay leaves it in ([`ReplayCursor::step`]
+    ///   skips a bookkeeping op there and fails a `write` with
+    ///   `BadFd`);
+    /// * an op on a descriptor number nothing in the stream has bound
+    ///   is applied, so a full replay's error surfaces unchanged;
+    /// * path-addressed metadata ops (`truncate`/`chmod`) follow their
+    ///   path; `mknod`/`mkdir` always apply — they are rare, cheap,
     ///   and keep parent directories present for kept files;
     /// * namespace ops that move or destroy state
-    ///   (`rename`/`unlink`/`rmdir`) defeat path attribution: their
-    ///   presence anywhere in the slice disables filtering and the
-    ///   whole slice applies.
+    ///   (`rename`/`unlink`/`rmdir`) defeat path attribution: one at
+    ///   or after `start` disables filtering and the whole tail
+    ///   applies (one before `start` is the prefix's business).
     ///
     /// The filesystem state left behind differs from a full replay
-    /// only on dropped paths; everything `keep` selects is
+    /// only on dropped paths; everything the sets select is
     /// byte-identical. Callers must therefore guarantee nothing
     /// downstream observes a dropped path — the memoized batched
     /// replay arm does so by construction, because dropped paths are
     /// exactly those no dirty analyze sub-step declares as input.
-    pub fn replay_coalesced_filtered(
+    /// Error indices count from `start`. The sets must come from this
+    /// trace's index ([`PathIndex::select`]).
+    pub fn replay_tail_filtered(
         &mut self,
         fs: &dyn FileSystem,
-        ops: &[TraceOp],
-        keep: &dyn Fn(&str) -> bool,
+        trace: &SharedTrace,
+        start: usize,
+        kept: &[&PathSet],
     ) -> Result<CoalesceStats, ReplayError> {
-        // Verdict pass: one bool per op, tracking descriptors opened
-        // (and possibly dropped) within the slice.
-        let mut kept = vec![true; ops.len()];
-        let mut tail_opened: HashMap<Fd, bool> = HashMap::new();
-        let fd_verdict = |tail_opened: &HashMap<Fd, bool>, fds: &HashMap<Fd, ReplayFd>, fd: Fd| {
-            match tail_opened.get(&fd) {
-                Some(&k) => k,
-                None => fds.get(&fd).is_none_or(|entry| keep(&entry.path)),
-            }
-        };
-        for (i, op) in ops.iter().enumerate() {
-            kept[i] = match op {
-                TraceOp::Rename { .. } | TraceOp::Unlink { .. } | TraceOp::Rmdir { .. } => {
-                    return self.replay_coalesced(fs, ops);
-                }
-                TraceOp::Mknod { .. } | TraceOp::Mkdir { .. } => true,
-                TraceOp::Create { path, fd, .. } | TraceOp::Open { path, fd, .. } => {
-                    let k = keep(path);
-                    tail_opened.insert(*fd, k);
-                    k
-                }
-                TraceOp::Truncate { path, .. } | TraceOp::Chmod { path, .. } => keep(path),
-                TraceOp::Write { fd, .. }
-                | TraceOp::Fsync { fd }
-                | TraceOp::Release { fd }
-                | TraceOp::Lock { fd, .. }
-                | TraceOp::Unlock { fd } => fd_verdict(&tail_opened, &self.fds, *fd),
-            };
+        let index = trace.path_index();
+        let ops = &trace[start..];
+        if index.namespace_end > start {
+            return self.replay_coalesced(fs, ops);
         }
-        // Application pass: each maximal kept stretch goes through the
-        // ordinary coalescing replay, with error indices mapped back
-        // to this slice's numbering.
+        assert!(
+            kept.iter().all(|set| set.0.len() == index.ids.len()),
+            "path sets selected from another trace"
+        );
+        let keeps = |i: usize| index.keeps(start + i, kept);
+        // Each maximal kept stretch goes through the ordinary
+        // coalescing replay, with error indices mapped back to the
+        // tail's numbering.
         let mut stats = CoalesceStats::default();
         let mut i = 0;
         while i < ops.len() {
-            if !kept[i] {
+            if !keeps(i) {
                 stats.skipped_ops += 1;
                 i += 1;
                 continue;
             }
             let mut j = i + 1;
-            while j < ops.len() && kept[j] {
+            while j < ops.len() && keeps(j) {
                 j += 1;
             }
             let sub = self
@@ -732,7 +726,7 @@ fn coalescable_run(ops: &[TraceOp]) -> usize {
 }
 
 /// Accounting from one [`ReplayCursor::replay_coalesced`] (or
-/// [`ReplayCursor::replay_coalesced_filtered`]) pass.
+/// [`ReplayCursor::replay_tail_filtered`]) pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoalesceStats {
     /// Trace ops applied (coalesced or not).
@@ -769,14 +763,16 @@ impl std::error::Error for ReplayError {}
 /// it, each campaign planning against it — holds this handle, so write
 /// payloads are never copied out of the run that recorded them.
 /// Anything that accepts a trace accepts a plain `Vec<TraceOp>` too
-/// (`From`). The content fingerprint a [`CheckpointStore`] keys on is
-/// computed at most once per allocation and travels with it.
+/// (`From`). The content fingerprint a [`CheckpointStore`] keys on and
+/// the [`PathIndex`] the filtered tail reads are each computed at most
+/// once per allocation, on first use, and travel with it.
 #[derive(Clone)]
 pub struct SharedTrace(Arc<TraceInner>);
 
 struct TraceInner {
     ops: Vec<TraceOp>,
     fingerprint: OnceLock<u64>,
+    paths: OnceLock<PathIndex>,
 }
 
 impl SharedTrace {
@@ -784,6 +780,17 @@ impl SharedTrace {
     /// hashed on first use.
     fn fingerprint(&self) -> u64 {
         *self.0.fingerprint.get_or_init(|| trace_fingerprint(&self.0.ops))
+    }
+
+    /// Which path every op addresses, resolved on first use.
+    pub fn path_index(&self) -> &PathIndex {
+        self.0.paths.get_or_init(|| PathIndex::build(&self.0.ops))
+    }
+
+    /// Has anything asked for [`SharedTrace::path_index`] yet? Only a
+    /// memoized write-site campaign should.
+    pub fn path_index_built(&self) -> bool {
+        self.0.paths.get().is_some()
     }
 
     /// Do both handles name one allocation?
@@ -800,7 +807,11 @@ impl SharedTrace {
 
 impl From<Vec<TraceOp>> for SharedTrace {
     fn from(ops: Vec<TraceOp>) -> Self {
-        SharedTrace(Arc::new(TraceInner { ops, fingerprint: OnceLock::new() }))
+        SharedTrace(Arc::new(TraceInner {
+            ops,
+            fingerprint: OnceLock::new(),
+            paths: OnceLock::new(),
+        }))
     }
 }
 
@@ -809,6 +820,89 @@ impl std::ops::Deref for SharedTrace {
 
     fn deref(&self) -> &[TraceOp] {
         &self.0.ops
+    }
+}
+
+/// Which path each op of a stream addresses, as a dense id — what
+/// [`ReplayCursor::replay_tail_filtered`] indexes instead of hashing
+/// descriptors and comparing path strings per op and per run.
+///
+/// A function of the ops alone: a descriptor number is resolved to
+/// the stream's last `create`/`open` of it, so one table serves every
+/// start index. Ids number the distinct paths that `create`, `open`,
+/// `truncate` and `chmod` name, in order of first appearance.
+pub struct PathIndex {
+    ids: HashMap<String, u32>,
+    /// Per op, the id of the path it addresses, or [`APPLIED`] when
+    /// no path verdict governs it (`mknod`/`mkdir`, namespace ops, an
+    /// op on a descriptor number the stream never bound).
+    op_path: Vec<u32>,
+    /// One past the last `rename`/`unlink`/`rmdir`; 0 without one.
+    namespace_end: usize,
+}
+
+/// [`PathIndex::op_path`] of an op no path set can drop.
+const APPLIED: u32 = u32::MAX;
+
+/// A set of a trace's paths, by [`PathIndex`] id.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PathSet(Vec<bool>);
+
+impl PathIndex {
+    fn build(ops: &[TraceOp]) -> PathIndex {
+        fn intern(ids: &mut HashMap<String, u32>, path: &str) -> u32 {
+            if let Some(&id) = ids.get(path) {
+                return id;
+            }
+            let id = u32::try_from(ids.len()).expect("fewer than 2^32 paths");
+            ids.insert(path.to_string(), id);
+            id
+        }
+        let mut ids = HashMap::new();
+        let mut bound: HashMap<Fd, u32> = HashMap::new();
+        let mut namespace_end = 0;
+        let mut op_path = Vec::with_capacity(ops.len());
+        for (i, op) in ops.iter().enumerate() {
+            op_path.push(match op {
+                TraceOp::Rename { .. } | TraceOp::Unlink { .. } | TraceOp::Rmdir { .. } => {
+                    namespace_end = i + 1;
+                    APPLIED
+                }
+                TraceOp::Mknod { .. } | TraceOp::Mkdir { .. } => APPLIED,
+                TraceOp::Create { path, fd, .. } | TraceOp::Open { path, fd, .. } => {
+                    let id = intern(&mut ids, path);
+                    bound.insert(*fd, id);
+                    id
+                }
+                TraceOp::Truncate { path, .. } | TraceOp::Chmod { path, .. } => {
+                    intern(&mut ids, path)
+                }
+                TraceOp::Write { fd, .. }
+                | TraceOp::Fsync { fd }
+                | TraceOp::Release { fd }
+                | TraceOp::Lock { fd, .. }
+                | TraceOp::Unlock { fd } => bound.get(fd).copied().unwrap_or(APPLIED),
+            });
+        }
+        PathIndex { ids, op_path, namespace_end }
+    }
+
+    /// Those of `paths` the stream addresses, as a set of ids; a path
+    /// the stream never names has no op to keep.
+    pub fn select<'a>(&self, paths: impl IntoIterator<Item = &'a str>) -> PathSet {
+        let mut set = vec![false; self.ids.len()];
+        for path in paths {
+            if let Some(&id) = self.ids.get(path) {
+                set[id as usize] = true;
+            }
+        }
+        PathSet(set)
+    }
+
+    /// Does op `i` survive a filter keeping the paths in `kept`?
+    fn keeps(&self, i: usize, kept: &[&PathSet]) -> bool {
+        let id = self.op_path[i];
+        id == APPLIED || kept.iter().any(|set| set.0[id as usize])
     }
 }
 
@@ -3009,5 +3103,379 @@ mod tests {
         for path in ["/a", "/b"] {
             assert_eq!(fs.snapshot(path).unwrap(), reference.snapshot(path).unwrap());
         }
+    }
+
+    /// The verdict pass [`ReplayCursor::replay_tail_filtered`]
+    /// replaced, kept as its oracle: one verdict per tail op, every
+    /// descriptor op decided by hashing its number — first among the
+    /// descriptors opened within the tail, then in the cursor's map —
+    /// and every path by asking `keep`. `None` when a namespace op
+    /// switches filtering off.
+    fn oracle_verdicts(
+        cursor: &ReplayCursor,
+        ops: &[TraceOp],
+        keep: &dyn Fn(&str) -> bool,
+    ) -> Option<Vec<bool>> {
+        let mut tail_opened: HashMap<Fd, bool> = HashMap::new();
+        let mut kept = Vec::with_capacity(ops.len());
+        for op in ops {
+            kept.push(match op {
+                TraceOp::Rename { .. } | TraceOp::Unlink { .. } | TraceOp::Rmdir { .. } => {
+                    return None;
+                }
+                TraceOp::Mknod { .. } | TraceOp::Mkdir { .. } => true,
+                TraceOp::Create { path, fd, .. } | TraceOp::Open { path, fd, .. } => {
+                    let k = keep(path);
+                    tail_opened.insert(*fd, k);
+                    k
+                }
+                TraceOp::Truncate { path, .. } | TraceOp::Chmod { path, .. } => keep(path),
+                TraceOp::Write { fd, .. }
+                | TraceOp::Fsync { fd }
+                | TraceOp::Release { fd }
+                | TraceOp::Lock { fd, .. }
+                | TraceOp::Unlock { fd } => match tail_opened.get(fd) {
+                    Some(&k) => k,
+                    None => cursor.fds.get(fd).is_none_or(|entry| keep(&entry.path)),
+                },
+            });
+        }
+        Some(kept)
+    }
+
+    /// The old application pass over `kept`: each maximal kept stretch
+    /// through the coalescing replay.
+    fn oracle_apply(
+        cursor: &mut ReplayCursor,
+        fs: &dyn FileSystem,
+        ops: &[TraceOp],
+        kept: &[bool],
+    ) -> Result<CoalesceStats, ReplayError> {
+        let mut stats = CoalesceStats::default();
+        let mut i = 0;
+        while i < ops.len() {
+            if !kept[i] {
+                stats.skipped_ops += 1;
+                i += 1;
+                continue;
+            }
+            let j = (i..ops.len()).find(|&j| !kept[j]).unwrap_or(ops.len());
+            let sub = cursor
+                .replay_coalesced(fs, &ops[i..j])
+                .map_err(|e| ReplayError { index: e.index + i, error: e.error })?;
+            stats.replayed_ops += sub.replayed_ops;
+            stats.coalesced_calls += sub.coalesced_calls;
+            stats.coalesced_ops += sub.coalesced_ops;
+            i = j;
+        }
+        Ok(stats)
+    }
+
+    const FILTER_PATHS: [&str; 6] = ["/p0", "/p1", "/p2", "/p3", "/p4", "/p5"];
+
+    /// A stream a descriptor table could have produced — numbers come
+    /// from a pool of five and are reused once released — over six
+    /// files and a few directories. Returns the ops and the positions
+    /// of bookkeeping ops drawn on a number that is *not* bound (never
+    /// opened, or released): among them is the one place the path
+    /// table departs from the oracle.
+    fn filter_stream(rng: &mut proptest::TestRng, stale_ops: bool) -> (Vec<TraceOp>, Vec<usize>) {
+        let mut ops = Vec::new();
+        let mut stale = Vec::new();
+        let mut exists = [false; 6];
+        let mut live: Vec<Fd> = Vec::new();
+        let mut dirs = 0;
+        let len = 4 + rng.next_u64() % 36;
+        while (ops.len() as u64) < len {
+            let pick = (rng.next_u64() % 6) as usize;
+            let path = FILTER_PATHS[pick].to_string();
+            let free: Vec<Fd> = (3..8).filter(|fd| !live.contains(fd)).collect();
+            let a_live =
+                (!live.is_empty()).then(|| live[(rng.next_u64() % live.len() as u64) as usize]);
+            let data = vec![rng.next_u64() as u8; 1 + (rng.next_u64() % 9) as usize];
+            match (rng.next_u64() % 12, a_live) {
+                (0, _) => {
+                    dirs += 1;
+                    ops.push(TraceOp::Mkdir { path: format!("/d{dirs}"), mode: 0o755 });
+                }
+                (1 | 2, _) if !free.is_empty() => {
+                    let fd = free[(rng.next_u64() % free.len() as u64) as usize];
+                    ops.push(if exists[pick] && bool::arbitrary(rng) {
+                        TraceOp::Open { path, flags: OpenFlags::read_write(), fd }
+                    } else {
+                        TraceOp::Create { path, mode: 0o644, fd }
+                    });
+                    exists[pick] = true;
+                    live.push(fd);
+                }
+                (3..=5, Some(fd)) => {
+                    // Sequential writes, often several in a row: the
+                    // coalescer's food.
+                    ops.push(TraceOp::Write { fd, path: None, offset: None, data });
+                }
+                (6, Some(fd)) => {
+                    let offset = Some(rng.next_u64() % 24);
+                    ops.push(TraceOp::Write { fd, path: None, offset, data });
+                }
+                (7, Some(fd)) => ops.push(TraceOp::Fsync { fd }),
+                (8, Some(fd)) => {
+                    live.retain(|&l| l != fd);
+                    ops.push(TraceOp::Release { fd });
+                }
+                (9, _) if exists[pick] => {
+                    ops.push(TraceOp::Truncate { path, size: rng.next_u64() % 16 });
+                }
+                (10, _) if exists[pick] => ops.push(TraceOp::Chmod { path, mode: 0o600 }),
+                (11, _) if stale_ops && !free.is_empty() => {
+                    let fd = free[(rng.next_u64() % free.len() as u64) as usize];
+                    stale.push(ops.len());
+                    ops.push(if bool::arbitrary(rng) {
+                        TraceOp::Fsync { fd }
+                    } else {
+                        TraceOp::Release { fd }
+                    });
+                }
+                _ => {}
+            }
+        }
+        (ops, stale)
+    }
+
+    /// Everything a kept path shows: bytes (or the error) and mode.
+    fn image(fs: &MemFs, keep: &dyn Fn(&str) -> bool) -> Vec<(FsResult<Vec<u8>>, Option<u32>)> {
+        FILTER_PATHS
+            .iter()
+            .filter(|p| keep(p))
+            .map(|p| (fs.snapshot(p), fs.getattr(p).ok().map(|a| a.mode)))
+            .collect()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// At every start index and under a random `keep`, the path
+        /// table gives the oracle's verdicts, counters and — on kept
+        /// paths — filesystem, from a cursor that replayed the prefix.
+        #[test]
+        fn the_path_index_is_the_verdict_pass(seed in any::<u64>(), mask in 0u8..64, stale_ops in any::<bool>()) {
+            let rng = &mut TestRng::new(seed);
+            let (ops, stale) = filter_stream(rng, stale_ops);
+            let trace: SharedTrace = ops.clone().into();
+            let keep = |p: &str| FILTER_PATHS.iter().position(|q| *q == p).is_some_and(|i| mask >> i & 1 == 1);
+            // The kept paths as two sets, to exercise their union.
+            let index = trace.path_index();
+            let halves = [0, 1].map(|h| {
+                index.select(FILTER_PATHS.iter().enumerate().filter(|(i, p)| i % 2 == h && keep(p)).map(|(_, p)| *p))
+            });
+            let kept = [&halves[0], &halves[1]];
+
+            for start in 0..=ops.len() {
+                let base = MemFs::new();
+                let mut prefix = ReplayCursor::new();
+                prefix.replay(&base, &ops[..start]).unwrap();
+                let tail = &ops[start..];
+
+                let want = oracle_verdicts(&prefix, tail, &keep).expect("no namespace op is drawn");
+                let got: Vec<bool> = (start..ops.len()).map(|i| index.keeps(i, &kept)).collect();
+                for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+                    // A bookkeeping op on a released number follows
+                    // the path it last named; the oracle applied it
+                    // (to no effect) when open and release both
+                    // preceded the start. Nowhere else.
+                    prop_assert!(w == g || (*w && stale.contains(&(start + i))), "op {} from {}", start + i, start);
+                }
+
+                let (old_fs, new_fs, full_fs) = (base.fork(), base.fork(), base.fork());
+                let old = oracle_apply(&mut prefix.clone(), &old_fs, tail, &want).unwrap();
+                let new = prefix.clone().replay_tail_filtered(&new_fs, &trace, start, &kept).unwrap();
+                prefix.clone().replay(&full_fs, tail).unwrap();
+                prop_assert_eq!(new.replayed_ops + new.skipped_ops, tail.len());
+                prop_assert_eq!((new.coalesced_calls, new.coalesced_ops), (old.coalesced_calls, old.coalesced_ops));
+                if want == got {
+                    prop_assert_eq!(new, old);
+                }
+                prop_assert_eq!(image(&new_fs, &keep), image(&old_fs, &keep));
+                prop_assert_eq!(image(&new_fs, &keep), image(&full_fs, &keep));
+                for d in 1..=ops.iter().filter(|op| matches!(op, TraceOp::Mkdir { .. })).count() {
+                    prop_assert_eq!(new_fs.exists(&format!("/d{d}")), full_fs.exists(&format!("/d{d}")));
+                }
+            }
+        }
+    }
+
+    fn create(path: &str, fd: Fd) -> TraceOp {
+        TraceOp::Create { path: path.into(), mode: 0o644, fd }
+    }
+
+    fn write(fd: Fd, data: &[u8]) -> TraceOp {
+        TraceOp::Write { fd, path: None, offset: None, data: data.to_vec() }
+    }
+
+    /// Replay `ops[..start]` whole, then the tail keeping `paths`.
+    fn filtered_from(
+        ops: &[TraceOp],
+        start: usize,
+        paths: &[&str],
+    ) -> (MemFs, Result<CoalesceStats, ReplayError>) {
+        let trace: SharedTrace = ops.to_vec().into();
+        let fs = MemFs::new();
+        let mut cursor = ReplayCursor::new();
+        cursor.replay(&fs, &ops[..start]).unwrap();
+        let kept = trace.path_index().select(paths.iter().copied());
+        let stats = cursor.replay_tail_filtered(&fs, &trace, start, &[&kept]);
+        (fs, stats)
+    }
+
+    #[test]
+    fn a_descriptor_live_at_the_start_follows_the_path_it_was_opened_on() {
+        let ops = [
+            create("/a", 3),
+            create("/b", 4),
+            write(3, b"a1"),
+            write(4, b"b1"),
+            write(3, b"a2"),
+            TraceOp::Release { fd: 3 },
+            TraceOp::Release { fd: 4 },
+        ];
+        // Both opens sit before the start; only /b is kept.
+        let (fs, stats) = filtered_from(&ops, 2, &["/b"]);
+        let stats = stats.unwrap();
+        assert_eq!((stats.replayed_ops, stats.skipped_ops), (2, 3));
+        assert_eq!(fs.snapshot("/a").unwrap(), b"");
+        assert_eq!(fs.snapshot("/b").unwrap(), b"b1");
+    }
+
+    #[test]
+    fn an_unmapped_descriptor_is_applied_and_fails_like_the_full_replay() {
+        // fd 9 is never opened.
+        let ops = [
+            create("/a", 3),
+            write(3, b"a"),
+            TraceOp::Release { fd: 3 },
+            create("/b", 4),
+            write(9, b"x"),
+            TraceOp::Release { fd: 4 },
+        ];
+        for start in 0..=4 {
+            let full = {
+                let fs = MemFs::new();
+                let mut cursor = ReplayCursor::new();
+                cursor.replay(&fs, &ops[..start]).unwrap();
+                cursor.replay_coalesced(&fs, &ops[start..]).unwrap_err()
+            };
+            assert_eq!(full, ReplayError { index: 4 - start, error: FsError::BadFd });
+            // Whatever the filter keeps, the error is the same one.
+            for paths in [&[][..], &["/a"], &["/b"], &["/a", "/b"]] {
+                assert_eq!(filtered_from(&ops, start, paths).1.unwrap_err(), full);
+            }
+        }
+    }
+
+    #[test]
+    fn a_namespace_op_in_the_tail_applies_all_of_it_one_before_the_tail_does_not() {
+        let ops = [
+            create("/a", 3),
+            TraceOp::Release { fd: 3 },
+            TraceOp::Rename { from: "/a".into(), to: "/c".into() },
+            create("/a", 3),
+            write(3, b"a"),
+            TraceOp::Release { fd: 3 },
+            create("/b", 4),
+            write(4, b"b"),
+            TraceOp::Release { fd: 4 },
+        ];
+        // The rename is at index 2: a tail from 0, 1 or 2 holds it.
+        for start in 0..=2 {
+            let (fs, stats) = filtered_from(&ops, start, &["/b"]);
+            assert_eq!(stats.unwrap().skipped_ops, 0);
+            assert_eq!(fs.snapshot("/a").unwrap(), b"a");
+            assert!(fs.exists("/c"));
+        }
+        // From 3 on it is the prefix's business and filtering is on.
+        let (fs, stats) = filtered_from(&ops, 3, &["/b"]);
+        assert_eq!(stats.unwrap().skipped_ops, 3);
+        assert!(!fs.exists("/a") && fs.exists("/c"));
+        assert_eq!(fs.snapshot("/b").unwrap(), b"b");
+    }
+
+    /// The one place the path table is not the old verdict pass: an op
+    /// on a descriptor number whose binding a `release` has ended
+    /// still follows the path it last named, wherever the start is —
+    /// where the old pass did so only for an open at or after the
+    /// start, or a release at or after it, and *applied* the op when
+    /// both preceded the start. A bookkeeping op there is skipped by
+    /// `step` when it is applied, so no state can differ; only
+    /// `replayed_ops` / `skipped_ops` count it differently. What is
+    /// applied finds the descriptor as a full replay leaves it: a
+    /// `write` on a released number fails with `BadFd` when its path
+    /// is kept, and is dropped with its path otherwise.
+    #[test]
+    fn an_op_on_a_released_descriptor_follows_the_path_it_last_named() {
+        let ops = [
+            create("/a", 3),
+            write(3, b"a"),
+            TraceOp::Release { fd: 3 },
+            TraceOp::Fsync { fd: 3 },
+            TraceOp::Release { fd: 3 },
+        ];
+        for start in 0..=3 {
+            let (fs, stats) = filtered_from(&ops, start, &[]);
+            assert_eq!(
+                stats.unwrap(),
+                CoalesceStats { skipped_ops: 5 - start, ..Default::default() }
+            );
+            assert_eq!(
+                fs.snapshot("/a").ok(),
+                [None, Some(vec![]), Some(b"a".to_vec())][start.min(2)]
+            );
+            let (fs, stats) = filtered_from(&ops, start, &["/a"]);
+            assert_eq!(
+                stats.unwrap(),
+                CoalesceStats { replayed_ops: 5 - start, ..Default::default() }
+            );
+            assert_eq!(fs.snapshot("/a").unwrap(), b"a");
+        }
+        // The old pass agrees while the open or the release is in the
+        // tail, and applies both stale ops once neither is.
+        let old = |start: usize| {
+            let mut prefix = ReplayCursor::new();
+            prefix.replay(&MemFs::new(), &ops[..start]).unwrap();
+            oracle_verdicts(&prefix, &ops[start..], &|_| false).unwrap()
+        };
+        assert_eq!(old(0), [false; 5]);
+        assert_eq!(old(2), [false; 3]);
+        assert_eq!(old(3), [true; 2]);
+
+        // A write where the fsync was: the full replay's error when
+        // /a is kept, nothing when it is dropped.
+        let mut ops = ops;
+        ops[3] = write(3, b"late");
+        for start in 0..=3 {
+            let err = ReplayError { index: 3 - start, error: FsError::BadFd };
+            assert_eq!(filtered_from(&ops, start, &["/a"]).1.unwrap_err(), err);
+            assert!(filtered_from(&ops, start, &[]).1.is_ok());
+        }
+    }
+
+    #[test]
+    fn the_path_index_is_built_once_per_allocation_and_only_when_asked_for() {
+        let (ops, _) = record_workload();
+        let trace: SharedTrace = ops.clone().into();
+        // Two campaigns' worth of consumers over one allocation.
+        let a = TraceCheckpoints::build(trace.clone()).unwrap();
+        let b = TraceCheckpoints::build_for_demand(trace.clone(), &[3, 5]).unwrap();
+        assert!(a.trace().ptr_eq(b.trace()));
+        // Placing and forking checkpoints never asks for it.
+        assert!(!trace.path_index_built());
+        let first: *const PathIndex = a.trace().path_index();
+        assert!(b.trace().path_index_built());
+        assert!(std::ptr::eq(first, b.trace().path_index()));
+        assert!(std::ptr::eq(first, trace.path_index()));
+        // Another allocation of the same ops builds its own.
+        let other: SharedTrace = ops.into();
+        assert!(!other.path_index_built());
+        assert!(!std::ptr::eq(first, other.path_index()));
     }
 }
