@@ -49,7 +49,7 @@ pub fn run(args: &[String], cancel: &Arc<CancelToken>) -> i32 {
         "serve" => serve(&flags, cancel),
         "submit" => submit(&flags),
         "status" => with_id(&positional, &flags, status),
-        "watch" => with_id(&positional, &flags, watch),
+        "watch" => with_id(&positional, &flags, watch_job),
         "cancel" => with_id(&positional, &flags, cancel_job),
         "jobs" => jobs(&flags),
         "health" => health(&flags),
@@ -291,7 +291,7 @@ fn status(id: u64, flags: &HashMap<String, String>) -> Result<i32, String> {
     Ok(0)
 }
 
-fn watch(id: u64, flags: &HashMap<String, String>) -> Result<i32, String> {
+fn watch_job(id: u64, flags: &HashMap<String, String>) -> Result<i32, String> {
     let final_view = client(flags).watch_live(id, |event| match event {
         StreamEvent::Snapshot(view) => {
             eprintln!(

@@ -230,98 +230,6 @@ pub fn fig7(opts: &Options) -> Report {
     report
 }
 
-/// `repro read-vs-write` — the read-site characterization extension:
-/// for each paper workload, one seeded six-signature [`Campaign`]
-/// hosts the write-site models (BF/SW/DW, replay-backed) and their
-/// read-site mirrors (BF/SR/DR, analyze-only — every target fires
-/// during analyze on these apps) over the *same* golden run, and the
-/// table pairs each model's two sites. Read-site rows carry
-/// `analyze-only` in the exec column; the device state stays pristine
-/// on every read-site run, so all damage there is transfer-level.
-pub fn read_vs_write(opts: &Options) -> Report {
-    let mut report = Report::new("read_vs_write");
-    report.line("Read-site vs write-site characterization — Nyx, QMCPACK, Montage");
-    report.line(format!(
-        "(total runs per app: {} across 6 interleaved shards, seed: {:#x})",
-        opts.runs, opts.seed
-    ));
-    report.blank();
-
-    let mut table = Table::new();
-    table.row(&["app", "model", "site", "benign%", "detected%", "SDC%", "crash%", "n", "exec"]);
-    let mut csv = String::from(ffis_core::CampaignResult::csv_header());
-    csv.push('\n');
-
-    let mut run_app = |name: &str, result: Result<ffis_core::CampaignResult, _>| {
-        let result = match result {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("mixed campaign failed for {}: {}", name, e);
-                table.row(&[name, "-", "-", "-", "-", "-", "-", "0", "-"]);
-                return;
-            }
-        };
-        // Pair each model's write shard (0..3) with its read shard
-        // (3..6): adjacent rows compare the sites.
-        for m in 0..3 {
-            for shard in [&result.shards[m], &result.shards[m + 3]] {
-                let t = &shard.tally;
-                table.row(&[
-                    name,
-                    shard.signature.label(),
-                    shard.signature.site().token(),
-                    &format!("{:.1}", t.rate_pct(Outcome::Benign)),
-                    &format!("{:.1}", t.rate_pct(Outcome::Detected)),
-                    &format!("{:.1}", t.rate_pct(Outcome::Sdc)),
-                    &format!("{:.1}", t.rate_pct(Outcome::Crash)),
-                    &t.total().to_string(),
-                    &shard.mode.to_string(),
-                ]);
-                csv.push_str(&format!(
-                    "{} {}@{},{},{},{},{},{},{}\n",
-                    name,
-                    shard.signature.label(),
-                    shard.signature.site().token(),
-                    t.benign,
-                    t.detected,
-                    t.sdc,
-                    t.crash,
-                    t.total(),
-                    shard.mode
-                ));
-            }
-        }
-    };
-
-    let sigs: Vec<FaultSignature> = models()
-        .into_iter()
-        .map(|(_, m)| FaultSignature::on_write(m))
-        .chain(read_models().into_iter().map(|(_, m)| FaultSignature::on_read(m)))
-        .collect();
-    let mk_cfg = |salt: u64| {
-        CampaignConfig::mixed(sigs.clone())
-            .with_runs(opts.runs)
-            .with_seed(opts.seed.wrapping_add(salt))
-    };
-
-    let nyx = nyx_app(opts);
-    run_app("NYX", Campaign::new(&nyx, mk_cfg(700)).run());
-    let qmc = QmcApp::paper_default();
-    run_app("QMC", Campaign::new(&qmc, mk_cfg(710)).run());
-    let montage = MontageApp::paper_default();
-    run_app("MT", Campaign::new(&montage, mk_cfg(720)).run());
-
-    report.line(table.render());
-    crate::report::save_bytes(&opts.out, "read_vs_write.csv", csv.as_bytes()).ok();
-    report.header("Reading the table");
-    report.line("Write-site faults persist on the device (every later read observes them);");
-    report.line("read-site faults corrupt one transfer while the stored bytes stay pristine, so");
-    report.line("the damage reaches only the consumer of that read — multi-stage pipelines");
-    report.line("(Montage) re-derive everything downstream of one poisoned read, while Nyx's");
-    report.line("single read-back makes the two sites look alike at the classifier.");
-    report
-}
-
 /// Wrapper applying the paper's average-value-based protection to the
 /// Nyx classification (all SDCs become detected).
 pub struct ProtectedNyx(pub NyxApp);

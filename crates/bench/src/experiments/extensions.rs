@@ -61,11 +61,12 @@ pub fn profile(opts: &Options) -> Report {
 }
 
 /// `repro read-faults` — read-site BIT FLIP campaigns (2-bit flips in
-/// the data returned by reads), uniformly over each workload's
-/// eligible read instances, through the first-class campaign engine:
-/// the exec column records `analyze-only` on every cell (all three
-/// apps read only during analyze), or the phase-aware fallback reason
-/// when the fast path cannot engage.
+/// the data returned by reads) scoped to each workload's sensitive
+/// read channel: Nyx's plotfile, QMC's restart checkpoint and scalar
+/// series, Montage's mosaic. The unscoped cells are fig7's `r:BF`
+/// rows. The exec column records `analyze-only` on every cell (all
+/// three apps read only during analyze), or the phase-aware fallback
+/// reason when the fast path cannot engage.
 pub fn read_faults(opts: &Options) -> Report {
     use crate::experiments::campaigns::run_cell_sig;
 
@@ -99,12 +100,9 @@ pub fn read_faults(opts: &Options) -> Report {
         sig.target = target;
         sig
     };
-    row(nyx.name(), run_cell_sig(&nyx, sig(TargetFilter::Any), runs, opts, 0x5EAD));
-    row(qmc.name(), run_cell_sig(&qmc, sig(TargetFilter::Any), runs, opts, 0x5EAE));
-    row(montage.name(), run_cell_sig(&montage, sig(TargetFilter::Any), runs, opts, 0x5EAF));
-    // Scoped rows: each app's sensitive read channel, via the apps'
-    // own target filters. QMC's checkpoint is the restart handoff —
-    // every fault there lands in the walkers DMC restarts from.
+    // Each app's own target filter. QMC's checkpoint is the restart
+    // handoff — every fault there lands in the walkers DMC restarts
+    // from.
     row(
         format!("{} (plotfile)", nyx.name()),
         run_cell_sig(&nyx, sig(nyx_sim::NyxApp::plotfile_filter()), runs, opts, 0x5EB0),
@@ -122,11 +120,10 @@ pub fn read_faults(opts: &Options) -> Report {
         run_cell_sig(&montage, sig(montage_sim::MontageApp::mosaic_filter()), runs, opts, 0x5EB2),
     );
     report.line(table.render());
-    report.line("Reads outnumber writes in multi-stage pipelines, so read-side corruption gives");
-    report.line("Montage a larger injection surface than its write side; the stored files stay");
-    report.line("clean, making every non-benign case silent at the device level. The scoped rows");
-    report.line("isolate each app's sensitive read channel (Nyx plotfile, QMC restart checkpoint,");
-    report.line("Montage mosaic) from its log/ancillary reads.");
+    report.line("Each row isolates one app's sensitive read channel (Nyx plotfile, QMC restart");
+    report.line("checkpoint and scalar series, Montage mosaic) from its log/ancillary reads; the");
+    report.line("stored files stay clean, so every non-benign case is silent at the device level.");
+    report.line("The unscoped read-site cells are fig7's r:BF rows.");
     report
 }
 

@@ -12,7 +12,7 @@ use crate::cli::Options;
 use crate::report::Report;
 
 /// All experiment names, in `repro all` execution order.
-pub const ALL: [&str; 13] = [
+pub const ALL: [&str; 12] = [
     "table1",
     "table2",
     "table3",
@@ -22,7 +22,6 @@ pub const ALL: [&str; 13] = [
     "fig7",
     "fig8",
     "fig9",
-    "read-vs-write",
     "protect",
     "ablation-bits",
     "ablation-shorn",
@@ -40,7 +39,6 @@ pub fn run(name: &str, opts: &Options) -> Result<Report, String> {
         "fig7" => campaigns::fig7(opts),
         "fig8" => figures::fig8(opts),
         "fig9" => figures::fig9(opts),
-        "read-vs-write" => campaigns::read_vs_write(opts),
         "protect" => campaigns::protect(opts),
         "ablation-bits" => ablations::ablation_bits(opts),
         "ablation-shorn" => ablations::ablation_shorn(opts),

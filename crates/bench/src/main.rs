@@ -16,7 +16,8 @@ fn usage() -> String {
         s.push_str(&format!("  {}\n", name));
     }
     s.push_str(
-        "  repair\n  profile\n  read-faults\n  checksum\n  param-faults\n  scale      \
+        "  repair\n  profile\n  read-faults (read-site BF on each app's scoped read channel; \
+         unscoped: fig7's r: rows)\n  checksum\n  param-faults\n  scale      \
          (n=192 paper regime unless --grid given)\n  \
          all        (everything above except scale)\n\n\
          daemon:\n  repro daemon serve|submit|status|watch|cancel|jobs|health\n  \

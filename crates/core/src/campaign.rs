@@ -39,23 +39,16 @@ use crate::rng::Rng;
 /// execution knobs).
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// The fault signatures to inject, one shard each — usually one
-    /// ([`CampaignConfig::new`]); several ([`CampaignConfig::mixed`],
-    /// typically read-site and write-site variants of the same
-    /// models) share one golden run and one interleaved schedule.
-    /// Global run `i` belongs to shard `i % signatures.len()`
-    /// (round-robin), so replay-backed write-site runs and read-site
-    /// runs interleave deterministically in run order.
-    pub signatures: Vec<FaultSignature>,
-    /// Number of injection runs across all shards (paper: 1,000 per
-    /// cell).
+    /// The fault signature to inject — the paper's cell is one fault
+    /// model on one primitive and target. Campaigns over one
+    /// application share a golden run through a [`GoldenCache`]
+    /// ([`Campaign::with_goldens`]), not by sharing a campaign.
+    pub signature: FaultSignature,
+    /// Number of injection runs (paper: 1,000 per cell).
     pub runs: usize,
-    /// Root seed. With one signature run `i` derives child stream
-    /// `i`; with several, shard `s` owns the independent stream
-    /// `root.child(s)` and its `j`-th run draws from
-    /// `root.child(s).child(j)` — so a shard's instance choices depend
-    /// only on the root seed and its own run schedule, never on
-    /// sibling shards, scheduling order, or
+    /// Root seed. Run `i` draws from child stream `root.child(i)`, so
+    /// its instance choice depends only on the root seed and its
+    /// index, never on scheduling order or
     /// [`CampaignConfig::parallel`].
     pub seed: u64,
     /// Fan runs out across the rayon thread pool.
@@ -76,11 +69,11 @@ pub struct CampaignConfig {
     /// is drawn at plan time (engine law 2), the campaign knows its
     /// full fork-offset demand before any checkpoint is built. With
     /// this knob on it (a) places the trace checkpoints against that
-    /// demand — the union of all write shards' fork offsets — instead
-    /// of log-spaced (zero pre-target replay when the distinct targets
-    /// fit the snapshot budget), (b) groups pending replay runs
-    /// sharing a `(shard, checkpoint)` into fork-once-replay-many
-    /// batches (engine law 9), and (c) applies each batched run's
+    /// demand — every replay run's fork offset — instead of log-spaced
+    /// (zero pre-target replay when the distinct targets fit the
+    /// snapshot budget), (b) groups pending replay runs sharing a
+    /// checkpoint into fork-once-replay-many batches (engine law 9),
+    /// and (c) applies each batched run's
     /// post-target suffix to the mount's inner filesystem with
     /// adjacent sequential writes coalesced. All three are pure
     /// wall-clock optimizations — outcomes, injection records, crash
@@ -206,18 +199,11 @@ pub fn replay_default() -> bool {
 }
 
 impl CampaignConfig {
-    /// Single-signature config with paper defaults (1,000 runs,
-    /// parallel, replay on — see [`replay_default`]).
+    /// Config with paper defaults (1,000 runs, parallel, replay on —
+    /// see [`replay_default`]).
     pub fn new(signature: FaultSignature) -> Self {
-        Self::mixed(vec![signature])
-    }
-
-    /// Config with the same defaults over several signatures sharing
-    /// one golden run (see [`CampaignConfig::signatures`]); `runs` is
-    /// the total across all shards.
-    pub fn mixed(signatures: Vec<FaultSignature>) -> Self {
         CampaignConfig {
-            signatures,
+            signature,
             runs: 1000,
             seed: 0xFF15_0001,
             parallel: true,
@@ -629,11 +615,10 @@ pub struct RunResult {
     pub injection: Option<InjectionRecord>,
     /// Crash message, when the run crashed.
     pub crash_message: Option<String>,
-    /// The execution strategy that produced *this* run. Equal to the
-    /// campaign-level [`CampaignResult::mode`] for single-signature
-    /// campaigns (unless that is [`ExecutionMode::PhaseSplit`]); with
-    /// several signatures it varies per run by shard
-    /// ([`ShardReport::mode`]).
+    /// The execution strategy that produced *this* run: the
+    /// campaign-level [`CampaignResult::mode`], except in a
+    /// [`ExecutionMode::PhaseSplit`] campaign, where each run records
+    /// the side of the phase seam its target fell on.
     pub mode: ExecutionMode,
     /// Set when a liveness watchdog aborted this run (always paired
     /// with [`Outcome::Crash`] and a synthesized crash message).
@@ -815,45 +800,26 @@ fn digest_runs(runs: &[RunResult]) -> u64 {
     h.0
 }
 
-/// Per-signature summary of a [`CampaignResult`].
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// The shard's fault signature.
-    pub signature: FaultSignature,
-    /// Eligible-instance count for the shard's `(primitive, target)`
-    /// scope, measured on the shared golden run.
-    pub eligible: u64,
-    /// The execution strategy the shard's runs took.
-    pub mode: ExecutionMode,
-    /// Outcome tally over the shard's runs only.
-    pub tally: OutcomeTally,
-}
-
 /// Full campaign result.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
-    /// Outcome tally with CI accessors (the shard tallies merged).
-    /// Always covers every executed run, even those whose full
-    /// records were not retained.
+    /// Outcome tally with CI accessors. Always covers every executed
+    /// run, even those whose full records were not retained.
     pub tally: OutcomeTally,
     /// Retained per-run results (in run order). All runs unless
     /// [`CampaignConfig::keep_runs`] bounded the reservoir.
     pub runs: Vec<RunResult>,
     /// The fault-free profile that sized the injection space; its
-    /// `eligible` count is scoped to the first signature (the trace
-    /// and counters cover every primitive).
+    /// `eligible` count is scoped to the signature (the trace and
+    /// counters cover every primitive).
     pub profile: ProfileReport,
-    /// The execution strategy that ran the first signature's
-    /// injection runs (`shards[0].mode`), including the reason when a
-    /// replay-configured campaign fell back.
+    /// The execution strategy that ran the injection runs, including
+    /// the reason when a replay-configured campaign fell back.
     pub mode: ExecutionMode,
-    /// Per-signature eligible counts, modes, and tallies, in
-    /// [`CampaignConfig::signatures`] order.
-    pub shards: Vec<ShardReport>,
     /// FNV-1a fingerprint of the execution plan (every run's index,
-    /// shard, target instance, injector seed, and strategy). Bound
-    /// into the journal header: resume refuses a journal whose
-    /// fingerprint differs.
+    /// target instance, injector seed, and strategy). Bound into the
+    /// journal header: resume refuses a journal whose fingerprint
+    /// differs.
     pub plan_fingerprint: u64,
     /// Did the plan drain fully, or did cancellation stop it early?
     /// Tallies always cover exactly the completed (executed + resumed)
@@ -884,12 +850,6 @@ impl CampaignResult {
     /// digest identically to an uninterrupted control.
     pub fn run_digest(&self) -> u64 {
         digest_runs(&self.runs)
-    }
-
-    /// Retained runs belonging to shard `s` (in run order).
-    pub fn shard_runs(&self, s: usize) -> impl Iterator<Item = &RunResult> {
-        let k = self.shards.len();
-        self.runs.iter().filter(move |r| r.run % k == s)
     }
 
     /// Runs with a given outcome.
@@ -977,15 +937,14 @@ impl std::fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-/// The campaign driver: one golden run, then `runs` injection runs
-/// spread round-robin over the configured signatures.
+/// The campaign driver: one golden run, then `runs` injection runs of
+/// one fault signature.
 ///
-/// Write-site shards ride the checkpointed golden-trace replay;
-/// read-site shards take the analyze-only fast path for analyze-phase
+/// A write-site signature rides the checkpointed golden-trace replay;
+/// a read-site one takes the analyze-only fast path for analyze-phase
 /// targets and the full-rerun path (recording
-/// [`ReplayFallback::ProduceReadFault`]) for produce-phase ones. The
-/// round-robin schedule interleaves the strategies deterministically:
-/// rerunning the same config — serial or parallel — reproduces every
+/// [`ReplayFallback::ProduceReadFault`]) for produce-phase ones.
+/// Rerunning the same config — serial or parallel — reproduces every
 /// outcome, per-run [`ExecutionMode`], and instance choice.
 pub struct Campaign<'a, A: FaultApp> {
     app: &'a A,
@@ -1013,31 +972,21 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
     /// Execute the whole workflow.
     pub fn run(&self) -> Result<CampaignResult, CampaignError> {
         let cfg = &self.config;
-        let sigs = &cfg.signatures;
-        let k = sigs.len();
-        if k == 0 {
-            return Err(CampaignError::BadSignature(
-                "campaign needs at least one signature".into(),
-            ));
-        }
-        for sig in sigs {
-            sig.validate().map_err(CampaignError::BadSignature)?;
-        }
+        let sig = &cfg.signature;
+        sig.validate().map_err(CampaignError::BadSignature)?;
 
         // Phase 1+2: one golden run doubles as the profiling run (see
         // [`Golden::run`]). What it records beyond the profile follows
-        // from the configured fast paths: the op trace when either is
-        // on (write shards replay it, read shards need it for the
-        // read-only-analyze law), the read ledger and the
-        // phase-boundary counters for read shards — and, because the
-        // memo gate (engine law 8) needs the golden analyze read
-        // stream even for write-site shards, whenever the workload
-        // declares sub-steps.
-        let any_site = |p: Primitive| sigs.iter().any(|s| s.primitive == p);
-        let write_fast = cfg.replay && any_site(Primitive::Write);
-        let read_fast = cfg.replay && any_site(Primitive::Read);
+        // from the configured fast path: the op trace when it is on (a
+        // write-site campaign replays it, a read-site one needs it for
+        // the read-only-analyze law), the read ledger and the
+        // phase-boundary counters at the read site — and, because the
+        // memo gate (engine law 8) needs the golden analyze read stream
+        // at the write site too, whenever the workload declares
+        // sub-steps.
+        let trace = cfg.replay && matches!(sig.primitive, Primitive::Write | Primitive::Read);
+        let read_fast = cfg.replay && sig.primitive == Primitive::Read;
         let substeps = if cfg.memo { self.app.analyze_substeps() } else { None };
-        let trace = write_fast || read_fast;
         let capture = Capture { trace, ledger: trace && (read_fast || substeps.is_some()) };
         let golden = match self.goldens {
             Some(cache) => cache.get_or_run(capture, || Golden::run(self.app, capture))?,
@@ -1045,27 +994,21 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
         };
 
         // The trace interceptor records every primitive crossing, so
-        // each shard's eligible population comes from the same
-        // execution; the reported profile is scoped to the first.
-        let eligible: Vec<u64> = sigs
+        // the eligible population comes from the golden execution.
+        let eligible = golden
+            .profile
+            .trace
             .iter()
-            .map(|sig| {
-                golden
-                    .profile
-                    .trace
-                    .iter()
-                    .filter(|r| r.in_scope(sig.primitive, |p| sig.target.matches(p)))
-                    .count() as u64
-            })
-            .collect();
-        if eligible.contains(&0) {
+            .filter(|r| r.in_scope(sig.primitive, |p| sig.target.matches(p)))
+            .count() as u64;
+        if eligible == 0 {
             return Err(CampaignError::NoEligibleInstances);
         }
 
         // Every per-run random draw happens *now*, before any plan is
         // built (engine law 2) — which is what makes the fork-offset
         // demand available to checkpoint placement.
-        let specs = draw_specs(cfg.seed, cfg.runs, &eligible);
+        let specs = draw_specs(cfg.seed, cfg.runs, eligible);
         // The plan-aware replay optimizations disengage while a
         // liveness watchdog is armed: fuel counts per-op mount
         // crossings, so placement- or batching-induced suffix changes
@@ -1074,59 +1017,37 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
         let watchdog = cfg.fuel.is_some() || cfg.wall_limit.is_some();
         let replay_opt = cfg.replay_opt && !watchdog;
 
-        // Each write shard first resolves its eligible trace ops
-        // (instance `n` is element `n-1`); a shard whose trace
-        // disagrees with the profiler's count cannot replay
-        // (`TraceMismatch`) and contributes nothing to the demand.
-        let write_ops: Vec<Option<Vec<usize>>> = sigs
-            .iter()
-            .zip(&eligible)
-            .map(|(sig, &n)| {
-                (write_fast && sig.primitive == Primitive::Write)
-                    .then(|| eligible_write_ops(&golden.trace, &sig.target))
-                    .filter(|found| found.len() as u64 == n)
-            })
-            .collect();
-        // With plan-aware placement enabled, the pre-drawn specs of
-        // every write shard resolve to trace op indices — the exact
-        // fork offsets the checkpoint builder should place snapshots
-        // at.
-        let demand: Option<Vec<usize>> = replay_opt.then(|| {
-            specs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, spec)| {
-                    write_ops[i % k]
-                        .as_ref()
-                        .map(|found| found[(spec.target_instance - 1) as usize])
-                })
-                .collect()
-        });
-        // The campaign-wide laws are the golden run's to answer; what
-        // is this campaign's own is where its checkpoints go.
-        let analyze_only = if read_fast {
-            golden.analyze_only_laws(self.app)
-        } else {
-            Err(ReplayFallback::Disabled)
-        };
-        let cache = if write_ops.iter().any(Option::is_some) {
-            golden.replay_laws(self.app).and_then(|()| {
-                place_checkpoints(&golden.trace, cfg.checkpoints.as_deref(), demand.as_deref())
-            })
-        } else {
-            Err(ReplayFallback::Disabled)
-        };
-        let mut shards: Vec<Shard> = sigs
-            .iter()
-            .zip(&eligible)
-            .zip(write_ops)
-            .map(|((sig, &n), found)| self.plan_shard(sig, n, found, &cache, analyze_only, &golden))
-            .collect();
+        // Gate the fast path: checkpointed replay at the write site,
+        // analyze-only re-execution at the read site, full reruns —
+        // with the reason recorded — otherwise. The campaign-wide laws
+        // are the golden run's to answer; what is this campaign's own
+        // is the eligible count's check against trace or ledger and,
+        // with plan-aware placement, checkpoints at its drawn targets.
+        // (Only `Write` and `Read` have a fast path: buffer-level write
+        // faults — `Replace` keeps the length, `Drop` skips the device
+        // write — can never make a replayed op fail, so the
+        // straight-line trace stays faithful; parameter faults could.)
+        let mut plan = match sig.primitive {
+            _ if !cfg.replay => Err(ReplayFallback::Disabled),
+            Primitive::Write => {
+                let demand: Option<Vec<u64>> =
+                    replay_opt.then(|| specs.iter().map(|s| s.target_instance).collect());
+                let store = cfg.checkpoints.as_deref();
+                ReplayPlan::new(self.app, &golden, &sig.target, eligible, store, demand.as_deref())
+                    .map(CampaignPlan::Replay)
+            }
+            Primitive::Read => golden
+                .analyze_only_laws(self.app)
+                .and_then(|()| analyze_only_plan(&golden, &sig.target, eligible))
+                .map(CampaignPlan::AnalyzeOnly),
+            _ => Err(ReplayFallback::NonWritePrimitive),
+        }
+        .unwrap_or_else(CampaignPlan::Rerun);
 
         // The analyze memoization gate (engine law 8) — never silent:
-        // either the sub-step laws hold on the golden run and the one
-        // basis attaches to every fast-path shard, or the fallback
-        // reason lands in [`CampaignResult::memo`].
+        // either the sub-step laws hold on the golden run and the
+        // basis attaches to the fast path, or the fallback reason
+        // lands in [`CampaignResult::memo`].
         let memo_store = substeps
             .as_ref()
             .map(|_| cfg.memo_store.clone().unwrap_or_else(|| Arc::new(MemoStore::in_memory())));
@@ -1139,15 +1060,13 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
         };
         memo_report.fallback = match (substeps, &memo_store) {
             (Some(_), Some(_)) if watchdog => Some(MemoFallback::Liveness),
-            (Some(_), Some(_)) if shards.iter().all(|s| s.plan.is_err()) => {
+            (Some(_), Some(_)) if matches!(plan, CampaignPlan::Rerun(_)) => {
                 Some(MemoFallback::NotFastPath)
             }
             (Some(specs), Some(store)) => match golden.substep_laws(self.app, specs) {
                 Ok(laws) => {
                     let memo = Arc::new(SubstepMemo::publish(laws, store));
-                    for shard in &mut shards {
-                        shard.engage_memo(&memo, golden.analyze_reads());
-                    }
+                    plan.engage_memo(memo, &sig.target, golden.analyze_reads());
                     memo_report.engaged = true;
                     None
                 }
@@ -1157,37 +1076,29 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
             _ => Some(MemoFallback::Disabled),
         };
 
-        // Phase 3: N injection runs through the shared engine. Global
-        // run `i` belongs to shard `i % k`, so replay-backed and
-        // rerun-backed runs interleave deterministically in run order;
-        // each pre-drawn spec resolves to its shard's planned strategy.
+        // Phase 3: N injection runs through the shared engine, each
+        // pre-drawn spec resolved to the plan's strategy for its target.
         let planned: Vec<PlannedRun<InjectionSpec>> = specs
             .iter()
             .enumerate()
-            .map(|(i, &spec)| {
-                let strategy = match &shards[i % k].plan {
-                    Ok(plan) => plan.strategy_for(spec.target_instance),
-                    Err(reason) => RunStrategy::Rerun { reason: *reason },
-                };
-                PlannedRun { index: i, shard: i % k, strategy, spec }
+            .map(|(index, &spec)| PlannedRun {
+                index,
+                strategy: plan.strategy_for(spec.target_instance),
+                spec,
             })
             .collect();
-        let replay_report = replay_opt_report(&planned, &shards, replay_opt);
-        let fingerprint = plan_fingerprint(&planned, k);
+        let replay_report = replay_opt_report(&planned, &plan, replay_opt);
+        let fingerprint = plan_fingerprint(&planned);
+        let mode = plan.campaign_mode();
         let meta = JournalMeta {
             fingerprint,
             seed: cfg.seed,
             runs: cfg.runs as u64,
-            shards: k as u32,
-            context: match shards.as_slice() {
-                [one] => {
-                    format!("app={} mode={} eligible={}", self.app.name(), one.mode(), one.eligible)
-                }
-                _ => format!("app={} shards={}", self.app.name(), k),
-            },
+            shards: 1,
+            context: format!("app={} mode={} eligible={}", self.app.name(), mode, eligible),
         };
         let (journal, resumed) = open_journal(cfg.journal.as_deref(), cfg.resume, meta)?;
-        let eplan = ExecutionPlan::new(planned, k);
+        let eplan = ExecutionPlan::new(planned);
         let engine_cfg =
             EngineConfig { parallel: cfg.parallel, keep_runs: cfg.keep_runs, keep_seed: cfg.seed };
         let liveness = Liveness { fuel: cfg.fuel, wall: cfg.wall_limit };
@@ -1215,22 +1126,20 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
             index_range: cfg.index_range,
         };
         // Checkpoint-grouped batch execution (engine law 9): pending
-        // replay runs sharing a `(shard, checkpoint)` — so a batch
-        // never mixes signatures — get a lazily built batch of
+        // replay runs sharing a checkpoint get a lazily built batch of
         // per-target mini-forks. A batch that fails to build (or lacks
         // a run's target) leaves the run on the per-run checkpoint
         // fork — byte-identical either way.
         let opt_counters = ReplayOptCounters::default();
-        let batching =
-            replay_opt && shards.iter().any(|s| matches!(s.plan, Ok(CampaignPlan::Replay(_))));
+        let batching = replay_opt && matches!(plan, CampaignPlan::Replay(_));
         let out = engine::execute_durable_batched(
             &eplan,
             &engine_cfg,
             durability,
-            |pr| if batching { pr.strategy.batch_key().map(|ck| (pr.shard, ck)) } else { None },
+            |pr| if batching { pr.strategy.batch_key() } else { None },
             |members| {
                 let first = *members.first()?;
-                let Ok(CampaignPlan::Replay(rp)) = &shards[first % k].plan else { return None };
+                let CampaignPlan::Replay(rp) = &plan else { return None };
                 let RunStrategy::Replay { checkpoint, .. } =
                     rp.strategy_for(specs[first].target_instance)
                 else {
@@ -1245,15 +1154,8 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
                 Some(batch)
             },
             |pr, batch| {
-                let result = execute_run(
-                    self.app,
-                    &shards[pr.shard],
-                    &golden.output,
-                    pr,
-                    batch,
-                    liveness,
-                    &opt_counters,
-                );
+                let result =
+                    self.execute_run(&plan, &golden.output, pr, batch, liveness, &opt_counters);
                 RunRecord {
                     outcome: result.outcome,
                     fired: result.injection.is_some(),
@@ -1274,18 +1176,8 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
         Ok(CampaignResult {
             tally: out.tally,
             runs: out.kept,
-            profile: ProfileReport { eligible: eligible[0], ..golden.profile.clone() },
-            mode: shards[0].mode(),
-            shards: shards
-                .into_iter()
-                .zip(out.shard_tallies)
-                .map(|(shard, tally)| ShardReport {
-                    mode: shard.mode(),
-                    signature: shard.signature,
-                    eligible: shard.eligible,
-                    tally,
-                })
-                .collect(),
+            profile: ProfileReport { eligible, ..golden.profile.clone() },
+            mode,
             plan_fingerprint: fingerprint,
             status: out.status,
             executed: out.executed,
@@ -1293,51 +1185,6 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
             memo: memo_report,
             replay_opt: replay_report.with_counters(&opt_counters),
         })
-    }
-
-    /// Gate one signature's fast path: checkpointed replay for a
-    /// write-site shard, analyze-only re-execution for a read-site
-    /// one, full reruns — with the reason recorded — otherwise. The
-    /// campaign-wide laws were validated once per golden run and arrive
-    /// as `cache`/`analyze_only`; this adds the per-signature checks. For
-    /// a write shard `write_ops` is `None` when the trace does not
-    /// contain exactly as many eligible writes as the profiler counted
-    /// — replay instance numbering would diverge from the injector's.
-    ///
-    /// (Only `Write` and `Read` have a fast path: buffer-level write
-    /// faults — `Replace` keeps the length, `Drop` skips the device
-    /// write — can never make a replayed op fail, so the straight-line
-    /// trace stays faithful; parameter faults could.)
-    fn plan_shard(
-        &self,
-        sig: &FaultSignature,
-        eligible: u64,
-        write_ops: Option<Vec<usize>>,
-        cache: &Result<Arc<TraceCheckpoints>, ReplayFallback>,
-        analyze_only: Result<(), ReplayFallback>,
-        golden: &Golden<A::Output>,
-    ) -> Shard {
-        let plan = if !self.config.replay {
-            Err(ReplayFallback::Disabled)
-        } else {
-            match sig.primitive {
-                Primitive::Write => match (write_ops, cache) {
-                    (None, _) => Err(ReplayFallback::TraceMismatch),
-                    (Some(_), Err(reason)) => Err(*reason),
-                    (Some(eligible_ops), Ok(cache)) => Ok(CampaignPlan::Replay(ReplayPlan {
-                        cache: cache.clone(),
-                        eligible_ops,
-                        memo: None,
-                        tail_inputs: Vec::new(),
-                    })),
-                },
-                Primitive::Read => analyze_only
-                    .and_then(|()| analyze_only_plan(golden, &sig.target, eligible))
-                    .map(CampaignPlan::AnalyzeOnly),
-                _ => Err(ReplayFallback::NonWritePrimitive),
-            }
-        };
-        Shard { signature: sig.clone(), eligible, plan }
     }
 }
 
@@ -1350,47 +1197,42 @@ struct InjectionSpec {
     seed: u64,
 }
 
-/// Draw every run's [`InjectionSpec`] from its per-run child stream.
-/// Global run `i` belongs to shard `i % k`. With one signature run
-/// `i` draws from `root.child(i)`; with several, shard `s` owns the
-/// independent stream `root.child(s)` and its `j`-th run draws from
-/// `root.child(s).child(j)`, so a shard's instance choices never
-/// depend on sibling shards or scheduling order. Both streams are
-/// pinned by seeded digests; the specs depend only on the seed and the
-/// eligible counts, never on the plan.
-fn draw_specs(seed: u64, runs: usize, eligible: &[u64]) -> Vec<InjectionSpec> {
+/// Draw every run's [`InjectionSpec`]: run `i` from child stream
+/// `root.child(i)`. The stream is pinned by seeded digests; the specs
+/// depend only on the seed and the eligible count, never on the plan.
+fn draw_specs(seed: u64, runs: usize, eligible: u64) -> Vec<InjectionSpec> {
     let root = Rng::seed_from(seed);
-    let k = eligible.len();
     (0..runs)
         .map(|i| {
-            let mut rng = if k == 1 {
-                root.child(i as u64)
-            } else {
-                root.child((i % k) as u64).child((i / k) as u64)
-            };
+            let mut rng = root.child(i as u64);
             // "generates a random number from 0 to count-1" →
             // 1-based instance index in [1, count].
-            let target_instance = rng.gen_range(eligible[i % k]) + 1;
+            let target_instance = rng.gen_range(eligible) + 1;
             let seed = rng.next_u64();
             InjectionSpec { target_instance, seed }
         })
         .collect()
 }
 
-/// FNV-1a fingerprint of an execution plan: shard count, run count,
-/// and every run's `(index, shard, target instance, injector seed,
-/// strategy)`. Because all random draws happen at plan time (engine
-/// law 2), two invocations with the same configuration fingerprint
-/// identically — and any change to grid, seed, signature, strategy
-/// regime, or run count changes the fingerprint, which is exactly the
-/// set of things a journal resume must refuse to splice across.
-fn plan_fingerprint(planned: &[PlannedRun<InjectionSpec>], shards: usize) -> u64 {
+/// FNV-1a fingerprint of an execution plan: run count and every run's
+/// `(index, target instance, injector seed, strategy)`. Because all
+/// random draws happen at plan time (engine law 2), two invocations
+/// with the same configuration fingerprint identically — and any
+/// change to grid, seed, signature, strategy regime, or run count
+/// changes the fingerprint, which is exactly the set of things a
+/// journal resume must refuse to splice across.
+fn plan_fingerprint(planned: &[PlannedRun<InjectionSpec>]) -> u64 {
     let mut h = Fnv::new();
-    h.eat_u64(shards as u64);
+    // The `1` here and the `0` per run are a shard count and a shard
+    // index from when one campaign could inject several signatures.
+    // They stay, so every fingerprint — echoed in journal headers and
+    // in `repro scale`'s DIGESTS.txt — is what it was, and a journal
+    // written before still resumes.
+    h.eat_u64(1);
     h.eat_u64(planned.len() as u64);
     for pr in planned {
         h.eat_u64(pr.index as u64);
-        h.eat_u64(pr.shard as u64);
+        h.eat_u64(0);
         h.eat_u64(pr.spec.target_instance);
         h.eat_u64(pr.spec.seed);
         match pr.strategy {
@@ -1491,28 +1333,24 @@ pub(crate) struct ReplayOptCounters {
 }
 
 /// Plan-level half of [`ReplayOptReport`]: suffix and overshoot
-/// accounting over the planned replay runs, against the write-site
-/// shards' (shared) checkpoint placement.
+/// accounting over the planned replay runs, against the campaign's
+/// checkpoint placement.
 fn replay_opt_report(
     planned: &[PlannedRun<InjectionSpec>],
-    shards: &[Shard],
+    plan: &CampaignPlan,
     engaged: bool,
 ) -> ReplayOptReport {
     let mut report = ReplayOptReport { engaged, ..ReplayOptReport::default() };
+    let CampaignPlan::Replay(rp) = plan else { return report };
     for pr in planned {
-        if let (RunStrategy::Replay { suffix_len, .. }, Ok(CampaignPlan::Replay(rp))) =
-            (pr.strategy, &shards[pr.shard].plan)
-        {
+        if let RunStrategy::Replay { suffix_len, .. } = pr.strategy {
             report.replayed_suffix_ops += suffix_len as u64;
             let target_op = rp.eligible_ops[(pr.spec.target_instance - 1) as usize];
             report.minimal_suffix_ops += (rp.cache.ops().len() - target_op) as u64;
         }
     }
     report.overshoot = report.replayed_suffix_ops.saturating_sub(report.minimal_suffix_ops);
-    report.demand_placed = shards.iter().any(|s| {
-        matches!(&s.plan, Ok(CampaignPlan::Replay(rp))
-            if matches!(rp.cache.placement(), Placement::Demand(_)))
-    });
+    report.demand_placed = matches!(rp.cache.placement(), Placement::Demand(_));
     report
 }
 
@@ -1558,15 +1396,14 @@ fn eligible_write_ops(ops: &[TraceOp], target: &TargetFilter) -> Vec<usize> {
 
 /// The campaign's prepared replay fast path: the checkpointed golden
 /// trace plus the op index of every eligible write (instance `k` is
-/// `eligible_ops[k-1]`). The checkpoint cache sits behind an `Arc` so
-/// all write-site shards of a campaign share one.
+/// `eligible_ops[k-1]`).
 pub(crate) struct ReplayPlan {
     cache: Arc<TraceCheckpoints>,
     eligible_ops: Vec<usize>,
     /// Engaged analyze memoization basis (engine law 8). When present,
     /// a replay run re-computes only the sub-steps that declare the
     /// injected op's path as an input and assembles the rest from the
-    /// memo store (see [`Shard::engage_memo`]).
+    /// memo store (see [`CampaignPlan::engage_memo`]).
     memo: Option<Arc<SubstepMemo>>,
     /// With `memo`, per sub-step: which of the trace's paths it
     /// declares as inputs — what a run's filtered tail keeps for each
@@ -1576,27 +1413,30 @@ pub(crate) struct ReplayPlan {
 }
 
 impl ReplayPlan {
-    /// The whole write-site gate for a caller with one target filter
-    /// and one demanded instance — the metadata scan. The same checks,
-    /// in the same order, [`Campaign::run`] spreads over its shards:
-    /// the trace must hold exactly the `eligible` writes the profile
-    /// counted under `target`, the golden run's replay laws must hold,
-    /// and the checkpoint set is placed for the demanded write alone,
-    /// so a snapshot sits exactly before it.
-    pub(crate) fn for_instance<A: FaultApp>(
+    /// The whole write-site gate, for a campaign and a metadata scan
+    /// alike: the trace must hold exactly the `eligible` writes the
+    /// profile counted under `target` (else replay instance numbering
+    /// would diverge from the injector's), the golden run's replay laws
+    /// must hold, and the checkpoint set is placed against the trace
+    /// ops of the `demand`ed instances — log-spaced without a demand.
+    /// A scan demands its one metadata write, so a snapshot sits
+    /// exactly before it.
+    pub(crate) fn new<A: FaultApp>(
         app: &A,
         golden: &Golden<A::Output>,
         target: &TargetFilter,
         eligible: u64,
-        instance: u64,
+        store: Option<&CheckpointStore>,
+        demand: Option<&[u64]>,
     ) -> Result<Self, ReplayFallback> {
         let eligible_ops = eligible_write_ops(&golden.trace, target);
         if eligible_ops.len() as u64 != eligible {
             return Err(ReplayFallback::TraceMismatch);
         }
         golden.replay_laws(app)?;
-        let demand = [eligible_ops[(instance - 1) as usize]];
-        let cache = place_checkpoints(&golden.trace, None, Some(&demand))?;
+        let demand: Option<Vec<usize>> =
+            demand.map(|d| d.iter().map(|&k| eligible_ops[(k - 1) as usize]).collect());
+        let cache = place_checkpoints(&golden.trace, store, demand.as_deref())?;
         Ok(ReplayPlan { cache, eligible_ops, memo: None, tail_inputs: Vec::new() })
     }
 
@@ -1809,13 +1649,15 @@ fn decode_memo_run(bytes: &[u8]) -> Option<MemoRunEntry> {
     Some(MemoRunEntry { injection, body })
 }
 
-/// A shard's prepared fast path — checkpointed trace replay for a
+/// A campaign's prepared plan — checkpointed trace replay for a
 /// write-site signature, analyze-only re-execution for a read-site
-/// one. [`execute_run`] dispatches on the planned [`RunStrategy`]
-/// and reaches back into the matching plan variant.
+/// one, or why its runs take full reruns instead.
+/// [`Campaign::execute_run`] dispatches on the planned [`RunStrategy`]
+/// and reaches back into the matching variant.
 enum CampaignPlan {
     Replay(ReplayPlan),
     AnalyzeOnly(AnalyzeOnlyPlan),
+    Rerun(ReplayFallback),
 }
 
 impl CampaignPlan {
@@ -1823,46 +1665,34 @@ impl CampaignPlan {
         match self {
             CampaignPlan::Replay(p) => p.strategy_for(target_instance),
             CampaignPlan::AnalyzeOnly(p) => p.strategy_for(target_instance),
+            CampaignPlan::Rerun(reason) => RunStrategy::Rerun { reason: *reason },
         }
     }
 
-    /// The shard-level [`ExecutionMode`] this plan implies.
+    /// The campaign-level [`ExecutionMode`] this plan implies.
     fn campaign_mode(&self) -> ExecutionMode {
         match self {
             CampaignPlan::Replay(_) => ExecutionMode::Replay,
             CampaignPlan::AnalyzeOnly(p) => p.campaign_mode(),
-        }
-    }
-}
-
-/// One signature's prepared share of a campaign (see
-/// [`Campaign::plan_shard`]): its fast path, or why its runs take
-/// full reruns instead.
-struct Shard {
-    signature: FaultSignature,
-    eligible: u64,
-    plan: Result<CampaignPlan, ReplayFallback>,
-}
-
-impl Shard {
-    /// The execution strategy this shard's runs take.
-    fn mode(&self) -> ExecutionMode {
-        match &self.plan {
-            Ok(plan) => plan.campaign_mode(),
-            Err(reason) => ExecutionMode::FullRerun { reason: *reason },
+            CampaignPlan::Rerun(reason) => ExecutionMode::FullRerun { reason: *reason },
         }
     }
 
-    /// Attach the validated memo basis to this shard's fast path. A
-    /// write-site shard keeps its per-run strategy, mode, and plan
-    /// fingerprint — memoization is a pure analyze-side substitution
-    /// there. A read-site shard additionally maps its signature's
-    /// eligible reads onto the sub-steps' read ranges and re-plans
+    /// Attach the validated memo basis to the fast path. A write-site
+    /// plan keeps its per-run strategy, mode, and plan fingerprint —
+    /// memoization is a pure analyze-side substitution there. A
+    /// read-site plan additionally maps the eligible reads under
+    /// `target` onto the sub-steps' read ranges and re-plans
     /// analyze-phase targets as [`RunStrategy::IncrementalAnalyze`].
-    fn engage_memo(&mut self, memo: &Arc<SubstepMemo>, golden_analyze: &[ReadRecord]) {
-        match &mut self.plan {
-            Err(_) => {}
-            Ok(CampaignPlan::Replay(rp)) => {
+    fn engage_memo(
+        &mut self,
+        memo: Arc<SubstepMemo>,
+        target: &TargetFilter,
+        golden_analyze: &[ReadRecord],
+    ) {
+        match self {
+            CampaignPlan::Rerun(_) => {}
+            CampaignPlan::Replay(rp) => {
                 let paths = rp.cache.trace().path_index();
                 rp.tail_inputs = memo
                     .laws
@@ -1870,10 +1700,9 @@ impl Shard {
                     .iter()
                     .map(|spec| paths.select(spec.inputs.iter().map(String::as_str)))
                     .collect();
-                rp.memo = Some(memo.clone());
+                rp.memo = Some(memo);
             }
-            Ok(CampaignPlan::AnalyzeOnly(ap)) => {
-                let target = &self.signature.target;
+            CampaignPlan::AnalyzeOnly(ap) => {
                 let matching = |records: &[ReadRecord]| {
                     records.iter().filter(|r| target.matches(r.path.as_deref())).count() as u64
                 };
@@ -1885,7 +1714,7 @@ impl Shard {
                         (matching(&golden_analyze[..start]), matching(&golden_analyze[start..end]))
                     })
                     .collect();
-                ap.memo = Some(IncrementalMemo { memo: memo.clone(), eligible_ranges });
+                ap.memo = Some(IncrementalMemo { memo, eligible_ranges });
             }
         }
     }
@@ -2010,7 +1839,7 @@ fn place_checkpoints(
 }
 
 /// Where one run's filesystem state comes from, resolved from its
-/// planned [`RunStrategy`] and its shard's plan. The variant also
+/// planned [`RunStrategy`] and its campaign's plan. The variant also
 /// fixes how the run advances to its pre-analyze state.
 pub(crate) enum Start<'p> {
     /// Fresh `MemFs`; the application's `produce` runs live — the
@@ -2048,8 +1877,8 @@ fn dirty_substeps(specs: &[SubstepSpec], path: Option<&str>) -> Vec<usize> {
     }
 }
 
-/// The one run frame: every injection run of every campaign shard and
-/// every byte of a metadata scan is this start → advance → analyze,
+/// The one run frame: every injection run of a campaign and every
+/// byte of a metadata scan is this start → advance → analyze,
 /// with `injector` attached to the mount, under one liveness /
 /// `catch_unwind` / unmount bracket:
 ///
@@ -2154,103 +1983,108 @@ pub(crate) fn run_frame<A: FaultApp>(
     result
 }
 
-/// Execute one injection run of a campaign and classify it: resolve
-/// the planned strategy to a [`Start`], arm the shard's signature, and
-/// hand both to [`run_frame`]. One memo prologue/epilogue surrounds
-/// the frame: a run whose key is already in the store is classified
-/// without mounting anything, and every non-panicked memoized run is
-/// stored.
-fn execute_run<A: FaultApp>(
-    app: &A,
-    shard: &Shard,
-    golden: &A::Output,
-    pr: &PlannedRun<InjectionSpec>,
-    batch: Option<&BatchForks>,
-    liveness: Liveness,
-    telemetry: &ReplayOptCounters,
-) -> RunResult {
-    let InjectionSpec { target_instance, seed } = pr.spec;
-    let mode = pr.strategy.mode();
-    // Start: where the state comes from, how many eligible instances
-    // precede it, and — memo engaged — which sub-steps go dirty.
-    let (start, already_seen, dirty) = match (pr.strategy, &shard.plan) {
-        (RunStrategy::Replay { checkpoint, .. }, Ok(CampaignPlan::Replay(plan))) => {
-            let target_op = plan.eligible_ops[(target_instance - 1) as usize];
-            let dirty = plan.memo.as_deref().map(|m| {
-                (m, dirty_substeps(&m.laws.specs, plan.cache.ops()[target_op].write_path()))
-            });
-            match batch.and_then(|b| b.for_target(target_op)) {
-                // The mini-point sits exactly at the target op, so the
-                // eligible writes already "seen" are precisely the
-                // earlier instances.
-                Some(fork) => (Start::Batch { plan, fork, telemetry }, target_instance - 1, dirty),
-                None => {
-                    let (start, seen) = plan.checkpoint_start(checkpoint);
-                    (start, seen, dirty)
+impl<A: FaultApp> Campaign<'_, A> {
+    /// Execute one injection run of the campaign and classify it: resolve
+    /// the planned strategy to a [`Start`], arm the campaign's signature,
+    /// and hand both to [`run_frame`]. One memo prologue/epilogue
+    /// surrounds the frame: a run whose key is already in the store is
+    /// classified without mounting anything, and every non-panicked
+    /// memoized run is stored.
+    fn execute_run(
+        &self,
+        plan: &CampaignPlan,
+        golden: &A::Output,
+        pr: &PlannedRun<InjectionSpec>,
+        batch: Option<&BatchForks>,
+        liveness: Liveness,
+        telemetry: &ReplayOptCounters,
+    ) -> RunResult {
+        let (app, signature) = (self.app, &self.config.signature);
+        let InjectionSpec { target_instance, seed } = pr.spec;
+        let mode = pr.strategy.mode();
+        // Start: where the state comes from, how many eligible instances
+        // precede it, and — memo engaged — which sub-steps go dirty.
+        let (start, already_seen, dirty) = match (pr.strategy, plan) {
+            (RunStrategy::Replay { checkpoint, .. }, CampaignPlan::Replay(plan)) => {
+                let target_op = plan.eligible_ops[(target_instance - 1) as usize];
+                let dirty = plan.memo.as_deref().map(|m| {
+                    (m, dirty_substeps(&m.laws.specs, plan.cache.ops()[target_op].write_path()))
+                });
+                match batch.and_then(|b| b.for_target(target_op)) {
+                    // The mini-point sits exactly at the target op, so the
+                    // eligible writes already "seen" are precisely the
+                    // earlier instances.
+                    Some(fork) => {
+                        (Start::Batch { plan, fork, telemetry }, target_instance - 1, dirty)
+                    }
+                    None => {
+                        let (start, seen) = plan.checkpoint_start(checkpoint);
+                        (start, seen, dirty)
+                    }
                 }
             }
-        }
-        (RunStrategy::AnalyzeOnly, Ok(CampaignPlan::AnalyzeOnly(plan))) => (
-            Start::Golden { base: &plan.base, counters: plan.boundary },
-            plan.produce_eligible,
-            None,
-        ),
-        // A read fault never touches device state, so only the
-        // sub-step whose eligible-read range holds the target is
-        // dirty; it starts from its own start-of-sub-step counters.
-        (
-            RunStrategy::IncrementalAnalyze { .. },
-            Ok(CampaignPlan::AnalyzeOnly(plan @ AnalyzeOnlyPlan { memo: Some(ia), .. })),
-        ) => {
-            let d = ia
-                .substep_for(target_instance - plan.produce_eligible)
-                .expect("IncrementalAnalyze is only planned for in-range instances");
+            (RunStrategy::AnalyzeOnly, CampaignPlan::AnalyzeOnly(plan)) => (
+                Start::Golden { base: &plan.base, counters: plan.boundary },
+                plan.produce_eligible,
+                None,
+            ),
+            // A read fault never touches device state, so only the
+            // sub-step whose eligible-read range holds the target is
+            // dirty; it starts from its own start-of-sub-step counters.
             (
-                Start::Golden { base: &plan.base, counters: ia.memo.laws.counters[d] },
-                plan.produce_eligible + ia.eligible_ranges[d].0,
-                Some((&*ia.memo, vec![d])),
-            )
-        }
-        // Reference path. (A fast strategy without its matching plan
-        // cannot be planned — strategies derive from the plan.)
-        _ => (Start::Fresh, 0, None),
-    };
-
-    // Memo prologue: account the dirty cascade, then serve the whole
-    // run from the store when an identical one already ran.
-    let memo = match dirty {
-        Some((m, dirty)) => {
-            m.store.note_hits((m.laws.specs.len() - dirty.len()) as u64);
-            m.store.note_invalidations(dirty.len() as u64);
-            let key = memo_run_key(m.laws.golden_key, &shard.signature, target_instance, seed);
-            if let Some(entry) = m.store.get(&key).and_then(|bytes| decode_memo_run(&bytes)) {
-                return finish_memo_run(app, m, golden, pr.index, target_instance, mode, entry);
+                RunStrategy::IncrementalAnalyze { .. },
+                CampaignPlan::AnalyzeOnly(plan @ AnalyzeOnlyPlan { memo: Some(ia), .. }),
+            ) => {
+                let d = ia
+                    .substep_for(target_instance - plan.produce_eligible)
+                    .expect("IncrementalAnalyze is only planned for in-range instances");
+                (
+                    Start::Golden { base: &plan.base, counters: ia.memo.laws.counters[d] },
+                    plan.produce_eligible + ia.eligible_ranges[d].0,
+                    Some((&*ia.memo, vec![d])),
+                )
             }
-            Some((m, dirty, key))
-        }
-        None => None,
-    };
+            // Reference path. (A fast strategy without its matching plan
+            // cannot be planned — strategies derive from the plan.)
+            _ => (Start::Fresh, 0, None),
+        };
 
-    let injector = Arc::new(ArmedInjector::resuming(
-        shard.signature.clone(),
-        target_instance,
-        seed,
-        already_seen,
-    ));
-    let dirty = memo.as_ref().map(|(m, dirty, _)| (*m, dirty.as_slice()));
-    let result = run_frame(app, golden, &start, injector.clone(), liveness, dirty);
-    let injection = injector.record();
-    // Memo epilogue. Panicked runs are never memoized — a warm store
-    // re-executes them live.
-    if let Some((m, _, key)) = &memo {
-        match &result {
-            Ok(Ok((_, arts))) => m.store.put(key, &encode_memo_run(&injection, Ok(arts))),
-            Ok(Err(msg)) => m.store.put(key, &encode_memo_run(&injection, Err(msg))),
-            Err(_) => {}
+        // Memo prologue: account the dirty cascade, then serve the whole
+        // run from the store when an identical one already ran.
+        let memo = match dirty {
+            Some((m, dirty)) => {
+                m.store.note_hits((m.laws.specs.len() - dirty.len()) as u64);
+                m.store.note_invalidations(dirty.len() as u64);
+                let key = memo_run_key(m.laws.golden_key, signature, target_instance, seed);
+                if let Some(entry) = m.store.get(&key).and_then(|bytes| decode_memo_run(&bytes)) {
+                    return finish_memo_run(app, m, golden, pr.index, target_instance, mode, entry);
+                }
+                Some((m, dirty, key))
+            }
+            None => None,
+        };
+
+        let injector = Arc::new(ArmedInjector::resuming(
+            signature.clone(),
+            target_instance,
+            seed,
+            already_seen,
+        ));
+        let dirty = memo.as_ref().map(|(m, dirty, _)| (*m, dirty.as_slice()));
+        let result = run_frame(app, golden, &start, injector.clone(), liveness, dirty);
+        let injection = injector.record();
+        // Memo epilogue. Panicked runs are never memoized — a warm store
+        // re-executes them live.
+        if let Some((m, _, key)) = &memo {
+            match &result {
+                Ok(Ok((_, arts))) => m.store.put(key, &encode_memo_run(&injection, Ok(arts))),
+                Ok(Err(msg)) => m.store.put(key, &encode_memo_run(&injection, Err(msg))),
+                Err(_) => {}
+            }
         }
+        let app_result = result.map(|live| live.map(|(out, _)| out));
+        finish_run(app, golden, pr.index, target_instance, injection, mode, app_result)
     }
-    let app_result = result.map(|live| live.map(|(out, _)| out));
-    finish_run(app, golden, pr.index, target_instance, injection, mode, app_result)
 }
 
 /// Classify a run served whole from the run-level memo store: rebuild
@@ -2908,105 +2742,30 @@ mod tests {
         assert!(result.runs.iter().all(|r| r.mode == ExecutionMode::Replay));
     }
 
-    fn mixed_cfg(parallel: bool) -> CampaignConfig {
-        let mut cfg = CampaignConfig::mixed(vec![
-            FaultSignature::on_write(FaultModel::bit_flip()),
-            FaultSignature::on_read(FaultModel::bit_flip()),
-            FaultSignature::on_read(FaultModel::dropped_write()),
-        ])
-        .with_runs(24)
-        .with_seed(35)
-        .with_replay(true);
-        cfg.parallel = parallel;
-        cfg
-    }
-
-    /// The one-element list constructor *is* the single-signature
-    /// campaign: same draws, same plan, same records.
+    /// Known answers: the plan fingerprints a write-site and a
+    /// read-site campaign bind into their journal headers, as earlier
+    /// versions computed them (shard count `1` and per-run shard `0`
+    /// folded in). A drift here breaks resume across versions.
     #[test]
-    fn one_element_list_equals_single_signature_config() {
-        for sig in [
-            FaultSignature::on_write(FaultModel::bit_flip()),
-            FaultSignature::on_read(FaultModel::bit_flip()),
+    fn plan_fingerprints_are_stable_across_versions() {
+        for (sig, mode, fingerprint) in [
+            (FaultSignature::on_write(FaultModel::bit_flip()), "replay", 0xFD3A_C764_79AF_6EA1),
+            (
+                FaultSignature::on_read(FaultModel::bit_flip()),
+                "analyze-only",
+                0xB809_3FD6_3D91_38C8,
+            ),
         ] {
-            let single = CampaignConfig::new(sig.clone()).with_runs(12).with_seed(36);
-            let listed = CampaignConfig::mixed(vec![sig]).with_runs(12).with_seed(36);
-            let a = Campaign::new(&ToyApp, single).run().unwrap();
-            let b = Campaign::new(&ToyApp, listed).run().unwrap();
-            assert_eq!(a.plan_fingerprint, b.plan_fingerprint);
-            assert_eq!(a.run_digest(), b.run_digest());
-            assert_eq!(a.profile.eligible, b.profile.eligible);
-            assert_eq!(a.shards.len(), 1);
-            assert_eq!(a.shards[0].mode, a.mode);
-            assert_eq!(a.shards[0].eligible, a.profile.eligible);
-            assert_eq!(a.shards[0].tally, a.tally);
+            let cfg =
+                CampaignConfig::new(sig).with_runs(16).with_seed(0x0F1A_9E27).with_replay(true);
+            let result = Campaign::new(&ToyApp, cfg).run().unwrap();
+            assert_eq!(result.mode.to_string(), mode);
+            assert_eq!(
+                result.plan_fingerprint, fingerprint,
+                "{mode}: {:#X}",
+                result.plan_fingerprint
+            );
         }
-    }
-
-    #[test]
-    fn mixed_campaign_interleaves_replay_and_rerun() {
-        let result = Campaign::new(&ToyApp, mixed_cfg(true)).run().unwrap();
-        assert_eq!(result.runs.len(), 24);
-        assert_eq!(result.shards.len(), 3);
-        assert_eq!(result.shards[0].mode, ExecutionMode::Replay);
-        // ToyApp's produce never reads, so the read shards qualify for
-        // the analyze-only fast path in full.
-        assert_eq!(result.shards[1].mode, ExecutionMode::AnalyzeOnly);
-        assert_eq!(result.shards[2].mode, ExecutionMode::AnalyzeOnly);
-        assert_eq!(result.shards[0].eligible, 11);
-        assert_eq!(result.shards[1].eligible, 1);
-        // Round-robin schedule: run i belongs to shard i % 3, and its
-        // recorded mode matches its shard's strategy.
-        for r in &result.runs {
-            assert_eq!(r.mode, result.shards[r.run % 3].mode, "run {}", r.run);
-        }
-        // Shard tallies partition the global tally.
-        let mut merged = OutcomeTally::new();
-        for s in &result.shards {
-            assert_eq!(s.tally.total(), 8);
-            merged.merge(&s.tally);
-        }
-        assert_eq!(merged, result.tally);
-        assert_eq!(result.shard_runs(1).count(), 8);
-    }
-
-    #[test]
-    fn mixed_campaign_is_deterministic_across_parallelism_and_reruns() {
-        let a = Campaign::new(&ToyApp, mixed_cfg(false)).run().unwrap();
-        let b = Campaign::new(&ToyApp, mixed_cfg(true)).run().unwrap();
-        let c = Campaign::new(&ToyApp, mixed_cfg(true)).run().unwrap();
-        for other in [&b, &c] {
-            assert_eq!(a.tally, other.tally);
-            for (x, y) in a.runs.iter().zip(&other.runs) {
-                assert_eq!(x.run, y.run);
-                assert_eq!(x.outcome, y.outcome);
-                assert_eq!(x.target_instance, y.target_instance);
-                assert_eq!(x.mode, y.mode);
-                assert_eq!(x.injection, y.injection);
-                assert_eq!(x.crash_message, y.crash_message);
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_campaign_with_replay_off_reruns_everything() {
-        let result = Campaign::new(&ToyApp, mixed_cfg(true).with_replay(false)).run().unwrap();
-        for s in &result.shards {
-            assert_eq!(s.mode, ExecutionMode::FullRerun { reason: ReplayFallback::Disabled });
-        }
-    }
-
-    #[test]
-    fn mixed_campaign_rejects_empty_and_invalid_signatures() {
-        let empty = CampaignConfig::mixed(Vec::new()).with_runs(1);
-        assert!(matches!(Campaign::new(&ToyApp, empty).run(), Err(CampaignError::BadSignature(_))));
-        let invalid =
-            CampaignConfig::mixed(vec![FaultSignature::on_write(FaultModel::BitFlip { bits: 0 })])
-                .with_runs(1);
-        assert!(matches!(
-            Campaign::new(&ToyApp, invalid).run(),
-            Err(CampaignError::BadSignature(_))
-        ));
     }
 
     #[test]
@@ -3268,32 +3027,6 @@ mod tests {
         assert_eq!(second.resumed, 12);
         assert_eq!(second.runs, first.runs);
         assert_eq!(second.run_digest(), first.run_digest());
-    }
-
-    #[test]
-    fn mixed_campaign_resumes_byte_identically() {
-        let path = tmp_journal("mixed-resume");
-        let base = || mixed_cfg(false).with_seed(18);
-        let control = Campaign::new(&ToyApp, base()).run().unwrap();
-        assert_eq!(control.status, CompletionStatus::Complete);
-
-        let cancel = CancelToken::after_runs(7);
-        let cfg = base().with_journal(&path).with_resume(true).with_cancel(cancel);
-        let interrupted = Campaign::new(&ToyApp, cfg).run().unwrap();
-        assert_eq!(interrupted.status, CompletionStatus::Interrupted);
-        assert_eq!(interrupted.executed, 7);
-
-        let cfg = base().with_journal(&path).with_resume(true);
-        let resumed = Campaign::new(&ToyApp, cfg).run().unwrap();
-        assert_eq!(resumed.status, CompletionStatus::Complete);
-        assert_eq!(resumed.resumed, 7);
-        assert_eq!(resumed.executed, 17);
-        assert_eq!(resumed.tally, control.tally);
-        assert_eq!(resumed.runs, control.runs);
-        assert_eq!(resumed.run_digest(), control.run_digest());
-        for (a, b) in resumed.shards.iter().zip(&control.shards) {
-            assert_eq!(a.tally, b.tally);
-        }
     }
 
     /// Two data files, one analyze sub-step each.

@@ -46,9 +46,7 @@ pub struct EngineResult<R> {
     /// Retained run records, in run-index order; bounded by
     /// [`EngineConfig::keep_runs`].
     pub kept: Vec<R>,
-    /// Per-shard tallies over *all* completed runs (kept or not).
-    pub shard_tallies: Vec<OutcomeTally>,
-    /// Global tally: the shard tallies merged.
+    /// Tally over *all* completed runs (kept or not).
     pub tally: OutcomeTally,
     /// Total runs in the plan.
     pub scheduled: usize,
@@ -74,8 +72,6 @@ pub struct EngineResult<R> {
 pub struct RunEvent<'a, R> {
     /// Plan index of the run.
     pub index: usize,
-    /// Shard the run belongs to.
-    pub shard: usize,
     /// Classified outcome.
     pub outcome: Outcome,
     /// Did the armed injector fire?
@@ -136,10 +132,10 @@ impl<R> Default for Durability<'_, R> {
     }
 }
 
-/// What one executed run contributes to the sink — `(index, shard,
-/// outcome, fired, kept payload)` — or `None` when cancellation
-/// tripped before the run started.
-type RunSummary<R> = Option<(usize, usize, Outcome, bool, Option<R>)>;
+/// What one executed run contributes to the sink — `(index, outcome,
+/// fired, kept payload)` — or `None` when cancellation tripped before
+/// the run started.
+type RunSummary<R> = Option<(usize, Outcome, bool, Option<R>)>;
 
 /// Execute every planned run — in schedule order serially, fanned out
 /// over the schedule in parallel — and stream the results through the
@@ -244,14 +240,7 @@ where
         journaled.sort_unstable();
         for index in journaled {
             let (outcome, fired, payload) = &resumed[&index];
-            observe(RunEvent {
-                index,
-                shard: plan.runs()[index].shard,
-                outcome: *outcome,
-                fired: *fired,
-                resumed: true,
-                payload,
-            });
+            observe(RunEvent { index, outcome: *outcome, fired: *fired, resumed: true, payload });
         }
     }
     let keep = reservoir_mask(cfg.keep_seed, plan.len(), cfg.keep_runs);
@@ -294,7 +283,7 @@ where
 
     // `None` = skipped because cancellation tripped before the run
     // started; the run is simply absent from the sink.
-    let exec_one = |pos: &usize| -> Option<(usize, usize, Outcome, bool, Option<R>)> {
+    let exec_one = |pos: &usize| -> RunSummary<R> {
         if cancel.is_some_and(|c| !c.try_start_run()) {
             return None;
         }
@@ -323,7 +312,6 @@ where
         if let Some(observe) = observe {
             observe(RunEvent {
                 index: pr.index,
-                shard: pr.shard,
                 outcome: rec.outcome,
                 fired: rec.fired,
                 resumed: false,
@@ -333,7 +321,7 @@ where
         // The keep decision happens here, in the worker: a dropped
         // record frees its buffers before the next run starts.
         let payload = if keep_index(pr.index) { Some(rec.payload) } else { None };
-        Some((pr.index, pr.shard, rec.outcome, rec.fired, payload))
+        Some((pr.index, rec.outcome, rec.fired, payload))
     };
     let summaries: Vec<RunSummary<R>> = if cfg.parallel {
         pending.par_iter().map(exec_one).collect()
@@ -341,17 +329,16 @@ where
         pending.iter().map(exec_one).collect()
     };
 
-    let mut sink = RunSink::new(plan.shards());
+    let mut sink = RunSink::default();
     let scheduled = plan.len();
     let resumed_count = resumed.len();
     for (index, (outcome, fired, payload)) in resumed {
-        let shard = plan.runs()[index].shard;
-        sink.absorb(index, shard, outcome, fired, keep_index(index).then_some(payload));
+        sink.absorb(index, outcome, fired, keep_index(index).then_some(payload));
     }
     let mut executed = 0usize;
-    for (index, shard, outcome, fired, payload) in summaries.into_iter().flatten() {
+    for (index, outcome, fired, payload) in summaries.into_iter().flatten() {
         executed += 1;
-        sink.absorb(index, shard, outcome, fired, payload);
+        sink.absorb(index, outcome, fired, payload);
     }
     // Completion is judged against what this invocation was asked to
     // cover: the whole plan, or one worker's index range.
@@ -364,8 +351,8 @@ where
     } else {
         CompletionStatus::Interrupted
     };
-    let (kept, shard_tallies, tally) = sink.finish();
-    EngineResult { kept, shard_tallies, tally, scheduled, executed, resumed: resumed_count, status }
+    let (kept, tally) = sink.finish();
+    EngineResult { kept, tally, scheduled, executed, resumed: resumed_count, status }
 }
 
 #[cfg(test)]
@@ -378,18 +365,18 @@ mod tests {
         let runs = (0..n)
             .map(|index| PlannedRun {
                 index,
-                shard: index % 3,
                 // Reverse suffix lengths so the schedule differs from
-                // index order — exercising slot addressing.
+                // index order — exercising slot addressing — over three
+                // checkpoints, so batching has several groups to form.
                 strategy: if index % 2 == 0 {
-                    RunStrategy::Replay { checkpoint: 0, suffix_len: n - index }
+                    RunStrategy::Replay { checkpoint: index % 3, suffix_len: n - index }
                 } else {
                     RunStrategy::Rerun { reason: ReplayFallback::ProduceReadFault }
                 },
                 spec: index as u64 * 10,
             })
             .collect();
-        ExecutionPlan::new(runs, 3)
+        ExecutionPlan::new(runs)
     }
 
     fn run_one(pr: &PlannedRun<u64>) -> RunRecord<(usize, u64)> {
@@ -412,7 +399,6 @@ mod tests {
         let b = mk(true);
         assert_eq!(a.kept, b.kept);
         assert_eq!(a.tally, b.tally);
-        assert_eq!(a.shard_tallies, b.shard_tallies);
         assert_eq!(a.scheduled, 23);
         for (i, &(index, spec)) in a.kept.iter().enumerate() {
             assert_eq!(index, i, "kept results in run-index order");
@@ -432,7 +418,6 @@ mod tests {
         );
         assert_eq!(some.kept.len(), 6);
         assert_eq!(some.tally, all.tally, "tallies cover dropped runs too");
-        assert_eq!(some.shard_tallies, all.shard_tallies);
         // Kept records are a subsequence of the keep-all records.
         let mut cursor = all.kept.iter();
         for k in &some.kept {
@@ -482,7 +467,6 @@ mod tests {
         assert_eq!(out.status, CompletionStatus::Complete);
         assert_eq!(out.kept, full.kept, "resume law: byte-identical kept records");
         assert_eq!(out.tally, full.tally);
-        assert_eq!(out.shard_tallies, full.shard_tallies);
     }
 
     #[test]
@@ -570,7 +554,6 @@ mod tests {
         let events: Mutex<Vec<(usize, bool, u64)>> = Mutex::new(Vec::new());
         let observe = |ev: RunEvent<'_, (usize, u64)>| {
             assert_eq!(ev.payload.0, ev.index, "payload borrowed for the right index");
-            assert_eq!(ev.shard, ev.index % 3);
             events.lock().unwrap().push((ev.index, ev.resumed, ev.payload.1));
         };
         let out = execute_durable(
@@ -686,7 +669,6 @@ mod tests {
         assert_eq!(out.status, CompletionStatus::Complete);
         assert_eq!(out.kept, full.kept);
         assert_eq!(out.tally, full.tally);
-        assert_eq!(out.shard_tallies, full.shard_tallies);
     }
 
     #[test]
@@ -702,7 +684,7 @@ mod tests {
             &p,
             &cfg,
             Durability::default(),
-            |pr| pr.strategy.batch_key().map(|ck| (pr.shard, ck)),
+            |pr| pr.strategy.batch_key(),
             |members: &[usize]| {
                 builds.fetch_add(1, Ordering::SeqCst);
                 assert!(members.len() >= 2, "singleton groups never build a context");
@@ -718,25 +700,11 @@ mod tests {
         );
         assert_eq!(out.kept, unbatched.kept, "law 9: batching is invisible to results");
         assert_eq!(out.tally, unbatched.tally);
-        assert_eq!(out.shard_tallies, unbatched.shard_tallies);
-        // plan(24): even indices are Replay{checkpoint: 0} split over
-        // shards 0/1/2 by index%3 — shards 0 and 2 hold the even
-        // indices (multiples of 6, and 4 mod 6), shard 1 none… check
-        // via the actual grouping: every replay run saw a context and
-        // each (shard, checkpoint) group built exactly once.
-        let replay_runs =
-            p.runs().iter().filter(|r| matches!(r.strategy, RunStrategy::Replay { .. })).count();
-        let mut groups: HashMap<(usize, usize), usize> = HashMap::new();
-        for r in p.runs() {
-            if let Some(ck) = r.strategy.batch_key() {
-                *groups.entry((r.shard, ck)).or_default() += 1;
-            }
-        }
-        let expect_ctx: usize = groups.values().filter(|&&n| n >= 2).sum();
-        let expect_builds = groups.values().filter(|&&n| n >= 2).count();
-        assert_eq!(with_ctx.load(Ordering::SeqCst), expect_ctx);
-        assert_eq!(builds.load(Ordering::SeqCst), expect_builds);
-        assert!(expect_ctx > 0 && expect_ctx <= replay_runs);
+        // plan(24): the 12 even indices replay from checkpoints 0, 2
+        // and 1 in turn — three groups of four. Every replay run saw a
+        // context and each checkpoint's group built exactly once.
+        assert_eq!(with_ctx.load(Ordering::SeqCst), 12);
+        assert_eq!(builds.load(Ordering::SeqCst), 3);
     }
 
     #[test]
@@ -780,16 +748,16 @@ mod tests {
     }
 
     #[test]
-    fn no_fire_law_is_applied_per_shard() {
+    fn no_fire_law_counts_only_unfired_benign_runs() {
         let p = plan(10);
         let out =
             execute(&p, &EngineConfig { parallel: false, keep_runs: None, keep_seed: 0 }, |pr| {
-                RunRecord { outcome: Outcome::Benign, fired: pr.index != 0, payload: () }
+                let outcome = if pr.index == 1 { Outcome::Crash } else { Outcome::Benign };
+                RunRecord { outcome, fired: pr.index > 1, payload: () }
             });
-        // Run 0 (shard 0) is the only unfired benign run.
-        assert_eq!(out.shard_tallies[0].no_fire, 1);
-        assert_eq!(out.shard_tallies[1].no_fire, 0);
+        // Run 0 is the only unfired benign run; run 1 never fired but
+        // crashed, which still counts as a crash.
         assert_eq!(out.tally.no_fire, 1);
-        assert_eq!(out.tally.benign, 10);
+        assert_eq!((out.tally.benign, out.tally.crash), (9, 1));
     }
 }

@@ -70,7 +70,8 @@ pub struct JournalMeta {
     pub seed: u64,
     /// Total planned runs.
     pub runs: u64,
-    /// Shard count (1 for single-signature campaigns).
+    /// Always 1 for a campaign. A field of the frozen schema-1 header,
+    /// from when one campaign could inject several fault signatures.
     pub shards: u32,
     /// Free-form context (app, grid, fault model — whatever the
     /// frontend wants readable in the header).

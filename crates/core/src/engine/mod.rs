@@ -2,8 +2,8 @@
 //!
 //! The paper's methodology is one pipeline — profile → inject × N →
 //! classify → tally. This module is the one implementation of its
-//! scheduling half: [`crate::Campaign`] (one signature or several)
-//! plans its runs here, and the §IV-D byte scan
+//! scheduling half: [`crate::Campaign`] (one fault signature) plans
+//! its runs here, and the §IV-D byte scan
 //! ([`crate::metadata_scan::scan_detailed`]) plans one run per scanned
 //! byte the same way — one serial/parallel fan-out, one streaming
 //! sink. What a planned run *does* is the run frame of
@@ -12,7 +12,7 @@
 //! campaign arms a fault signature on it, a scan a byte flip.
 //!
 //! * **Planner** ([`ExecutionPlan`]) — maps every scheduled run
-//!   `(shard, index, spec)` to a [`RunStrategy`] — `Replay` with its
+//!   `(index, spec)` to a [`RunStrategy`] — `Replay` with its
 //!   starting checkpoint and suffix length, or `Rerun` with the
 //!   recorded [`crate::ReplayFallback`] reason — *up front*, before
 //!   anything executes, and fixes a wall-clock-optimizing schedule:
@@ -22,10 +22,10 @@
 //! * **Executor** ([`execute`]) — one serial/parallel (rayon) fan-out
 //!   over the schedule. Results are keyed by run index, never by
 //!   completion order.
-//! * **Sink** ([`RunSink`]) — streaming aggregation: per-shard
-//!   [`crate::OutcomeTally`]s fold online (`OutcomeTally::record` per
-//!   run, `OutcomeTally::merge` across shards), and full run records
-//!   are retained only for a seed-stable bounded reservoir
+//! * **Sink** ([`RunSink`]) — streaming aggregation: the
+//!   [`crate::OutcomeTally`] folds online (`OutcomeTally::record` per
+//!   run), and full run records are retained only for a seed-stable
+//!   bounded reservoir
 //!   ([`reservoir_mask`]) so a paper-scale campaign holds
 //!   O(`keep_runs`) — not O(runs) — record memory.
 //!
@@ -34,15 +34,14 @@
 //! These mirror the fidelity contract of `ffis_vfs::trace`; the
 //! property tests in `tests/properties.rs` pin them:
 //!
-//! 1. **Single emission** — the plan contains each `(shard, index)`
-//!    pair exactly once, and the schedule is a permutation of the
-//!    plan: every planned run executes exactly once.
+//! 1. **Single emission** — the plan contains each run index exactly
+//!    once, and the schedule is a permutation of the plan: every
+//!    planned run executes exactly once.
 //! 2. **Plan-time randomness** — all per-run random draws (target
 //!    instance, injection seed, flip mask) happen while *building* the
-//!    plan, from per-run child streams (`root.child(run)` for a
-//!    single-signature campaign, `root.child(shard).child(run)` when
-//!    several signatures share it). Execution order can never affect
-//!    a draw.
+//!    plan, each run from its own child stream: `root.child(run)` in a
+//!    campaign, `root.child(byte)` in a scan. Execution order can never
+//!    affect a draw.
 //! 3. **Order independence** — the schedule is a pure wall-clock
 //!    optimization. Serial and parallel execution of the same plan
 //!    produce byte-identical tallies, kept records, injection records,

@@ -78,16 +78,14 @@ impl RunStrategy {
     }
 }
 
-/// One fully planned run: its result slot (`index`), its shard, its
-/// resolved [`RunStrategy`], and the frontend-specific spec (target
-/// instance + injection seed for campaigns, the byte's flip for the
-/// metadata scanner) whose random draws were made at plan time.
+/// One fully planned run: its result slot (`index`), its resolved
+/// [`RunStrategy`], and the frontend-specific spec (target instance +
+/// injection seed for campaigns, the byte's flip for the metadata
+/// scanner) whose random draws were made at plan time.
 #[derive(Debug, Clone)]
 pub struct PlannedRun<S> {
     /// Result-order position; `plan.runs()[i].index == i` always.
     pub index: usize,
-    /// Owning shard (0 for single-signature frontends).
-    pub shard: usize,
     /// Resolved execution strategy.
     pub strategy: RunStrategy,
     /// Frontend-specific per-run data.
@@ -96,16 +94,15 @@ pub struct PlannedRun<S> {
 
 /// The complete, immutable plan of a campaign's execution phase.
 ///
-/// `runs` is in result order (law 1: each `(shard, index)` exactly
-/// once); `schedule` is the execution-order permutation the executor
-/// walks. The schedule depends only on the planned strategies — never
-/// on `parallel`, thread count, or timing — so plan order is
+/// `runs` is in result order (law 1: each index exactly once);
+/// `schedule` is the execution-order permutation the executor walks.
+/// The schedule depends only on the planned strategies — never on
+/// `parallel`, thread count, or timing — so plan order is
 /// reproducible by construction (law 3).
 #[derive(Debug)]
 pub struct ExecutionPlan<S> {
     runs: Vec<PlannedRun<S>>,
     schedule: Vec<usize>,
-    shards: usize,
 }
 
 impl<S> ExecutionPlan<S> {
@@ -115,13 +112,13 @@ impl<S> ExecutionPlan<S> {
     /// at all and sort ahead of every suffix replay), rerun runs
     /// interleaved proportionally (the expensive re-executions start
     /// early rather than queuing at either end).
-    pub fn new(runs: Vec<PlannedRun<S>>, shards: usize) -> Self {
+    pub fn new(runs: Vec<PlannedRun<S>>) -> Self {
         // Law 1 is load-bearing for slot addressing and the keep mask;
         // validate it in release builds too (O(n), negligible next to
         // the runs themselves).
         assert!(
-            runs.iter().enumerate().all(|(i, r)| r.index == i && r.shard < shards.max(1)),
-            "planned runs must arrive in result order with in-range shards"
+            runs.iter().enumerate().all(|(i, r)| r.index == i),
+            "planned runs must arrive in result order"
         );
         let mut fast: Vec<usize> = Vec::new();
         let mut rerun: Vec<usize> = Vec::new();
@@ -145,7 +142,7 @@ impl<S> ExecutionPlan<S> {
             RunStrategy::Rerun { .. } => unreachable!("partitioned above"),
         });
         let schedule = interleave(&fast, &rerun);
-        ExecutionPlan { runs, schedule, shards }
+        ExecutionPlan { runs, schedule }
     }
 
     /// All planned runs, in result order.
@@ -156,11 +153,6 @@ impl<S> ExecutionPlan<S> {
     /// Execution order: a permutation of `0..runs().len()`.
     pub fn schedule(&self) -> &[usize] {
         &self.schedule
-    }
-
-    /// Number of shards the plan spans.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Total scheduled runs.
@@ -237,9 +229,9 @@ mod tests {
         let runs = strategies
             .into_iter()
             .enumerate()
-            .map(|(index, strategy)| PlannedRun { index, shard: index % 2, strategy, spec: () })
+            .map(|(index, strategy)| PlannedRun { index, strategy, spec: () })
             .collect();
-        ExecutionPlan::new(runs, 2)
+        ExecutionPlan::new(runs)
     }
 
     #[test]
@@ -255,7 +247,6 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
         assert_eq!(plan.len(), 5);
-        assert_eq!(plan.shards(), 2);
     }
 
     #[test]

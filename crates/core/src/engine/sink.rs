@@ -34,55 +34,40 @@ pub fn reservoir_mask(seed: u64, total: usize, keep: Option<usize>) -> Option<Ve
     Some(mask)
 }
 
-/// Streaming aggregation of finished runs: per-shard
-/// [`OutcomeTally`]s fold online, and retained payloads accumulate in
-/// index-sorted order. The sink owns the one `no_fire` definition
-/// (armed fault never executed *and* the run classified benign) every
-/// frontend shares.
+/// Streaming aggregation of finished runs: the [`OutcomeTally`] folds
+/// online, and retained payloads accumulate in index-sorted order. The
+/// sink owns the one `no_fire` definition (armed fault never executed
+/// *and* the run classified benign) every frontend shares.
 pub struct RunSink<R> {
-    shard_tallies: Vec<OutcomeTally>,
+    tally: OutcomeTally,
     kept: Vec<(usize, R)>,
 }
 
-impl<R> RunSink<R> {
-    /// Empty sink over `shards` shards.
-    pub fn new(shards: usize) -> Self {
-        RunSink { shard_tallies: vec![OutcomeTally::new(); shards.max(1)], kept: Vec::new() }
+impl<R> Default for RunSink<R> {
+    fn default() -> Self {
+        RunSink { tally: OutcomeTally::new(), kept: Vec::new() }
     }
+}
 
+impl<R> RunSink<R> {
     /// Fold one finished run: tally always; retain the payload only
     /// when the plan-time keep mask selected this index.
-    pub fn absorb(
-        &mut self,
-        index: usize,
-        shard: usize,
-        outcome: Outcome,
-        fired: bool,
-        payload: Option<R>,
-    ) {
-        let tally = &mut self.shard_tallies[shard];
+    pub fn absorb(&mut self, index: usize, outcome: Outcome, fired: bool, payload: Option<R>) {
         if !fired && outcome == Outcome::Benign {
             // A crash before the fire point still counts — mount-time
             // effects are real.
-            tally.no_fire += 1;
+            self.tally.no_fire += 1;
         }
-        tally.record(outcome);
+        self.tally.record(outcome);
         if let Some(p) = payload {
             self.kept.push((index, p));
         }
     }
 
-    /// Finish: kept payloads in index order, per-shard tallies, and
-    /// the global tally merged across shards via
-    /// [`OutcomeTally::merge`].
-    pub fn finish(mut self) -> (Vec<R>, Vec<OutcomeTally>, OutcomeTally) {
+    /// Finish: kept payloads in index order, and the tally.
+    pub fn finish(mut self) -> (Vec<R>, OutcomeTally) {
         self.kept.sort_by_key(|(i, _)| *i);
-        let kept = self.kept.into_iter().map(|(_, p)| p).collect();
-        let mut total = OutcomeTally::new();
-        for t in &self.shard_tallies {
-            total.merge(t);
-        }
-        (kept, self.shard_tallies, total)
+        (self.kept.into_iter().map(|(_, p)| p).collect(), self.tally)
     }
 }
 
@@ -112,17 +97,14 @@ mod tests {
 
     #[test]
     fn sink_streams_tallies_and_bounds_records() {
-        let mut sink: RunSink<&'static str> = RunSink::new(2);
-        sink.absorb(2, 0, Outcome::Sdc, true, None);
-        sink.absorb(0, 1, Outcome::Benign, false, Some("kept-0"));
-        sink.absorb(1, 0, Outcome::Crash, true, Some("kept-1"));
-        let (kept, shards, total) = sink.finish();
+        let mut sink: RunSink<&'static str> = RunSink::default();
+        sink.absorb(2, Outcome::Sdc, true, None);
+        sink.absorb(0, Outcome::Benign, false, Some("kept-0"));
+        sink.absorb(1, Outcome::Crash, true, Some("kept-1"));
+        let (kept, total) = sink.finish();
         assert_eq!(kept, vec!["kept-0", "kept-1"], "kept payloads sort into index order");
-        assert_eq!(shards[0].sdc, 1);
-        assert_eq!(shards[0].crash, 1);
-        assert_eq!(shards[1].benign, 1);
-        assert_eq!(shards[1].no_fire, 1, "no-fire law: unfired + benign");
+        assert_eq!((total.sdc, total.crash, total.benign), (1, 1, 1));
+        assert_eq!(total.no_fire, 1, "no-fire law: unfired + benign");
         assert_eq!(total.total(), 3);
-        assert_eq!(total.no_fire, 1);
     }
 }

@@ -17,7 +17,7 @@
 //! service draining many small jobs over one application pays the
 //! golden run and every law check once per queue instead of once per
 //! job — while each job still draws, plans, places its checkpoints
-//! and checks its per-signature eligible counts itself. Nothing here
+//! and checks its signature's eligible count itself. Nothing here
 //! is written to disk: a verdict lives as long as the cache that holds
 //! it.
 
@@ -41,7 +41,7 @@ use crate::profiler::{IoProfiler, ProfileReport};
 /// or classifies anything but [`Outcome::Benign`]. The one predicate
 /// behind the golden-identity probes and the uninjected self-checks of
 /// the replay and analyze-only laws below — the laws every campaign
-/// shard and every metadata scan is gated by.
+/// and every metadata scan is gated by.
 fn analyze_matches_golden<A: FaultApp + ?Sized>(
     app: &A,
     fs: &dyn ffis_vfs::FileSystem,
@@ -59,12 +59,12 @@ fn analyze_matches_golden<A: FaultApp + ?Sized>(
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct Capture {
     /// The replayable op trace, with a watermark between the two
-    /// phases: write shards replay it, read shards need it for the
-    /// read-only-analyze law.
+    /// phases: write-site campaigns replay it, read-site campaigns
+    /// need it for the read-only-analyze law.
     pub trace: bool,
     /// The read ledger and the phase-boundary counter snapshot:
-    /// read shards plan against it, and the sub-step laws compare
-    /// against its analyze-phase stream even for write shards.
+    /// read-site campaigns plan against it, and the sub-step laws
+    /// compare against its analyze-phase stream at the write site too.
     pub ledger: bool,
 }
 
@@ -185,7 +185,7 @@ impl<O> Golden<O> {
     }
 
     /// The campaign-wide **replay laws**, shared by every write-site
-    /// shard of every campaign over this golden run. The
+    /// campaign over this golden run. The
     /// [`ReplayFallback`] reason — never silent — when one fails:
     ///
     /// * the analyze phase must not have written during the golden run
@@ -200,8 +200,8 @@ impl<O> Golden<O> {
     ///   filesystem must rebuild state that analyzes benign (the
     ///   fidelity self-check).
     ///
-    /// Per-signature eligible-write numbering is validated by each
-    /// campaign, per shard, against its target filter.
+    /// Eligible-write numbering is validated by each campaign against
+    /// its signature's target filter.
     pub fn replay_laws<A: FaultApp<Output = O>>(&self, app: &A) -> Result<(), ReplayFallback> {
         *self.replay_laws.get_or_init(|| {
             if self.analyze_mutates() {
@@ -225,7 +225,7 @@ impl<O> Golden<O> {
     }
 
     /// The campaign-wide **analyze-only laws**, shared by every
-    /// read-site shard. The [`ReplayFallback`] reason — never silent —
+    /// read-site campaign. The [`ReplayFallback`] reason — never silent —
     /// when one fails:
     ///
     /// * the analyze phase must not have mutated the filesystem during

@@ -19,9 +19,10 @@
 //! campaigns (1,000 runs with ~1–2% error bars at 95% confidence), and
 //! [`metadata_scan`] implements the byte-by-byte scientific-file-format
 //! metadata study of §IV-D. There is one driver and one run pipeline:
-//! [`Campaign`] (one signature, or several sharing one golden run:
-//! [`CampaignConfig::mixed`]) owns the golden run, the fast-path gates
-//! and the per-run frame (start → advance → analyze), and
+//! [`Campaign`] (one fault signature — the paper's cell; campaigns
+//! over one application share a golden run through a [`GoldenCache`])
+//! owns the golden run, the fast-path gates and the per-run frame
+//! (start → advance → analyze), and
 //! [`metadata_scan::scan_detailed`] is a caller of those same pieces
 //! with a byte injector armed — it keeps no golden capture, gate,
 //! replay loop or crash classifier of its own. Both schedule their
@@ -135,7 +136,6 @@ pub mod stats;
 pub use campaign::{
     replay_default, Campaign, CampaignConfig, CampaignError, CampaignResult, ExecutionMode,
     MemoFallback, MemoReport, ReplayFallback, ReplayOptReport, RunAborted, RunObserver, RunResult,
-    ShardReport,
 };
 pub use engine::{
     CampaignSpec, CancelToken, CompletionStatus, ExecutionPlan, JobFailure, JobState, JournalEntry,

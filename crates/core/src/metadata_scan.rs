@@ -21,7 +21,7 @@
 //!
 //! 1. one `Golden` run: its profile locates the metadata write and
 //!    (replay on) it records the replayable op trace;
-//! 2. a write-site campaign shard's replay gate: the trace must number
+//! 2. a write-site campaign's replay gate: the trace must number
 //!    the target's writes as the profile does and `Golden::replay_laws`
 //!    must hold — otherwise every byte takes a full rerun and
 //!    [`DetailedScanResult::mode`] records the [`ReplayFallback`] a
@@ -414,7 +414,7 @@ where
 {
     let (golden, at) = golden_run(app, &config.target, config.pick, config.replay)?;
     let plan = if config.replay {
-        ReplayPlan::for_instance(app, &golden, &config.target, at.matching, at.instance)
+        ReplayPlan::new(app, &golden, &config.target, at.matching, None, Some(&[at.instance]))
     } else {
         Err(ReplayFallback::Disabled)
     };
@@ -437,10 +437,10 @@ where
     let planned: Vec<PlannedRun<ByteFlip>> = (0..at.len.div_ceil(stride))
         .map(|index| {
             let spec = config.flip.to_flip(&mut root.child((index * stride) as u64));
-            PlannedRun { index, shard: 0, strategy, spec }
+            PlannedRun { index, strategy, spec }
         })
         .collect();
-    let eplan = ExecutionPlan::new(planned, 1);
+    let eplan = ExecutionPlan::new(planned);
     let engine_cfg =
         EngineConfig { parallel: config.parallel, keep_runs: None, keep_seed: config.seed };
     let out = engine::execute(&eplan, &engine_cfg, |pr| {

@@ -15,11 +15,12 @@ use crate::json::{self, Json};
 
 /// Connect timeout for every request.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
-/// Cap on any one size a reply declares (a `Content-Length`, a chunk's
-/// size line). A job listing is kilobytes and a stream chunk is one
-/// NDJSON line; a size beyond this is a damaged size line, and asking
-/// the allocator for it would abort the process rather than fail the
-/// call.
+/// Cap on a whole reply — a `Content-Length`, a chunked body's chunks
+/// together, a body read to the close — and on any one line of a job
+/// stream. A job listing is kilobytes and a stream line is one NDJSON
+/// event; anything beyond this is a damaged or hostile peer, and
+/// growing the client for it could abort the process rather than fail
+/// the call.
 const MAX_RESPONSE: usize = 64 * 1024 * 1024;
 /// Cap on any one framing line of a reply (the status line, a header,
 /// a chunk's size line, the trailer): the daemon's own are under a
@@ -79,44 +80,14 @@ impl Client {
     }
 
     /// `GET /jobs/:id/stream`: decode the chunked NDJSON stream,
-    /// calling `on_event` for every line, and return the terminal
-    /// view from the `done` event. The connection stays open for the
-    /// job's whole lifetime.
-    pub fn watch(
-        &self,
-        id: u64,
-        mut on_event: impl FnMut(&StreamEvent),
-    ) -> Result<JobView, String> {
-        let mut stream = self.connect()?;
-        let path = format!("/api/v0/jobs/{}/stream", id);
-        write!(stream, "GET {} HTTP/1.1\r\nHost: ffis\r\nConnection: close\r\n\r\n", path)
-            .map_err(|e| e.to_string())?;
-        let mut reader = BufReader::new(stream);
-        let (status, chunked, content_length) = read_head(&mut reader)?;
-        if status != 200 {
-            let body = read_body(&mut reader, chunked, content_length)?;
-            return Err(error_message(status, &body));
-        }
-        let body = read_body(&mut reader, chunked, content_length)?;
-        let text = String::from_utf8_lossy(&body);
-        let mut done = None;
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let event = api::stream_event(line)?;
-            if let StreamEvent::Done(view) = &event {
-                done = Some(view.clone());
-            }
-            on_event(&event);
-        }
-        done.ok_or_else(|| "stream ended without a done event".into())
-    }
-
-    /// `watch`, but incremental: events are delivered as each chunk
-    /// arrives rather than after the stream closes. This is what the
-    /// CLI `repro daemon watch` uses to print runs live.
+    /// calling `on_event` for every line as each chunk arrives, and
+    /// return the terminal view from the `done` event. The connection
+    /// stays open for the job's whole lifetime; `repro daemon watch`
+    /// prints runs live through it.
     pub fn watch_live(
         &self,
         id: u64,
-        mut on_event: impl FnMut(&StreamEvent),
+        on_event: impl FnMut(&StreamEvent),
     ) -> Result<JobView, String> {
         let mut stream = self.connect()?;
         let path = format!("/api/v0/jobs/{}/stream", id);
@@ -128,35 +99,7 @@ impl Client {
             let body = read_body(&mut reader, chunked, content_length)?;
             return Err(error_message(status, &body));
         }
-        let mut done = None;
-        let mut pending = String::new();
-        let mut visit = |line: &str| -> Result<(), String> {
-            if line.trim().is_empty() {
-                return Ok(());
-            }
-            let event = api::stream_event(line)?;
-            if let StreamEvent::Done(view) = &event {
-                done = Some(view.clone());
-            }
-            on_event(&event);
-            Ok(())
-        };
-        if chunked {
-            while let Some(chunk) = read_chunk(&mut reader)? {
-                pending.push_str(&String::from_utf8_lossy(&chunk));
-                while let Some(pos) = pending.find('\n') {
-                    let line: String = pending.drain(..=pos).collect();
-                    visit(line.trim_end())?;
-                }
-            }
-        } else {
-            let body = read_body(&mut reader, false, content_length)?;
-            pending.push_str(&String::from_utf8_lossy(&body));
-        }
-        for line in pending.lines() {
-            visit(line)?;
-        }
-        done.ok_or_else(|| "stream ended without a done event".into())
+        read_events(&mut reader, chunked, content_length, on_event)
     }
 
     fn connect(&self) -> Result<TcpStream, String> {
@@ -259,16 +202,60 @@ fn read_head<R: BufRead>(reader: &mut R) -> Result<(u16, bool, Option<usize>), S
     Ok((status, chunked, content_length))
 }
 
-/// A declared size the client is willing to allocate for.
-fn checked_size(size: usize, what: &str) -> Result<usize, String> {
-    if size > MAX_RESPONSE {
-        return Err(format!("{} {} exceeds the {} byte reply cap", what, size, MAX_RESPONSE));
+/// A declared size the client is willing to allocate for: one that
+/// fits the `room` the reply's earlier bytes left under [`MAX_RESPONSE`].
+fn checked_size(size: usize, room: usize, what: &str) -> Result<usize, String> {
+    if size > room {
+        return Err(format!("{what} {size} takes the reply past its {MAX_RESPONSE} byte cap"));
     }
     Ok(size)
 }
 
-/// Read one chunk of a chunked body; `None` at the terminal chunk.
-fn read_chunk<R: BufRead>(reader: &mut R) -> Result<Option<Vec<u8>>, String> {
+/// Decode an NDJSON job stream as its chunks arrive, calling
+/// `on_event` per line; the `done` event's view is the result. A line
+/// still unterminated at [`MAX_RESPONSE`] bytes is an error, not a
+/// bigger buffer.
+fn read_events<R: BufRead>(
+    reader: &mut R,
+    chunked: bool,
+    content_length: Option<usize>,
+    mut on_event: impl FnMut(&StreamEvent),
+) -> Result<JobView, String> {
+    let mut done = None;
+    let mut pending = String::new();
+    let mut visit = |line: &str| -> Result<(), String> {
+        if line.trim().is_empty() {
+            return Ok(());
+        }
+        let event = api::stream_event(line)?;
+        if let StreamEvent::Done(view) = &event {
+            done = Some(view.clone());
+        }
+        on_event(&event);
+        Ok(())
+    };
+    if chunked {
+        // Lossy decoding can grow `pending` past the bytes read.
+        while let Some(chunk) = read_chunk(reader, MAX_RESPONSE.saturating_sub(pending.len()))? {
+            pending.push_str(&String::from_utf8_lossy(&chunk));
+            while let Some(pos) = pending.find('\n') {
+                let line: String = pending.drain(..=pos).collect();
+                visit(line.trim_end())?;
+            }
+        }
+    } else {
+        let body = read_body(reader, false, content_length)?;
+        pending.push_str(&String::from_utf8_lossy(&body));
+    }
+    for line in pending.lines() {
+        visit(line)?;
+    }
+    done.ok_or_else(|| "stream ended without a done event".into())
+}
+
+/// Read one chunk of a chunked body, refusing one larger than `room`;
+/// `None` at the terminal chunk.
+fn read_chunk<R: BufRead>(reader: &mut R, room: usize) -> Result<Option<Vec<u8>>, String> {
     let mut size_line = String::new();
     // Tolerate stray CRLFs between chunks.
     while size_line.trim().is_empty() {
@@ -280,7 +267,7 @@ fn read_chunk<R: BufRead>(reader: &mut R) -> Result<Option<Vec<u8>>, String> {
     let size_line = size_line.trim();
     let size = usize::from_str_radix(size_line.split(';').next().unwrap_or(""), 16)
         .map_err(|_| format!("bad chunk size {:?}", size_line))?;
-    let size = checked_size(size, "chunk size")?;
+    let size = checked_size(size, room, "chunk size")?;
     if size == 0 {
         let _ = read_line(reader, "trailer");
         return Ok(None);
@@ -299,17 +286,21 @@ fn read_body<R: BufRead>(
 ) -> Result<Vec<u8>, String> {
     if chunked {
         let mut body = Vec::new();
-        while let Some(chunk) = read_chunk(reader)? {
+        while let Some(chunk) = read_chunk(reader, MAX_RESPONSE - body.len())? {
             body.extend_from_slice(&chunk);
         }
         Ok(body)
     } else if let Some(len) = content_length {
-        let mut body = vec![0u8; checked_size(len, "Content-Length")?];
+        let mut body = vec![0u8; checked_size(len, MAX_RESPONSE, "Content-Length")?];
         reader.read_exact(&mut body).map_err(|e| e.to_string())?;
         Ok(body)
     } else {
+        // Read to the close, but never more than one byte past the cap.
         let mut body = Vec::new();
-        match reader.read_to_end(&mut body) {
+        match reader.by_ref().take(MAX_RESPONSE as u64 + 1).read_to_end(&mut body) {
+            Ok(_) if body.len() > MAX_RESPONSE => {
+                Err(format!("close-delimited reply exceeds its {MAX_RESPONSE} byte cap"))
+            }
             Ok(_) => Ok(body),
             // Connection: close without a length — a torn read still
             // yields what arrived.
@@ -328,7 +319,7 @@ mod tests {
     /// allocator for terabytes (an abort no `catch_unwind` sees).
     #[test]
     fn declared_sizes_beyond_the_reply_cap_are_errors_not_allocations() {
-        let err = read_chunk(&mut Cursor::new(&b"FFFFFFFFFFFF\r\n"[..])).unwrap_err();
+        let err = read_chunk(&mut Cursor::new(&b"FFFFFFFFFFFF\r\n"[..]), MAX_RESPONSE).unwrap_err();
         assert!(err.contains("chunk size"), "{err}");
         let err = read_body(&mut Cursor::new(&b""[..]), false, Some(0xFFFF_FFFF_FFFF)).unwrap_err();
         assert!(err.contains("Content-Length"), "{err}");
@@ -341,9 +332,82 @@ mod tests {
     #[test]
     fn a_stream_of_blank_lines_neither_recurses_nor_hangs() {
         let mut blanks = Cursor::new(b"\r\n".repeat(1_000_000));
-        assert!(read_chunk(&mut blanks).is_err());
+        assert!(read_chunk(&mut blanks, MAX_RESPONSE).is_err());
         let mut stray = Cursor::new(&b"\r\n\r\n3\r\nabc\r\n"[..]);
-        assert_eq!(read_chunk(&mut stray).unwrap().as_deref(), Some(&b"abc"[..]));
+        assert_eq!(read_chunk(&mut stray, MAX_RESPONSE).unwrap().as_deref(), Some(&b"abc"[..]));
+    }
+
+    /// One byte more than a reply may hold.
+    const PAST_CAP: u64 = MAX_RESPONSE as u64 + 1;
+
+    /// Frames `body` as a chunked transfer: chunks of at most 1 MiB,
+    /// each well inside the cap, then the terminal chunk.
+    struct Chunked<R> {
+        body: R,
+        frame: Vec<u8>,
+        pos: usize,
+        done: bool,
+    }
+
+    fn chunked<R: Read>(body: R) -> BufReader<Chunked<R>> {
+        BufReader::new(Chunked { body, frame: Vec::new(), pos: 0, done: false })
+    }
+
+    impl<R: Read> Read for Chunked<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.pos == self.frame.len() {
+                if self.done {
+                    return Ok(0);
+                }
+                let mut data = Vec::new();
+                self.body.by_ref().take(1 << 20).read_to_end(&mut data)?;
+                self.done = data.is_empty();
+                self.frame = format!("{:x}\r\n", data.len()).into_bytes();
+                self.frame.extend_from_slice(&data);
+                self.frame.extend_from_slice(b"\r\n");
+                self.pos = 0;
+            }
+            let n = buf.len().min(self.frame.len() - self.pos);
+            buf[..n].copy_from_slice(&self.frame[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// A peer that closes without declaring a length cannot stream the
+    /// client past its cap.
+    #[test]
+    fn a_close_delimited_reply_past_the_cap_is_an_error() {
+        let mut ok = BufReader::new(io::repeat(b'x').take(3 << 20));
+        assert_eq!(read_body(&mut ok, false, None).unwrap().len(), 3 << 20);
+        let err = read_body(&mut BufReader::new(io::repeat(b'x').take(PAST_CAP)), false, None)
+            .unwrap_err();
+        assert!(err.contains("cap"), "{err}");
+    }
+
+    /// Every chunk inside the cap, their sum one byte past it.
+    #[test]
+    fn in_cap_chunks_that_add_up_past_the_cap_are_an_error() {
+        let ok = read_body(&mut chunked(io::repeat(b'x').take(3 << 20)), true, None).unwrap();
+        assert_eq!(ok.len(), 3 << 20);
+        let err = read_body(&mut chunked(io::repeat(b'x').take(PAST_CAP)), true, None).unwrap_err();
+        assert!(err.contains("cap"), "{err}");
+    }
+
+    /// A job stream whose line never ends: blank space, which the
+    /// decoder skips, then a valid `done` line — accepted while the
+    /// blank run is short, refused once it passes the cap.
+    #[test]
+    fn a_stream_line_past_the_cap_is_an_error() {
+        let stream = |blank: u64| {
+            let done = api::done_line(&JobView::queued(7, CampaignSpec::new("nyx", "bitflip")));
+            let tail = Cursor::new(format!("\n{done}\n").into_bytes());
+            chunked(io::repeat(b' ').take(blank).chain(tail))
+        };
+        let view = read_events(&mut stream(3 << 20), true, None, |_| {}).unwrap();
+        assert_eq!(view.id, 7);
+        let err = read_events(&mut stream(PAST_CAP), true, None, |_| {}).unwrap_err();
+        assert!(err.contains("cap"), "{err}");
     }
 
     /// Counts the bytes read out of `inner`.
@@ -381,12 +445,16 @@ mod tests {
         at_the_cap("status line", 0, read_head(&mut flood_after(b"")).unwrap_err());
         let head = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-Pad: ";
         at_the_cap("header line", head.len(), read_head(&mut flood_after(head)).unwrap_err());
-        at_the_cap("chunk size line", 0, read_chunk(&mut flood_after(b"")).unwrap_err());
+        at_the_cap(
+            "chunk size line",
+            0,
+            read_chunk(&mut flood_after(b""), MAX_RESPONSE).unwrap_err(),
+        );
         let stray = b"\r\n\r\n";
         at_the_cap(
             "chunk size line",
             stray.len(),
-            read_chunk(&mut flood_after(stray)).unwrap_err(),
+            read_chunk(&mut flood_after(stray), MAX_RESPONSE).unwrap_err(),
         );
 
         // A line of exactly the cap, newline included, is still a line.

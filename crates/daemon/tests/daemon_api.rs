@@ -87,7 +87,7 @@ fn http_submission_matches_the_in_process_control_byte_for_byte() {
 
     let id = client.submit(&spec).unwrap();
     let mut events: Vec<StreamEvent> = Vec::new();
-    let final_view = client.watch(id, |ev| events.push(ev.clone())).unwrap();
+    let final_view = client.watch_live(id, |ev| events.push(ev.clone())).unwrap();
 
     // Terminal state and the tentpole equality: same tally, same plan,
     // same FNV digest as the in-process run of the same spec.
@@ -332,7 +332,7 @@ fn fuel_exhaustion_surfaces_as_counters_and_stream_fields() {
     let id = client.submit(&spec).unwrap();
     let mut aborted_events = 0usize;
     let view = client
-        .watch(id, |ev| {
+        .watch_live(id, |ev| {
             if let StreamEvent::Run { aborted: Some(reason), .. } = ev {
                 assert_eq!(reason, "fuel-exhausted");
                 aborted_events += 1;
@@ -392,7 +392,7 @@ fn a_late_subscriber_still_receives_one_run_event_per_plan_index() {
         std::thread::sleep(Duration::from_millis(2));
     }
     let mut events: Vec<StreamEvent> = Vec::new();
-    let final_view = client.watch(id, |ev| events.push(ev.clone())).unwrap();
+    let final_view = client.watch_live(id, |ev| events.push(ev.clone())).unwrap();
     assert_eq!(final_view.state, JobState::Complete);
 
     match events.first() {

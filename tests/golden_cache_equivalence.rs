@@ -4,15 +4,15 @@
 //!
 //! The cache memoizes the one function every campaign calls for its
 //! golden run, plus the verdicts of the campaign-wide laws decided on
-//! it; what a campaign's seed decides (draws, demand, checkpoints,
-//! per-signature eligible counts, the runs) stays with the campaign.
+//! it; what a campaign's seed and signature decide (draws, demand,
+//! checkpoints, the eligible count, the runs) stays with the campaign.
 //! So nothing a `CampaignResult` carries may tell the two apart — not
 //! on the second campaign over a cache either, which is the one that
 //! actually reads a kept golden run and kept verdicts. Covered: all
-//! three paper workloads × write/read site × `replay` × `memo`, a
-//! two-signature campaign, law verdicts that *fail*, a watchdog-armed
-//! campaign after a plain one, a campaign handed a memo store of its
-//! own, and racing campaigns over one key.
+//! three paper workloads × write/read site × `replay` × `memo`,
+//! campaigns of different signatures over one cache, law verdicts that
+//! *fail*, a watchdog-armed campaign after a plain one, a campaign
+//! handed a memo store of its own, and racing campaigns over one key.
 
 use std::sync::{Arc, Barrier};
 
@@ -48,8 +48,8 @@ fn sig(site: InjectionSite) -> FaultSignature {
     }
 }
 
-fn cfg(sigs: Vec<FaultSignature>, replay: bool, memo: bool, seed: u64) -> CampaignConfig {
-    CampaignConfig::mixed(sigs).with_runs(10).with_seed(seed).with_replay(replay).with_memo(memo)
+fn cfg(sig: FaultSignature, replay: bool, memo: bool, seed: u64) -> CampaignConfig {
+    CampaignConfig::new(sig).with_runs(10).with_seed(seed).with_replay(replay).with_memo(memo)
 }
 
 /// Every field of the two results; `run_digest` stands for the bodies
@@ -63,13 +63,6 @@ fn assert_same(per_call: &CampaignResult, cached: &CampaignResult, what: &str) {
     assert_eq!(cached.profile.counters, per_call.profile.counters, "{what}: profile.counters");
     assert_eq!(cached.profile.trace, per_call.profile.trace, "{what}: profile.trace");
     assert_eq!(cached.mode, per_call.mode, "{what}: mode");
-    assert_eq!(cached.shards.len(), per_call.shards.len(), "{what}: shards");
-    for (s, (c, p)) in cached.shards.iter().zip(&per_call.shards).enumerate() {
-        assert_eq!(c.eligible, p.eligible, "{what}: shard {s} eligible");
-        assert_eq!(c.mode, p.mode, "{what}: shard {s} mode");
-        assert_eq!(c.tally, p.tally, "{what}: shard {s} tally");
-        assert_eq!(c.signature.label(), p.signature.label(), "{what}: shard {s} signature");
-    }
     assert_eq!(cached.status, per_call.status, "{what}: status");
     assert_eq!((cached.executed, cached.resumed), (per_call.executed, per_call.resumed), "{what}");
     assert_eq!(cached.memo, per_call.memo, "{what}: memo report (engaged, fallback, traffic)");
@@ -89,7 +82,7 @@ fn cached_equals_per_call<A: FaultApp>(app: &A) {
                         app.name(),
                         site
                     );
-                    let config = cfg(vec![sig(site)], replay, memo, seed);
+                    let config = cfg(sig(site), replay, memo, seed);
                     let per_call = Campaign::new(app, config.clone()).run().unwrap();
                     let cached = Campaign::new(app, config).with_goldens(&goldens).run().unwrap();
                     assert_same(&per_call, &cached, &what);
@@ -115,28 +108,23 @@ fn qmc_campaigns_over_a_golden_cache_equal_per_call_campaigns() {
     cached_equals_per_call(&qmc());
 }
 
-/// One cache under campaigns of *different* shape: a two-signature
-/// campaign (whose second shard's eligible count and whose
-/// first-signature-scoped `profile.eligible` are counted per campaign
-/// from the kept profile), then each signature alone. A write shard
-/// with memo on captures what a read shard captures, so all three share
-/// one golden run.
+/// One cache under campaigns of *different* signatures: a write-site
+/// campaign, a read-site one, then the write site again under another
+/// seed — each counting its own eligible instances from the kept
+/// profile. A write-site campaign with memo on captures what a
+/// read-site one captures, so all three share one golden run: what a
+/// campaign of several signatures would have shared, campaigns of one
+/// share through the cache.
 #[test]
 fn campaigns_of_different_signatures_share_one_golden_run() {
     let app = MontageApp::multi_tile(3);
     let goldens = GoldenCache::new();
-    let shapes = [
-        vec![sig(InjectionSite::Read), sig(InjectionSite::Write)],
-        vec![sig(InjectionSite::Write), sig(InjectionSite::Read)],
-        vec![sig(InjectionSite::Write)],
-        vec![sig(InjectionSite::Read)],
-    ];
-    for (i, sigs) in shapes.into_iter().enumerate() {
-        let config = cfg(sigs, true, true, 0x7000 + i as u64).with_runs(16);
+    let shapes = [InjectionSite::Write, InjectionSite::Read, InjectionSite::Write];
+    for (i, site) in shapes.into_iter().enumerate() {
+        let config = cfg(sig(site), true, true, 0x7000 + i as u64).with_runs(16);
         let per_call = Campaign::new(&app, config.clone()).run().unwrap();
         let cached = Campaign::new(&app, config).with_goldens(&goldens).run().unwrap();
         assert_same(&per_call, &cached, &format!("shape {i}"));
-        assert_eq!(cached.profile.eligible, cached.shards[0].eligible, "shape {i}");
     }
     assert_eq!(goldens.runs(), 1);
 }
@@ -195,7 +183,7 @@ fn failed_law_verdicts_are_reproduced_from_the_cache() {
         let goldens = GoldenCache::new();
         for seed in [21, 22, 23] {
             let what = format!("{site:?} {reason} seed {seed}");
-            let config = cfg(vec![sig(site)], true, true, seed);
+            let config = cfg(sig(site), true, true, seed);
             let per_call = Campaign::new(app, config.clone()).run().unwrap();
             let cached = Campaign::new(app, config).with_goldens(&goldens).run().unwrap();
             assert_eq!(cached.mode, ExecutionMode::FullRerun { reason }, "{what}");
@@ -205,7 +193,7 @@ fn failed_law_verdicts_are_reproduced_from_the_cache() {
     }
     // The honest variant of the same app passes the same laws.
     let honest = Toy { analyze_writes: false, declared_produce_reads: Some(0) };
-    let ok = Campaign::new(&honest, cfg(vec![sig(InjectionSite::Read)], true, true, 21))
+    let ok = Campaign::new(&honest, cfg(sig(InjectionSite::Read), true, true, 21))
         .with_goldens(&GoldenCache::new())
         .run()
         .unwrap();
@@ -236,7 +224,7 @@ impl FaultApp for Broken {
 fn a_failed_golden_run_is_returned_not_cached() {
     let goldens = GoldenCache::new();
     for attempt in 1..=2 {
-        let config = cfg(vec![sig(InjectionSite::Write)], true, true, 5);
+        let config = cfg(sig(InjectionSite::Write), true, true, 5);
         match Campaign::new(&Broken, config).with_goldens(&goldens).run() {
             Err(CampaignError::GoldenRunFailed(m)) => assert!(m.contains("always fails")),
             other => panic!("unexpected {:?}", other.map(|r| r.tally)),
@@ -253,7 +241,7 @@ fn a_failed_golden_run_is_returned_not_cached() {
 fn a_watchdog_armed_campaign_after_a_plain_one_still_records_liveness() {
     let app = MontageApp::multi_tile(3);
     let goldens = GoldenCache::new();
-    let plain = |seed| cfg(vec![sig(InjectionSite::Write)], true, true, seed);
+    let plain = |seed| cfg(sig(InjectionSite::Write), true, true, seed);
     let first = Campaign::new(&app, plain(31)).with_goldens(&goldens).run().unwrap();
     assert!(first.memo.engaged, "{}", first.memo.reason());
     assert!(first.replay_opt.engaged);
@@ -280,7 +268,7 @@ fn a_campaign_with_its_own_memo_store_still_finds_the_golden_artifacts_published
     let goldens = GoldenCache::new();
     for site in [InjectionSite::Write, InjectionSite::Read] {
         let config = |store: &Arc<MemoStore>| {
-            cfg(vec![sig(site)], true, true, 0x51).with_memo_store(Arc::clone(store))
+            cfg(sig(site), true, true, 0x51).with_memo_store(Arc::clone(store))
         };
         let first_store = Arc::new(MemoStore::in_memory());
         let first = Campaign::new(&app, config(&first_store)).with_goldens(&goldens).run().unwrap();
@@ -313,7 +301,7 @@ fn racing_campaigns_over_one_key_make_one_golden_run() {
             .map(|t| {
                 let (app, goldens, start) = (&app, &goldens, &start);
                 scope.spawn(move || {
-                    let mut config = cfg(vec![sig(InjectionSite::Write)], true, true, 0x900 + t);
+                    let mut config = cfg(sig(InjectionSite::Write), true, true, 0x900 + t);
                     config.parallel = false;
                     start.wait();
                     (t, Campaign::new(app, config).with_goldens(goldens).run().unwrap())
@@ -324,7 +312,7 @@ fn racing_campaigns_over_one_key_make_one_golden_run() {
     });
     assert_eq!(goldens.runs(), 1);
     for (t, cached) in &results {
-        let mut config = cfg(vec![sig(InjectionSite::Write)], true, true, 0x900 + t);
+        let mut config = cfg(sig(InjectionSite::Write), true, true, 0x900 + t);
         config.parallel = false;
         let per_call = Campaign::new(&app, config).run().unwrap();
         assert_same(&per_call, cached, &format!("racer {t}"));

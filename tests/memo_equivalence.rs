@@ -257,48 +257,41 @@ fn warm_memo_store_replays_runs_from_cache() {
     check(&montage, FaultSignature::on_write(FaultModel::bit_flip()), 6, "montage write warm");
 }
 
-/// Engine law 8 on the multi-signature path: a write+read campaign
-/// over multi-tile Montage agrees — per shard and in `run_digest` —
-/// with memo on vs off and with a cold vs warm store. Memo-on, the
-/// read shard plans `IncrementalAnalyze` where memo-off plans
-/// `AnalyzeOnly`; the write shard stays `Replay`.
+/// Engine law 8 across two signatures over one store: a write-site and
+/// a read-site campaign over multi-tile Montage share one
+/// [`MemoStore`], and each agrees — in every run and in `run_digest` —
+/// with its memo-off control, cold and warm. Memo-on, the read site
+/// plans `IncrementalAnalyze` where memo-off plans `AnalyzeOnly`; the
+/// write site stays `Replay`.
 #[test]
 fn memoized_two_signature_campaign_equals_full_analyze() {
+    use ExecutionMode::{AnalyzeOnly, IncrementalAnalyze, Replay};
     let app = MontageApp::multi_tile(3);
-    let mk = |memo: bool, store: Option<Arc<MemoStore>>| {
-        let mut cfg = CampaignConfig::mixed(vec![
-            FaultSignature::on_write(FaultModel::bit_flip()),
-            FaultSignature::on_read(FaultModel::bit_flip()),
-        ])
-        .with_runs(12)
-        .with_seed(4242)
-        .with_replay(true)
-        .with_memo(memo);
-        if let Some(store) = store {
-            cfg = cfg.with_memo_store(store);
-        }
-        Campaign::new(&app, cfg).run().unwrap()
-    };
+    // (site, signature, mode memo-on, mode memo-off)
+    let sites = [
+        ("write", FaultSignature::on_write(FaultModel::bit_flip()), Replay, Replay),
+        ("read", FaultSignature::on_read(FaultModel::bit_flip()), IncrementalAnalyze, AnalyzeOnly),
+    ];
     let store = Arc::new(MemoStore::in_memory());
-    let full = mk(false, None);
-    let cold = mk(true, Some(Arc::clone(&store)));
-    let warm = mk(true, Some(store));
-    assert_eq!(full.memo.fallback, Some(MemoFallback::Disabled));
-    assert_eq!(full.shards[1].mode, ExecutionMode::AnalyzeOnly);
-    for (memo, what) in [(&cold, "montage write+read cold"), (&warm, "montage write+read warm")] {
-        assert!(memo.memo.engaged, "{}: {}", what, memo.memo.reason());
-        assert!(memo.memo.stats.hits > 0, "{}", what);
-        assert_eq!(memo.shards[0].mode, ExecutionMode::Replay, "{}", what);
-        assert_eq!(memo.shards[1].mode, ExecutionMode::IncrementalAnalyze, "{}", what);
-        assert_equivalent(memo, &full, what);
-        assert_eq!(memo.run_digest(), full.run_digest(), "{}", what);
-        for (a, b) in memo.shards.iter().zip(&full.shards) {
-            assert_eq!(a.eligible, b.eligible, "{}", what);
-            assert_eq!(a.tally, b.tally, "{}", what);
+    let on_store =
+        |sig: &FaultSignature| run_cell(&app, sig.clone(), 12, true, Some(store.clone()));
+    let cold: Vec<CampaignResult> = sites.iter().map(|s| on_store(&s.1)).collect();
+    let warm: Vec<CampaignResult> = sites.iter().map(|s| on_store(&s.1)).collect();
+    for (i, (site, sig, memo_mode, full_mode)) in sites.iter().enumerate() {
+        let full = run_cell(&app, sig.clone(), 12, false, None);
+        assert_eq!(full.memo.fallback, Some(MemoFallback::Disabled), "{site}");
+        assert_eq!(full.mode, *full_mode, "{site}");
+        for (memo, temp) in [(&cold[i], "cold"), (&warm[i], "warm")] {
+            let what = format!("montage {site} {temp}");
+            assert!(memo.memo.engaged, "{}: {}", what, memo.memo.reason());
+            assert!(memo.memo.stats.hits > 0, "{}", what);
+            assert_eq!(memo.mode, *memo_mode, "{}", what);
+            assert_equivalent(memo, &full, &what);
+            assert_eq!(memo.run_digest(), full.run_digest(), "{}", what);
         }
+        assert!(cold[i].memo.stats.misses > 0, "{site}: cold run must compute");
+        assert_eq!(warm[i].memo.stats.misses, 0, "{site}: warm run must not recompute");
     }
-    assert!(cold.memo.stats.misses > 0, "cold run must compute");
-    assert_eq!(warm.memo.stats.misses, 0, "warm run must not recompute");
 }
 
 /// The dirty cascade is visible in the counters: a write-site campaign

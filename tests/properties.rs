@@ -695,9 +695,9 @@ proptest! {
     }
 
     /// Engine law 1 + 3 (planner half): for arbitrary mixes of replay,
-    /// analyze-only, and rerun strategies over arbitrary shard counts,
-    /// the plan emits each `(shard, run)` exactly once, the schedule
-    /// is a permutation of the runs, rebuilding the plan reproduces
+    /// analyze-only, and rerun strategies, the plan emits each run
+    /// exactly once, the schedule is a permutation of the runs,
+    /// rebuilding the plan reproduces
     /// the identical schedule (plan order cannot depend on `parallel`
     /// — the planner never even sees it), fast runs are scheduled
     /// shortest-work-first, and rerun runs keep their relative index
@@ -705,7 +705,6 @@ proptest! {
     #[test]
     fn execution_plan_emits_each_run_once_with_deterministic_schedule(
         raw in proptest::collection::vec(any::<u64>(), 0..200),
-        shards in 1usize..5,
     ) {
         // Derive an arbitrary replay/analyze-only/rerun mix from the
         // raw words.
@@ -726,20 +725,14 @@ proptest! {
             let runs: Vec<PlannedRun<u64>> = strategies
                 .iter()
                 .enumerate()
-                .map(|(index, &strategy)| PlannedRun {
-                    index,
-                    shard: index % shards,
-                    strategy,
-                    spec: index as u64,
-                })
+                .map(|(index, &strategy)| PlannedRun { index, strategy, spec: index as u64 })
                 .collect();
-            ExecutionPlan::new(runs, shards)
+            ExecutionPlan::new(runs)
         };
         let plan = mk();
-        // Each (shard, run) exactly once, in result order.
+        // Each run exactly once, in result order.
         for (i, r) in plan.runs().iter().enumerate() {
             prop_assert_eq!(r.index, i);
-            prop_assert_eq!(r.shard, i % shards);
         }
         // Schedule is a permutation.
         let mut seen = plan.schedule().to_vec();
@@ -838,11 +831,11 @@ proptest! {
     // cases keeps them meaningful without dominating the suite.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Engine law 3, end to end on all three paper apps: a mixed
-    /// campaign (replay-backed write shard interleaved with a
-    /// rerun-backed read shard) produces byte-identical tallies,
-    /// outcomes, instance choices, injection records, and crash
-    /// messages with `parallel` on and off, for arbitrary seeds.
+    /// Engine law 3, end to end on all three paper apps: a
+    /// replay-backed write-site campaign and an analyze-only read-site
+    /// one each produce byte-identical tallies, outcomes, instance
+    /// choices, injection records, and crash messages with `parallel`
+    /// on and off, for arbitrary seeds.
     #[test]
     fn engine_serial_equals_parallel_on_all_three_apps(
         seed in any::<u64>(),
@@ -855,33 +848,32 @@ proptest! {
         macro_rules! check {
             ($app:expr) => {{
                 let app = $app;
-                let mk = |parallel: bool| {
-                    let mut cfg = CampaignConfig::mixed(vec![
-                        FaultSignature::on_write(FaultModel::bit_flip()),
-                        FaultSignature::on_read(FaultModel::bit_flip()),
-                    ])
-                    .with_runs(runs)
-                    .with_seed(seed)
-                    .with_replay(true);
-                    cfg.parallel = parallel;
-                    Campaign::new(&app, cfg).run().unwrap()
-                };
-                let serial = mk(false);
-                let parallel = mk(true);
-                prop_assert_eq!(serial.tally, parallel.tally);
-                prop_assert_eq!(serial.runs.len(), parallel.runs.len());
-                for (x, y) in serial.runs.iter().zip(&parallel.runs) {
-                    prop_assert_eq!(x.run, y.run);
-                    prop_assert_eq!(x.outcome, y.outcome);
-                    prop_assert_eq!(x.target_instance, y.target_instance);
-                    prop_assert_eq!(x.mode, y.mode);
-                    prop_assert_eq!(&x.injection, &y.injection);
-                    prop_assert_eq!(&x.crash_message, &y.crash_message);
-                }
-                for (s, t) in serial.shards.iter().zip(&parallel.shards) {
-                    prop_assert_eq!(s.eligible, t.eligible);
-                    prop_assert_eq!(s.mode, t.mode);
-                    prop_assert_eq!(s.tally, t.tally);
+                for sig in [
+                    FaultSignature::on_write(FaultModel::bit_flip()),
+                    FaultSignature::on_read(FaultModel::bit_flip()),
+                ] {
+                    let mk = |parallel: bool| {
+                        let mut cfg = CampaignConfig::new(sig.clone())
+                            .with_runs(runs)
+                            .with_seed(seed)
+                            .with_replay(true);
+                        cfg.parallel = parallel;
+                        Campaign::new(&app, cfg).run().unwrap()
+                    };
+                    let serial = mk(false);
+                    let parallel = mk(true);
+                    prop_assert_eq!(serial.tally, parallel.tally);
+                    prop_assert_eq!(serial.mode, parallel.mode);
+                    prop_assert_eq!(serial.profile.eligible, parallel.profile.eligible);
+                    prop_assert_eq!(serial.runs.len(), parallel.runs.len());
+                    for (x, y) in serial.runs.iter().zip(&parallel.runs) {
+                        prop_assert_eq!(x.run, y.run);
+                        prop_assert_eq!(x.outcome, y.outcome);
+                        prop_assert_eq!(x.target_instance, y.target_instance);
+                        prop_assert_eq!(x.mode, y.mode);
+                        prop_assert_eq!(&x.injection, &y.injection);
+                        prop_assert_eq!(&x.crash_message, &y.crash_message);
+                    }
                 }
             }};
         }
@@ -892,12 +884,12 @@ proptest! {
     }
 
     /// Engine law 6 (the resume law) at a random kill point: journal a
-    /// full mixed campaign, truncate the journal to its state after
-    /// the k-th record — plus an optional torn partial frame — exactly
-    /// what a process killed mid-append leaves behind, and resume.
-    /// Tallies, per-run records, and the FNV run digest must be
-    /// byte-identical to the uninterrupted result, on all three paper
-    /// apps, serial and parallel.
+    /// full campaign, truncate the journal to its state after the k-th
+    /// record — plus an optional torn partial frame — exactly what a
+    /// process killed mid-append leaves behind, and resume. Tallies,
+    /// per-run records, and the FNV run digest must be byte-identical
+    /// to the uninterrupted result, at the write site and the read
+    /// site, on all three paper apps, serial and parallel.
     #[test]
     fn resume_from_any_kill_point_matches_the_uninterrupted_run(
         seed in any::<u64>(),
@@ -916,46 +908,48 @@ proptest! {
                     std::process::id(), $name, seed, parallel
                 ));
                 std::fs::create_dir_all(&dir).unwrap();
-                let jpath = dir.join("mixed.journal");
-                let mk = |journaled: bool, resume: bool| {
-                    let mut cfg = CampaignConfig::mixed(vec![
-                        FaultSignature::on_write(FaultModel::bit_flip()),
-                        FaultSignature::on_read(FaultModel::bit_flip()),
-                    ])
-                    .with_runs(4)
-                    .with_seed(seed)
-                    .with_replay(true);
-                    cfg.parallel = parallel;
-                    if journaled {
-                        cfg = cfg.with_journal(&jpath).with_resume(resume);
+                for (site, sig) in [
+                    ("write", FaultSignature::on_write(FaultModel::bit_flip())),
+                    ("read", FaultSignature::on_read(FaultModel::bit_flip())),
+                ] {
+                    let jpath = dir.join(format!("{site}.journal"));
+                    let mk = |journaled: bool, resume: bool| {
+                        let mut cfg = CampaignConfig::new(sig.clone())
+                            .with_runs(4)
+                            .with_seed(seed)
+                            .with_replay(true);
+                        cfg.parallel = parallel;
+                        if journaled {
+                            cfg = cfg.with_journal(&jpath).with_resume(resume);
+                        }
+                        Campaign::new(&app, cfg).run().unwrap()
+                    };
+                    let control = mk(false, false);
+                    let full = mk(true, false);
+                    prop_assert_eq!(full.run_digest(), control.run_digest());
+
+                    // Emulate death after k complete records (k ≥ 1;
+                    // the journal scan exposes each record's end offset
+                    // for exactly this), leaving a torn partial frame
+                    // behind when the kill point sits mid-append.
+                    let (_meta, ends) = journal::scan(&jpath).unwrap();
+                    prop_assert_eq!(ends.len(), control.runs.len());
+                    let k = 1 + kill_sel.index(ends.len());
+                    let cut =
+                        if k < ends.len() { ends[k - 1] + tear.min(7) } else { ends[k - 1] };
+                    let file = std::fs::OpenOptions::new().write(true).open(&jpath).unwrap();
+                    file.set_len(cut).unwrap();
+                    drop(file);
+
+                    let resumed = mk(true, true);
+                    prop_assert_eq!(resumed.status, CompletionStatus::Complete);
+                    prop_assert_eq!(resumed.resumed, k, "the torn tail must not count");
+                    prop_assert_eq!(resumed.executed, control.runs.len() - k);
+                    prop_assert_eq!(&resumed.tally, &control.tally);
+                    prop_assert_eq!(resumed.run_digest(), control.run_digest());
+                    for (x, y) in resumed.runs.iter().zip(&control.runs) {
+                        prop_assert_eq!(x, y, "resume law: records byte-identical");
                     }
-                    Campaign::new(&app, cfg).run().unwrap()
-                };
-                let control = mk(false, false);
-                let full = mk(true, false);
-                prop_assert_eq!(full.run_digest(), control.run_digest());
-
-                // Emulate death after k complete records (k ≥ 1; the
-                // journal scan exposes each record's end offset for
-                // exactly this), leaving a torn partial frame behind
-                // when the kill point sits mid-append.
-                let (_meta, ends) = journal::scan(&jpath).unwrap();
-                prop_assert_eq!(ends.len(), control.runs.len());
-                let k = 1 + kill_sel.index(ends.len());
-                let cut =
-                    if k < ends.len() { ends[k - 1] + tear.min(7) } else { ends[k - 1] };
-                let file = std::fs::OpenOptions::new().write(true).open(&jpath).unwrap();
-                file.set_len(cut).unwrap();
-                drop(file);
-
-                let resumed = mk(true, true);
-                prop_assert_eq!(resumed.status, CompletionStatus::Complete);
-                prop_assert_eq!(resumed.resumed, k, "the torn tail must not count");
-                prop_assert_eq!(resumed.executed, control.runs.len() - k);
-                prop_assert_eq!(&resumed.tally, &control.tally);
-                prop_assert_eq!(resumed.run_digest(), control.run_digest());
-                for (x, y) in resumed.runs.iter().zip(&control.runs) {
-                    prop_assert_eq!(x, y, "resume law: records byte-identical");
                 }
                 std::fs::remove_dir_all(&dir).ok();
             }};

@@ -1,6 +1,6 @@
 //! Differential pinning of the write-path campaigns across the
-//! read-site refactor, plus determinism guarantees for mixed
-//! read+write campaigns.
+//! read-site refactor, plus the read-site campaigns' analyze-only fast
+//! path against full reruns.
 //!
 //! The read-site fault work reshapes `FaultModel` naming, the
 //! interceptor read surface, and the campaign driver. These tests pin
@@ -227,102 +227,6 @@ fn analyze_only_equals_full_rerun_on_all_three_apps() {
     check(&qmc(), 8);
     check(&MontageApp::paper_default(), 6);
 }
-
-/// A seeded campaign mixing read- and write-site signatures yields the
-/// same result — outcomes, per-run [`ExecutionMode`], instance
-/// numbering, injection records — run twice and across `parallel`
-/// on/off.
-#[test]
-fn mixed_read_write_campaign_is_deterministic() {
-    let app = nyx();
-    let mk = |parallel: bool| {
-        let mut cfg = CampaignConfig::mixed(vec![
-            FaultSignature::on_write(FaultModel::bit_flip()),
-            FaultSignature::on_read(FaultModel::bit_flip()),
-            FaultSignature::on_write(FaultModel::dropped_write()),
-            FaultSignature::on_read(FaultModel::dropped_write()),
-        ])
-        .with_runs(16)
-        .with_seed(777)
-        .with_replay(true);
-        cfg.parallel = parallel;
-        Campaign::new(&app, cfg).run().unwrap()
-    };
-
-    let a = mk(true);
-    // The schedule interleaves strategies run-by-run: write shards
-    // replay, read shards take the analyze-only fast path (Nyx's
-    // produce issues no read-back).
-    assert_eq!(a.shards[0].mode, ExecutionMode::Replay);
-    assert_eq!(a.shards[1].mode, ExecutionMode::AnalyzeOnly);
-    assert_eq!(a.shards[2].mode, ExecutionMode::Replay);
-    assert_eq!(a.shards[3].mode, ExecutionMode::AnalyzeOnly);
-    for r in &a.runs {
-        assert_eq!(r.mode, a.shards[r.run % 4].mode, "run {}", r.run);
-    }
-
-    let b = mk(true); // run twice
-    let c = mk(false); // parallel off
-    for other in [&b, &c] {
-        assert_eq!(a.tally, other.tally);
-        assert_eq!(a.runs.len(), other.runs.len());
-        for (x, y) in a.runs.iter().zip(&other.runs) {
-            assert_eq!(x.run, y.run);
-            assert_eq!(x.outcome, y.outcome);
-            assert_eq!(x.target_instance, y.target_instance);
-            assert_eq!(x.mode, y.mode);
-            assert_eq!(x.injection, y.injection);
-            assert_eq!(x.crash_message, y.crash_message);
-        }
-        for (s, t) in a.shards.iter().zip(&other.shards) {
-            assert_eq!(s.eligible, t.eligible);
-            assert_eq!(s.mode, t.mode);
-            assert_eq!(s.tally, t.tally);
-        }
-    }
-}
-
-/// Multi-signature campaigns run through the same driver, planner,
-/// executor and sink; this pins their seeded behavior — per-shard
-/// tallies plus the strategy-independent FNV digest over every run —
-/// so the interleaved schedule can never silently reorder or reseed
-/// runs. The digest excludes [`ExecutionMode`], so the same constants
-/// hold under `FFIS_REPLAY=0` (all shards rerun) by the replay
-/// equivalence law.
-#[test]
-fn mixed_campaign_pinned_through_engine() {
-    let app = nyx();
-    let cfg = CampaignConfig::mixed(vec![
-        FaultSignature::on_write(FaultModel::bit_flip()),
-        FaultSignature::on_read(FaultModel::bit_flip()),
-        FaultSignature::on_write(FaultModel::dropped_write()),
-        FaultSignature::on_read(FaultModel::dropped_write()),
-    ])
-    .with_runs(16)
-    .with_seed(4242);
-    let result = Campaign::new(&app, cfg).run().unwrap();
-
-    let got_shards: Vec<(u64, u64, u64, u64)> = result
-        .shards
-        .iter()
-        .map(|s| (s.tally.benign, s.tally.detected, s.tally.sdc, s.tally.crash))
-        .collect();
-    let got_digest = digest(&result);
-    assert_eq!(
-        (&got_shards[..], got_digest),
-        (&MIXED_PIN_SHARDS[..], MIXED_PIN_DIGEST),
-        "mixed campaign drifted from its pinned seeded behavior.\nactual shards: {:?}\nactual digest: {:#018X}",
-        got_shards,
-        got_digest
-    );
-}
-
-/// Pinned per-shard `(benign, detected, sdc, crash)` counts for
-/// [`mixed_campaign_pinned_through_engine`].
-const MIXED_PIN_SHARDS: [(u64, u64, u64, u64); 4] =
-    [(1, 0, 0, 3), (4, 0, 0, 0), (2, 0, 2, 0), (0, 0, 0, 4)];
-/// Pinned run digest for [`mixed_campaign_pinned_through_engine`].
-const MIXED_PIN_DIGEST: u64 = 0x5858_4833_D706_06D6;
 
 /// The metadata scanner now executes through the same engine; this
 /// pins a seeded byte scan on the Nyx plotfile — tally plus an FNV

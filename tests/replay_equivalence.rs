@@ -473,15 +473,9 @@ fn plan_aware_replay_equals_the_unbatched_control() {
     );
     assert!(tiles.skipped_tail_ops > 0, "the tail filter never ran: {tiles:?}");
 
-    // Two signatures over one golden run share the batches.
-    both(
-        &nyx(),
-        CampaignConfig::mixed(vec![
-            write(FaultModel::bit_flip()),
-            write(FaultModel::dropped_write()),
-        ])
-        .with_runs(24),
-    );
+    // A dropped write batches like a flipped one: the batch's target
+    // step skips the device write and the tail replays as before.
+    both(&nyx(), CampaignConfig::new(write(FaultModel::dropped_write())).with_runs(24));
 }
 
 /// The filtered tail attributes an op on a descriptor number that has
