@@ -410,7 +410,8 @@ impl H5File {
         if data_addr >= self.bytes.len() as u64 {
             return Err(Hdf5Error::new("heap data segment beyond EOF"));
         }
-        if data_addr + seg_size > self.bytes.len() as u64 {
+        // Both words are the file's: a sum past `u64` overruns it too.
+        if data_addr.checked_add(seg_size).is_none_or(|end| end > self.bytes.len() as u64) {
             return Err(Hdf5Error::new("heap data segment overruns file"));
         }
         Ok((data_addr, seg_size))
@@ -639,10 +640,16 @@ impl H5File {
         if let Some(Message::SymbolTable { btree, heap }) =
             msgs.iter().find(|m| matches!(m, Message::SymbolTable { .. }))
         {
+            // Addresses are the file's words: an end past `u64` is an
+            // error, not a wrapped extent.
+            let end = |addr: u64, size: u64, what: &str| {
+                addr.checked_add(size)
+                    .ok_or_else(|| Hdf5Error::new(format!("{} address overflows", what)))
+            };
             let btree_size = 24 + (4 * self.group_internal_k as u64 + 1) * 8;
-            *max_end = (*max_end).max(btree + btree_size);
+            *max_end = (*max_end).max(end(*btree, btree_size, "B-tree")?);
             let (heap_data, heap_size) = self.parse_heap(*heap)?;
-            *max_end = (*max_end).max(*heap + 32).max(heap_data + heap_size);
+            *max_end = (*max_end).max(end(*heap, 32, "local heap")?).max(heap_data + heap_size);
             for snod in self.parse_btree(*btree)? {
                 let snod_size = 8 + 2 * self.group_leaf_k as u64 * 40;
                 *max_end = (*max_end).max(snod + snod_size);
@@ -880,6 +887,40 @@ mod tests {
         let meta = fs.getattr("/plt.h5").unwrap();
         fs.truncate("/plt.h5", meta.size - 100).unwrap();
         assert!(open(&fs, "/plt.h5").is_err());
+    }
+
+    /// An image whose `field` words (every span named so) read `value`.
+    fn with_field(field: &str, value: u64) -> MemFs {
+        let fs = MemFs::new();
+        let report = write_nyx(&fs, 4);
+        let mut image = ffis_vfs::FileSystemExt::read_to_vec(&fs, "/plt.h5").unwrap();
+        for span in report.spans.iter().filter(|s| s.name.ends_with(field)) {
+            let at = span.start as usize;
+            image[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        }
+        ffis_vfs::FileSystemExt::write_file(&fs, "/plt.h5", &image).unwrap();
+        fs
+    }
+
+    /// A local heap whose segment size runs past `u64` from its
+    /// address is an error in every profile: unchecked, a debug build
+    /// panicked on the sum and a release build wrapped it and accepted
+    /// the heap. The same holds for a B-tree address at the top of the
+    /// address space, which the extent walk adds a node size to.
+    #[test]
+    fn addresses_that_overflow_are_errors_not_wrapped() {
+        let fs = with_field("DataSegmentSize", u64::MAX - 10);
+        let f = open(&fs, "/plt.h5").unwrap();
+        let heap = "HDF5 error: heap data segment overruns file";
+        let err = f.read_dataset("/native_fields/baryon_density").unwrap_err();
+        assert_eq!(err.to_string(), heap);
+        assert_eq!(f.metadata_extent().unwrap_err().to_string(), heap);
+
+        let fs = with_field("BTreeAddress", u64::MAX);
+        let f = open(&fs, "/plt.h5").unwrap();
+        assert!(f.read_dataset("/native_fields/baryon_density").is_err());
+        let err = f.metadata_extent().unwrap_err();
+        assert_eq!(err.to_string(), "HDF5 error: B-tree address overflows");
     }
 
     #[test]

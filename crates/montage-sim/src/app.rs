@@ -22,9 +22,9 @@ use ffis_vfs::{FileSystem, FileSystemExt};
 use fitslite::{parse_fits, render_fits, reread, FitsImage};
 
 use crate::stages::{
-    apply_background, coadd, corr_area_path, corr_path, diff_overlaps, diff_path, fit_background,
-    make_raw_images, proj_area_path, proj_path, project_image, raw_path, stretch_mosaic,
-    FinalImage, PipelineConfig, FINAL_IMAGE, MOSAIC, MOSAIC_AREA,
+    apply_background, coadd, corr_area_path, corr_path, diff_path, make_raw_images, mosaic_wcs,
+    pair_diff, plane_fit, proj_area_path, proj_path, project_image, raw_path, solve_background,
+    stretch_mosaic, FinalImage, PipelineConfig, FINAL_IMAGE, MOSAIC, MOSAIC_AREA, NO_PAIRS,
 };
 
 /// Montage workload configuration.
@@ -79,11 +79,17 @@ pub struct MontageOutput {
 /// `read_fits` of what it had just written — the WCS header cards
 /// carry limited decimal precision, so skipping the roundtrip would
 /// drift the downstream arithmetic off the reference trajectory.
+///
+/// Of the overlap pairs it keeps the plane fit, not the difference
+/// image: a dirty cascade reuses the fit of every pair its fault did
+/// not reach.
 struct GoldenPipeline {
     raw_bytes: Vec<Vec<u8>>,
     projs: Vec<(FitsImage, FitsImage)>,
     proj_bytes: Vec<(Vec<u8>, Vec<u8>)>,
+    /// The overlap pairs, in `(i, j)` order, and the plane fit of each.
     pairs: Vec<(usize, usize)>,
+    fits: Vec<[f64; 3]>,
     diff_bytes: Vec<Vec<u8>>,
     corr_bytes: Vec<(Vec<u8>, Vec<u8>)>,
     mosaic_bytes: Vec<u8>,
@@ -130,17 +136,15 @@ impl GoldenPipeline {
             proj_bytes.push((db, ab));
         }
 
-        let mut pairs = Vec::new();
-        let mut diffs = Vec::new();
+        // The cascade's pair path, with every image fresh.
         let mut diff_bytes = Vec::new();
-        for (pair, diff) in diff_overlaps(&projs, cfg)? {
-            let (b, d) = roundtrip(&diff);
-            pairs.push(pair);
-            diffs.push(d);
+        let (pairs, fits) = fit_pairs(&projs.iter().collect::<Vec<_>>(), None, cfg, |diff| {
+            let (b, d) = roundtrip(diff);
             diff_bytes.push(b);
-        }
+            d
+        })?;
 
-        let planes = fit_background(&pairs, &diffs, cfg.n_images(), cfg)?;
+        let planes = solve_background(&pairs, &fits, cfg.n_images())?;
         let mut corrs = Vec::new();
         let mut corr_bytes = Vec::new();
         for ((data, area), plane) in projs.iter().zip(&planes) {
@@ -161,6 +165,7 @@ impl GoldenPipeline {
             projs,
             proj_bytes,
             pairs,
+            fits,
             diff_bytes,
             corr_bytes,
             mosaic_bytes,
@@ -338,6 +343,17 @@ fn parse_image(bytes: &[u8]) -> Result<FitsImage, String> {
     parse_fits(bytes).map_err(|e| e.to_string())
 }
 
+/// Read a file the golden run wrote as `golden`: `None` while it still
+/// holds those bytes — they parse to the golden read-back image, which
+/// the caller already has — and the parsed image once it does not.
+fn read_fresh(fs: &dyn FileSystem, path: &str, golden: &[u8]) -> Result<Option<FitsImage>, String> {
+    let bytes = read_bytes(fs, path)?;
+    if bytes == golden {
+        return Ok(None);
+    }
+    parse_image(&bytes).map(Some)
+}
+
 impl MontageApp {
     /// Locate the first pipeline layer of tile `t` whose on-disk bytes
     /// differ from the golden run's. Only files some downstream stage
@@ -386,6 +402,14 @@ impl MontageApp {
     /// recomputed intermediate is FITS-roundtripped before the next
     /// stage consumes it, because the monolithic pipeline always read
     /// its inputs back from disk.
+    ///
+    /// Every file of the layer is read, in order, but only what its
+    /// fault reached is re-derived: a raw or projection file that still
+    /// holds its golden bytes stands for the golden read-back
+    /// projection, a pair of two such images keeps its golden verdict
+    /// and plane fit, and a golden difference file its golden fit.
+    /// Background model, correction and co-addition couple every image
+    /// and run over all of them.
     fn recompute_from(
         &self,
         fs: &dyn FileSystem,
@@ -398,13 +422,15 @@ impl MontageApp {
 
         match layer {
             DirtyLayer::Raw | DirtyLayer::Proj => {
-                let projs: Vec<(FitsImage, FitsImage)> = if layer == DirtyLayer::Raw {
+                // The projections that differ from the golden ones.
+                let fresh: Vec<Option<(FitsImage, FitsImage)>> = if layer == DirtyLayer::Raw {
                     (0..n)
                         .map(|i| {
-                            let raw =
-                                parse_image(&read_bytes(fs, &self.tile_path(t, &raw_path(i)))?)?;
-                            let (data, area) = project_image(&raw, cfg);
-                            Ok((read_back(&data), read_back(&area)))
+                            let path = self.tile_path(t, &raw_path(i));
+                            Ok(read_fresh(fs, &path, &g.raw_bytes[i])?.map(|raw| {
+                                let (data, area) = project_image(&raw, cfg);
+                                (read_back(&data), read_back(&area))
+                            }))
                         })
                         .collect::<Result<_, String>>()?
                 } else {
@@ -412,36 +438,56 @@ impl MontageApp {
                     // check mDiffExec applies.
                     (0..n)
                         .map(|i| {
+                            let (golden_data, golden_area) = &g.projs[i];
+                            let (data_bytes, area_bytes) = &g.proj_bytes[i];
                             let data =
-                                parse_image(&read_bytes(fs, &self.tile_path(t, &proj_path(i)))?)?;
-                            let area = parse_image(&read_bytes(
-                                fs,
-                                &self.tile_path(t, &proj_area_path(i)),
-                            )?)?;
+                                read_fresh(fs, &self.tile_path(t, &proj_path(i)), data_bytes)?;
+                            let area =
+                                read_fresh(fs, &self.tile_path(t, &proj_area_path(i)), area_bytes)?;
+                            if data.is_none() && area.is_none() {
+                                return Ok(None);
+                            }
+                            let data = data.unwrap_or_else(|| golden_data.clone());
+                            let area = area.unwrap_or_else(|| golden_area.clone());
                             if area.width != data.width || area.height != data.height {
                                 return Err(format!("area/data shape mismatch for image {}", i));
                             }
-                            Ok((data, area))
+                            Ok(Some((data, area)))
                         })
                         .collect::<Result<_, String>>()?
                 };
-                let mut pairs = Vec::new();
-                let mut diffs = Vec::new();
-                for (pair, diff) in diff_overlaps(&projs, cfg)? {
-                    pairs.push(pair);
-                    diffs.push(read_back(&diff));
-                }
-                background_tail(&projs, &pairs, &diffs, cfg)
+                let projs: Vec<&(FitsImage, FitsImage)> = fresh
+                    .iter()
+                    .zip(&g.projs)
+                    .map(|(f, golden)| f.as_ref().unwrap_or(golden))
+                    .collect();
+                let is_fresh: Vec<bool> = fresh.iter().map(Option::is_some).collect();
+                let (pairs, fits) = fit_pairs(&projs, Some((g, &is_fresh)), cfg, read_back)?;
+                background_tail(&projs, &pairs, &fits, cfg)
             }
             DirtyLayer::Diff => {
-                let diffs: Vec<FitsImage> = g
+                // mBgExec reads every difference image before it fits
+                // any: a parse error comes before a fit error.
+                let diffs: Vec<Option<FitsImage>> = g
                     .pairs
                     .iter()
-                    .map(|&(i, j)| {
-                        parse_image(&read_bytes(fs, &self.tile_path(t, &diff_path(i, j)))?)
+                    .zip(&g.diff_bytes)
+                    .map(|(&(i, j), golden)| {
+                        read_fresh(fs, &self.tile_path(t, &diff_path(i, j)), golden)
                     })
                     .collect::<Result<_, String>>()?;
-                background_tail(&g.projs, &g.pairs, &diffs, cfg)
+                let mwcs = mosaic_wcs(cfg);
+                let fits: Vec<[f64; 3]> = g
+                    .pairs
+                    .iter()
+                    .zip(&diffs)
+                    .zip(&g.fits)
+                    .map(|((&pair, diff), &fit)| match diff {
+                        Some(diff) => plane_fit(pair, diff, &mwcs),
+                        None => Ok(fit),
+                    })
+                    .collect::<Result<_, String>>()?;
+                background_tail(&g.projs.iter().collect::<Vec<_>>(), &g.pairs, &fits, cfg)
             }
             DirtyLayer::Corr => {
                 let corrs: Vec<(FitsImage, FitsImage)> = (0..n)
@@ -518,15 +564,59 @@ fn decode_final(b: &[u8]) -> Result<FinalImage, String> {
     })
 }
 
-/// The mBgExec → mAdd → viewer tail over in-memory inputs, shared by
-/// every analyze-cascade entry point upstream of the corr layer.
+/// A tile's overlap pairs, in `(i, j)` order, and the plane fit of each.
+type PairFits = (Vec<(usize, usize)>, Vec<[f64; 3]>);
+
+/// mDiffExec + mFitplane over a tile's read-back projections, pair by
+/// pair in `(i, j)` order. With `golden` — the tile's golden pipeline
+/// and which images differ from its projections — a pair of two golden
+/// images keeps its golden verdict and fit; any other pair is
+/// differenced, its difference image read back through `read`, and
+/// fitted, so it may join or leave the pair set. Without, every image
+/// is fresh: the golden build.
+///
+/// The first degenerate fit in pair order is the error, as when every
+/// pair was differenced first: a pair that fits is in the set, so an
+/// empty set never follows one.
+fn fit_pairs(
+    projs: &[&(FitsImage, FitsImage)],
+    golden: Option<(&GoldenPipeline, &[bool])>,
+    cfg: &PipelineConfig,
+    mut read: impl FnMut(&FitsImage) -> FitsImage,
+) -> Result<PairFits, String> {
+    let mwcs = mosaic_wcs(cfg);
+    let n = projs.len();
+    let mut pairs = Vec::new();
+    let mut fits = Vec::new();
+    for i in 0..n {
+        for j in i + 1..n {
+            if let Some((g, _)) = golden.filter(|(_, fresh)| !fresh[i] && !fresh[j]) {
+                if let Ok(k) = g.pairs.binary_search(&(i, j)) {
+                    pairs.push((i, j));
+                    fits.push(g.fits[k]);
+                }
+            } else if let Some(diff) = pair_diff(projs[i], projs[j], &mwcs, cfg) {
+                fits.push(plane_fit((i, j), &read(&diff), &mwcs)?);
+                pairs.push((i, j));
+            }
+        }
+    }
+    if pairs.is_empty() {
+        return Err(NO_PAIRS.into());
+    }
+    Ok((pairs, fits))
+}
+
+/// The mBgModel → mBgExec → mAdd → viewer tail over in-memory inputs,
+/// shared by every analyze-cascade entry point upstream of the corr
+/// layer.
 fn background_tail(
-    projs: &[(FitsImage, FitsImage)],
+    projs: &[&(FitsImage, FitsImage)],
     pairs: &[(usize, usize)],
-    diffs: &[FitsImage],
+    fits: &[[f64; 3]],
     cfg: &PipelineConfig,
 ) -> Result<FinalImage, String> {
-    let planes = fit_background(pairs, diffs, projs.len(), cfg)?;
+    let planes = solve_background(pairs, fits, projs.len())?;
     let corrs: Vec<(FitsImage, FitsImage)> = projs
         .iter()
         .zip(&planes)
@@ -712,6 +802,7 @@ impl FaultApp for MontageApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stages::{diff_overlaps, fit_background};
     use ffis_vfs::{FfisFs, MemFs, TraceOp, TraceRecorder};
     use std::sync::Arc;
 
@@ -823,6 +914,204 @@ mod tests {
         let n = app.config.pipeline.n_images();
         let pairs: usize = app.golden.iter().map(|g| g.pairs.len()).sum();
         assert_eq!(checked.get(), 2 * (5 * n + 2) + pairs);
+    }
+
+    /// Tile `t`'s analyze as it ran layer by layer: every file of the
+    /// first dirty layer parsed, every image re-projected, every pair
+    /// differenced and fitted. `pairs_seen` receives the pair set it
+    /// differenced, when it got that far. The oracle of
+    /// `the_image_granular_cascade_is_the_whole_layer_cascade`.
+    fn whole_layer_analyze(
+        app: &MontageApp,
+        fs: &dyn FileSystem,
+        t: usize,
+        pairs_seen: &mut Option<Vec<(usize, usize)>>,
+    ) -> Result<FinalImage, String> {
+        let Some(layer) = app.first_dirty_layer(fs, t)? else {
+            return app.tile_analyze(fs, t);
+        };
+        let g = &app.golden[t];
+        let cfg = &app.config.pipeline;
+        let n = cfg.n_images();
+        let read = |path: &str| parse_image(&read_bytes(fs, &app.tile_path(t, path))?);
+        let tail = |projs: &[(FitsImage, FitsImage)], pairs: &[(usize, usize)], diffs: &[_]| {
+            let planes = fit_background(pairs, diffs, n, cfg)?;
+            let corrs: Vec<_> = projs
+                .iter()
+                .zip(&planes)
+                .map(|((data, area), plane)| {
+                    (read_back(&apply_background(data, *plane, cfg)), read_back(area))
+                })
+                .collect();
+            coadd_tail(&corrs, cfg)
+        };
+        match layer {
+            DirtyLayer::Raw | DirtyLayer::Proj => {
+                let projs = (0..n)
+                    .map(|i| {
+                        if layer == DirtyLayer::Raw {
+                            let (data, area) = project_image(&read(&raw_path(i))?, cfg);
+                            return Ok((read_back(&data), read_back(&area)));
+                        }
+                        let (data, area) = (read(&proj_path(i))?, read(&proj_area_path(i))?);
+                        if area.width != data.width || area.height != data.height {
+                            return Err(format!("area/data shape mismatch for image {}", i));
+                        }
+                        Ok((data, area))
+                    })
+                    .collect::<Result<Vec<_>, String>>()?;
+                let (pairs, diffs): (Vec<_>, Vec<_>) = diff_overlaps(&projs, cfg)?
+                    .into_iter()
+                    .map(|(pair, diff)| (pair, read_back(&diff)))
+                    .unzip();
+                *pairs_seen = Some(pairs.clone());
+                tail(&projs, &pairs, &diffs)
+            }
+            DirtyLayer::Diff => {
+                let diffs: Vec<FitsImage> = g
+                    .pairs
+                    .iter()
+                    .map(|&(i, j)| read(&diff_path(i, j)))
+                    .collect::<Result<_, _>>()?;
+                tail(&g.projs, &g.pairs, &diffs)
+            }
+            DirtyLayer::Corr => {
+                let corrs = (0..n)
+                    .map(|i| Ok((read(&corr_path(i))?, read(&corr_area_path(i))?)))
+                    .collect::<Result<Vec<_>, String>>()?;
+                coadd_tail(&corrs, cfg)
+            }
+            DirtyLayer::Mosaic => stretch_mosaic(&read(MOSAIC)?),
+        }
+    }
+
+    /// A final image as its bits.
+    type Bits = (Vec<u8>, u64, u64, usize, usize);
+
+    fn image_bits(img: &FinalImage) -> Bits {
+        (img.bytes.clone(), img.min.to_bits(), img.max.to_bits(), img.width, img.height)
+    }
+
+    fn output_bits(out: Result<MontageOutput, String>) -> Result<Vec<Bits>, String> {
+        out.map(|o| std::iter::once(&o.image).chain(&o.extra_tiles).map(image_bits).collect())
+    }
+
+    /// FITS bytes with the first digit (`leading`) or the last one of
+    /// card `key`'s value moved up by `by`, modulo 10.
+    fn bump_digit(bytes: &[u8], key: &str, leading: bool, by: u8) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        let at = (0..36)
+            .map(|c| c * 80)
+            .find(|&at| out[at..].starts_with(key.as_bytes()) && out[at + key.len()] == b' ')
+            .expect("the card is in the first header block");
+        let value = &mut out[at + 10..at + 80];
+        let digit = if leading {
+            value.iter().position(u8::is_ascii_digit)
+        } else {
+            value.iter().rposition(u8::is_ascii_digit)
+        };
+        let d = &mut value[digit.expect("a numeric card")];
+        *d = b'0' + (*d - b'0' + by) % 10;
+        out
+    }
+
+    /// FITS bytes with pixel `k` replaced by `f(k, value)`.
+    fn map_pixels(bytes: &[u8], f: impl Fn(usize, f64) -> f64) -> Vec<u8> {
+        let mut img = parse_fits(bytes).unwrap();
+        img.data = img.data.iter().enumerate().map(|(k, &v)| f(k, v)).collect();
+        render_fits(&img).unwrap()
+    }
+
+    /// Every file of a 2-tile app the dirty scan compares — 10 raw, 20
+    /// proj, 23 diff, 20 corr and the mosaic a tile — under every
+    /// damage kind: a pixel bit flip, a `CRPIX1` moved by ten pixels, a
+    /// data unit cut in half, an `NAXIS1` one less (or 9 more), and
+    /// besides, for a projected area image every pixel NaN (its pairs
+    /// fall below `min_overlap_px`) and for a difference image all but
+    /// two pixels NaN (a degenerate plane fit). `analyze`, and the
+    /// sub-steps with `assemble`, equal the whole-layer cascade: `Ok`
+    /// images bit for bit, `Err` strings as strings.
+    #[test]
+    fn the_image_granular_cascade_is_the_whole_layer_cascade() {
+        let app = MontageApp::multi_tile(2);
+        let n = app.config.pipeline.n_images();
+        let base = MemFs::new();
+        app.produce(&base).unwrap();
+        let (mut cases, mut errs, mut joined, mut left) = (0, 0, false, false);
+        for (t, g) in app.golden.iter().enumerate() {
+            // (path, golden bytes, the damage kinds special to it)
+            let mut files = Vec::new();
+            for i in 0..n {
+                files.push((raw_path(i), &g.raw_bytes[i], vec![]));
+            }
+            for (i, (data, area)) in g.proj_bytes.iter().enumerate() {
+                files.push((proj_path(i), data, vec![]));
+                let nan = map_pixels(area, |_, _| f64::NAN);
+                files.push((proj_area_path(i), area, vec![nan]));
+            }
+            for (&(i, j), diff) in g.pairs.iter().zip(&g.diff_bytes) {
+                let two = map_pixels(diff, |k, v| if k < 2 { v } else { f64::NAN });
+                files.push((diff_path(i, j), diff, vec![two]));
+            }
+            for (i, (data, area)) in g.corr_bytes.iter().enumerate() {
+                files.push((corr_path(i), data, vec![]));
+                files.push((corr_area_path(i), area, vec![]));
+            }
+            files.push((MOSAIC.to_string(), &g.mosaic_bytes, vec![]));
+
+            for (path, golden, special) in files {
+                let path = app.tile_path(t, &path);
+                let mid = 2880 + 8 * (parse_fits(golden).unwrap().data.len() / 2);
+                let mut flip = golden.to_vec();
+                flip[mid] ^= 0x40;
+                let general = [
+                    flip,
+                    bump_digit(golden, "CRPIX1", true, 1),
+                    golden[..mid].to_vec(),
+                    bump_digit(golden, "NAXIS1", false, 9),
+                ];
+                for bad in general.into_iter().chain(special) {
+                    assert_ne!(&bad, golden, "{}", path);
+                    let fs = base.fork();
+                    fs.write_file(&path, &bad).unwrap();
+                    let mut seen = None;
+                    let expect: Vec<Result<FinalImage, String>> =
+                        (0..2).map(|u| whole_layer_analyze(&app, &fs, u, &mut seen)).collect();
+                    let expect_bits: Result<Vec<Bits>, String> = expect
+                        .iter()
+                        .map(|r| r.as_ref().map(image_bits).map_err(Clone::clone))
+                        .collect();
+
+                    assert_eq!(output_bits(app.analyze(&fs, None)), expect_bits, "{}", path);
+                    let arts: Vec<Result<Vec<u8>, String>> =
+                        (0..2).map(|u| app.analyze_substep(&fs, u, None)).collect();
+                    for (art, e) in arts.iter().zip(&expect) {
+                        let got = art.clone().and_then(|a| decode_final(&a));
+                        assert_eq!(
+                            got.as_ref().map(image_bits),
+                            e.as_ref().map(image_bits),
+                            "{}",
+                            path
+                        );
+                    }
+                    if let Ok(arts) = arts.into_iter().collect::<Result<Vec<_>, _>>() {
+                        assert_eq!(output_bits(app.assemble(&arts, None)), expect_bits);
+                    }
+
+                    if let Some(pairs) = seen {
+                        joined |= pairs.iter().any(|p| !g.pairs.contains(p));
+                        left |= g.pairs.iter().any(|p| !pairs.contains(p));
+                    }
+                    errs += expect_bits.is_err() as usize;
+                    cases += 1;
+                }
+            }
+        }
+        let pairs: usize = app.golden.iter().map(|g| g.pairs.len()).sum();
+        assert_eq!(cases, 2 * (4 * (5 * n + 1) + n) + 5 * pairs);
+        assert!(errs > 0 && errs < cases, "{} of {} cases fail", errs, cases);
+        assert!(joined, "no damage made a pair join the pair set");
+        assert!(left, "no damage made a pair leave the pair set");
     }
 
     #[test]

@@ -248,6 +248,67 @@ pub(crate) fn read_proj(fs: &dyn FileSystem, i: usize) -> Result<(FitsImage, Fit
 /// One overlapping image pair `(i, j)` with its difference image.
 pub type PairDiff = ((usize, usize), FitsImage);
 
+/// The error of an overlap graph without an edge.
+pub(crate) const NO_PAIRS: &str = "no overlapping pairs found";
+
+/// mDiffExec's per-pair core: the difference image of two reprojected
+/// `(data, area)` pairs over their overlap, or `None` when fewer than
+/// `min_overlap_px` of its pixels are valid in both. Pure compute.
+pub fn pair_diff(
+    pi: &(FitsImage, FitsImage),
+    pj: &(FitsImage, FitsImage),
+    mwcs: &Wcs,
+    cfg: &PipelineConfig,
+) -> Option<FitsImage> {
+    let (di, ai) = pi;
+    let (dj, aj) = pj;
+    // Intersection in mosaic coordinates.
+    let (ix0, iy0) = to_mosaic_xy(di, mwcs, 0, 0);
+    let (jx0, jy0) = to_mosaic_xy(dj, mwcs, 0, 0);
+    let x0 = ix0.max(jx0).round() as i64;
+    let y0 = iy0.max(jy0).round() as i64;
+    let x1 = (ix0 + di.width as f64 - 1.0).min(jx0 + dj.width as f64 - 1.0).round() as i64;
+    let y1 = (iy0 + di.height as f64 - 1.0).min(jy0 + dj.height as f64 - 1.0).round() as i64;
+    if x1 < x0 || y1 < y0 {
+        return None;
+    }
+    let (w, h) = ((x1 - x0 + 1) as usize, (y1 - y0 + 1) as usize);
+    let swcs = sub_wcs(mwcs, x0 as usize, y0 as usize);
+    let mut diff = FitsImage::blank(w, h, swcs);
+    let mut count = 0usize;
+    for y in 0..h {
+        for x in 0..w {
+            let gx = (x0 + x as i64) as f64;
+            let gy = (y0 + y as i64) as f64;
+            let lix = (gx - ix0).round() as i64;
+            let liy = (gy - iy0).round() as i64;
+            let ljx = (gx - jx0).round() as i64;
+            let ljy = (gy - jy0).round() as i64;
+            if lix < 0
+                || liy < 0
+                || ljx < 0
+                || ljy < 0
+                || lix >= di.width as i64
+                || liy >= di.height as i64
+                || ljx >= dj.width as i64
+                || ljy >= dj.height as i64
+            {
+                continue;
+            }
+            let (lix, liy, ljx, ljy) = (lix as usize, liy as usize, ljx as usize, ljy as usize);
+            let vi = di.get(lix, liy);
+            let vj = dj.get(ljx, ljy);
+            let wi = ai.get(lix, liy);
+            let wj = aj.get(ljx, ljy);
+            if vi.is_finite() && vj.is_finite() && wi > 0.5 && wj > 0.5 {
+                diff.set(x, y, vi - vj);
+                count += 1;
+            }
+        }
+    }
+    (count >= cfg.min_overlap_px).then_some(diff)
+}
+
 /// mDiffExec's core: difference image for every overlapping pair of
 /// reprojected images. Returns `(pair, diff)` in pair order. Pure
 /// compute over in-memory projections.
@@ -260,61 +321,13 @@ pub fn diff_overlaps(
     let mut out = Vec::new();
     for i in 0..n {
         for j in i + 1..n {
-            let (di, ai) = &projs[i];
-            let (dj, aj) = &projs[j];
-            // Intersection in mosaic coordinates.
-            let (ix0, iy0) = to_mosaic_xy(di, &mwcs, 0, 0);
-            let (jx0, jy0) = to_mosaic_xy(dj, &mwcs, 0, 0);
-            let x0 = ix0.max(jx0).round() as i64;
-            let y0 = iy0.max(jy0).round() as i64;
-            let x1 = (ix0 + di.width as f64 - 1.0).min(jx0 + dj.width as f64 - 1.0).round() as i64;
-            let y1 =
-                (iy0 + di.height as f64 - 1.0).min(jy0 + dj.height as f64 - 1.0).round() as i64;
-            if x1 < x0 || y1 < y0 {
-                continue;
-            }
-            let (w, h) = ((x1 - x0 + 1) as usize, (y1 - y0 + 1) as usize);
-            let swcs = sub_wcs(&mwcs, x0 as usize, y0 as usize);
-            let mut diff = FitsImage::blank(w, h, swcs);
-            let mut count = 0usize;
-            for y in 0..h {
-                for x in 0..w {
-                    let gx = (x0 + x as i64) as f64;
-                    let gy = (y0 + y as i64) as f64;
-                    let lix = (gx - ix0).round() as i64;
-                    let liy = (gy - iy0).round() as i64;
-                    let ljx = (gx - jx0).round() as i64;
-                    let ljy = (gy - jy0).round() as i64;
-                    if lix < 0
-                        || liy < 0
-                        || ljx < 0
-                        || ljy < 0
-                        || lix >= di.width as i64
-                        || liy >= di.height as i64
-                        || ljx >= dj.width as i64
-                        || ljy >= dj.height as i64
-                    {
-                        continue;
-                    }
-                    let (lix, liy, ljx, ljy) =
-                        (lix as usize, liy as usize, ljx as usize, ljy as usize);
-                    let vi = di.get(lix, liy);
-                    let vj = dj.get(ljx, ljy);
-                    let wi = ai.get(lix, liy);
-                    let wj = aj.get(ljx, ljy);
-                    if vi.is_finite() && vj.is_finite() && wi > 0.5 && wj > 0.5 {
-                        diff.set(x, y, vi - vj);
-                        count += 1;
-                    }
-                }
-            }
-            if count >= cfg.min_overlap_px {
+            if let Some(diff) = pair_diff(&projs[i], &projs[j], &mwcs, cfg) {
                 out.push(((i, j), diff));
             }
         }
     }
     if out.is_empty() {
-        return Err("no overlapping pairs found".into());
+        return Err(NO_PAIRS.into());
     }
     Ok(out)
 }
@@ -349,25 +362,39 @@ pub fn fit_background(
     cfg: &PipelineConfig,
 ) -> Result<Vec<[f64; 3]>, String> {
     let mwcs = mosaic_wcs(cfg);
+    let fits = pairs
+        .iter()
+        .zip(diffs)
+        .map(|(&pair, diff)| plane_fit(pair, diff, &mwcs))
+        .collect::<Result<Vec<_>, String>>()?;
+    solve_background(pairs, &fits, n)
+}
 
-    // Plane fits of every difference image, in mosaic coordinates.
-    let mut fits = Vec::with_capacity(pairs.len());
-    for (&(i, j), diff) in pairs.iter().zip(diffs) {
-        let mut pts = Vec::new();
-        for y in 0..diff.height {
-            for x in 0..diff.width {
-                let v = diff.get(x, y);
-                if v.is_finite() {
-                    let (mx, my) = to_mosaic_xy(diff, &mwcs, x, y);
-                    pts.push((mx, my, v));
-                }
+/// mFitplane's core: the plane `[offset, d/dx, d/dy]` fitted to the
+/// valid pixels of `pair`'s difference image, in mosaic coordinates.
+/// Pure compute.
+pub fn plane_fit(pair: (usize, usize), diff: &FitsImage, mwcs: &Wcs) -> Result<[f64; 3], String> {
+    let mut pts = Vec::new();
+    for y in 0..diff.height {
+        for x in 0..diff.width {
+            let v = diff.get(x, y);
+            if v.is_finite() {
+                let (mx, my) = to_mosaic_xy(diff, mwcs, x, y);
+                pts.push((mx, my, v));
             }
         }
-        let plane =
-            fit_plane(&pts).ok_or_else(|| format!("degenerate plane fit for pair {}-{}", i, j))?;
-        fits.push(plane);
     }
+    fit_plane(&pts).ok_or_else(|| format!("degenerate plane fit for pair {}-{}", pair.0, pair.1))
+}
 
+/// mBgModel's core: solve the least-squares background model over the
+/// plane fit of every pair (image 0 fixed as gauge). Returns one
+/// correction plane per image. Pure compute — `n` is the image count.
+pub fn solve_background(
+    pairs: &[(usize, usize)],
+    fits: &[[f64; 3]],
+    n: usize,
+) -> Result<Vec<[f64; 3]>, String> {
     // Least-squares background model: minimize Σ ||p_i − p_j − d_ij||²
     // with p_0 ≡ 0. The three plane coefficients decouple into three
     // identical graph-Laplacian systems.
@@ -376,7 +403,7 @@ pub fn fit_background(
     for c in 0..3 {
         let mut a = vec![0.0f64; unknowns * unknowns];
         let mut b = vec![0.0f64; unknowns];
-        for (&(i, j), d) in pairs.iter().zip(&fits) {
+        for (&(i, j), d) in pairs.iter().zip(fits) {
             // Residual (p_i - p_j - d_ij).
             if i > 0 {
                 a[(i - 1) * unknowns + (i - 1)] += 1.0;

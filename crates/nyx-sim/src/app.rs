@@ -262,20 +262,25 @@ fn decode_catalog(b: &[u8]) -> Result<([usize; 3], HaloCatalog), String> {
         Ok(f64::from_le_bytes(b.get(at..at + 8).ok_or_else(err)?.try_into().unwrap()))
     };
     let dims = [u(0)? as usize, u(8)? as usize, u(16)? as usize];
-    let (mean, threshold, candidate_cells, n_halos) = (f(24)?, f(32)?, u(40)?, u(48)? as usize);
-    let mut halos = Vec::with_capacity(n_halos);
-    let mut at = 56;
-    for _ in 0..n_halos {
-        let center = [f(at)?, f(at + 8)?, f(at + 16)?];
-        let cells =
-            u32::from_le_bytes(b.get(at + 24..at + 28).ok_or_else(err)?.try_into().unwrap());
-        let mass = f(at + 28)?;
-        halos.push(Halo { center, cells, mass });
-        at += 36;
-    }
-    if b.len() != at {
+    let (mean, threshold, candidate_cells, n_halos) = (f(24)?, f(32)?, u(40)?, u(48)?);
+    // `n_halos` is the artifact's word (a memo store can be a file): the
+    // length it implies must be the slice's before anything is
+    // allocated for it, and one past `usize` is malformed as well.
+    let len = usize::try_from(n_halos)
+        .ok()
+        .and_then(|n| n.checked_mul(36)?.checked_add(56))
+        .ok_or_else(err)?;
+    if b.len() != len {
         return Err(err());
     }
+    let halos = b[56..]
+        .chunks_exact(36)
+        .map(|h| {
+            let f = |at: usize| f64::from_le_bytes(h[at..at + 8].try_into().unwrap());
+            let cells = u32::from_le_bytes(h[24..28].try_into().unwrap());
+            Halo { center: [f(0), f(8), f(16)], cells, mass: f(28) }
+        })
+        .collect();
     Ok((dims, HaloCatalog { mean, threshold, candidate_cells, halos }))
 }
 
@@ -552,6 +557,27 @@ mod tests {
             assert_eq!(gc.render(), ac.render());
         }
         assert_eq!(a.classify(&whole, &asm), Outcome::Benign);
+    }
+
+    #[test]
+    fn a_plotfile_artifact_with_a_hostile_count_is_malformed_not_an_abort() {
+        let halo = |x: f64| Halo { center: [x, 2.0, 3.0], cells: 7, mass: 11.5 };
+        let catalog = HaloCatalog {
+            mean: 1.0,
+            threshold: 81.0,
+            candidate_cells: 14,
+            halos: vec![halo(1.0), halo(4.0)],
+        };
+        let good = encode_catalog([24, 24, 24], &catalog);
+        let (dims, back) = decode_catalog(&good).unwrap();
+        assert_eq!(encode_catalog(dims, &back), good);
+        // The count sits at byte 48; 2^40 halos would ask for 40 TB
+        // before the length check, `u64::MAX` overflows the capacity.
+        for count in [u64::MAX, 1 << 40, catalog.halos.len() as u64 + 1] {
+            let mut bad = good.clone();
+            bad[48..56].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(decode_catalog(&bad).unwrap_err(), "malformed plotfile artifact");
+        }
     }
 
     #[test]
