@@ -235,42 +235,54 @@ impl FaultModel {
     /// Apply the model to a write buffer, using `rng` for the random
     /// feature choices (bit position, affected block). This is the
     /// instrumentation of Figure 3a: the returned mutation is what
-    /// FFIS forwards to the underlying `pwrite`.
+    /// FFIS forwards to the underlying `pwrite`. The caller's buffer is
+    /// borrowed, so the damage lands on one copy of it — made only once
+    /// the model is known to apply.
     pub fn apply_to_buffer(&self, buf: &[u8], rng: &mut Rng) -> Mutation {
+        if let FaultModel::DroppedWrite = self {
+            return Mutation::Dropped;
+        }
+        match self.plan_damage(buf.len(), rng) {
+            Some(damage) => {
+                let mut out = buf.to_vec();
+                let detail = damage.apply(&mut out, rng);
+                Mutation::Replaced { buf: out, detail }
+            }
+            None => Mutation::NotApplicable,
+        }
+    }
+
+    /// Draw where BIT FLIP or SHORN damages a buffer of `len` bytes,
+    /// touching no byte; `None` when the model cannot apply (an empty
+    /// buffer, a zero-width flip, DROPPED WRITE). Together with
+    /// [`Damage::apply`] this is the one damage core of both sites.
+    fn plan_damage(&self, len: usize, rng: &mut Rng) -> Option<Damage> {
         match *self {
             FaultModel::BitFlip { bits } => {
-                if buf.is_empty() || bits == 0 {
-                    return Mutation::NotApplicable;
+                if len == 0 || bits == 0 {
+                    return None;
                 }
-                let total_bits = buf.len() as u64 * 8;
-                let bits64 = u64::from(bits).min(total_bits);
-                let start = rng.gen_range(total_bits - bits64 + 1);
-                let mut out = buf.to_vec();
-                for b in start..start + bits64 {
-                    out[(b / 8) as usize] ^= 1u8 << (b % 8);
-                }
-                Mutation::Replaced {
-                    buf: out,
-                    detail: format!("bitflip bits={} at bit {}", bits64, start),
-                }
+                let total_bits = len as u64 * 8;
+                let bits = u64::from(bits).min(total_bits);
+                let start = rng.gen_range(total_bits - bits + 1);
+                Some(Damage::Flip { start, bits })
             }
             FaultModel::ShornWrite { keep, fill } => {
-                if buf.is_empty() {
-                    return Mutation::NotApplicable;
+                if len == 0 {
+                    return None;
                 }
                 // Choose the torn block: writes larger than one block
                 // lose the tail of one uniformly random 4 KiB block;
                 // smaller writes are torn as a single (partial) block.
-                let nblocks = buf.len().div_ceil(BLOCK_SIZE);
+                let nblocks = len.div_ceil(BLOCK_SIZE);
                 let blk = rng.gen_range(nblocks as u64) as usize;
                 let blk_start = blk * BLOCK_SIZE;
-                let blk_end = (blk_start + BLOCK_SIZE).min(buf.len());
+                let blk_end = (blk_start + BLOCK_SIZE).min(len);
                 let blk_len = blk_end - blk_start;
                 // Keep the first `sectors_kept` sectors of the block,
                 // scaled down for partial blocks; always sector-aligned.
-                let keep_bytes_full = keep.sectors_kept() * SECTOR_SIZE;
                 let keep_bytes = if blk_len >= BLOCK_SIZE {
-                    keep_bytes_full
+                    keep.sectors_kept() * SECTOR_SIZE
                 } else {
                     // Partial trailing block: keep the same fraction,
                     // rounded down to sector granularity.
@@ -278,63 +290,11 @@ impl FaultModel {
                 };
                 let torn_start = blk_start + keep_bytes.min(blk_len);
                 if torn_start >= blk_end {
-                    return Mutation::NotApplicable;
+                    return None;
                 }
-                let mut out = buf.to_vec();
-                match fill {
-                    ShornFill::Zeros => {
-                        for b in &mut out[torn_start..blk_end] {
-                            *b = 0;
-                        }
-                    }
-                    ShornFill::Random => {
-                        for b in &mut out[torn_start..blk_end] {
-                            *b = rng.gen_range(256) as u8;
-                        }
-                    }
-                    ShornFill::Stale => {
-                        // Replicate the last persisted sector into the
-                        // torn region; if nothing was persisted in this
-                        // block, fall back to the content just before
-                        // the block (or zeros at the file head).
-                        let src_start = if keep_bytes >= SECTOR_SIZE {
-                            torn_start - SECTOR_SIZE
-                        } else if blk_start >= SECTOR_SIZE {
-                            blk_start - SECTOR_SIZE
-                        } else {
-                            // No earlier data exists: stale content of a
-                            // fresh device region is zeros.
-                            for b in &mut out[torn_start..blk_end] {
-                                *b = 0;
-                            }
-                            return Mutation::Replaced {
-                                buf: out,
-                                detail: format!(
-                                    "shorn keep={}/8 torn=[{},{}) fill=zeros(no-stale-source)",
-                                    keep.sectors_kept(),
-                                    torn_start,
-                                    blk_end
-                                ),
-                            };
-                        };
-                        let src: Vec<u8> = buf[src_start..src_start + SECTOR_SIZE].to_vec();
-                        for (i, b) in out[torn_start..blk_end].iter_mut().enumerate() {
-                            *b = src[i % SECTOR_SIZE];
-                        }
-                    }
-                }
-                Mutation::Replaced {
-                    buf: out,
-                    detail: format!(
-                        "shorn keep={}/8 torn=[{},{}) fill={:?}",
-                        keep.sectors_kept(),
-                        torn_start,
-                        blk_end,
-                        fill
-                    ),
-                }
+                Some(Damage::Tear { keep, fill, torn: torn_start..blk_end })
             }
-            FaultModel::DroppedWrite => Mutation::Dropped,
+            FaultModel::DroppedWrite => None,
         }
     }
 
@@ -359,6 +319,70 @@ impl FaultModel {
                 Some((value ^ mask, format!("bitflip bits={} at bit {}", bits, start)))
             }
             _ => None,
+        }
+    }
+}
+
+/// Where one BIT FLIP or SHORN application lands, drawn by
+/// [`FaultModel::plan_damage`] before any byte is touched.
+enum Damage {
+    /// Flip `bits` consecutive bits starting at bit `start`.
+    Flip { start: u64, bits: u64 },
+    /// Replace the `torn` range of a block that kept `keep` per `fill`.
+    Tear { keep: ShornKeep, fill: ShornFill, torn: std::ops::Range<usize> },
+}
+
+impl Damage {
+    /// Damage `buf` in place and describe it. A random fill draws its
+    /// bytes from `rng` here, after the plan's draws.
+    fn apply(self, buf: &mut [u8], rng: &mut Rng) -> String {
+        match self {
+            Damage::Flip { start, bits } => {
+                for b in start..start + bits {
+                    buf[(b / 8) as usize] ^= 1u8 << (b % 8);
+                }
+                format!("bitflip bits={} at bit {}", bits, start)
+            }
+            Damage::Tear { keep, fill, torn } => {
+                let (torn_start, end) = (torn.start, torn.end);
+                // A stale fill repeats the sector just before the tear:
+                // the last persisted sector of the block or, if nothing
+                // of it persisted, the one before the block (the kept
+                // prefix is whole sectors). It ends at or before the
+                // tear, so it holds original bytes throughout.
+                let fill_name = match (fill, torn_start.checked_sub(SECTOR_SIZE)) {
+                    (ShornFill::Zeros, _) => {
+                        buf[torn].fill(0);
+                        "Zeros"
+                    }
+                    (ShornFill::Random, _) => {
+                        for b in &mut buf[torn] {
+                            *b = rng.gen_range(256) as u8;
+                        }
+                        "Random"
+                    }
+                    (ShornFill::Stale, Some(src)) => {
+                        for at in torn.step_by(SECTOR_SIZE) {
+                            let len = SECTOR_SIZE.min(end - at);
+                            buf.copy_within(src..src + len, at);
+                        }
+                        "Stale"
+                    }
+                    (ShornFill::Stale, None) => {
+                        // No earlier data: stale content of a fresh
+                        // device region is zeros.
+                        buf[torn].fill(0);
+                        "zeros(no-stale-source)"
+                    }
+                };
+                format!(
+                    "shorn keep={}/8 torn=[{},{}) fill={}",
+                    keep.sectors_kept(),
+                    torn_start,
+                    end,
+                    fill_name
+                )
+            }
         }
     }
 }
@@ -410,14 +434,11 @@ impl FaultModel {
             return ReadMutation::Dropped { detail: "dropped read (stale buffer)".into() };
         }
         // BIT FLIP and SHORN READ share the exact buffer-damage
-        // geometry of their write-site counterparts.
-        match self.apply_to_buffer(&buf[..n], rng) {
-            Mutation::Replaced { buf: out, detail } => {
-                buf[..n].copy_from_slice(&out);
-                ReadMutation::Corrupted { detail }
-            }
-            Mutation::NotApplicable => ReadMutation::NotApplicable,
-            Mutation::Dropped => unreachable!("dropped handled above"),
+        // geometry of their write-site counterparts, applied to the
+        // transfer where it lies.
+        match self.plan_damage(n, rng) {
+            Some(damage) => ReadMutation::Corrupted { detail: damage.apply(&mut buf[..n], rng) },
+            None => ReadMutation::NotApplicable,
         }
     }
 }

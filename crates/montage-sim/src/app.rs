@@ -1121,6 +1121,19 @@ mod tests {
         assert!(out.image.min > 82.0 && out.image.min < 83.5, "min = {}", out.image.min);
     }
 
+    /// The pair count DESIGN.md's cascade tables are built on: every
+    /// default tile, in the single-tile app and in the 2- and 24-tile
+    /// mosaics, differences and fits 23 overlap pairs.
+    #[test]
+    fn every_default_tile_has_23_overlap_pairs() {
+        for app in
+            [MontageApp::paper_default(), MontageApp::multi_tile(2), MontageApp::multi_tile(24)]
+        {
+            let counts: Vec<usize> = app.golden.iter().map(|g| g.pairs.len()).collect();
+            assert_eq!(counts, vec![23; app.golden.len()]);
+        }
+    }
+
     #[test]
     fn runs_are_bitwise_reproducible() {
         let app = MontageApp::paper_default();

@@ -797,6 +797,73 @@ proptest! {
     }
 }
 
+proptest! {
+    // Ten models share the cases; each case is a few microseconds.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Read-site damage done in place is the write-site damage of a
+    /// copy: for BIT FLIP of several widths and every SHORN keep × fill,
+    /// `apply_to_read` over `buf[..n]` leaves the bytes
+    /// `apply_to_buffer(&data[..n])` returns, with the same detail, the
+    /// same not-applicable cases, the same RNG draws, and nothing past
+    /// `n` touched. Both sites share one damage core, so the stale fill
+    /// is also checked against an oracle: the torn range repeats the
+    /// sector just before it, or is zeros at the head of the transfer.
+    /// A `short` case ends the transfer under 600 bytes into a block,
+    /// where nothing of a torn trailing block persists.
+    #[test]
+    fn read_damage_is_write_damage_of_a_copy(
+        data in proptest::collection::vec(any::<u8>(), 0..3 * ffis_vfs::BLOCK_SIZE + 17),
+        model_idx in 0usize..10,
+        n_pick in any::<usize>(),
+        short in any::<bool>(),
+        tail in 0usize..600,
+        seed in any::<u64>(),
+    ) {
+        use ffis_core::ReadMutation;
+        let model = match model_idx {
+            0..=3 => FaultModel::BitFlip { bits: [1, 2, 8, 64][model_idx] },
+            i => FaultModel::ShornWrite {
+                keep: [ShornKeep::ThreeEighths, ShornKeep::SevenEighths][(i - 4) % 2],
+                fill: [ShornFill::Stale, ShornFill::Zeros, ShornFill::Random][(i - 4) / 2],
+            },
+        };
+        let n = if short {
+            (n_pick % 3 * ffis_vfs::BLOCK_SIZE + tail).min(data.len())
+        } else {
+            n_pick % (data.len() + 1)
+        };
+        let (mut rng1, mut rng2) = (Rng::seed_from(seed), Rng::seed_from(seed));
+        let mut a = data.clone();
+        let read = model.apply_to_read(&mut a, n, &mut rng1);
+        let write = model.apply_to_buffer(&data[..n], &mut rng2);
+        match (read, write) {
+            (ReadMutation::Corrupted { detail: d }, Mutation::Replaced { buf: out, detail }) => {
+                prop_assert_eq!(&d, &detail);
+                prop_assert_eq!(&a[..n], &out[..], "{:?} n={} {}", model, n, d);
+                if let FaultModel::ShornWrite { fill: ShornFill::Stale, .. } = model {
+                    let torn = d.split("torn=[").nth(1).and_then(|t| t.split(')').next());
+                    let (lo, hi) = torn.and_then(|t| t.split_once(',')).unwrap();
+                    let (lo, hi): (usize, usize) = (lo.parse().unwrap(), hi.parse().unwrap());
+                    for i in lo..hi {
+                        let want = match lo.checked_sub(SECTOR_SIZE) {
+                            Some(src) => data[src + (i - lo) % SECTOR_SIZE],
+                            None => 0,
+                        };
+                        prop_assert_eq!(a[i], want, "stale byte {} of {}", i, d);
+                    }
+                }
+            }
+            (ReadMutation::NotApplicable, Mutation::NotApplicable) => {
+                prop_assert_eq!(&a[..n], &data[..n]);
+            }
+            (r, w) => prop_assert!(false, "{:?} n={}: read {:?}, write {:?}", model, n, r, w),
+        }
+        prop_assert_eq!(&a[n..], &data[n..], "tail beyond the transfer untouched");
+        prop_assert_eq!(rng1.next_u64(), rng2.next_u64(), "RNG streams diverged");
+    }
+}
+
 /// Small paper-workload presets for the engine-level properties (the
 /// same scales the differential pins use).
 mod engine_apps {

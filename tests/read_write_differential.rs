@@ -1,14 +1,15 @@
-//! Differential pinning of the write-path campaigns across the
-//! read-site refactor, plus the read-site campaigns' analyze-only fast
-//! path against full reruns.
+//! Differential pinning of the write-path and read-path campaigns,
+//! plus the read-site campaigns' analyze-only fast path against full
+//! reruns.
 //!
-//! The read-site fault work reshapes `FaultModel` naming, the
-//! interceptor read surface, and the campaign driver. These tests pin
-//! the *seeded* write-path behavior — outcome tallies, per-run
-//! injection records, and crash messages — for the existing BF/SW/DW
-//! campaigns on all three paper workloads, so any behavioral drift on
-//! the write path shows up as a failed pin, not a silent shift in the
-//! fig7 numbers.
+//! These tests pin the *seeded* behavior — outcome tallies, per-run
+//! injection records, and crash messages — of the BF/SW/DW campaigns
+//! and their read-site mirrors BF/SR/DR on all three paper workloads,
+//! so any drift in the damage a fault model does, or in where it lands,
+//! shows up as a failed pin, not a silent shift in the fig7 numbers.
+//! The read pins are independent of the analyze-only differential
+//! below: that one compares two paths sharing `apply_to_read`, so a
+//! change to the damage itself cannot show there.
 //!
 //! The pins are execution-strategy independent: the digests exclude
 //! [`ExecutionMode`], so the same constants must hold when CI forces
@@ -80,18 +81,23 @@ fn digest(result: &CampaignResult) -> u64 {
 /// no_fire, digest)`.
 type Pin = (&'static str, u64, u64, u64, u64, u64, u64);
 
-fn run_write_cell<A: FaultApp>(app: &A, model: FaultModel, runs: usize) -> CampaignResult {
-    let cfg = CampaignConfig::new(FaultSignature::on_write(model)).with_runs(runs).with_seed(4242);
-    Campaign::new(app, cfg).run().unwrap()
-}
-
-fn assert_pins<A: FaultApp>(app: &A, runs: usize, pins: &[Pin; 3]) {
+/// Check the three models of one site (`on` is `FaultSignature::on_write`
+/// or `FaultSignature::on_read`) against their pinned rows.
+fn assert_pins<A: FaultApp>(
+    app: &A,
+    on: fn(FaultModel) -> FaultSignature,
+    runs: usize,
+    pins: &[Pin; 3],
+) {
     let models = [FaultModel::bit_flip(), FaultModel::shorn_write(), FaultModel::dropped_write()];
     let mut got = Vec::new();
-    for (model, pin) in models.into_iter().zip(pins) {
-        let r = run_write_cell(app, model, runs);
+    for model in models {
+        let sig = on(model);
+        let label = sig.label();
+        let cfg = CampaignConfig::new(sig).with_runs(runs).with_seed(4242);
+        let r = Campaign::new(app, cfg).run().unwrap();
         got.push((
-            pin.0,
+            label,
             r.tally.benign,
             r.tally.detected,
             r.tally.sdc,
@@ -109,8 +115,9 @@ fn assert_pins<A: FaultApp>(app: &A, runs: usize, pins: &[Pin; 3]) {
     assert_eq!(
         &got[..],
         &pins[..],
-        "{} drifted from the pinned seeded write-path behavior.\nactual rows:\n{}",
+        "{} drifted from the pinned seeded {}-path behavior.\nactual rows:\n{}",
         app.name(),
+        on(FaultModel::bit_flip()).site(),
         rows.join("\n")
     );
 }
@@ -119,6 +126,7 @@ fn assert_pins<A: FaultApp>(app: &A, runs: usize, pins: &[Pin; 3]) {
 fn nyx_write_campaigns_pinned() {
     assert_pins(
         &nyx(),
+        FaultSignature::on_write,
         24,
         &[
             ("BF", 20, 0, 0, 4, 0, 0xA22F0AFA9A868E2F),
@@ -132,6 +140,7 @@ fn nyx_write_campaigns_pinned() {
 fn qmc_write_campaigns_pinned() {
     assert_pins(
         &qmc(),
+        FaultSignature::on_write,
         20,
         &[
             ("BF", 7, 13, 0, 0, 0, 0x42E87A86744BA08C),
@@ -284,11 +293,54 @@ const SCAN_PIN: (u64, u64, u64, u64, u64, u64) = (271, 0, 0, 41, 5, 0xD8BC_0A5D_
 fn montage_write_campaigns_pinned() {
     assert_pins(
         &MontageApp::paper_default(),
+        FaultSignature::on_write,
         12,
         &[
             ("BF", 10, 0, 2, 0, 0, 0xEE802CFD59525396),
             ("SW", 4, 3, 5, 0, 0, 0xEA549AE391419E34),
             ("DW", 0, 2, 2, 8, 0, 0x813934E121DDE67C),
+        ],
+    );
+}
+
+#[test]
+fn nyx_read_campaigns_pinned() {
+    assert_pins(
+        &nyx(),
+        FaultSignature::on_read,
+        24,
+        &[
+            ("BF", 23, 0, 0, 1, 0, 0x7DA2622A02A94480),
+            ("SR", 24, 0, 0, 0, 0, 0x1BFB7EBA3BE63139),
+            ("DR", 0, 0, 0, 24, 0, 0x2260C19EA6CF2EC5),
+        ],
+    );
+}
+
+#[test]
+fn qmc_read_campaigns_pinned() {
+    assert_pins(
+        &qmc(),
+        FaultSignature::on_read,
+        20,
+        &[
+            ("BF", 6, 14, 0, 0, 0, 0xC63115DFE9324C9B),
+            ("SR", 6, 14, 0, 0, 0, 0x1A8F6D959A64C7F2),
+            ("DR", 0, 0, 0, 20, 0, 0xE3784703C9D41109),
+        ],
+    );
+}
+
+#[test]
+fn montage_read_campaigns_pinned() {
+    assert_pins(
+        &MontageApp::paper_default(),
+        FaultSignature::on_read,
+        12,
+        &[
+            ("BF", 12, 0, 0, 0, 0, 0xF1FF696688AD66E5),
+            ("SR", 12, 0, 0, 0, 0, 0x16A5D8065F680496),
+            ("DR", 12, 0, 0, 0, 0, 0xD5919CCC10DA4497),
         ],
     );
 }
