@@ -253,12 +253,12 @@ impl FloatSpec {
                 raw.len()
             )));
         }
-        // Neither zero nor normal: a subnormal, an infinity or a NaN.
         if *self == Self::ieee_f32() {
-            let special = |b| !f32::from_le_bytes(b).is_normal() & (f32::from_le_bytes(b) != 0.0);
-            return self.decode_ieee(&raw[..count * 4], |b| f32::from_le_bytes(b) as f64, special);
+            let convert = |b| f64::from(f32::from_le_bytes(b));
+            return self.decode_ieee(&raw[..count * 4], convert, is_special_f32);
         }
         if *self == Self::ieee_f64() {
+            // Neither zero nor normal: a subnormal, an infinity or a NaN.
             let special = |b| !f64::from_le_bytes(b).is_normal() & (f64::from_le_bytes(b) != 0.0);
             return self.decode_ieee(&raw[..count * 8], f64::from_le_bytes, special);
         }
@@ -301,14 +301,29 @@ impl FloatSpec {
     }
 }
 
-/// 2^e as f64 with saturation (avoids powi overflow UB concerns).
+/// Is this IEEE single-precision cell one the hardware conversion and
+/// [`FloatSpec::decode`] read differently — a subnormal, an infinity or
+/// a NaN (an all-zero or all-ones exponent that is not ±0)? A pure bit
+/// test with no branch, so a scan over a whole dataset vectorizes.
+pub(crate) fn is_special_f32(cell: [u8; 4]) -> bool {
+    let bits = u32::from_le_bytes(cell);
+    let exponent = bits & 0x7F80_0000;
+    (exponent == 0x7F80_0000) | ((exponent == 0) & (bits << 1 != 0))
+}
+
+/// 2^e as f64, saturating to ∞ above 2^1023 and to 0 below 2^-1074,
+/// built from its bits: a normal power sets the biased exponent, a
+/// subnormal one a single mantissa bit. (`f64::powi` is not this: at
+/// run time it returns 0 for every e ≤ −1024.)
 fn pow2(e: i64) -> f64 {
     if e > 1023 {
         f64::INFINITY
-    } else if e < -1074 {
-        0.0
+    } else if e >= -1022 {
+        f64::from_bits(((e + 1023) as u64) << 52)
+    } else if e >= -1074 {
+        f64::from_bits(1 << (e + 1074))
     } else {
-        f64::powi(2.0, e as i32)
+        0.0
     }
 }
 
@@ -549,7 +564,7 @@ mod tests {
             &[1u32, 0x807F_FFFF, 0x7F80_0000, 0xFF80_0000, 0x7FC0_0001, 0xFFBF_FFFF]
                 .map(u32::to_le_bytes),
             |b| f32::from_le_bytes(b) as f64,
-            |b| !f32::from_le_bytes(b).is_normal() & (f32::from_le_bytes(b) != 0.0),
+            is_special_f32,
         );
         assert_one_special_costs_one_fixup(
             &FloatSpec::ieee_f64(),
@@ -575,6 +590,46 @@ mod tests {
         let mut norm = FloatSpec::ieee_f64();
         norm.normalization = Normalization::None;
         assert_bulk_equals_per_element(&norm, &raw64);
+    }
+
+    /// The bit test is `!is_normal() && != 0.0` over a sweep of every
+    /// 251st f32 pattern (every exponent) and both signs of each.
+    #[test]
+    fn the_special_bit_test_is_neither_zero_nor_normal() {
+        for bits in (0..=u32::MAX).step_by(251).chain([0, 1, 0x007F_FFFF, 0x0080_0000, u32::MAX]) {
+            for bits in [bits, bits ^ 0x8000_0000] {
+                let v = f32::from_bits(bits);
+                assert_eq!(
+                    is_special_f32(bits.to_le_bytes()),
+                    !v.is_normal() && v != 0.0,
+                    "{bits:#010x}"
+                );
+            }
+        }
+    }
+
+    /// `pow2` is 2^e from −1100 to 1100, against repeated doubling and
+    /// halving from 1 — exact down to 2^-1074 and up to 2^1023, then 0
+    /// and ∞. A run-time `powi` returned 0 from 2^-1024 down.
+    #[test]
+    fn pow2_is_exact_through_the_subnormals() {
+        let mut up = 1.0f64;
+        let mut down = 1.0f64;
+        for e in 0..=1100i64 {
+            assert_eq!(pow2(e).to_bits(), up.to_bits(), "2^{e}");
+            assert_eq!(pow2(-e).to_bits(), down.to_bits(), "2^-{e}");
+            up *= 2.0;
+            down /= 2.0;
+        }
+        assert_eq!(pow2(1024), f64::INFINITY);
+        assert_eq!(pow2(-1074), f64::from_bits(1));
+        assert_eq!(pow2(-1075), 0.0);
+        // Bias 1151 (127 with bit 10 flipped) puts 1.5f32 at 1.5 · 2^-1024.
+        let mut spec = FloatSpec::ieee_f32();
+        spec.exponent_bias = 1151;
+        let got = spec.decode(&1.5f32.to_le_bytes()).unwrap();
+        assert_eq!(got.to_bits(), (1.5 * pow2(-1024)).to_bits());
+        assert!(got > 8.3e-309 && got < 8.4e-309, "{got:e}");
     }
 
     #[test]

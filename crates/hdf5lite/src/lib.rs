@@ -60,7 +60,7 @@ pub use emitter::Span;
 pub use encode::encode_metadata;
 pub use floatspec::{FloatSpec, Normalization};
 pub use layout::{plan, Dataset, FileBuilder, Node, Plan};
-pub use reader::{open, read_dataset, DatasetInfo, FieldOffsets, H5File};
+pub use reader::{open, read_dataset, Cells, DatasetInfo, FieldOffsets, H5File};
 pub use repair::{diagnose, repair_file, Correction, Diagnosis, RepairReport};
 pub use types::{Hdf5Error, Hdf5Result, EOF_ADDR_OFFSET, SIGNATURE, SUPERBLOCK_SIZE};
 pub use writer::{write_file, DataRegion, WriteOptions, WriteReport};

@@ -21,7 +21,7 @@ use std::borrow::Cow;
 use ffis_vfs::{FileSystem, LockKind, OpenFlags};
 
 use crate::bytes::Reader;
-use crate::floatspec::{FloatSpec, Normalization};
+use crate::floatspec::{is_special_f32, FloatSpec, Normalization};
 use crate::types::{
     align8, Hdf5Error, Hdf5Result, MessageType, HEAP_SIGNATURE, SIGNATURE, SNOD_SIGNATURE,
     SUPERBLOCK_SIZE, TREE_SIGNATURE,
@@ -76,6 +76,28 @@ pub struct DatasetInfo {
     pub stored_size: u64,
     /// Field offsets for in-place repair.
     pub offsets: FieldOffsets,
+}
+
+/// A dataset's cells as [`H5File::read_cells`] hands them out.
+#[derive(Debug, Clone)]
+pub enum Cells<'a> {
+    /// The stored little-endian IEEE-f32 cells, borrowed from the
+    /// image; each one's value is `f64::from(f32::from_le_bytes(cell))`.
+    Native(&'a [[u8; 4]]),
+    /// Values decoded through the stored [`FloatSpec`].
+    Decoded(Vec<f64>),
+}
+
+/// A dataset located in the image: what [`DatasetInfo`] reports but
+/// the values, its element count and the raw window they decode from.
+struct Located<'a> {
+    dims: Vec<u64>,
+    spec: FloatSpec,
+    offsets: FieldOffsets,
+    ard: u64,
+    stored_size: u64,
+    count: usize,
+    raw: Cow<'a, [u8]>,
 }
 
 /// Object-header messages we understand.
@@ -515,8 +537,12 @@ impl H5File {
         Ok(cur)
     }
 
-    /// Read and decode a dataset by path.
-    pub fn read_dataset(&self, path: &str) -> Hdf5Result<DatasetInfo> {
+    /// Locate a dataset by path: walk its object header, check the
+    /// layout against the dataspace and datatype, and take its raw
+    /// window out of the image. Only a window that runs past the end of
+    /// file is copied, to zero-fill its tail — a shifted ARD slides the
+    /// window over the image (Figure 5c) rather than failing outright.
+    fn locate(&self, path: &str) -> Hdf5Result<Located<'_>> {
         let ohdr = self.resolve(path)?;
         let msgs = self.parse_object_header(ohdr)?;
         let mut dims = None;
@@ -564,10 +590,6 @@ impl H5File {
         if ard >= self.bytes.len() as u64 {
             return Err(Hdf5Error::new("raw data address beyond EOF"));
         }
-        // Decode the raw window out of the image; only a window that
-        // runs past the end of file is copied, to zero-fill its tail —
-        // a shifted ARD slides the decode window over the image
-        // (Figure 5c) rather than failing outright.
         let start = ard as usize;
         let raw = match self.bytes.get(start..start.saturating_add(needed as usize)) {
             Some(window) => Cow::Borrowed(window),
@@ -577,7 +599,13 @@ impl H5File {
                 Cow::Owned(padded)
             }
         };
-        let values = spec.decode_all(&raw, count as usize)?;
+        Ok(Located { dims, spec, offsets, ard, stored_size, count: count as usize, raw })
+    }
+
+    /// Read and decode a dataset by path.
+    pub fn read_dataset(&self, path: &str) -> Hdf5Result<DatasetInfo> {
+        let Located { dims, spec, offsets, ard, stored_size, count, raw } = self.locate(path)?;
+        let values = spec.decode_all(&raw, count)?;
         Ok(DatasetInfo {
             path: path.to_string(),
             dims,
@@ -587,6 +615,27 @@ impl H5File {
             stored_size,
             offsets,
         })
+    }
+
+    /// A dataset's dims and its cells, read where they lie when that is
+    /// exact: the stored IEEE-f32 cells of the image itself if the
+    /// stored spec is [`FloatSpec::ieee_f32`], the window lies inside
+    /// the file and no cell is special (subnormal, ±∞, NaN) — for then
+    /// each cell's value is `f32 as f64`, which is what
+    /// [`H5File::read_dataset`] would decode. Otherwise its decoded
+    /// values, with its errors.
+    pub fn read_cells(&self, path: &str) -> Hdf5Result<(Vec<u64>, Cells<'_>)> {
+        let Located { dims, spec, count, raw, .. } = self.locate(path)?;
+        if let Cow::Borrowed(window) = raw {
+            if spec == FloatSpec::ieee_f32() {
+                let (cells, _) = window.as_chunks::<4>();
+                // `fold`, not `any`: no early exit, so the scan vectorizes.
+                if !cells.iter().fold(false, |seen, &cell| seen | is_special_f32(cell)) {
+                    return Ok((dims, Cells::Native(cells)));
+                }
+            }
+        }
+        Ok((dims, Cells::Decoded(spec.decode_all(&raw, count)?)))
     }
 
     /// Every object path in the file (depth-first, groups ending in `/`).
@@ -948,6 +997,126 @@ mod tests {
         let fb = read_dataset(&fs, "/m.h5", "/g/b").unwrap();
         assert_eq!(fb.values, vec![3.0, 4.0, 5.0]);
         assert_eq!(fb.spec, FloatSpec::ieee_f64());
+    }
+
+    /// `read_cells` and `read_dataset` agree on `f`: the same dims and,
+    /// bit for bit, the same values, or the same error. Returns whether
+    /// the cells came out native (`None` on an error).
+    fn assert_cells_are_the_decoded_values(f: &H5File) -> Option<bool> {
+        const DS: &str = "/native_fields/baryon_density";
+        let (info, (dims, cells)) = match (f.read_dataset(DS), f.read_cells(DS)) {
+            (Ok(info), Ok(read)) => (info, read),
+            (Err(want), got) => {
+                assert_eq!(got.unwrap_err().to_string(), want.to_string());
+                return None;
+            }
+            (Ok(_), Err(e)) => panic!("read_cells failed where read_dataset did not: {e}"),
+        };
+        assert_eq!(dims, info.dims);
+        let (native, values) = match cells {
+            Cells::Native(cells) => {
+                (true, cells.iter().map(|&c| f64::from(f32::from_le_bytes(c))).collect())
+            }
+            Cells::Decoded(values) => (false, values),
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&values), bits(&info.values), "native {native}");
+        Some(native)
+    }
+
+    /// An image with the f32 cell `at` of the dataset set to `bits`.
+    fn with_cell(at: usize, bits: u32) -> H5File {
+        let fs = MemFs::new();
+        let report = write_nyx(&fs, 8);
+        let mut image = ffis_vfs::FileSystemExt::read_to_vec(&fs, "/plt.h5").unwrap();
+        let cell = report.metadata_size as usize + 4 * at;
+        image[cell..cell + 4].copy_from_slice(&bits.to_le_bytes());
+        H5File::from_bytes(image).unwrap()
+    }
+
+    /// A healthy file and a file with a ±0 cell hand out their stored
+    /// cells; a subnormal, ±∞ or NaN cell anywhere — first, middle or
+    /// last — gets the decoded values instead.
+    #[test]
+    fn native_cells_are_the_decoded_values_and_special_cells_decode() {
+        let fs = MemFs::new();
+        write_nyx(&fs, 8);
+        assert_eq!(assert_cells_are_the_decoded_values(&open(&fs, "/plt.h5").unwrap()), Some(true));
+        let zeros = [0x0000_0000u32, 0x8000_0000];
+        let specials = [
+            0x0000_0001u32, // smallest subnormal
+            0x007F_FFFF,    // largest subnormal
+            0x807F_FFFF,    // its negative
+            0x7F80_0000,    // +∞
+            0xFF80_0000,    // −∞
+            0x7FC0_0000,    // quiet NaN
+            0x7F80_1234,    // signalling NaN with a payload
+        ];
+        for at in [0, 256, 511] {
+            for bits in zeros {
+                assert_eq!(assert_cells_are_the_decoded_values(&with_cell(at, bits)), Some(true));
+            }
+            for bits in specials {
+                let native = assert_cells_are_the_decoded_values(&with_cell(at, bits));
+                assert_eq!(native, Some(false), "cell {at} = {bits:#010x}");
+            }
+        }
+    }
+
+    /// Every single-bit flip of the datatype message, from its class
+    /// byte to the last byte of the exponent bias: the cells are native
+    /// exactly when the stored spec is still IEEE f32, and otherwise the
+    /// decoded values or the same error.
+    #[test]
+    fn a_perturbed_datatype_reads_decoded_cells_or_the_same_error() {
+        let fs = MemFs::new();
+        write_nyx(&fs, 8);
+        let image = ffis_vfs::FileSystemExt::read_to_vec(&fs, "/plt.h5").unwrap();
+        let f = H5File::from_bytes(image.clone()).unwrap();
+        let offsets = f.read_dataset("/native_fields/baryon_density").unwrap().offsets;
+        let (mut native, mut decoded, mut errors) = (0, 0, 0);
+        for byte in offsets.bitfield0 - 1..offsets.exponent_bias + 4 {
+            for bit in 0..8 {
+                let mut flipped = image.clone();
+                flipped[byte as usize] ^= 1 << bit;
+                let f = H5File::from_bytes(flipped).unwrap();
+                let read = assert_cells_are_the_decoded_values(&f);
+                let ieee = f
+                    .read_dataset("/native_fields/baryon_density")
+                    .ok()
+                    .map(|info| info.spec == FloatSpec::ieee_f32());
+                assert_eq!(read, ieee, "bit {bit} of byte {byte}");
+                match read {
+                    Some(true) => native += 1,
+                    Some(false) => decoded += 1,
+                    None => errors += 1,
+                }
+            }
+        }
+        assert!(native > 0 && decoded > 0 && errors > 0, "{native} / {decoded} / {errors}");
+    }
+
+    /// An ARD moved forward so the window runs past EOF is decoded from
+    /// the zero-padded copy; moved back into the metadata it stays in
+    /// the image and agrees either way.
+    #[test]
+    fn a_window_past_eof_reads_decoded_padded_cells() {
+        for (xor, past_eof) in [(0b0001_0000, true), (0b1000_0000, false)] {
+            let fs = MemFs::new();
+            let report = write_nyx(&fs, 8);
+            let span = report.spans.iter().find(|s| s.name.contains("AddressOfRawData")).unwrap();
+            corrupt_at(&fs, "/plt.h5", span.start, xor);
+            let f = open(&fs, "/plt.h5").unwrap();
+            let native = assert_cells_are_the_decoded_values(&f);
+            if past_eof {
+                assert_eq!(native, Some(false));
+                let (_, cells) = f.read_cells("/native_fields/baryon_density").unwrap();
+                let Cells::Decoded(values) = cells else { unreachable!() };
+                assert!(values[values.len() - 4..].iter().all(|v| v.to_bits() == 0));
+            } else {
+                assert!(native.is_some());
+            }
+        }
     }
 
     #[test]

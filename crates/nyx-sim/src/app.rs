@@ -14,7 +14,7 @@
 use ffis_core::par::*;
 use ffis_core::{FaultApp, Outcome, SubstepSpec};
 use ffis_vfs::FileSystem;
-use hdf5lite::{Dataset, FileBuilder, WriteOptions};
+use hdf5lite::{Cells, Dataset, FileBuilder, WriteOptions};
 
 use crate::field::{generate, FieldConfig};
 use crate::halo::{find_halos, Halo, HaloCatalog, HaloFinderConfig};
@@ -217,16 +217,34 @@ impl NyxApp {
     /// sub-step (so the memo layer's stream-identity law holds by
     /// construction). Returns the catalog, dims, and (for plotfile 0
     /// with `keep_field`) the decoded values.
+    ///
+    /// Only that kept field is decoded into values of its own; every
+    /// other read runs the finder on the cells `hdf5lite` hands out —
+    /// the stored f32 cells where that is exact, the decoded values
+    /// where a fault made a cell or the datatype special.
     fn read_back_file(&self, fs: &dyn FileSystem, k: usize) -> Result<FileReadBack, String> {
-        let info =
-            hdf5lite::read_dataset(fs, &plotfile_path(k), DATASET).map_err(|e| e.to_string())?;
-        if info.dims.len() != 3 {
-            return Err(format!("unexpected rank {}", info.dims.len()));
+        let file = hdf5lite::open(fs, &plotfile_path(k)).map_err(|e| e.to_string())?;
+        let finder = &self.config.finder;
+        if k == 0 && self.config.keep_field {
+            let info = file.read_dataset(DATASET).map_err(|e| e.to_string())?;
+            let dims = grid_dims(&info.dims)?;
+            return Ok((find_halos(&info.values, dims, finder), dims, Some(info.values)));
         }
-        let dims = [info.dims[0] as usize, info.dims[1] as usize, info.dims[2] as usize];
-        let catalog = find_halos(&info.values, dims, &self.config.finder);
-        let field = (k == 0 && self.config.keep_field).then_some(info.values);
-        Ok((catalog, dims, field))
+        let (dims, cells) = file.read_cells(DATASET).map_err(|e| e.to_string())?;
+        let dims = grid_dims(&dims)?;
+        let catalog = match cells {
+            Cells::Native(cells) => find_halos(cells, dims, finder),
+            Cells::Decoded(values) => find_halos(&values, dims, finder),
+        };
+        Ok((catalog, dims, None))
+    }
+}
+
+/// A rank-3 dataset's dims as a grid shape.
+fn grid_dims(dims: &[u64]) -> Result<[usize; 3], String> {
+    match *dims {
+        [x, y, z] => Ok([x as usize, y as usize, z as usize]),
+        _ => Err(format!("unexpected rank {}", dims.len())),
     }
 }
 

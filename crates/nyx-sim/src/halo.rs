@@ -76,6 +76,29 @@ impl HaloCatalog {
     }
 }
 
+/// A grid cell the finder reads: anything that yields its density as
+/// an `f64`. The finder reads every cell through [`Cell::value`], so a
+/// grid of cells and a grid of their values give the same catalog bit
+/// for bit.
+pub trait Cell: Copy {
+    /// The cell's density.
+    fn value(self) -> f64;
+}
+
+impl Cell for f64 {
+    fn value(self) -> f64 {
+        self
+    }
+}
+
+/// A stored little-endian IEEE-f32 cell, as `hdf5lite` hands the
+/// plotfile's cells out of the image it read.
+impl Cell for [u8; 4] {
+    fn value(self) -> f64 {
+        f64::from(f32::from_le_bytes(self))
+    }
+}
+
 /// Does a cell exceed the threshold? (NaN and ±∞ never do.)
 fn is_candidate(v: f64, threshold: f64) -> bool {
     v >= threshold && v.is_finite()
@@ -96,13 +119,14 @@ const BLOCK: usize = 64;
 /// block of NaNs). The sum is a dependent chain of additions whose
 /// rounding is output and may not be reordered; the maxima are an
 /// independent chain per block and cost nothing beside it.
-fn sum_and_block_maxima(values: &[f64]) -> (f64, Vec<f64>) {
+fn sum_and_block_maxima<C: Cell>(values: &[C]) -> (f64, Vec<f64>) {
     let mut sum = -0.0;
     let maxima = values
         .chunks(BLOCK)
         .map(|cells| {
             let mut max = f64::NEG_INFINITY;
-            for &v in cells {
+            for &cell in cells {
+                let v = cell.value();
                 sum += v;
                 // False for a NaN `v`: the maximum ignores it.
                 if v > max {
@@ -122,14 +146,14 @@ fn sum_and_block_maxima(values: &[f64]) -> (f64, Vec<f64>) {
 /// non-NaN cell exceeds the maximum, a NaN cell or threshold compares
 /// false either way), and then no cell is a candidate. A `+∞` cell
 /// opens its block without being one.
-fn candidate_bits(values: &[f64], block_maxima: &[f64], threshold: f64) -> Vec<u64> {
+fn candidate_bits<C: Cell>(values: &[C], block_maxima: &[f64], threshold: f64) -> Vec<u64> {
     values
         .chunks(BLOCK)
         .zip(block_maxima)
         .map(|(cells, &max)| {
             if max >= threshold {
-                cells.iter().enumerate().fold(0u64, |word, (bit, &v)| {
-                    word | (u64::from(is_candidate(v, threshold)) << bit)
+                cells.iter().enumerate().fold(0u64, |word, (bit, &cell)| {
+                    word | (u64::from(is_candidate(cell.value(), threshold)) << bit)
                 })
             } else {
                 0
@@ -151,7 +175,10 @@ fn candidate_bits(values: &[f64], block_maxima: &[f64], threshold: f64) -> Vec<u
 /// component has claimed, seeds are each word's lowest set bit in turn
 /// — ascending linear index, the (z, y, x) scan order — and the fill
 /// clears what it pushes.
-pub fn find_halos(values: &[f64], dims: [usize; 3], cfg: &HaloFinderConfig) -> HaloCatalog {
+///
+/// The grid is any [`Cell`]: the decoded `f64` values, or the stored
+/// f32 cells of a plotfile read where they lie.
+pub fn find_halos<C: Cell>(values: &[C], dims: [usize; 3], cfg: &HaloFinderConfig) -> HaloCatalog {
     let len = dims[0] * dims[1] * dims[2];
     assert_eq!(values.len(), len, "grid/dims mismatch");
     let (sum, block_maxima) = sum_and_block_maxima(values);
@@ -177,7 +204,7 @@ pub fn find_halos(values: &[f64], dims: [usize; 3], cfg: &HaloFinderConfig) -> H
             let mut mass = 0.0f64;
             let mut com = [0.0f64; 3];
             while let Some((cx, cy, cz)) = stack.pop() {
-                let v = values[idx(cx, cy, cz)];
+                let v = values[idx(cx, cy, cz)].value();
                 cells += 1;
                 mass += v;
                 com[0] += v * cx as f64;
@@ -565,6 +592,47 @@ mod tests {
                 // eighths, so cells set to the threshold sit on it.
                 prop_assert_eq!((got.mean * 8.0).fract(), 0.0);
             }
+        }
+
+        /// One finder over either cell: run on a random f32 field's
+        /// stored cells it returns, bit for bit, its catalog of the
+        /// field's decoded `f64` values. The grids are `random_grid`'s
+        /// in f32 — kind 0 exactly so, its plateaus still on the
+        /// threshold — with spikes, negative cells and ±0 laid over
+        /// the other kinds, on the same non-cubic shapes as above.
+        #[test]
+        fn find_halos_over_native_cells_equals_find_halos_over_their_values(
+            nx in 1usize..131,
+            ny in 1usize..6,
+            nz in 1usize..5,
+            kind in 0u8..4,
+            min_cells in 1u32..=3,
+            seed in any::<u64>(),
+        ) {
+            let dims = [nx, ny, nz];
+            let mut rng = TestRng::new(seed);
+            let (grid, threshold_factor) = random_grid(kind, nx * ny * nz, &mut rng);
+            let mut field: Vec<f32> = grid.iter().map(|&v| v as f32).collect();
+            if kind == 0 {
+                let exact = grid.iter().zip(&field).all(|(&v, &c)| f64::from(c) == v);
+                prop_assert!(exact, "kind 0 is exact in f32");
+            } else {
+                for _ in 0..rng.next_u64() % 6 {
+                    let at = (rng.next_u64() % field.len() as u64) as usize;
+                    field[at] = [2000.0, -350.5, 0.0, -0.0][(rng.next_u64() % 4) as usize];
+                }
+            }
+            let cells: Vec<[u8; 4]> = field.iter().map(|c| c.to_le_bytes()).collect();
+            let values: Vec<f64> = field.iter().map(|&c| f64::from(c)).collect();
+            let cfg = HaloFinderConfig { threshold_factor, min_cells };
+            let (got, want) = (find_halos(&cells, dims, &cfg), find_halos(&values, dims, &cfg));
+            prop_assert_eq!(got.mean.to_bits(), want.mean.to_bits());
+            prop_assert_eq!(got.threshold.to_bits(), want.threshold.to_bits());
+            prop_assert_eq!(got.candidate_cells, want.candidate_cells);
+            let bits = |c: &HaloCatalog| -> Vec<([u64; 3], u32, u64)> {
+                c.halos.iter().map(|h| (h.center.map(f64::to_bits), h.cells, h.mass.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&want));
         }
 
         /// The sum that rides with the block maxima is the plain

@@ -28,5 +28,5 @@ pub mod protect;
 
 pub use app::{plotfile_path, NyxApp, NyxConfig, NyxOutput, DATASET, PLOTFILE};
 pub use field::{generate, FieldConfig};
-pub use halo::{candidate_mask, find_halos, Halo, HaloCatalog, HaloFinderConfig};
+pub use halo::{candidate_mask, find_halos, Cell, Halo, HaloCatalog, HaloFinderConfig};
 pub use protect::{mean_check_fails, protected_classify, MEAN_TOLERANCE};
