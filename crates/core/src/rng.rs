@@ -10,6 +10,11 @@
 //! xoshiro256++ (Blackman & Vigna) seeded via SplitMix64, the standard
 //! pairing recommended by the algorithm authors.
 
+use rayon::prelude::*;
+
+/// Box–Muller pairs per parallel chunk of [`Rng::fill_normal`].
+const NORMAL_CHUNK_PAIRS: usize = 8 * 1024;
+
 /// SplitMix64 — used to expand a 64-bit seed into generator state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
@@ -127,22 +132,59 @@ impl Rng {
     }
 
     /// Standard normal deviate (Box–Muller, caching the spare value).
+    // Inlined into callers in other crates: QMC draws one per walker
+    // coordinate and Montage one per sky pixel.
+    #[inline]
     pub fn normal(&mut self) -> f64 {
         if let Some(z) = self.gauss_spare.take() {
             return z;
         }
-        // Avoid log(0).
-        let u1 = loop {
+        let u1 = self.box_muller_u1();
+        let u2 = self.next_f64();
+        let (z, spare) = box_muller(u1, u2);
+        self.gauss_spare = Some(spare);
+        z
+    }
+
+    /// Fill `out` with exactly what `out.len()` successive [`normal`]
+    /// calls would return, leaving the generator (spare included) where
+    /// they would. The uniforms are drawn serially, in stream order,
+    /// into the output slots themselves; the transcendentals then run on
+    /// every core.
+    ///
+    /// [`normal`]: Rng::normal
+    pub fn fill_normal(&mut self, mut out: &mut [f64]) {
+        if let Some(z) = self.gauss_spare {
+            let Some((first, rest)) = out.split_first_mut() else { return };
+            *first = z;
+            self.gauss_spare = None;
+            out = rest;
+        }
+        let (pairs, odd) = out.split_at_mut(out.len() & !1);
+        for pair in pairs.chunks_exact_mut(2) {
+            pair[0] = self.box_muller_u1();
+            pair[1] = self.next_f64();
+        }
+        pairs.par_chunks_mut(2 * NORMAL_CHUNK_PAIRS).enumerate().for_each(|(_, chunk)| {
+            for pair in chunk.chunks_exact_mut(2) {
+                (pair[0], pair[1]) = box_muller(pair[0], pair[1]);
+            }
+        });
+        if let [last] = odd {
+            *last = self.normal();
+        }
+    }
+
+    /// The first uniform of a Box–Muller pair, redrawn until it is far
+    /// enough from 0 that its log is finite.
+    #[inline]
+    fn box_muller_u1(&mut self) -> f64 {
+        loop {
             let u = self.next_f64();
             if u > 1e-300 {
                 break u;
             }
-        };
-        let u2 = self.next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.gauss_spare = Some(r * theta.sin());
-        r * theta.cos()
+        }
     }
 
     /// Normal deviate with the given mean and standard deviation.
@@ -166,6 +208,16 @@ impl Rng {
             Some(&slice[self.gen_range(slice.len() as u64) as usize])
         }
     }
+}
+
+/// The Box–Muller transform of one uniform pair: `(r·cos θ, r·sin θ)`,
+/// the deviate [`Rng::normal`] returns and the spare it caches. The one
+/// definition both [`Rng::normal`] and [`Rng::fill_normal`] call.
+#[inline]
+fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
+    let r = (-2.0 * u1.ln()).sqrt();
+    let theta = 2.0 * std::f64::consts::PI * u2;
+    (r * theta.cos(), r * theta.sin())
 }
 
 #[cfg(test)]
@@ -264,6 +316,26 @@ mod tests {
         let var = sum2 / N as f64 - mean * mean;
         assert!(mean.abs() < 0.01, "mean = {}", mean);
         assert!((var - 1.0).abs() < 0.02, "var = {}", var);
+    }
+
+    #[test]
+    fn a_bulk_draw_is_successive_draws() {
+        let lengths = (0..=9).chain([4_097, 100_001]);
+        for (len, spare_on_entry) in lengths.flat_map(|len| [(len, false), (len, true)]) {
+            let mut bulk = Rng::seed_from(0xB0C5 + len as u64);
+            if spare_on_entry {
+                bulk.normal();
+            }
+            let mut serial = bulk.clone();
+            let mut got = vec![f64::NAN; len];
+            bulk.fill_normal(&mut got);
+            let want: Vec<f64> = (0..len).map(|_| serial.normal()).collect();
+            let bits = |v: &[f64]| v.iter().map(|z| z.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "len {} spare {}", len, spare_on_entry);
+            assert_eq!(bulk, serial, "state after len {} spare {}", len, spare_on_entry);
+            assert_eq!(bulk.normal().to_bits(), serial.normal().to_bits());
+            assert_eq!(bulk.next_u64(), serial.next_u64());
+        }
     }
 
     #[test]

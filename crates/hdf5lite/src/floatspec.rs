@@ -246,21 +246,24 @@ impl FloatSpec {
         if size == 0 || size > 8 {
             return Err(Hdf5Error::new(format!("unsupported float size {}", self.size)));
         }
-        if raw.len() < count * size {
+        let need = count.checked_mul(size).ok_or_else(|| {
+            Hdf5Error::new(format!("{} elements of {} bytes overflow an address", count, size))
+        })?;
+        if raw.len() < need {
             return Err(Hdf5Error::new(format!(
                 "raw data too small: need {} bytes, have {}",
-                count * size,
+                need,
                 raw.len()
             )));
         }
         if *self == Self::ieee_f32() {
             let convert = |b| f64::from(f32::from_le_bytes(b));
-            return self.decode_ieee(&raw[..count * 4], convert, is_special_f32);
+            return self.decode_ieee(&raw[..need], convert, is_special_f32);
         }
         if *self == Self::ieee_f64() {
             // Neither zero nor normal: a subnormal, an infinity or a NaN.
             let special = |b| !f64::from_le_bytes(b).is_normal() & (f64::from_le_bytes(b) != 0.0);
-            return self.decode_ieee(&raw[..count * 8], f64::from_le_bytes, special);
+            return self.decode_ieee(&raw[..need], f64::from_le_bytes, special);
         }
         let mut out = Vec::with_capacity(count);
         for i in 0..count {
@@ -441,6 +444,21 @@ mod tests {
         let vals = spec.decode_all(&raw, 3).unwrap();
         assert_eq!(vals, vec![1.0, 2.0, 3.0]);
         assert!(spec.decode_all(&raw, 4).is_err());
+    }
+
+    /// A count whose byte length wraps `usize` is an error on every
+    /// path: the IEEE fast paths used to return `Ok` with no values and
+    /// the generic path to abort in `Vec::with_capacity`.
+    #[test]
+    fn decode_all_rejects_a_count_that_overflows() {
+        let raw = [0x3Fu8; 8];
+        let mut perturbed = FloatSpec::ieee_f32();
+        perturbed.exponent_bias = 0x73;
+        for spec in [FloatSpec::ieee_f32(), perturbed] {
+            assert!(spec.decode_all(&raw, usize::MAX / 4 + 1).is_err());
+            assert!(spec.decode_all(&raw, usize::MAX).is_err());
+        }
+        assert!(FloatSpec::ieee_f64().decode_all(&raw, usize::MAX / 8 + 1).is_err());
     }
 
     /// `decode_all` must return, bit for bit, what `decode` returns

@@ -53,13 +53,6 @@ pub struct NyxConfig {
     /// (reproduction extension; quantifies how much of the paper's
     /// metadata SDC exposure a checksummed format removes).
     pub seal_metadata: bool,
-    /// Re-run the (deterministic) field simulation inside every
-    /// [`FaultApp::produce`], as the real application binary would — the
-    /// paper's injection runs execute Nyx end-to-end, simulation
-    /// included. Off by default: storage-path-only experiments may
-    /// share the cached field, but replay-vs-rerun comparisons should
-    /// enable this to charge the legacy path its true per-run cost.
-    pub resimulate: bool,
     /// Number of plotfiles the run writes (`plt00000..`), each a
     /// snapshot of an independently-seeded field. `1` (the default)
     /// keeps the legacy single-plotfile layout byte for byte.
@@ -77,7 +70,6 @@ impl Default for NyxConfig {
             keep_field: false,
             write_chunk: ffis_vfs::BLOCK_SIZE,
             seal_metadata: false,
-            resimulate: false,
             plotfiles: 1,
         }
     }
@@ -96,7 +88,6 @@ impl NyxConfig {
             keep_field: false,
             write_chunk: 64 * 1024,
             seal_metadata: false,
-            resimulate: false,
             plotfiles: 1,
         }
     }
@@ -309,17 +300,9 @@ impl FaultApp for NyxApp {
         let n = self.config.field.n;
         fs.mkdir("/run", 0o755).map_err(|e| e.to_string())?;
         for k in 0..self.config.plotfiles {
-            // The simulation phase: deterministic, so by default each
-            // run reuses the cached field; `resimulate` re-executes it
-            // the way the real application binary would in every
-            // injection run.
-            let resimulated;
-            let field: &[f32] = if self.config.resimulate {
-                resimulated = generate(&Self::file_field(&self.config, k));
-                &resimulated
-            } else {
-                &self.fields[k]
-            };
+            // The simulation phase is deterministic, so every run
+            // reuses the field simulated once in `NyxApp::new`.
+            let field: &[f32] = &self.fields[k];
             // Write the plotfile through the (possibly fault-injected)
             // filesystem, exactly as the HDF5 library would.
             let mut b = FileBuilder::new();

@@ -1,6 +1,6 @@
 //! Minimal, offline drop-in for the subset of [rayon](https://crates.io/crates/rayon)
 //! this workspace uses: `par_iter()` / `into_par_iter()` followed by
-//! `.map(..).collect()`.
+//! `.map(..).collect()`, and `par_chunks_mut(size).enumerate().for_each(..)`.
 //!
 //! The build environment has no crates-io access, so this shim provides
 //! the same names with a real work-stealing-free but genuinely parallel
@@ -15,7 +15,9 @@ use std::sync::Mutex;
 
 /// Everything a `use rayon::prelude::*` caller expects.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
+    pub use crate::{
+        IntoParallelIterator, IntoParallelRefIterator, ParallelIterator, ParallelSliceMut,
+    };
 }
 
 /// Number of worker threads used for parallel sections.
@@ -171,6 +173,52 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     }
 }
 
+/// `par_chunks_mut()` — disjoint mutable chunks of a slice, processed
+/// in parallel.
+pub trait ParallelSliceMut<T: Send> {
+    /// Split into chunks of `chunk_size` elements (the last may be
+    /// shorter), in order. Panics when `chunk_size == 0`, as rayon does.
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ChunksMut<'_, T>;
+}
+
+impl<T: Send> ParallelSliceMut<T> for [T] {
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ChunksMut<'_, T> {
+        assert!(chunk_size != 0, "chunk_size must not be zero");
+        ChunksMut { slice: self, chunk_size }
+    }
+}
+
+/// The parallel iterator of [`ParallelSliceMut::par_chunks_mut`].
+pub struct ChunksMut<'a, T> {
+    slice: &'a mut [T],
+    chunk_size: usize,
+}
+
+impl<'a, T: Send> ChunksMut<'a, T> {
+    /// Pair every chunk with its index.
+    pub fn enumerate(self) -> EnumerateChunksMut<'a, T> {
+        EnumerateChunksMut { chunks: self }
+    }
+}
+
+/// The `enumerate` adapter of [`ChunksMut`].
+pub struct EnumerateChunksMut<'a, T> {
+    chunks: ChunksMut<'a, T>,
+}
+
+impl<T: Send> EnumerateChunksMut<'_, T> {
+    /// Call `f((index, chunk))` once per chunk. Chunks are handed out
+    /// through the same atomic cursor as `map`; a slice that fits in
+    /// one chunk runs on the calling thread.
+    pub fn for_each<F>(self, f: F)
+    where
+        F: Fn((usize, &mut [T])) + Sync + Send,
+    {
+        let ChunksMut { slice, chunk_size } = self.chunks;
+        par_map_vec(slice.chunks_mut(chunk_size).enumerate().collect(), f);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -197,6 +245,43 @@ mod tests {
     fn empty_input() {
         let v: Vec<u64> = Vec::<u64>::new().into_par_iter().map(|x| x).collect();
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn par_chunks_mut_visits_every_chunk_once_with_its_index_and_bounds() {
+        use std::sync::Mutex;
+        for (len, size) in [(0usize, 3usize), (1, 3), (3, 3), (1000, 64), (1024, 64), (7, 100)] {
+            let mut data: Vec<usize> = (0..len).collect();
+            let seen = Mutex::new(Vec::new());
+            data.par_chunks_mut(size).enumerate().for_each(|(i, chunk)| {
+                seen.lock().unwrap().push((i, chunk.first().copied(), chunk.len()));
+                for v in chunk.iter_mut() {
+                    *v = i;
+                }
+            });
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            let expected: Vec<_> = (0..len.div_ceil(size))
+                .map(|i| (i, Some(i * size), size.min(len - i * size)))
+                .collect();
+            assert_eq!(seen, expected, "len {} size {}", len, size);
+            assert!(data.iter().enumerate().all(|(at, &i)| i == at / size));
+        }
+    }
+
+    #[test]
+    fn one_chunk_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let mut data = [0u8; 16];
+        data.par_chunks_mut(16).enumerate().for_each(|(_, _)| {
+            assert_eq!(std::thread::current().id(), caller);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk_size must not be zero")]
+    fn zero_chunk_size_panics() {
+        [0u8; 4].par_chunks_mut(0);
     }
 
     #[test]
