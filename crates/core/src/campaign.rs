@@ -29,7 +29,7 @@ use crate::engine::{
     JournalMeta, PlannedRun, RunEvent, RunJournal, RunRecord, RunStrategy,
 };
 use crate::fault::{FaultSignature, TargetFilter};
-use crate::golden::{Capture, Golden, GoldenCache, SubstepLaws};
+use crate::golden::{Golden, GoldenCache, SubstepLaws};
 use crate::injector::{ArmedInjector, InjectionRecord};
 use crate::outcome::{FaultApp, Outcome, OutcomeTally, SubstepSpec};
 use crate::profiler::ProfileReport;
@@ -55,13 +55,15 @@ pub struct CampaignConfig {
     pub parallel: bool,
     /// Golden-trace replay fast path (default **on**): instead of
     /// re-executing the application's produce phase per injection run,
-    /// capture its mutating I/O once, fork the nearest log-spaced
-    /// mid-trace checkpoint preceding each run's target instance,
-    /// replay only the trace suffix through the armed injector, and
-    /// run the application's [`FaultApp::analyze`] phase. Per-run
-    /// outcomes, injection records, and crash messages are identical
-    /// to full reruns; [`CampaignResult::mode`] records which strategy
-    /// executed and — when the campaign fell back — why.
+    /// capture its mutating I/O once, fork the nearest mid-trace
+    /// checkpoint preceding each run's target instance — placed
+    /// against the campaign's drawn targets, or log-spaced when
+    /// [`CampaignConfig::replay_opt`] is off — replay only the trace
+    /// suffix through the armed injector, and run the application's
+    /// [`FaultApp::analyze`] phase. Per-run outcomes, injection
+    /// records, and crash messages are identical to full reruns;
+    /// [`CampaignResult::mode`] records which strategy executed and —
+    /// when the campaign fell back — why.
     pub replay: bool,
     /// Plan-aware replay optimizations (default **on**; the `false`
     /// regime is the reference side of engine law 9 and a measurement
@@ -464,16 +466,6 @@ pub struct MemoReport {
 }
 
 impl MemoReport {
-    /// A report for a campaign where the layer fell back.
-    pub fn not_engaged(fallback: MemoFallback) -> Self {
-        MemoReport {
-            engaged: false,
-            substeps: 0,
-            fallback: Some(fallback),
-            stats: MemoStats::default(),
-        }
-    }
-
     /// Short status token for report tables: `memoized` when engaged,
     /// otherwise the fallback reason.
     pub fn reason(&self) -> &'static str {
@@ -960,10 +952,10 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
 
     /// Take the golden run — and the verdicts of the campaign-wide
     /// laws checked against it — from `cache`, running it only if no
-    /// earlier campaign over `app` left one that captured the same
-    /// set. Without a cache the campaign makes the same golden run for
-    /// itself; the result is identical either way. The cache must be
-    /// used with this one application only.
+    /// earlier campaign over `app` left one. Without a cache the
+    /// campaign makes the same golden run for itself; the result is
+    /// identical either way. The cache must be used with this one
+    /// application only.
     pub fn with_goldens(mut self, cache: &'a GoldenCache<A::Output>) -> Self {
         self.goldens = Some(cache);
         self
@@ -976,21 +968,10 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
         sig.validate().map_err(CampaignError::BadSignature)?;
 
         // Phase 1+2: one golden run doubles as the profiling run (see
-        // [`Golden::run`]). What it records beyond the profile follows
-        // from the configured fast path: the op trace when it is on (a
-        // write-site campaign replays it, a read-site one needs it for
-        // the read-only-analyze law), the read ledger and the
-        // phase-boundary counters at the read site — and, because the
-        // memo gate (engine law 8) needs the golden analyze read stream
-        // at the write site too, whenever the workload declares
-        // sub-steps.
-        let trace = cfg.replay && matches!(sig.primitive, Primitive::Write | Primitive::Read);
-        let read_fast = cfg.replay && sig.primitive == Primitive::Read;
-        let substeps = if cfg.memo { self.app.analyze_substeps() } else { None };
-        let capture = Capture { trace, ledger: trace && (read_fast || substeps.is_some()) };
+        // [`Golden::run`]); it depends on the application alone.
         let golden = match self.goldens {
-            Some(cache) => cache.get_or_run(capture, || Golden::run(self.app, capture))?,
-            None => Arc::new(Golden::run(self.app, capture)?),
+            Some(cache) => cache.get_or_run(|| Golden::run(self.app))?,
+            None => Arc::new(Golden::run(self.app)?),
         };
 
         // The trace interceptor records every primitive crossing, so
@@ -1048,6 +1029,7 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
         // either the sub-step laws hold on the golden run and the
         // basis attaches to the fast path, or the fallback reason
         // lands in [`CampaignResult::memo`].
+        let substeps = if cfg.memo { self.app.analyze_substeps() } else { None };
         let memo_store = substeps
             .as_ref()
             .map(|_| cfg.memo_store.clone().unwrap_or_else(|| Arc::new(MemoStore::in_memory())));
@@ -3087,12 +3069,9 @@ mod tests {
         }
     }
 
-    /// The golden run a cache holds for a write-site (`trace` only,
-    /// `memo` off) or memoized (`trace` and `ledger`) campaign.
-    fn kept_golden(cache: &GoldenCache<Vec<Vec<u8>>>, ledger: bool) -> Arc<Golden<Vec<Vec<u8>>>> {
-        cache
-            .get_or_run(Capture { trace: true, ledger }, || unreachable!("the campaign ran it"))
-            .unwrap()
+    /// The golden run a cache holds.
+    fn kept_golden(cache: &GoldenCache<Vec<Vec<u8>>>) -> Arc<Golden<Vec<Vec<u8>>>> {
+        cache.get_or_run(|| unreachable!("the campaign ran it")).unwrap()
     }
 
     #[test]
@@ -3113,13 +3092,13 @@ mod tests {
         let plain = GoldenCache::new();
         let result = run(&plain, cfg(FaultSignature::on_write, false, 1));
         assert!(result.mode.is_fast_path() && !result.memo.engaged);
-        assert!(!kept_golden(&plain, false).trace.path_index_built());
+        assert!(!kept_golden(&plain).trace.path_index_built());
 
         // A memoized read-site campaign replays no tail either.
         let cache = GoldenCache::new();
         let result = run(&cache, cfg(FaultSignature::on_read, true, 2));
         assert!(result.memo.engaged);
-        let golden = kept_golden(&cache, true);
+        let golden = kept_golden(&cache);
         assert!(!golden.trace.path_index_built());
 
         // A memoized write-site campaign builds it, while planning;
@@ -3131,6 +3110,6 @@ mod tests {
         let again = run(&cache, cfg(FaultSignature::on_write, true, 4));
         assert!(again.replay_opt.skipped_tail_ops > 0);
         assert_eq!(cache.runs(), 1);
-        assert!(std::ptr::eq(first, kept_golden(&cache, true).trace.path_index()));
+        assert!(std::ptr::eq(first, kept_golden(&cache).trace.path_index()));
     }
 }

@@ -1,40 +1,37 @@
 //! The golden run and what a campaign decides from it alone.
 //!
-//! Everything here is a function of the application and of *what the
-//! golden run captured* — never of a campaign's seed, run count or
-//! fault signatures. [`Golden`] is that value: the fault-free
-//! profile, the reference output, the post-run filesystem, the
-//! replayable op trace, the read ledger, the counters at the
-//! produce/analyze seam, and the verdicts of the campaign-wide laws
-//! that gate the fast paths (the replay laws, the analyze-only laws,
-//! the sub-step laws of engine law 8). The artefacts are fixed when
-//! the run returns; each verdict is decided the first time a campaign
-//! asks for it and never again.
+//! Everything here is a function of the application alone — never of
+//! a campaign's seed, run count, fault signature, injection site or
+//! fast-path knobs. [`Golden`] is that value: the fault-free profile,
+//! the reference output, the post-run filesystem, the replayable op
+//! trace, the read ledger, the counters at the produce/analyze seam,
+//! and the verdicts of the campaign-wide laws that gate the fast paths
+//! (the replay laws, the analyze-only laws, the sub-step laws of
+//! engine law 8). The artefacts are fixed when the run returns; each
+//! verdict is decided the first time a campaign asks for it and never
+//! again.
 //!
 //! [`Campaign::run`](crate::Campaign::run) obtains its `Golden`
 //! through one function, [`Golden::run`]. A [`GoldenCache`] handed to
-//! the campaign only memoizes that call, per [`Capture`] set, so a
-//! service draining many small jobs over one application pays the
-//! golden run and every law check once per queue instead of once per
-//! job — while each job still draws, plans, places its checkpoints
-//! and checks its signature's eligible count itself. Nothing here
-//! is written to disk: a verdict lives as long as the cache that holds
-//! it.
+//! the campaign only memoizes that call, so a service draining many
+//! small jobs over one application pays the golden run and every law
+//! check once per queue instead of once per job — while each job still
+//! draws, plans, places its checkpoints and checks its signature's
+//! eligible count itself. Nothing here is written to disk: a verdict
+//! lives as long as the cache that holds it.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ffis_vfs::frame::SingleFlight;
 use ffis_vfs::{
-    CounterSnapshot, FfisFs, Fnv, Interceptor, MemFs, Primitive, ReadLedger, ReadRecord,
-    ReplayCursor, SharedTrace, TraceRecorder,
+    CounterSnapshot, FfisFs, Fnv, MemFs, Primitive, ReadLedger, ReadRecord, ReplayCursor,
+    SharedTrace, TraceInterceptor, TraceRecorder,
 };
 
 use crate::campaign::{CampaignError, MemoFallback, ReplayFallback};
-use crate::fault::TargetFilter;
 use crate::outcome::{FaultApp, Outcome, SubstepSpec};
-use crate::profiler::{IoProfiler, ProfileReport};
+use crate::profiler::ProfileReport;
 
 /// Does the app's [`FaultApp::analyze`] phase, run against `fs`,
 /// reproduce the golden classification? `false` when analyze errors
@@ -53,21 +50,6 @@ fn analyze_matches_golden<A: FaultApp + ?Sized>(
     )
 }
 
-/// What a golden run records beyond the profile — the only thing a
-/// campaign's configuration contributes to its [`Golden`]. Attaching
-/// either recorder never perturbs counters or the run itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct Capture {
-    /// The replayable op trace, with a watermark between the two
-    /// phases: write-site campaigns replay it, read-site campaigns
-    /// need it for the read-only-analyze law.
-    pub trace: bool,
-    /// The read ledger and the phase-boundary counter snapshot:
-    /// read-site campaigns plan against it, and the sub-step laws
-    /// compare against its analyze-phase stream at the write site too.
-    pub ledger: bool,
-}
-
 /// One fault-free execution of an application and the campaign-wide
 /// verdicts drawn from it (see the module docs).
 pub(crate) struct Golden<O> {
@@ -79,13 +61,13 @@ pub(crate) struct Golden<O> {
     pub output: O,
     /// The filesystem the run left behind.
     pub base: Arc<MemFs>,
-    /// The mutating op stream (empty unless [`Capture::trace`]).
+    /// The mutating op stream.
     pub trace: SharedTrace,
     /// Counters at the produce/analyze boundary.
     pub boundary: CounterSnapshot,
     /// How many ops of `trace` the produce phase recorded.
     produced_ops: usize,
-    /// Every read of the run (empty unless [`Capture::ledger`]) …
+    /// Every read of the run …
     pub reads: Vec<ReadRecord>,
     /// … of which this many were issued by the produce phase.
     pub produce_reads: usize,
@@ -121,40 +103,40 @@ pub(crate) struct SubstepLaws {
 impl<O> Golden<O> {
     /// Phase 1+2 of the paper's workflow: one fault-free run doubles
     /// as the profiling run — it counts primitives and captures the
-    /// reference output — and records whatever `capture` asks for on
-    /// the way. The golden run is never fueled: it must finish for a
+    /// reference output — and records, on its own instrumented mount,
+    /// the replayable op trace and the read ledger, with the op count,
+    /// read count and counters at the produce/analyze boundary.
+    /// Attaching either recorder never perturbs counters or the run
+    /// itself. The golden run is never fueled: it must finish for a
     /// campaign to exist at all.
-    pub fn run<A: FaultApp<Output = O>>(app: &A, capture: Capture) -> Result<Self, CampaignError> {
+    pub fn run<A: FaultApp<Output = O>>(app: &A) -> Result<Self, CampaignError> {
+        let base = Arc::new(MemFs::new());
+        let ffs = FfisFs::mount(base.clone());
+        let crossings = Arc::new(TraceInterceptor::new());
         let recorder = Arc::new(TraceRecorder::new());
         let ledger = Arc::new(ReadLedger::new());
-        let mut extras: Vec<Arc<dyn Interceptor>> = Vec::new();
-        if capture.trace {
-            extras.push(recorder.clone());
-        }
-        if capture.ledger {
-            extras.push(ledger.clone());
-        }
-        let produced_ops = std::cell::Cell::new(0usize);
-        let boundary = std::cell::Cell::new(CounterSnapshot::default());
-        let (mut profile, output, base) = IoProfiler::new(Primitive::Write, TargetFilter::Any)
-            .profile_with_mount(&extras, |ffs| {
-                app.produce(ffs)?;
-                produced_ops.set(recorder.len());
-                ledger.mark_produce_end();
-                boundary.set(ffs.counters());
-                app.analyze(ffs, None)
-            })
-            .map_err(CampaignError::GoldenRunFailed)?;
-        // The profiler's scope above is a placeholder: eligibility is
-        // per signature and each campaign counts its own.
-        profile.eligible = 0;
+        ffs.attach(crossings.clone());
+        ffs.attach(recorder.clone());
+        ffs.attach(ledger.clone());
+        app.produce(&*ffs).map_err(CampaignError::GoldenRunFailed)?;
+        let produced_ops = recorder.len();
+        ledger.mark_produce_end();
+        let boundary = ffs.counters();
+        let output = app.analyze(&*ffs, None).map_err(CampaignError::GoldenRunFailed)?;
+        ffs.unmount();
         Ok(Golden {
-            profile,
+            // Eligibility is per signature: each campaign counts its
+            // own from `profile.trace`.
+            profile: ProfileReport {
+                counters: ffs.counters(),
+                eligible: 0,
+                trace: crossings.records(),
+            },
             output,
             base,
             trace: recorder.take_ops().into(),
-            boundary: boundary.get(),
-            produced_ops: produced_ops.get(),
+            boundary,
+            produced_ops,
             produce_reads: ledger.produce_reads(),
             reads: ledger.records(),
             replay_laws: OnceLock::new(),
@@ -376,29 +358,29 @@ impl<O> Golden<O> {
     }
 }
 
-/// Golden runs of one application, shared by the campaigns handed
+/// The golden run of one application, shared by the campaigns handed
 /// this cache ([`Campaign::with_goldens`](crate::Campaign::with_goldens)).
 ///
 /// A golden run — and every law verdict drawn from it — depends on the
-/// application and on what the run captures, not on a campaign's seed,
-/// runs or signatures. Campaigns over one application that capture the
-/// same set therefore share one run here; racing campaigns wait for
-/// the one in flight instead of starting their own. A golden run that
-/// fails is returned to its caller and not kept: the next campaign
-/// runs it again.
+/// application alone, not on a campaign's seed, runs, signature,
+/// injection site or fast-path knobs. Every campaign over the
+/// application therefore shares the one run kept here; racing
+/// campaigns wait for the one in flight instead of starting their own.
+/// A golden run that fails is returned to its caller and not kept: the
+/// next campaign runs it again.
 ///
 /// The cache must only ever see one application: it is typed by the
 /// application's output and keyed by nothing else.
 pub struct GoldenCache<O> {
-    ready: Mutex<HashMap<Capture, Arc<Golden<O>>>>,
-    flight: SingleFlight<Capture>,
+    ready: Mutex<Option<Arc<Golden<O>>>>,
+    flight: SingleFlight<()>,
     runs: AtomicUsize,
 }
 
 impl<O> Default for GoldenCache<O> {
     fn default() -> Self {
         GoldenCache {
-            ready: Mutex::new(HashMap::new()),
+            ready: Mutex::new(None),
             flight: SingleFlight::default(),
             runs: AtomicUsize::new(0),
         }
@@ -411,30 +393,28 @@ impl<O> GoldenCache<O> {
         Self::default()
     }
 
-    /// Golden runs started through this cache — one per distinct
-    /// capture set its campaigns asked for, however many campaigns
-    /// there were.
+    /// Golden runs started through this cache — one, however many
+    /// campaigns there were, unless a run failed.
     pub fn runs(&self) -> usize {
         self.runs.load(Ordering::Relaxed)
     }
 
-    /// The golden run for `capture`: the kept one, the one another
-    /// thread is running right now, or `run()`.
+    /// The golden run: the kept one, the one another thread is running
+    /// right now, or `run()`.
     pub(crate) fn get_or_run(
         &self,
-        capture: Capture,
         run: impl FnOnce() -> Result<Golden<O>, CampaignError>,
     ) -> Result<Arc<Golden<O>>, CampaignError> {
-        let kept = || self.ready.lock().unwrap_or_else(|e| e.into_inner()).get(&capture).cloned();
+        let kept = || self.ready.lock().unwrap_or_else(|e| e.into_inner()).clone();
         // Held until this call returns, so a failing or panicking run
-        // frees the key for the waiters.
-        let _claim = match self.flight.get_or_claim(&capture, kept) {
+        // frees the slot for the waiters.
+        let _claim = match self.flight.get_or_claim(&(), kept) {
             Ok(golden) => return Ok(golden),
             Err(claim) => claim,
         };
         self.runs.fetch_add(1, Ordering::Relaxed);
         let golden = Arc::new(run()?);
-        self.ready.lock().unwrap_or_else(|e| e.into_inner()).insert(capture, golden.clone());
+        *self.ready.lock().unwrap_or_else(|e| e.into_inner()) = Some(golden.clone());
         Ok(golden)
     }
 }

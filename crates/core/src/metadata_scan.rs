@@ -46,7 +46,7 @@ use crate::campaign::{
 };
 use crate::engine::{self, EngineConfig, ExecutionPlan, PlannedRun, RunRecord, RunStrategy};
 use crate::fault::TargetFilter;
-use crate::golden::{Capture, Golden};
+use crate::golden::Golden;
 use crate::injector::{ByteFaultInjector, ByteFlip};
 use crate::outcome::{FaultApp, Outcome, OutcomeTally};
 use crate::rng::Rng;
@@ -281,7 +281,7 @@ pub fn locate_write<A: FaultApp>(
     target: &TargetFilter,
     pick: WritePick,
 ) -> Result<(u64, u64, usize, A::Output), String> {
-    let (golden, at) = golden_run(app, target, pick, false)?;
+    let (golden, at) = golden_run(app, target, pick)?;
     Ok((at.instance, at.offset, at.len, golden.output))
 }
 
@@ -295,16 +295,14 @@ struct LocatedWrite {
     matching: u64,
 }
 
-/// Run the workload once, fault-free — recording its trace only when
-/// a fast path will replay it (the trace holds every write payload) —
-/// and locate the write `pick` designates.
+/// Run the workload once, fault-free, and locate the write `pick`
+/// designates.
 fn golden_run<A: FaultApp>(
     app: &A,
     target: &TargetFilter,
     pick: WritePick,
-    trace: bool,
 ) -> Result<(Golden<A::Output>, LocatedWrite), String> {
-    let golden = Golden::run(app, Capture { trace, ledger: false }).map_err(|e| match e {
+    let golden = Golden::run(app).map_err(|e| match e {
         CampaignError::GoldenRunFailed(msg) => msg,
         other => other.to_string(),
     })?;
@@ -412,7 +410,7 @@ where
     K: Send,
     F: Fn(Option<A::Output>) -> Option<K> + Sync,
 {
-    let (golden, at) = golden_run(app, &config.target, config.pick, config.replay)?;
+    let (golden, at) = golden_run(app, &config.target, config.pick)?;
     let plan = if config.replay {
         ReplayPlan::new(app, &golden, &config.target, at.matching, None, Some(&[at.instance]))
     } else {

@@ -9,8 +9,10 @@
 //! [`IoProfiler`] runs the workload once on a fresh FFISFS mount with
 //! no faults armed, then reports per-primitive dynamic counts, the
 //! count of *eligible* instances under a target filter, and the full
-//! write trace (the HDF5 metadata scanner consumes the trace to locate
-//! the metadata write).
+//! primitive trace. A campaign's golden run builds the same
+//! [`ProfileReport`] on a mount of its own; each campaign counts its
+//! signature's eligible instances from that trace, and the HDF5
+//! metadata scanner locates the metadata write in it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -105,35 +107,12 @@ impl IoProfiler {
         &self,
         workload: impl FnOnce(&dyn FileSystem) -> Result<T, String>,
     ) -> Result<(ProfileReport, T), String> {
-        let (report, out, _fs) = self.profile_with_mount(&[], |ffs| workload(ffs))?;
-        Ok((report, out))
-    }
-
-    /// [`IoProfiler::profile`], additionally attaching `extras`
-    /// interceptors (e.g. a golden-trace [`ffis_vfs::TraceRecorder`]),
-    /// returning the backing filesystem so callers can inspect — or
-    /// fork — the golden state the run produced, and handing the
-    /// workload the mounted [`FfisFs`] itself instead of the erased
-    /// `&dyn FileSystem`, so a two-phase campaign driver can snapshot
-    /// the mount's counters at the produce/analyze boundary
-    /// ([`FfisFs::counters`]) — the phase-boundary [`CounterSnapshot`]
-    /// that analyze-only read-site runs pre-seed their fresh mounts
-    /// with.
-    pub fn profile_with_mount<T>(
-        &self,
-        extras: &[Arc<dyn Interceptor>],
-        workload: impl FnOnce(&FfisFs) -> Result<T, String>,
-    ) -> Result<(ProfileReport, T, Arc<MemFs>), String> {
-        let base = Arc::new(MemFs::new());
-        let ffs = FfisFs::mount(base.clone());
+        let ffs = FfisFs::mount(Arc::new(MemFs::new()));
         let counter = Arc::new(EligibleCounter::new(self.primitive, self.filter.clone()));
         let trace = Arc::new(TraceInterceptor::new());
         ffs.attach(counter.clone());
         ffs.attach(trace.clone());
-        for extra in extras {
-            ffs.attach(extra.clone());
-        }
-        let out = workload(&ffs)?;
+        let out = workload(&*ffs)?;
         ffs.unmount();
         Ok((
             ProfileReport {
@@ -142,7 +121,6 @@ impl IoProfiler {
                 trace: trace.records(),
             },
             out,
-            base,
         ))
     }
 }

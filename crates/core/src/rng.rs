@@ -115,12 +115,6 @@ impl Rng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    pub fn gen_range_in(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(hi > lo);
-        lo + self.gen_range(hi - lo)
-    }
-
     /// Uniform `f64` in `[lo, hi)`.
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.next_f64()

@@ -166,11 +166,11 @@ impl BuiltApp {
 ///
 /// The same rule one level down: a campaign's golden run, and the
 /// verdicts of the campaign-wide laws checked against it, depend on
-/// the application and on what the run captures — not on the job's
-/// seed, run count or fault model. Each slot therefore keeps a
+/// the application alone — not on the job's seed, run count, fault
+/// model or injection site. Each slot therefore keeps a
 /// [`GoldenCache`] beside its application and every job over the slot
-/// runs its campaign through it: six Nyx jobs at both sites make two
-/// golden runs, not six.
+/// runs its campaign through it: six Nyx jobs at both sites make one
+/// golden run, not six.
 #[derive(Default)]
 pub struct AppCache {
     apps: Mutex<HashMap<AppKey, Arc<OnceLock<BuiltApp>>>>,
@@ -190,8 +190,7 @@ impl AppCache {
     }
 
     /// Golden runs made so far over those applications — one per
-    /// distinct `(application, capture set)` the jobs asked for, not
-    /// one per job.
+    /// application the jobs asked for, not one per job.
     pub fn golden_runs(&self) -> usize {
         let apps = self.apps.lock().unwrap_or_else(|e| e.into_inner());
         apps.values().filter_map(|slot| slot.get()).map(BuiltApp::golden_runs).sum()

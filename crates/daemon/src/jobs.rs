@@ -308,9 +308,8 @@ impl JobQueue {
         self.apps.builds()
     }
 
-    /// Golden runs this queue's jobs have made — one per distinct
-    /// `(application, capture set)`, not one per job (see
-    /// [`AppCache::golden_runs`]).
+    /// Golden runs this queue's jobs have made — one per application,
+    /// not one per job (see [`AppCache::golden_runs`]).
     pub fn golden_runs(&self) -> usize {
         self.apps.golden_runs()
     }

@@ -10,7 +10,7 @@
 //! | `GET /jobs/:id` | one job's live status + partial tally |
 //! | `GET /jobs/:id/stream` | chunked NDJSON: `snapshot`, then one `run` event per plan index, then `done` |
 //! | `DELETE /jobs/:id` | cancel (queued → interrupted now; running → after the in-flight run) |
-//! | `GET /healthz` | `{"status":"ok", "running", "queued", "max_concurrent", "app_builds", "golden_runs"}` — the last two count what the queue built once and shared: applications per `(app, grid, files)`, golden runs per `(application, capture set)` |
+//! | `GET /healthz` | `{"status":"ok", "running", "queued", "max_concurrent", "app_builds", "golden_runs"}` — the last two count what the queue built once and shared: applications per `(app, grid, files)`, golden runs per application |
 
 use std::io;
 use std::path::PathBuf;

@@ -478,13 +478,8 @@ fn jobs_over_shared_applications_answer_like_bare_runs_and_build_each_app_once()
     }
     // nyx g16 f1, montage g16 f2, qmc g16 f1 — not one per job.
     assert_eq!(queue.app_builds(), 3);
-    // Nor one golden run per job: one per application and capture
-    // set. With the replay fast paths on, single-file Nyx (no
-    // sub-steps) records the read ledger for its read-site jobs only;
-    // 2-tile Montage records it at both sites; QMC has one job type.
-    // With them off (`FFIS_REPLAY=0`) nothing is captured at all.
-    let distinct = if ffis_core::replay_default() { 4 } else { 3 };
-    assert_eq!(queue.golden_runs(), distinct, "18 jobs");
+    // Nor one golden run per job: one per application.
+    assert_eq!(queue.golden_runs(), 3, "18 jobs");
     // An in-process job places its checkpoints against its own draws,
     // uses them and drops them: the only store the queue keeps on disk
     // is the memo store.

@@ -218,12 +218,6 @@ impl FfisFs {
         self.mounted.store(false, Ordering::SeqCst);
     }
 
-    /// Re-mount after an [`FfisFs::unmount`] (campaigns normally build
-    /// a fresh mount instead, but the lifecycle is reversible).
-    pub fn remount(&self) {
-        self.mounted.store(true, Ordering::SeqCst);
-    }
-
     /// Is the mount live?
     pub fn is_mounted(&self) -> bool {
         self.mounted.load(Ordering::SeqCst)
@@ -236,12 +230,6 @@ impl FfisFs {
             self.ops_wanted.store(true, Ordering::SeqCst);
         }
         self.interceptors.write().unwrap_or_else(|e| e.into_inner()).push(i);
-    }
-
-    /// Detach all interceptors.
-    pub fn clear_interceptors(&self) {
-        self.ops_wanted.store(false, Ordering::SeqCst);
-        self.interceptors.write().unwrap_or_else(|e| e.into_inner()).clear();
     }
 
     /// Pre-seed the dynamic execution counters (and the global call
@@ -659,8 +647,6 @@ mod tests {
         fs.unmount();
         assert_eq!(fs.getattr("/a"), Err(FsError::NotMounted));
         assert_eq!(fs.create("/b", 0o644), Err(FsError::NotMounted));
-        fs.remount();
-        assert!(fs.getattr("/a").is_ok());
     }
 
     /// Interceptor that replaces byte 0 of the Nth write with 0xFF.
@@ -824,15 +810,6 @@ mod tests {
         fs.release(fd).unwrap();
         // The device never changed.
         assert_eq!(fs.read_to_vec("/r").unwrap(), b"abcdef");
-    }
-
-    #[test]
-    fn clear_interceptors_restores_passthrough() {
-        let fs = mounted();
-        fs.attach(Arc::new(DropAll));
-        fs.clear_interceptors();
-        fs.write_file("/x", b"kept").unwrap();
-        assert_eq!(fs.read_to_vec("/x").unwrap(), b"kept");
     }
 
     #[test]

@@ -1537,11 +1537,6 @@ impl Fnv {
     pub fn eat_u64(&mut self, v: u64) {
         self.eat(&v.to_le_bytes());
     }
-    /// Fold a length-prefixed string.
-    pub fn eat_str(&mut self, s: &str) {
-        self.eat_u64(s.len() as u64);
-        self.eat(s.as_bytes());
-    }
 }
 
 /// Content fingerprint of a golden op stream: FNV over every op's

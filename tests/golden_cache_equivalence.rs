@@ -9,7 +9,8 @@
 //! So nothing a `CampaignResult` carries may tell the two apart — not
 //! on the second campaign over a cache either, which is the one that
 //! actually reads a kept golden run and kept verdicts. Covered: all
-//! three paper workloads × write/read site × `replay` × `memo`,
+//! three paper workloads × write/read site × `replay` × `memo` over one
+//! cache per workload,
 //! campaigns of different signatures over one cache, law verdicts that
 //! *fail*, a watchdog-armed campaign after a plain one, a campaign
 //! handed a memo store of its own, and racing campaigns over one key.
@@ -69,13 +70,14 @@ fn assert_same(per_call: &CampaignResult, cached: &CampaignResult, what: &str) {
     assert_eq!(cached.replay_opt, per_call.replay_opt, "{what}: replay-opt report");
 }
 
-/// The grid for one application: every `(site, replay, memo)` gets a
-/// cache of its own and two campaigns back to back over it.
+/// The grid for one application: every `(site, replay, memo)`, two
+/// campaigns back to back each, all over one cache — the golden run
+/// depends on the application alone, so the whole grid makes one.
 fn cached_equals_per_call<A: FaultApp>(app: &A) {
+    let goldens = GoldenCache::new();
     for site in [InjectionSite::Write, InjectionSite::Read] {
         for replay in [true, false] {
             for memo in [true, false] {
-                let goldens = GoldenCache::new();
                 for seed in [0x6011, 0x6012] {
                     let what = format!(
                         "{} {:?} replay={replay} memo={memo} seed={seed:#x}",
@@ -86,11 +88,11 @@ fn cached_equals_per_call<A: FaultApp>(app: &A) {
                     let per_call = Campaign::new(app, config.clone()).run().unwrap();
                     let cached = Campaign::new(app, config).with_goldens(&goldens).run().unwrap();
                     assert_same(&per_call, &cached, &what);
-                    assert_eq!(goldens.runs(), 1, "{what}: one golden run per capture set");
                 }
             }
         }
     }
+    assert_eq!(goldens.runs(), 1, "{}: one golden run per application", app.name());
 }
 
 #[test]
@@ -111,10 +113,9 @@ fn qmc_campaigns_over_a_golden_cache_equal_per_call_campaigns() {
 /// One cache under campaigns of *different* signatures: a write-site
 /// campaign, a read-site one, then the write site again under another
 /// seed — each counting its own eligible instances from the kept
-/// profile. A write-site campaign with memo on captures what a
-/// read-site one captures, so all three share one golden run: what a
-/// campaign of several signatures would have shared, campaigns of one
-/// share through the cache.
+/// profile. All three share one golden run: what a campaign of several
+/// signatures would have shared, campaigns of one share through the
+/// cache.
 #[test]
 fn campaigns_of_different_signatures_share_one_golden_run() {
     let app = MontageApp::multi_tile(3);
@@ -288,8 +289,8 @@ fn a_campaign_with_its_own_memo_store_still_finds_the_golden_artifacts_published
     assert_eq!(goldens.runs(), 1);
 }
 
-/// Eight campaigns of different seeds start at once over one capture
-/// set: one makes the golden run, seven wait for it, all eight answer
+/// Eight campaigns of different seeds start at once over one cache:
+/// one makes the golden run, seven wait for it, all eight answer
 /// what their per-call twins answer.
 #[test]
 fn racing_campaigns_over_one_key_make_one_golden_run() {
